@@ -67,16 +67,12 @@ def _emit(report, args):
         print(text)
 
 
-def _default_partition(spec, depth):
-    return space.generating_partition(spec, depth)
-
-
 def cmd_tower(args):
     spec = _load_spec(args.spec)
     if args.base:
         base = space.from_dict(spec, json.loads(args.base))
     else:
-        base = towers._canonical_bases(spec, max(1, args.depth))[0]
+        base = towers._canonical_bases(spec, args.depth)[0]
     comp = space.complement(base)
     P = [base] + ([comp] if not space.is_empty(comp) else [])
     S = towers.build_from_bases([base], P, args.max_steps)
@@ -133,7 +129,7 @@ def cmd_approximant(args):
                         sum(
                             1
                             for j in range(lead.J)
-                            if space.is_subset(apply_lvl(lead, j), X_t)
+                            if space.is_subset(space.apply_h(lead.Y, j), X_t)
                         )
                     )
                 mult.append(row)
@@ -142,10 +138,6 @@ def cmd_approximant(args):
         prev = S
     _emit({"levels": levels}, args)
     return 0
-
-
-def apply_lvl(tower, j):
-    return space.apply_h(tower.Y, j)
 
 
 def cmd_ktheory(args):
@@ -166,7 +158,7 @@ def cmd_berg(args):
     epsilon = args.epsilon
     if epsilon is None:
         epsilon = math.pi / args.N + 0.01
-    P = _default_partition(spec, args.depth)
+    P = space.generating_partition(spec, args.depth)
     rep = numeric.berg_verify(spec, P, args.N, epsilon, args.max_steps)
     _emit(rep.to_dict(), args)
     return 0 if rep.passed else 1
@@ -174,7 +166,7 @@ def cmd_berg(args):
 
 def cmd_identities(args):
     spec = _load_spec(args.spec)
-    P = _default_partition(spec, args.depth)
+    P = space.generating_partition(spec, args.depth)
     S, S2 = towers.adapted_system_pair(spec, P, args.N, args.max_steps)
     rep = cp.identity_suite(S, S2)
     _emit(rep.to_dict(), args)
@@ -209,9 +201,16 @@ def build_parser():
     return parser
 
 
+def _check_args(args):
+    for name in ("depth", "N"):
+        if getattr(args, name) < 1:
+            raise ValueError("--%s must be >= 1" % name)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _check_args(args)
         return COMMANDS[args.command](args)
     except (ZdsysError, ValueError, OSError, json.JSONDecodeError) as e:
         body = {

@@ -46,7 +46,7 @@ def enumerate_points(E):
     if f == FINITE_CYCLE:
         return sorted(E.data)
     if f == ODOMETER:
-        if E.data:
+        if not is_empty(E):
             raise NotCompactlySupported(
                 "cylinder sets are not finite point sets"
             )
@@ -318,7 +318,7 @@ def _matrix_to_element(spec, points, M, drop=1e-15):
 def berg_verify(spec, P, N, epsilon, max_steps=None):
     """Build an adapted pair for (P, N), interpolate its unitaries with
     an N-th root, and measure how far the result is from u."""
-    if math.pi / N >= epsilon:
+    if not epsilon > math.pi / N:
         raise ValueError("epsilon must exceed pi/N")
     S, S2 = adapted_system_pair(spec, P, N, max_steps)
     pe = cp.proof_unitaries(S, S2)

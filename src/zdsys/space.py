@@ -6,8 +6,11 @@ operations are exact:
 
 * ``finite_cycle``: X = {0,...,M-1} with the +1 cycle; sets are subsets.
 * ``odometer``: the base-b adding machine on infinite digit strings
-  (least significant digit first); sets are prefix-free antichains of
-  cylinder words with every complete sibling family merged into its parent.
+  (least significant digit first).  A word w is the cylinder of strings
+  starting with w, i.e. the residue class sum(w_i b^i) mod b^len(w).  A set
+  is a pair (L, mask): L is the least level at which the set is a union of
+  level-L cylinders, and bit r of mask is set when the class r mod b^L
+  lies in the set.  Reports list the set's maximal cylinder words.
 * ``compactified_shift``: Z with one point at infinity and the +1 shift;
   sets are (finite set F, cofinite flag); the cofinite form contains inf.
 * ``two_point_shift``: Z with fixed points -inf and +inf; sets are
@@ -23,6 +26,7 @@ operations are exact:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -79,31 +83,59 @@ class SystemSpec:
             raise ValueError("unknown family %r" % (self.family,))
 
     def to_dict(self):
-        if self.family == FINITE_CYCLE:
-            params = {"period": self.period}
-        elif self.family == ODOMETER:
-            params = {"base": self.base}
-        elif self.family == QUOTIENT_PRODUCT:
-            params = {"fiber": self.fiber.to_dict()}
-        else:
-            params = {}
+        params = {}
+        for name in _SPEC_PARAMS[self.family]:
+            value = getattr(self, name)
+            params[name] = value.to_dict() if name == "fiber" else value
         return {"family": self.family, "params": params}
 
     @staticmethod
     def from_dict(d):
-        family = d["family"]
-        params = d.get("params", {})
-        if family == FINITE_CYCLE:
-            return finite_cycle(params["period"])
-        if family == ODOMETER:
-            return odometer(params.get("base", 2))
-        if family == COMPACTIFIED_SHIFT:
-            return compactified_shift()
-        if family == TWO_POINT_SHIFT:
-            return two_point_shift()
-        if family == QUOTIENT_PRODUCT:
-            return quotient_product(SystemSpec.from_dict(params["fiber"]))
-        raise ValueError("unknown family %r" % (family,))
+        """Parse a spec given in the nested form {"family": f, "params":
+        {...}} or in the flat form {"family": f, <parameter>: ...}."""
+        if not isinstance(d, dict):
+            raise ValueError("a system spec must be a JSON object")
+        family = d.get("family")
+        if not isinstance(family, str) or family not in _SPEC_PARAMS:
+            raise ValueError("unknown family %r" % (family,))
+        flat = {k: v for k, v in d.items() if k not in ("family", "params")}
+        if "params" not in d:
+            params = flat
+        elif flat or not isinstance(d["params"], dict):
+            raise ValueError("give parameters flat or as one params object")
+        else:
+            params = d["params"]
+        names = _SPEC_PARAMS[family]
+        unknown = sorted(set(params) - set(names))
+        if unknown:
+            raise ValueError("unknown %s parameter %r" % (family, unknown[0]))
+        missing = [n for n in names if n not in params]
+        if missing:
+            raise ValueError("missing %s parameter %r" % (family, missing[0]))
+        kwargs = {}
+        for name in names:
+            value = params[name]
+            if name == "fiber":
+                kwargs[name] = SystemSpec.from_dict(value)
+            else:
+                kwargs[name] = _json_int(value, name)
+        return SystemSpec(family, **kwargs)
+
+
+# The parameters of each family, as SystemSpec fields.
+_SPEC_PARAMS = {
+    FINITE_CYCLE: ("period",),
+    ODOMETER: ("base",),
+    COMPACTIFIED_SHIFT: (),
+    TWO_POINT_SHIFT: (),
+    QUOTIENT_PRODUCT: ("fiber",),
+}
+
+
+def _json_int(value, what):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s must be an integer" % what)
+    return value
 
 
 def finite_cycle(period):
@@ -127,53 +159,8 @@ def quotient_product(fiber):
 
 
 # ---------------------------------------------------------------------------
-# odometer word helpers
+# odometer residue masks
 # ---------------------------------------------------------------------------
-
-
-def _odo_canonical(base, words):
-    """Canonicalize a set of cylinder words: drop covered words, merge
-    complete sibling families into their parent."""
-    words = set(words)
-    words = {
-        w for w in words if not any(w[:i] in words for i in range(len(w)))
-    }
-    changed = True
-    while changed:
-        changed = False
-        for w in list(words):
-            if not w:
-                continue
-            parent = w[:-1]
-            sibs = {parent + (d,) for d in range(base)}
-            if sibs <= words:
-                words -= sibs
-                words.add(parent)
-                changed = True
-                break
-    return frozenset(words)
-
-
-def _odo_expand(base, words, level):
-    """All level-`level` words covered by the given cylinders."""
-    out = set()
-    for w in words:
-        if len(w) >= level:
-            out.add(w)
-        else:
-            stack = [w]
-            while stack:
-                v = stack.pop()
-                if len(v) == level:
-                    out.add(v)
-                else:
-                    for d in range(base):
-                        stack.append(v + (d,))
-    return out
-
-
-def _odo_level(words):
-    return max((len(w) for w in words), default=0)
 
 
 def _word_value(base, w):
@@ -184,10 +171,66 @@ def _value_word(base, val, length):
     return tuple((val // base**i) % base for i in range(length))
 
 
-def _word_shift(base, w, n):
-    if not w:
-        return w
-    return _value_word(base, (_word_value(base, w) + n) % base ** len(w), len(w))
+def _odo_lift(base, L, mask, level):
+    """The mask at `level` >= L of the set with mask `mask` at level L:
+    the b^L-bit mask repeated b^(level-L) times."""
+    width = base**L
+    copies = base ** (level - L)
+    return mask * (((1 << (width * copies)) - 1) // ((1 << width) - 1))
+
+
+def _odo_mk(spec, L, mask):
+    """An odometer set from its mask at level L, lowered to the least
+    level: the mask at level L-1 suffices while the mask repeats with
+    period b^(L-1)."""
+    base = spec.base
+    while L:
+        width = base ** (L - 1)
+        if mask >> width != mask & ((1 << (width * (base - 1))) - 1):
+            break
+        mask &= (1 << width) - 1
+        L -= 1
+    return _mk(spec, (L, mask))
+
+
+def _odo_combine(a, b, op):
+    (La, ma), (Lb, mb) = a.data, b.data
+    base = a.spec.base
+    L = max(La, Lb)
+    return _odo_mk(
+        a.spec, L, op(_odo_lift(base, La, ma, L), _odo_lift(base, Lb, mb, L))
+    )
+
+
+def _odo_words(a):
+    """The sorted maximal cylinder words of an odometer set: the words of
+    length k <= L whose class mod b^k lies in the set while the class of
+    their parent does not."""
+    L, mask = a.data
+    base = a.spec.base
+    inside = [mask]  # classes mod b^k that lie in the set, for k = L..0
+    for k in range(L, 0, -1):
+        width = base ** (k - 1)
+        acc = (1 << width) - 1
+        for d in range(base):
+            acc &= inside[-1] >> (d * width)
+        inside.append(acc)
+    inside.reverse()
+    words = []
+    for k, m in enumerate(inside):
+        if k:
+            m &= ~_odo_lift(base, k - 1, inside[k - 1], k)
+        while m:
+            low = m & -m
+            words.append(_value_word(base, low.bit_length() - 1, k))
+            m ^= low
+    return tuple(sorted(words))
+
+
+def odometer_level(a):
+    """The least L such that the odometer set is a union of level-L
+    cylinders (the length of its longest maximal cylinder word)."""
+    return a.data[0]
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +261,7 @@ def empty_set(spec):
     if f == FINITE_CYCLE:
         return _mk(spec, frozenset())
     if f == ODOMETER:
-        return _mk(spec, frozenset())
+        return _mk(spec, (0, 0))
     if f == COMPACTIFIED_SHIFT:
         return _mk(spec, (frozenset(), False))
     if f == TWO_POINT_SHIFT:
@@ -231,7 +274,7 @@ def whole_space(spec):
     if f == FINITE_CYCLE:
         return _mk(spec, frozenset(range(spec.period)))
     if f == ODOMETER:
-        return _mk(spec, frozenset({()}))
+        return _mk(spec, (0, 1))
     if f == COMPACTIFIED_SHIFT:
         return _mk(spec, (frozenset(), True))
     if f == TWO_POINT_SHIFT:
@@ -246,14 +289,20 @@ def finite_cycle_set(spec, points):
 
 def cylinder(spec, word):
     """The odometer cylinder of all strings starting with `word`."""
-    word = tuple(int(d) for d in word)
-    if any(d < 0 or d >= spec.base for d in word):
-        raise ValueError("digit out of range")
-    return _mk(spec, frozenset({word}))
+    return odometer_set(spec, [word])
 
 
 def odometer_set(spec, words):
-    return _mk(spec, _odo_canonical(spec.base, [tuple(w) for w in words]))
+    """The union of the odometer cylinders of `words`."""
+    base = spec.base
+    words = [tuple(int(d) for d in w) for w in words]
+    if any(not 0 <= d < base for w in words for d in w):
+        raise ValueError("digit out of range")
+    L = max((len(w) for w in words), default=0)
+    mask = 0
+    for w in words:
+        mask |= _odo_lift(base, len(w), 1 << _word_value(base, w), L)
+    return _odo_mk(spec, L, mask)
 
 
 def shift_set(spec, points, cofinite=False):
@@ -263,29 +312,6 @@ def shift_set(spec, points, cofinite=False):
 def two_point_set(spec, diff, tail_minus=False, tail_plus=False):
     """Build from the canonical difference-set form."""
     return _mk(spec, (frozenset(int(p) for p in diff), bool(tail_minus), bool(tail_plus)))
-
-
-def two_point_from_members(spec, members, tail_minus=False, tail_plus=False):
-    """Build from an explicit finite part plus optional tails.
-
-    `members` lists integers in the set besides the tails; with
-    tail_minus the set also contains -inf and every integer below
-    min(members + {0}) - 1, similarly for tail_plus above the maximum.
-    """
-    members = set(int(p) for p in members)
-    lo = min(members, default=0) - 1
-    hi = max(members, default=0) + 1
-    diff = set()
-    for n in list(range(lo, hi + 1)) + sorted(members):
-        default = tail_minus if n < 0 else tail_plus
-        inside = (n in members) or (tail_minus and n < lo) or (tail_plus and n > hi)
-        if n < lo or n > hi:
-            inside = default
-        if inside != default:
-            diff.add(n)
-    # integers strictly below lo belong iff tail_minus (default), above hi
-    # iff tail_plus (default), so diff is complete.
-    return two_point_set(spec, diff, tail_minus, tail_plus)
 
 
 def quotient_set(spec, slices, tail=False):
@@ -304,10 +330,6 @@ def quotient_set(spec, slices, tail=False):
 
 def _q_tail(a):
     return a.data[0]
-
-
-def _q_slices(a):
-    return dict(a.data[1])
 
 
 def _q_slice(a, k):
@@ -346,7 +368,7 @@ def union(a, b):
     if f in (FINITE_CYCLE,):
         return _mk(a.spec, a.data | b.data)
     if f == ODOMETER:
-        return _mk(a.spec, _odo_canonical(a.spec.base, a.data | b.data))
+        return _odo_combine(a, b, operator.or_)
     if f == COMPACTIFIED_SHIFT:
         (fa, ca), (fb, cb) = a.data, b.data
         if not ca and not cb:
@@ -369,12 +391,7 @@ def intersect(a, b):
     if f == FINITE_CYCLE:
         return _mk(a.spec, a.data & b.data)
     if f == ODOMETER:
-        out = set()
-        for w1 in a.data:
-            for w2 in b.data:
-                if w1[: len(w2)] == w2 or w2[: len(w1)] == w1:
-                    out.add(w1 if len(w1) >= len(w2) else w2)
-        return _mk(a.spec, _odo_canonical(a.spec.base, out))
+        return _odo_combine(a, b, operator.and_)
     if f == COMPACTIFIED_SHIFT:
         (fa, ca), (fb, cb) = a.data, b.data
         if not ca and not cb:
@@ -396,11 +413,9 @@ def complement(a):
     if f == FINITE_CYCLE:
         return _mk(a.spec, frozenset(range(a.spec.period)) - a.data)
     if f == ODOMETER:
-        base = a.spec.base
-        level = _odo_level(a.data)
-        covered = _odo_expand(base, a.data, level)
-        every = _odo_expand(base, {()}, level)
-        return _mk(a.spec, _odo_canonical(base, every - covered))
+        # a mask repeats exactly when its complement does, so L stays least
+        L, mask = a.data
+        return _mk(a.spec, (L, mask ^ ((1 << a.spec.base**L) - 1)))
     if f == COMPACTIFIED_SHIFT:
         fs, c = a.data
         return _mk(a.spec, (fs, not c))
@@ -440,8 +455,10 @@ def _q_combine(a, b, setop, flagop):
 
 def is_empty(a):
     f = a.spec.family
-    if f in (FINITE_CYCLE, ODOMETER):
+    if f == FINITE_CYCLE:
         return not a.data
+    if f == ODOMETER:
+        return not a.data[1]
     if f == COMPACTIFIED_SHIFT:
         return not a.data[0] and not a.data[1]
     if f == TWO_POINT_SHIFT:
@@ -474,11 +491,13 @@ def apply_h(a, n):
         m = a.spec.period
         return _mk(a.spec, frozenset((p + n) % m for p in a.data))
     if f == ODOMETER:
-        base = a.spec.base
-        return _mk(
-            a.spec,
-            _odo_canonical(base, {_word_shift(base, w, n) for w in a.data}),
-        )
+        # h adds 1 to every class mod b^L: rotate the mask; a rotated mask
+        # repeats exactly when the mask does, so L stays least
+        L, mask = a.data
+        width = a.spec.base**L
+        k = n % width
+        rotated = (mask << k) | (mask >> (width - k))
+        return _mk(a.spec, (L, rotated & ((1 << width) - 1)))
     if f == COMPACTIFIED_SHIFT:
         fs, c = a.data
         return _mk(a.spec, (frozenset(p + n for p in fs), c))
@@ -577,10 +596,10 @@ def contains_point(a, p):
             or any(not 0 <= d < a.spec.base for d in tuple(p[0]) + tuple(p[1]))
         ):
             raise InvalidPoint("bad odometer point description")
-        for w in a.data:
-            if all(_odo_point_digit(a.spec.base, p, i) == d for i, d in enumerate(w)):
-                return True
-        return False
+        L, mask = a.data
+        base = a.spec.base
+        r = sum(_odo_point_digit(base, p, i) * base**i for i in range(L))
+        return bool(mask >> r & 1)
     if f == COMPACTIFIED_SHIFT:
         fs, c = a.data
         if p == INF:
@@ -663,11 +682,7 @@ def generating_partition(spec, n):
             finite_cycle_set(spec, [i]) for i in range(spec.period)
         )
     if f == ODOMETER:
-        base = spec.base
-        return tuple(
-            _mk(spec, frozenset({_value_word(base, v, n)}))
-            for v in range(base**n)
-        )
+        return tuple(_mk(spec, (n, 1 << v)) for v in range(spec.base**n))
     if f == COMPACTIFIED_SHIFT:
         cells = [shift_set(spec, [i]) for i in range(-n, n)]
         cells.append(shift_set(spec, range(-n, n), cofinite=True))
@@ -704,7 +719,8 @@ def sort_key(a):
     if f == FINITE_CYCLE:
         return (len(a.data), tuple(sorted(a.data)))
     if f == ODOMETER:
-        return (len(a.data), tuple(sorted(a.data)))
+        words = _odo_words(a)
+        return (len(words), words)
     if f == COMPACTIFIED_SHIFT:
         fs, c = a.data
         return (c, len(fs), tuple(sorted(fs)))
@@ -723,8 +739,9 @@ def sample_points(a, count=8):
         out = sorted(a.data)
     elif f == ODOMETER:
         base = a.spec.base
-        for w in sorted(a.data):
-            for i in range(max(1, count // max(1, len(a.data)))):
+        words = _odo_words(a)
+        for w in words:
+            for i in range(max(1, count // max(1, len(words)))):
                 head = w + _value_word(base, i, 4)
                 out.append((head, (0,)))
                 out.append((head, (base - 1,)))
@@ -779,7 +796,7 @@ def to_dict(a):
     if f == FINITE_CYCLE:
         return {"points": sorted(a.data)}
     if f == ODOMETER:
-        return {"words": [list(w) for w in sorted(a.data)]}
+        return {"words": [list(w) for w in _odo_words(a)]}
     if f == COMPACTIFIED_SHIFT:
         fs, c = a.data
         return {"F": sorted(fs), "cofinite": c}
@@ -793,20 +810,65 @@ def to_dict(a):
     }
 
 
+# The keys of each family's to_dict form: (required, optional).
+_SET_KEYS = {
+    FINITE_CYCLE: (("points",), ()),
+    ODOMETER: (("words",), ()),
+    COMPACTIFIED_SHIFT: (("F",), ("cofinite",)),
+    TWO_POINT_SHIFT: (("F",), ("tail_minus", "tail_plus")),
+    QUOTIENT_PRODUCT: ((), ("tail", "slices")),
+}
+
+
+def _json_ints(value, what):
+    if not isinstance(value, list) or any(
+        isinstance(v, bool) or not isinstance(v, int) for v in value
+    ):
+        raise ValueError("%s must be a list of integers" % what)
+    return value
+
+
+def _json_flag(d, key):
+    value = d.get(key, False)
+    if not isinstance(value, bool):
+        raise ValueError("%s must be true or false" % key)
+    return value
+
+
 def from_dict(spec, d):
+    """Parse the to_dict form of a set; malformed input raises ValueError."""
     f = spec.family
+    if not isinstance(d, dict):
+        raise ValueError("a clopen set must be a JSON object")
+    required, optional = _SET_KEYS[f]
+    unknown = sorted(set(d) - set(required) - set(optional))
+    if unknown:
+        raise ValueError("unknown %s set key %r" % (f, unknown[0]))
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ValueError("missing %s set key %r" % (f, missing[0]))
     if f == FINITE_CYCLE:
-        return finite_cycle_set(spec, d["points"])
+        return finite_cycle_set(spec, _json_ints(d["points"], "points"))
     if f == ODOMETER:
-        return odometer_set(spec, d["words"])
+        if not isinstance(d["words"], list):
+            raise ValueError("words must be a list of digit lists")
+        return odometer_set(spec, [_json_ints(w, "a word") for w in d["words"]])
     if f == COMPACTIFIED_SHIFT:
-        return shift_set(spec, d["F"], d.get("cofinite", False))
+        return shift_set(spec, _json_ints(d["F"], "F"), _json_flag(d, "cofinite"))
     if f == TWO_POINT_SHIFT:
         return two_point_set(
-            spec, d["F"], d.get("tail_minus", False), d.get("tail_plus", False)
+            spec,
+            _json_ints(d["F"], "F"),
+            _json_flag(d, "tail_minus"),
+            _json_flag(d, "tail_plus"),
         )
+    items = d.get("slices", [])
+    if not isinstance(items, list) or not all(
+        isinstance(item, dict) and set(item) == {"k", "set"} for item in items
+    ):
+        raise ValueError('slices must be a list of {"k", "set"} objects')
     slices = {
-        int(item["k"]): from_dict(spec.fiber, item["set"])
-        for item in d.get("slices", [])
+        _json_int(item["k"], "k"): from_dict(spec.fiber, item["set"])
+        for item in items
     }
-    return quotient_set(spec, slices, d.get("tail", False))
+    return quotient_set(spec, slices, _json_flag(d, "tail"))

@@ -117,7 +117,7 @@ def _set_scale(a):
     if f == FINITE_CYCLE:
         return a.spec.period
     if f == ODOMETER:
-        return a.spec.base ** max((len(w) for w in a.data), default=0)
+        return a.spec.base ** space.odometer_level(a)
     if f == COMPACTIFIED_SHIFT:
         return max((abs(p) for p in a.data[0]), default=0) + 1
     if f == TWO_POINT_SHIFT:
@@ -445,11 +445,7 @@ def _adapted_bases(spec, P, N):
     if f == FINITE_CYCLE:
         return [space.finite_cycle_set(spec, [0])]
     if f == ODOMETER:
-        L = max(
-            (len(w) for cell in P for w in cell.data),
-            default=1,
-        )
-        L = max(L, 1)
+        L = max([1] + [space.odometer_level(c) for c in P])
         while spec.base**L <= N:
             L += 1
         return [space.cylinder(spec, (0,) * L)]

@@ -181,3 +181,110 @@ def test_berg_bad_epsilon_is_usage_error(spec_file, capsys):
     )
     assert code == 2
     assert json.loads(err)["error"] == "ValueError"
+
+
+def _flat(d):
+    """The flat README form of a nested spec dict."""
+    out = {"family": d["family"]}
+    for k, v in d["params"].items():
+        out[k] = _flat(v) if k == "fiber" else v
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        space.finite_cycle(5),
+        space.odometer(3),
+        space.compactified_shift(),
+        space.two_point_shift(),
+        space.quotient_product(space.finite_cycle(3)),
+        space.quotient_product(space.odometer(3)),
+    ],
+)
+def test_flat_and_nested_specs_agree(spec, tmp_path, capsys):
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps(_flat(spec.to_dict())))
+    assert space.SystemSpec.from_dict(json.loads(flat.read_text())) == spec
+    nested = tmp_path / "nested.json"
+    nested.write_text(json.dumps(spec.to_dict()))
+    runs = [
+        run(capsys, "fiberwise", "--spec", str(p), "--depth", "2")
+        for p in (flat, nested)
+    ]
+    assert runs[0] == runs[1]
+
+
+def test_flat_odometer_base_is_read(tmp_path, capsys):
+    p = tmp_path / "odo.json"
+    p.write_text(json.dumps({"family": "odometer", "base": 3}))
+    code, out, _ = run(capsys, "tower", "--spec", str(p), "--depth", "2")
+    assert code == 0
+    heights = [t["J"] for tw in json.loads(out)["system"]["towers"] for t in tw]
+    assert heights == [9]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"family": "odometer"},
+        {"family": "odometer", "params": {}},
+        {"family": "odometer", "base": 2, "period": 3},
+        {"family": "odometer", "base": "3"},
+        {"family": "odometer", "base": 2.0},
+        {"family": "odometer", "base": True},
+        {"family": "odometer", "base": 1},
+        {"family": "finite_cycle"},
+        {"family": "finite_cycle", "params": {"period": 3}, "period": 3},
+        {"family": "compactified_shift", "params": []},
+        {"family": "compactified_shift", "base": 2},
+        {"family": "quotient_product"},
+        {"family": "quotient_product", "fiber": 3},
+        {"family": "quotient_product", "fiber": {"family": "odometer"}},
+        {"family": "quotient_product", "fiber": {"family": "two_point_shift"}},
+        {"family": "circle"},
+        {"family": ["odometer"]},
+        {"base": 2},
+        [1],
+        "odometer",
+    ],
+)
+def test_bad_spec_is_usage_error(spec, tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "fiberwise", "--spec", str(p))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+SHIFT = space.compactified_shift()
+ODOMETER = space.odometer(2)
+
+
+@pytest.mark.parametrize(
+    "spec, argv",
+    [
+        (SHIFT, ("berg", "--N", "0")),
+        (SHIFT, ("berg", "--N", "-3")),
+        (SHIFT, ("berg", "--epsilon", "nan")),
+        (SHIFT, ("ktheory", "--depth", "0")),
+        (SHIFT, ("approximant", "--depth", "-1")),
+        (SHIFT, ("tower", "--base", '{"G": [1]}')),
+        (SHIFT, ("tower", "--base", "[1]")),
+        (SHIFT, ("tower", "--base", '{"F": [1.5], "cofinite": true}')),
+        (SHIFT, ("tower", "--base", '{"F": "1", "cofinite": true}')),
+        (SHIFT, ("tower", "--base", '{"F": [1], "cofinite": 1}')),
+        (ODOMETER, ("tower", "--base", '{"words": [[2]]}')),
+        (ODOMETER, ("tower", "--base", '{"words": [[0, -1]]}')),
+        (ODOMETER, ("tower", "--base", '{"words": [0]}')),
+        (ODOMETER, ("tower", "--base", '{"words": {"0": 1}}')),
+        (ODOMETER, ("tower", "--base", '{"points": [0]}')),
+    ],
+)
+def test_bad_arguments_are_usage_errors(spec, argv, spec_file, capsys):
+    path = spec_file(spec)
+    code, out, err = run(capsys, argv[0], "--spec", path, *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"

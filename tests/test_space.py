@@ -23,6 +23,73 @@ def test_canonical_odometer_drops_covered_words():
     assert a == space.cylinder(spec, (0,))
 
 
+def _residues(base, words, level):
+    """Oracle: the classes mod base**level in the union of the cylinders of
+    `words` (digits least significant first)."""
+    out = set()
+    for w in words:
+        v = sum(d * base**i for i, d in enumerate(w))
+        out.update(range(v, base**level, base ** len(w)))
+    return frozenset(out)
+
+
+def _random_words(base, rng):
+    words = []
+    for _ in range(rng.randint(0, 4)):
+        length = 0 if rng.random() < 0.05 else rng.randint(1, 4)
+        words.append(tuple(rng.randrange(base) for _ in range(length)))
+    return words
+
+
+@pytest.mark.parametrize("base", [2, 3])
+def test_odometer_sets_match_residue_oracle(base):
+    rng = random.Random(4000 + base)
+    spec = space.odometer(base)
+    M = base**4
+
+    def oracle(a):
+        return _residues(base, space.to_dict(a)["words"], 4)
+
+    for _ in range(300):
+        wa, wb = _random_words(base, rng), _random_words(base, rng)
+        a, b = space.odometer_set(spec, wa), space.odometer_set(spec, wb)
+        ra, rb = _residues(base, wa, 4), _residues(base, wb, 4)
+        assert oracle(a) == ra and oracle(b) == rb
+        assert (a == b) == (ra == rb)
+        # the report lists the maximal cylinders, sorted
+        words = [tuple(w) for w in space.to_dict(a)["words"]]
+        assert words == sorted(words)
+        for w in words:
+            assert _residues(base, [w], 4) <= ra
+            assert not w or not _residues(base, [w[:-1]], 4) <= ra
+        assert space.from_dict(spec, space.to_dict(a)) == a
+        assert oracle(space.union(a, b)) == ra | rb
+        assert oracle(space.intersect(a, b)) == ra & rb
+        assert oracle(space.complement(a)) == frozenset(range(M)) - ra
+        assert space.is_subset(a, b) == (ra <= rb)
+        assert space.is_empty(a) == (not ra)
+        for n in range(-9, 10):
+            img = frozenset((r + n) % M for r in ra)
+            assert oracle(space.apply_h(a, n)) == img
+        for _ in range(5):
+            head = tuple(rng.randrange(base) for _ in range(rng.randint(0, 5)))
+            repeat = tuple(rng.randrange(base) for _ in range(rng.randint(1, 2)))
+            digits = (head + repeat * 4)[:4]
+            r = sum(d * base**i for i, d in enumerate(digits))
+            assert space.contains_point(a, (head, repeat)) == (r in ra)
+
+
+def test_odometer_digits_out_of_range_rejected():
+    spec = space.odometer(2)
+    for words in ([(2,)], [(0, -1)], [(0,), (1, 0, 5)]):
+        with pytest.raises(ValueError):
+            space.odometer_set(spec, words)
+    with pytest.raises(ValueError):
+        space.cylinder(space.odometer(3), (0, 3))
+    with pytest.raises(ValueError):
+        space.from_dict(spec, {"words": [[1, 2]]})
+
+
 def test_shift_set_forms():
     spec = space.compactified_shift()
     a = space.shift_set(spec, [1, 2])
