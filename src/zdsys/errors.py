@@ -97,7 +97,8 @@ class DegenerateEigenbasis(ZdsysError):
 
 
 class NoConvergence(ZdsysError):
-    """An iterative numeric routine hit its iteration cap."""
+    """A numeric routine could not produce its result: the matrix has a
+    NaN or infinite entry, or LAPACK's singular value iteration failed."""
 
 
 class PartitionFailure(ZdsysError):

@@ -120,48 +120,22 @@ def represent(a, points=None):
 # ---------------------------------------------------------------------------
 
 
-def operator_norm(M, tol=1e-12, max_iter=10000):
-    """Largest singular value by power iteration on M*M, with a
-    Rayleigh residual certificate."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def operator_norm(M):
+    """Largest singular value, from LAPACK's singular values (the
+    2-norm of Golub and Van Loan, Matrix Computations, 2.3 and 8.6).
+    No singular vectors are formed.  A matrix with a NaN or infinite
+    entry, or one LAPACK fails on, raises NoConvergence."""
     if isinstance(M, CompactMatrixRep):
         M = M.matrix
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
         return 0.0
-    A = M.conj().T @ M
-    n = A.shape[0]
-    scale = np.abs(A).sum()
-    if scale == 0:
-        return 0.0
-    # warm start: repeated squaring concentrates the vector in the top
-    # eigenspace before the certified power iterations
-    B = A / scale
-    for _ in range(40):
-        B = B @ B
-        m = np.abs(B).max()
-        if m == 0 or not np.isfinite(m):
-            B = A / scale
-            break
-        B = B / m
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    w = B @ v
-    if np.linalg.norm(w) > 1e-200:
-        v = w
-    v = v / np.linalg.norm(v)
-    for _ in range(max_iter):
-        Av = A @ v
-        lam = float(np.real(np.vdot(v, Av)))
-        resid = float(np.linalg.norm(Av - lam * v))
-        if resid <= tol * max(1.0, abs(lam)):
-            return math.sqrt(max(lam, 0.0))
-        norm_av = np.linalg.norm(Av)
-        if norm_av == 0:
-            return 0.0
-        v = Av / norm_av
-    raise NoConvergence("power iteration did not certify within the cap")
+    if not np.isfinite(M).all():
+        raise NoConvergence("matrix has a NaN or infinite entry")
+    try:
+        return float(np.linalg.norm(M, 2))
+    except np.linalg.LinAlgError as e:
+        raise NoConvergence("singular values did not converge: %s" % e) from e
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +176,12 @@ def unitary_nth_root(V, N, tol=1e-10):
 
 def cutdown_check(a, blocks, tol=1e-9, coeff_tol=1e-12):
     """Verify that a is block-diagonal for the given (p, q) projection
-    pairs and that its norm is at most the largest block norm."""
+    pairs and that its norm is at most the largest block norm.
+
+    A piece c chi_E u^n of a survives in chi_p a chi_q as the piece
+    c chi_{E & p & h^n(q)} u^n, so every cutdown is read off the pieces
+    of a.  The offending pair is the least (i, j), i != j, for which
+    some piece with |c| > coeff_tol meets p_i & h^n(q_j)."""
     spec = a.spec
     for side in (0, 1):
         cells = [b[side] for b in blocks if not is_empty(b[side])]
@@ -210,23 +189,39 @@ def cutdown_check(a, blocks, tol=1e-9, coeff_tol=1e-12):
             raise PartitionFailure(
                 "block projections do not sum to the identity"
             )
-    for i, (p, _) in enumerate(blocks):
-        for j, (_, q) in enumerate(blocks):
-            if i == j:
-                continue
-            off = cp.multiply(cp.multiply(cp.char(p), a), cp.char(q))
-            if cp.max_coefficient(off) > coeff_tol:
-                return {
-                    "block_diagonal": False,
-                    "offending_pair": (i, j),
-                    "block_norms": [],
-                    "total_norm": None,
-                    "bound_holds": False,
-                }
-    block_norms = []
-    for p, q in blocks:
-        piece = cp.multiply(cp.multiply(cp.char(p), a), cp.char(q))
-        block_norms.append(operator_norm(represent(piece)))
+    offending = None
+    block_terms = [{} for _ in blocks]
+    for n, sf in a.terms:
+        images = [apply_h(q, n) for _, q in blocks]
+        for c, E in sf:
+            for i, (p, _) in enumerate(blocks):
+                A = space.intersect(E, p)
+                if is_empty(A):
+                    continue
+                B = space.intersect(A, images[i])
+                if not is_empty(B):
+                    block_terms[i].setdefault(n, []).append((c, B))
+                # the images h^n(q_j) partition X, so A leaves h^n(q_i)
+                # exactly when it meets some other h^n(q_j)
+                if B == A or abs(c) <= coeff_tol:
+                    continue
+                for j, image in enumerate(images):
+                    if j != i and not is_empty(space.intersect(A, image)):
+                        if offending is None or (i, j) < offending:
+                            offending = (i, j)
+                        break
+    if offending is not None:
+        return {
+            "block_diagonal": False,
+            "offending_pair": offending,
+            "block_norms": [],
+            "total_norm": None,
+            "bound_holds": False,
+        }
+    block_norms = [
+        operator_norm(represent(cp.cp_element(spec, terms)))
+        for terms in block_terms
+    ]
     total = operator_norm(represent(a))
     bound = max(block_norms, default=0.0) + tol
     return {
@@ -299,19 +294,36 @@ def _displacement(spec, x, y):
     return x - y
 
 
-def _matrix_to_element(spec, points, M, drop=1e-15):
+def _interpolating_unitary(Y, y_points, W, N):
+    """z = sum over j < N of chi_{h^j Y} u^j W^{N-j} u^{-j} chi_{h^j Y},
+    plus 1 off those levels, for W a matrix on the points of Y.
+
+    For x, y in Y the entry (W^{N-j})_{xy} chi_x u^{x-y} conjugates to
+    (W^{N-j})_{xy} chi_{h^j x} u^{x-y}, so z is built in one step from
+    the entries.  Entries of modulus at most 1e-15 are dropped."""
+    spec = Y.spec
+    powers = {0: np.eye(len(y_points), dtype=complex)}
+    for m in range(1, N + 1):
+        powers[m] = powers[m - 1] @ W
+    singletons = [_singleton(spec, x) for x in y_points]
     terms = {}
-    for i, x in enumerate(points):
-        for j, y in enumerate(points):
-            c = M[i, j]
-            if abs(c) <= drop:
-                continue
-            n = _displacement(spec, x, y)
-            if n is None:
-                raise DegenerateEigenbasis(
-                    "matrix couples points of different fibers"
+    covered = space.empty_set(spec)
+    for j in range(N):
+        covered = space.union(covered, apply_h(Y, j))
+        for r, x in enumerate(y_points):
+            for s, y in enumerate(y_points):
+                c = powers[N - j][r, s]
+                if abs(c) <= 1e-15:
+                    continue
+                n = _displacement(spec, x, y)
+                if n is None:
+                    raise DegenerateEigenbasis(
+                        "matrix couples points of different fibers"
+                    )
+                terms.setdefault(n, []).append(
+                    (c, apply_h(singletons[r], j))
                 )
-            terms.setdefault(n, []).append((c, _singleton(spec, x)))
+    terms.setdefault(0, []).append((1, space.complement(covered)))
     return cp.cp_element(spec, terms)
 
 
@@ -339,27 +351,7 @@ def berg_verify(spec, P, N, epsilon, max_steps=None):
         W = unitary_nth_root(V, N)
         norm_w = operator_norm(W - np.eye(len(y_points)))
 
-        powers = {0: np.eye(len(y_points), dtype=complex)}
-        for m in range(1, N + 1):
-            powers[m] = powers[m - 1] @ W
-        z = cp.zero(spec)
-        covered = space.empty_set(spec)
-        for j in range(N):
-            w_el = _matrix_to_element(spec, y_points, powers[N - j])
-            Ej = apply_h(Y, j)
-            covered = space.union(covered, Ej)
-            piece = cp.multiply(
-                cp.multiply(
-                    cp.char(Ej),
-                    cp.multiply(
-                        cp.multiply(cp.shift_unitary(spec, j), w_el),
-                        cp.shift_unitary(spec, -j),
-                    ),
-                ),
-                cp.char(Ej),
-            )
-            z = cp.add(z, piece)
-        z = cp.add(z, cp.char(space.complement(covered)))
+        z = _interpolating_unitary(Y, y_points, W, N)
 
     z_unitary_ok = cp.equals_approx(
         cp.multiply(z, cp.adjoint(z)), cp.one(spec), 1e-10

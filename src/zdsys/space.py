@@ -628,21 +628,23 @@ def contains_point(a, p):
 # ---------------------------------------------------------------------------
 
 
-def is_partition(sets):
-    """True iff the sets are nonempty, pairwise disjoint and cover X."""
-    if not sets:
-        return False
-    spec = sets[0].spec
-    total = empty_set(spec)
-    for i, a in enumerate(sets):
-        if a.spec != spec:
+def is_partition(sets, target=None):
+    """True iff the sets are nonempty, pairwise disjoint and cover the
+    target set, which is all of X when not given."""
+    if target is None:
+        if not sets:
+            return False
+        target = whole_space(sets[0].spec)
+    total = empty_set(target.spec)
+    for a in sets:
+        if a.spec != target.spec:
             raise MixedSystems("partition over mixed specs")
         if is_empty(a):
             return False
         if not is_empty(intersect(total, a)):
             return False
         total = union(total, a)
-    return total == whole_space(spec)
+    return total == target
 
 
 def common_refinement(P, Q):

@@ -47,7 +47,6 @@ from .space import (
     shift_set,
     sort_key,
     union,
-    whole_space,
 )
 
 
@@ -160,17 +159,6 @@ def _sorted_towers(classes):
     return tuple(sorted(classes, key=lambda c: (c.J, sort_key(c.Y))))
 
 
-def _is_partition_of(sets, target):
-    total = empty_set(target.spec)
-    for a in sets:
-        if is_empty(a):
-            return False
-        if not is_empty(intersect(total, a)):
-            return False
-        total = union(total, a)
-    return total == target
-
-
 def tower_levels(S, upper=False):
     """All tower levels h^j(Y_{t,k}); j runs 0..J-1, or 1..J when upper."""
     out = []
@@ -201,7 +189,7 @@ def build_from_bases(bases, P, max_steps=None):
     )
     S = ReturnSystem(spec, tuple(bases), towers)
     levels = tower_levels(S)
-    if not _is_partition_of(levels, whole_space(spec)):
+    if not is_partition(levels):
         covered = empty_set(spec)
         witness = None
         for a in levels:
@@ -241,7 +229,7 @@ def validate_system(S, P):
 
     ok_d, wit_d = True, None
     for t, towers in enumerate(S.towers):
-        if not _is_partition_of([c.Y for c in towers], S.bases[t]):
+        if not is_partition([c.Y for c in towers], S.bases[t]):
             ok_d, wit_d = False, S.bases[t]
             break
     entries.append(("d", ok_d, wit_d))
@@ -259,7 +247,7 @@ def validate_system(S, P):
                     break
             if not ok_e:
                 break
-        if ok_e and not _is_partition_of(
+        if ok_e and not is_partition(
             [apply_h(c.Y, c.J) for c in towers], X_t
         ):
             ok_e, wit_e = False, X_t
@@ -268,7 +256,7 @@ def validate_system(S, P):
     entries.append(("e", ok_e, wit_e))
 
     levels = tower_levels(S)
-    ok_f = _is_partition_of(levels, whole_space(S.spec))
+    ok_f = is_partition(levels)
     wit_f = None
     if not ok_f:
         covered = empty_set(S.spec)

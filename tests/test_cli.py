@@ -1,8 +1,14 @@
 """End-to-end command-line checks with temporary spec files."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zdsys import cli, space
 
@@ -288,3 +294,118 @@ def test_bad_arguments_are_usage_errors(spec, argv, spec_file, capsys):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "ValueError"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the command line contract
+# ---------------------------------------------------------------------------
+
+_JSON_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.text(max_size=4),
+    st.lists(st.integers(-1, 3), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(-1, 3), max_size=2),
+)
+
+
+# true about one time in eight; a middle value, because hypothesis
+# favours the ends of a range
+_RARELY = st.integers(0, 7).map(lambda k: k == 3)
+
+
+def _mostly(valid, junk=_JSON_JUNK):
+    """valid most of the time, so that most commands get to run."""
+    return _RARELY.flatmap(lambda rare: junk if rare else valid)
+
+
+_SMALL_INT = _mostly(st.integers(1, 3), st.integers(-1, 0))
+
+
+@st.composite
+def _specs(draw, depth=0):
+    """A spec object of any family, flat or nested, with small or
+    malformed parameters, and now and then a missing or extra key."""
+    family = draw(
+        _mostly(
+            st.sampled_from(space.FAMILIES), st.sampled_from(["circle", ""])
+        )
+    )
+    params = {}
+    if family == space.FINITE_CYCLE:
+        params["period"] = draw(
+            _mostly(st.integers(1, 4), st.integers(-1, 0) | _JSON_JUNK)
+        )
+    elif family == space.ODOMETER:
+        params["base"] = draw(
+            _mostly(st.just(2), st.integers(0, 1) | _JSON_JUNK)
+        )
+    elif family == space.QUOTIENT_PRODUCT:
+        params["fiber"] = draw(
+            _mostly(_specs(depth + 1)) if depth < 1 else _JSON_JUNK
+        )
+    if draw(_RARELY):
+        params.clear()
+    if draw(_RARELY):
+        key = draw(st.sampled_from(["period", "base", "fiber", "x"]))
+        params[key] = draw(st.integers(-1, 3) | _JSON_JUNK)
+    if draw(st.booleans()):
+        return {"family": family, **params}
+    return {"family": family, "params": params}
+
+
+_SPEC_TEXT = _mostly(
+    _specs().map(json.dumps),
+    _JSON_JUNK.map(json.dumps) | st.text(max_size=8),
+)
+_BASES = st.sampled_from(
+    [
+        '{"F": [1, 2], "cofinite": true}',
+        '{"F": [0]}',
+        '{"words": [[0], [1, 1]]}',
+        '{"words": [[3]]}',
+        '{"points": [0, 2]}',
+        '{"tail": false, "slices": []}',
+        "[1]",
+        "null",
+        "{",
+    ]
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    spec_text=_SPEC_TEXT,
+    command=st.sampled_from(sorted(cli.COMMANDS)),
+    depth=_SMALL_INT,
+    N=_SMALL_INT,
+    epsilon=st.none()
+    | st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.5", "2.5", "1e9"]),
+    base=_mostly(st.none(), _BASES),
+    fmt=st.sampled_from(["json", "text"]),
+)
+def test_cli_contract_holds_for_random_input(
+    spec_text, command, depth, N, epsilon, base, fmt
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w") as f:
+            f.write(spec_text)
+        argv = [command, "--spec", path, "--depth=%d" % depth,
+                "--N=%d" % N, "--format=" + fmt]
+        if epsilon is not None:
+            argv.append("--epsilon=" + epsilon)
+        if base is not None:
+            argv.append("--base=" + base)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 1, 2), (argv, spec_text)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        body = json.loads(err.getvalue())
+        assert isinstance(body, dict) and "error" in body, (argv, spec_text)
+        assert out.getvalue() == ""
+    elif fmt == "json":
+        json.loads(out.getvalue())

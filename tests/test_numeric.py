@@ -10,8 +10,9 @@ import pytest
 import genutil
 import oracles
 from zdsys import cpalgebra as cp
-from zdsys import numeric, space
+from zdsys import numeric, space, towers
 from zdsys.errors import (
+    NoConvergence,
     NotCompactlySupported,
     NotUnitary,
     PartitionFailure,
@@ -93,9 +94,52 @@ def test_operator_norm_matches_2x2_oracle():
         assert abs(numeric.operator_norm(M) - expected) < 1e-9
 
 
-def test_operator_norm_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        numeric.operator_norm(np.eye(2), tol=0)
+def _top_singular_value(M):
+    return np.linalg.svd(M, compute_uv=False)[0]
+
+
+def test_operator_norm_matches_singular_values():
+    rng = np.random.default_rng(47)
+    for _ in range(60):
+        m, n = (int(k) for k in rng.integers(1, 9, size=2))
+        M = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        r = int(rng.integers(0, min(m, n) + 1))
+        if r < min(m, n):
+            # rank r: a product through an r-dimensional space
+            M = M[:, :r] @ (rng.standard_normal((r, n)) + 0j)
+        expected = _top_singular_value(M)
+        assert abs(numeric.operator_norm(M) - expected) <= 1e-12 * max(
+            1.0, expected
+        )
+    for n in (1, 3, 6):
+        # a scaled unitary and a scaled isometry: every singular value
+        # is the top one
+        Q, _ = np.linalg.qr(
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        )
+        assert abs(numeric.operator_norm(2.5 * Q) - 2.5) < 1e-12
+        isometry = Q[:, : max(1, n - 1)]
+        assert abs(numeric.operator_norm(3 * isometry) - 3) < 1e-12
+        D = np.diag([2.0, -2.0, 2j, 1.0][:n] + [0.5] * max(0, n - 4))
+        assert abs(numeric.operator_norm(D) - 2.0) < 1e-12
+
+
+def test_operator_norm_empty_and_zero():
+    assert numeric.operator_norm(np.zeros((0, 0))) == 0.0
+    assert numeric.operator_norm(np.zeros((0, 3))) == 0.0
+    assert numeric.operator_norm(np.zeros((4, 2))) == 0.0
+    rep = numeric.represent(cp.zero(SHIFT))
+    assert numeric.operator_norm(rep) == 0.0
+
+
+def test_operator_norm_rejects_non_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        M = np.eye(3, dtype=complex)
+        M[1, 2] = bad
+        with pytest.raises(NoConvergence):
+            numeric.operator_norm(M)
+        with pytest.raises(NoConvergence):
+            numeric.operator_norm(np.array([[complex(1, bad)]]))
 
 
 def test_unitary_root_swap_matches_oracle():
@@ -178,9 +222,189 @@ def test_cutdown_check_detects_coupling():
     assert not out["bound_holds"]
 
 
+QSHIFT = space.quotient_product(SHIFT)
+
+
 def shift_partition(a, b):
     U = space.shift_set(SHIFT, range(a + 1, b), cofinite=True)
     return [U] + [space.shift_set(SHIFT, [i]) for i in range(a + 1, b)]
+
+
+def cutdown_check_oracle(a, blocks, tol=1e-9, coeff_tol=1e-12):
+    """cutdown_check by brute force: every cutdown chi_p a chi_q is
+    formed as a symbolic product."""
+    for side in (0, 1):
+        cells = [b[side] for b in blocks if not space.is_empty(b[side])]
+        if not space.is_partition(cells):
+            raise PartitionFailure("block projections do not sum to one")
+
+    def cut(p, q):
+        return cp.multiply(cp.multiply(cp.char(p), a), cp.char(q))
+
+    for i, (p, _) in enumerate(blocks):
+        for j, (_, q) in enumerate(blocks):
+            if i != j and cp.max_coefficient(cut(p, q)) > coeff_tol:
+                return {
+                    "block_diagonal": False,
+                    "offending_pair": (i, j),
+                    "block_norms": [],
+                    "total_norm": None,
+                    "bound_holds": False,
+                }
+    block_norms = [
+        numeric.operator_norm(numeric.represent(cut(p, q)))
+        for p, q in blocks
+    ]
+    total = numeric.operator_norm(numeric.represent(a))
+    return {
+        "block_diagonal": True,
+        "offending_pair": None,
+        "block_norms": block_norms,
+        "total_norm": total,
+        "bound_holds": total <= max(block_norms, default=0.0) + tol,
+    }
+
+
+def random_finite_set(spec, rng):
+    if spec.family == space.QUOTIENT_PRODUCT:
+        return space.quotient_set(
+            spec, {k: random_finite_set(spec.fiber, rng) for k in (-1, 0, 1)}
+        )
+    return space.shift_set(spec, [x for x in range(-3, 4) if rng.random() < 0.4])
+
+
+def random_element(spec, rng, max_terms=4):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        if rng.random() < 0.2:
+            c *= 1e-13  # below coeff_tol: never makes a pair offend
+        terms.setdefault(rng.randint(-2, 2), []).append(
+            (c, random_finite_set(spec, rng))
+        )
+    return cp.cp_element(spec, terms)
+
+
+def random_blocks(spec, rng):
+    """(p, q) pairs whose p and whose q both partition X; empty cells
+    pad the shorter side."""
+    P = genutil.random_partition(spec, rng, depth=2, max_parts=5)
+    Q = genutil.random_partition(spec, rng, depth=2, max_parts=5)
+    k = max(len(P), len(Q)) + rng.randint(0, 1)
+    P += [space.empty_set(spec)] * (k - len(P))
+    Q += [space.empty_set(spec)] * (k - len(Q))
+    rng.shuffle(P)
+    rng.shuffle(Q)
+    return list(zip(P, Q))
+
+
+@pytest.mark.parametrize("spec", [SHIFT, QSHIFT], ids=["shift", "quotient"])
+def test_cutdown_check_matches_all_pairs_oracle(spec):
+    rng = random.Random(53)
+    verdicts = []
+    for trial in range(40):
+        blocks = random_blocks(spec, rng)
+        b = random_element(spec, rng)
+        if trial % 2:
+            a = b
+        else:
+            # the sum of the diagonal cutdowns is block-diagonal
+            a = cp.zero(spec)
+            for p, q in blocks:
+                a = a + cp.char(p) * b * cp.char(q)
+        got = numeric.cutdown_check(a, blocks)
+        want = cutdown_check_oracle(a, blocks)
+        assert got["block_diagonal"] == want["block_diagonal"]
+        assert got["offending_pair"] == want["offending_pair"]
+        assert got["bound_holds"] == want["bound_holds"]
+        assert len(got["block_norms"]) == len(want["block_norms"])
+        for x, y in zip(got["block_norms"], want["block_norms"]):
+            assert abs(x - y) <= 1e-12
+        if want["total_norm"] is None:
+            assert got["total_norm"] is None
+        else:
+            assert abs(got["total_norm"] - want["total_norm"]) <= 1e-12
+        verdicts.append(got["block_diagonal"])
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 5
+
+
+def _point_singleton(spec, x):
+    if spec.family == space.QUOTIENT_PRODUCT:
+        k, fx = x
+        return space.quotient_set(spec, {k: _point_singleton(spec.fiber, fx)})
+    return space.shift_set(spec, [x])
+
+
+def product_z(Y, y_points, W, N):
+    """The interpolating unitary built as symbolic products:
+    sum over j < N of chi_{h^j Y} u^j w_{N-j} u^{-j} chi_{h^j Y}, plus 1
+    off those levels, where w_m is the element of the matrix W^m."""
+    spec = Y.spec
+    powers = [np.eye(len(y_points), dtype=complex)]
+    for _ in range(N):
+        powers.append(powers[-1] @ W)
+    z = cp.zero(spec)
+    covered = space.empty_set(spec)
+    for j in range(N):
+        M = powers[N - j]
+        terms = {}
+        for r, x in enumerate(y_points):
+            for s, y in enumerate(y_points):
+                if abs(M[r, s]) > 1e-15:
+                    n = x - y if spec.family != space.QUOTIENT_PRODUCT else (
+                        x[1] - y[1]
+                    )
+                    terms.setdefault(n, []).append(
+                        (M[r, s], _point_singleton(spec, x))
+                    )
+        w_el = cp.cp_element(spec, terms)
+        Ej = space.apply_h(Y, j)
+        covered = space.union(covered, Ej)
+        conj = (
+            cp.shift_unitary(spec, j) * w_el * cp.shift_unitary(spec, -j)
+        )
+        z = z + cp.char(Ej) * conj * cp.char(Ej)
+    return z + cp.char(space.complement(covered))
+
+
+def _berg_root(spec, P, N):
+    """Y, its points and the N-th root W that berg_verify interpolates."""
+    S, S2 = towers.adapted_system_pair(spec, P, N)
+    pe = cp.proof_unitaries(S, S2)
+    Y = pe.Y
+    y_points = sorted(numeric.enumerate_points(Y), key=numeric._point_key)
+    v_el = cp.char(Y) * pe.v2 * cp.adjoint(pe.v1) * cp.char(Y)
+    V = numeric.represent(v_el, points=y_points).matrix
+    return Y, y_points, numeric.unitary_nth_root(V, N)
+
+
+@pytest.mark.parametrize(
+    "spec, P",
+    [
+        (SHIFT, shift_partition(0, 8)),
+        (SHIFT, space.generating_partition(SHIFT, 3)),
+        (QSHIFT, space.generating_partition(QSHIFT, 1)),
+    ],
+    ids=["shift-window", "shift-depth3", "quotient-depth1"],
+)
+def test_interpolating_unitary_matches_products(spec, P):
+    for N in range(1, 7):
+        Y, y_points, W = _berg_root(spec, P, N)
+        assert y_points
+        z = numeric._interpolating_unitary(Y, y_points, W, N)
+        assert cp.equals(z, product_z(Y, y_points, W, N))
+
+
+def test_interpolating_unitary_matches_products_for_any_matrix():
+    rng = np.random.default_rng(59)
+    Y, y_points, _ = _berg_root(SHIFT, shift_partition(0, 8), 4)
+    k = len(y_points)
+    for N in range(1, 7):
+        W = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        # zero entries, and entries on either side of the 1e-15 drop
+        W *= rng.choice([0, 1e-16, 1e-14, 1], size=(k, k))
+        z = numeric._interpolating_unitary(Y, y_points, W, N)
+        assert cp.equals(z, product_z(Y, y_points, W, N))
 
 
 def test_berg_two_by_two_example():

@@ -232,6 +232,22 @@ def test_generating_partitions(spec):
 
 
 @pytest.mark.parametrize("spec", genutil.all_specs())
+def test_partition_of_a_target_set(spec):
+    cells = list(space.generating_partition(spec, 2))
+    target = space.union(cells[0], cells[1])
+    assert space.is_partition(cells[:2], target)
+    assert space.is_partition(cells[1::-1], target)
+    assert not space.is_partition(cells[:1], target)
+    assert not space.is_partition(cells[:3], target)
+    assert not space.is_partition([cells[0], target], target)
+    assert not space.is_partition(cells[:2] + [space.empty_set(spec)], target)
+    assert space.is_partition([], space.empty_set(spec))
+    assert not space.is_partition([], target)
+    assert not space.is_partition([])
+    assert space.is_partition(cells, space.whole_space(spec))
+
+
+@pytest.mark.parametrize("spec", genutil.all_specs())
 def test_common_refinement_is_finer_partition(spec):
     rng = random.Random(5)
     for _ in range(20):
