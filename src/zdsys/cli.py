@@ -4,6 +4,7 @@ and emit a deterministic machine-readable (or plain text) report."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -17,7 +18,10 @@ SCHEMA_VERSION = 1
 
 def _load_spec(path):
     with open(path) as f:
-        return space.SystemSpec.from_dict(json.load(f))
+        try:
+            return space.SystemSpec.from_dict(json.load(f))
+        except RecursionError:
+            raise ValueError("spec is nested too deeply") from None
 
 
 def _jsonable(x):
@@ -70,12 +74,15 @@ def _emit(report, args):
 def cmd_tower(args):
     spec = _load_spec(args.spec)
     if args.base:
-        base = space.from_dict(spec, json.loads(args.base))
+        try:
+            bases = [space.from_dict(spec, json.loads(args.base))]
+        except RecursionError:
+            raise ValueError("--base is nested too deeply") from None
     else:
-        base = towers._canonical_bases(spec, args.depth)[0]
-    comp = space.complement(base)
-    P = [base] + ([comp] if not space.is_empty(comp) else [])
-    S = towers.build_from_bases([base], P, args.max_steps)
+        bases = spec.canonical_bases(args.depth)[:1]
+    comp = space.complement(functools.reduce(space.union, bases))
+    P = bases + ([comp] if not space.is_empty(comp) else [])
+    S = towers.build_from_bases(bases, P, args.max_steps)
     report = towers.validate_system(S, P)
     _emit(
         {

@@ -13,23 +13,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import space
-from .errors import (
-    IncompatiblePair,
-    InvalidFiberPoint,
-    InvalidSystem,
-    MixedSystems,
-)
+from .errors import IncompatiblePair, InvalidSystem, MixedSystems
 from .space import (
-    INF,
-    QUOTIENT_PRODUCT,
     apply_h,
     complement,
-    contains_point,
     difference,
     empty_set,
     intersect,
     is_empty,
-    quotient_slice,
     sort_key,
     union,
     whole_space,
@@ -515,25 +506,8 @@ def approximant(S, S2):
 
 
 def fiber_restrict(a, z):
-    """Restrict an element of a quotient-product system to one fiber."""
-    spec = a.spec
-    if spec.family != QUOTIENT_PRODUCT:
-        if z == 0:
-            return a
-        raise InvalidFiberPoint("system has a single fiber, use z = 0")
-    if z == INF:
-        point_spec = space.finite_cycle(1)
-        pt = space.whole_space(point_spec)
-        terms = {}
-        for n, sf in a.terms:
-            for c, E in sf:
-                if contains_point(E, INF):
-                    terms.setdefault(n, []).append((c, pt))
-        return cp_element(point_spec, terms)
-    if not isinstance(z, int):
-        raise InvalidFiberPoint("fiber index must be an integer or inf")
-    terms = {}
-    for n, sf in a.terms:
-        for c, E in sf:
-            terms.setdefault(n, []).append((c, quotient_slice(E, z)))
-    return cp_element(spec.fiber, terms)
+    """Restrict an element of a quotient-product system to the fiber over
+    z, an integer or inf; a system with a single fiber takes only z = 0."""
+    fiber, restrict = a.spec.fiber_restriction(z)
+    terms = {n: [(c, restrict(E)) for c, E in sf] for n, sf in a.terms}
+    return cp_element(fiber, terms)

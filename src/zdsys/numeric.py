@@ -21,53 +21,13 @@ from .errors import (
     NotUnitary,
     PartitionFailure,
 )
-from .space import (
-    COMPACTIFIED_SHIFT,
-    FINITE_CYCLE,
-    ODOMETER,
-    QUOTIENT_PRODUCT,
-    TWO_POINT_SHIFT,
-    apply_h,
-    contains_point,
-    is_empty,
-    point_apply_h,
-)
+from .space import apply_h, contains_point, enumerate_points, is_empty, point_apply_h
 from .towers import adapted_system_pair
 
 
 # ---------------------------------------------------------------------------
-# point enumeration and matrix representation
+# matrix representation
 # ---------------------------------------------------------------------------
-
-
-def enumerate_points(E):
-    """All points of a clopen set that is a finite set of points."""
-    f = E.spec.family
-    if f == FINITE_CYCLE:
-        return sorted(E.data)
-    if f == ODOMETER:
-        if not is_empty(E):
-            raise NotCompactlySupported(
-                "cylinder sets are not finite point sets"
-            )
-        return []
-    if f == COMPACTIFIED_SHIFT:
-        pts, cofinite = E.data
-        if cofinite:
-            raise NotCompactlySupported("set has a cofinite part")
-        return sorted(pts)
-    if f == TWO_POINT_SHIFT:
-        pts, tm, tp = E.data
-        if tm or tp:
-            raise NotCompactlySupported("set has a tail part")
-        return sorted(pts)
-    tail, slices = E.data
-    if tail:
-        raise NotCompactlySupported("set has a tail part")
-    out = []
-    for k, s in slices:
-        out.extend((k, q) for q in enumerate_points(s))
-    return out
 
 
 def _point_key(p):
@@ -271,29 +231,6 @@ class BergReport:
         }
 
 
-def _singleton(spec, p):
-    f = spec.family
-    if f == FINITE_CYCLE:
-        return space.finite_cycle_set(spec, [p])
-    if f == COMPACTIFIED_SHIFT:
-        return space.shift_set(spec, [p])
-    if f == TWO_POINT_SHIFT:
-        return space.two_point_set(spec, [p])
-    if f == QUOTIENT_PRODUCT:
-        k, fp = p
-        return space.quotient_set(spec, {k: _singleton(spec.fiber, fp)})
-    raise NotCompactlySupported("no finite point sets in this family")
-
-
-def _displacement(spec, x, y):
-    """The n with h^n(y) = x, for shift-type points."""
-    if spec.family == QUOTIENT_PRODUCT:
-        if x[0] != y[0]:
-            return None
-        return _displacement(spec.fiber, x[1], y[1])
-    return x - y
-
-
 def _interpolating_unitary(Y, y_points, W, N):
     """z = sum over j < N of chi_{h^j Y} u^j W^{N-j} u^{-j} chi_{h^j Y},
     plus 1 off those levels, for W a matrix on the points of Y.
@@ -305,7 +242,7 @@ def _interpolating_unitary(Y, y_points, W, N):
     powers = {0: np.eye(len(y_points), dtype=complex)}
     for m in range(1, N + 1):
         powers[m] = powers[m - 1] @ W
-    singletons = [_singleton(spec, x) for x in y_points]
+    singletons = [spec.singleton(x) for x in y_points]
     terms = {}
     covered = space.empty_set(spec)
     for j in range(N):
@@ -315,7 +252,7 @@ def _interpolating_unitary(Y, y_points, W, N):
                 c = powers[N - j][r, s]
                 if abs(c) <= 1e-15:
                     continue
-                n = _displacement(spec, x, y)
+                n = spec.displacement(x, y)
                 if n is None:
                     raise DegenerateEigenbasis(
                         "matrix couples points of different fibers"

@@ -1,36 +1,26 @@
 """Exact clopen-set algebra for the supported zero-dimensional systems.
 
-Five space families are supported.  Every clopen set is stored in a unique
-canonical form, so equality is structural comparison and all Boolean
-operations are exact:
-
-* ``finite_cycle``: X = {0,...,M-1} with the +1 cycle; sets are subsets.
-* ``odometer``: the base-b adding machine on infinite digit strings
-  (least significant digit first).  A word w is the cylinder of strings
-  starting with w, i.e. the residue class sum(w_i b^i) mod b^len(w).  A set
-  is a pair (L, mask): L is the least level at which the set is a union of
-  level-L cylinders, and bit r of mask is set when the class r mod b^L
-  lies in the set.  Reports list the set's maximal cylinder words.
-* ``compactified_shift``: Z with one point at infinity and the +1 shift;
-  sets are (finite set F, cofinite flag); the cofinite form contains inf.
-* ``two_point_shift``: Z with fixed points -inf and +inf; sets are
-  (finite difference set F, tail flags).  An integer n is in the set when
-  membership differs from the tail default of its side exactly for n in F
-  (default is tail_minus for n < 0 and tail_plus for n >= 0); -inf is in
-  the set iff tail_minus, +inf iff tail_plus.
-* ``quotient_product``: (Y x Z~)/(Y x {inf}) for a fiber system Y, where
-  Z~ is the one-point compactification of Z and the map acts fiberwise;
-  sets are (tail flag, finite map index -> fiber set), storing only slices
-  that differ from the tail default (full fiber if tail, empty otherwise).
+Five space families are supported, one SystemSpec subclass each.  A
+clopen set is a ClopenSet(spec, data) whose data is in the family's
+unique canonical form, so equality is structural comparison and all
+Boolean operations are exact.  Only the family's class reads the data;
+the module-level functions check the specs of their operands, call the
+spec's method and build the resulting ClopenSet.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
-from .errors import InvalidPoint, MixedSystems
+from .errors import (
+    InvalidFiberPoint,
+    InvalidPoint,
+    InvalidSystem,
+    MixedSystems,
+    NotCompactlySupported,
+)
 
 FINITE_CYCLE = "finite_cycle"
 ODOMETER = "odometer"
@@ -52,41 +42,42 @@ PLUS_INF = "+inf"
 
 
 @dataclass(frozen=True)
+class ClopenSet:
+    """A compact open subset of X in family-specific canonical form."""
+
+    spec: SystemSpec
+    data: object = field(hash=True)
+
+
+# ---------------------------------------------------------------------------
+# system specs, one class per family
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
 class SystemSpec:
-    """Description of the space X and homeomorphism h."""
+    """Description of the space X and homeomorphism h.
 
-    family: str
-    period: int = 0
-    base: int = 0
-    fiber: Optional["SystemSpec"] = None
+    Each family is a subclass that holds the family's parameters and is
+    the only code that reads the data of its clopen sets.  Methods whose
+    set arguments are named d, da or db take the data of sets over the
+    spec and return data or plain values; the other methods take and
+    return ClopenSets.
+    """
 
-    def __post_init__(self):
-        if self.family == FINITE_CYCLE:
-            if self.period < 1:
-                raise ValueError("period must be >= 1")
-        elif self.family == ODOMETER:
-            if self.base < 2:
-                raise ValueError("base must be >= 2")
-        elif self.family in (COMPACTIFIED_SHIFT, TWO_POINT_SHIFT):
-            pass
-        elif self.family == QUOTIENT_PRODUCT:
-            if self.fiber is None or self.fiber.family not in (
-                ODOMETER,
-                FINITE_CYCLE,
-                COMPACTIFIED_SHIFT,
-            ):
-                raise ValueError(
-                    "quotient_product fiber must be odometer, finite_cycle "
-                    "or compactified_shift"
-                )
-        else:
-            raise ValueError("unknown family %r" % (self.family,))
+    family: ClassVar[str]
+    set_keys: ClassVar[tuple]  # (required, optional) keys of the set JSON
+    empty_data: ClassVar[object]  # the data of the empty set
+
+    def is_empty(self, d):
+        # the canonical form of the empty set is unique
+        return d == self.empty_data
 
     def to_dict(self):
         params = {}
-        for name in _SPEC_PARAMS[self.family]:
-            value = getattr(self, name)
-            params[name] = value.to_dict() if name == "fiber" else value
+        for f in fields(self):
+            value = getattr(self, f.name)
+            params[f.name] = value.to_dict() if f.name == "fiber" else value
         return {"family": self.family, "params": params}
 
     @staticmethod
@@ -96,7 +87,7 @@ class SystemSpec:
         if not isinstance(d, dict):
             raise ValueError("a system spec must be a JSON object")
         family = d.get("family")
-        if not isinstance(family, str) or family not in _SPEC_PARAMS:
+        if not isinstance(family, str) or family not in _SPEC_CLASSES:
             raise ValueError("unknown family %r" % (family,))
         flat = {k: v for k, v in d.items() if k not in ("family", "params")}
         if "params" not in d:
@@ -105,7 +96,8 @@ class SystemSpec:
             raise ValueError("give parameters flat or as one params object")
         else:
             params = d["params"]
-        names = _SPEC_PARAMS[family]
+        cls = _SPEC_CLASSES[family]
+        names = [f.name for f in fields(cls)]
         unknown = sorted(set(params) - set(names))
         if unknown:
             raise ValueError("unknown %s parameter %r" % (family, unknown[0]))
@@ -119,48 +111,104 @@ class SystemSpec:
                 kwargs[name] = SystemSpec.from_dict(value)
             else:
                 kwargs[name] = _json_int(value, name)
-        return SystemSpec(family, **kwargs)
+        return cls(**kwargs)
+
+    def adapted_bases(self, P, N):
+        """Disjoint bases of an adapted pair for the partition P and
+        length N, meeting the known minimal set of every fiber."""
+        raise InvalidSystem("family has no adapted construction")
+
+    def minimal_witness_ok(self, X_t, Y):
+        """Does Y meet the known minimal set of every fiber that X_t
+        meets?  Here the minimal set is the whole space."""
+        return not is_empty(Y)
+
+    def singleton(self, p):
+        """The set {p}."""
+        raise NotCompactlySupported("no finite point sets in this family")
+
+    def displacement(self, x, y):
+        """The n with h^n(y) = x, for shift-type points."""
+        return x - y
+
+    def fiber_restriction(self, z):
+        """(fiber spec, map from a set to its part in the fiber over z)."""
+        if z != 0:
+            raise InvalidFiberPoint("system has a single fiber, use z = 0")
+        return self, lambda E: E
 
 
-# The parameters of each family, as SystemSpec fields.
-_SPEC_PARAMS = {
-    FINITE_CYCLE: ("period",),
-    ODOMETER: ("base",),
-    COMPACTIFIED_SHIFT: (),
-    TWO_POINT_SHIFT: (),
-    QUOTIENT_PRODUCT: ("fiber",),
-}
+@dataclass(frozen=True)
+class FiniteCycle(SystemSpec):
+    """X = {0,...,M-1} with the +1 cycle, M = period.  The data of a set
+    is the frozenset of its points."""
 
+    period: int
+    family = FINITE_CYCLE
+    set_keys = (("points",), ())
+    empty_data = frozenset()
 
-def _json_int(value, what):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError("%s must be an integer" % what)
-    return value
+    def __post_init__(self):
+        if self.period < 1:
+            raise ValueError("period must be >= 1")
 
+    def make(self, points):
+        return ClopenSet(self, frozenset(int(p) % self.period for p in points))
 
-def finite_cycle(period):
-    return SystemSpec(FINITE_CYCLE, period=period)
+    def union(self, da, db):
+        return da | db
 
+    def intersect(self, da, db):
+        return da & db
 
-def odometer(base=2):
-    return SystemSpec(ODOMETER, base=base)
+    def complement(self, d):
+        return frozenset(range(self.period)) - d
 
+    def apply_h(self, d, n):
+        m = self.period
+        return frozenset((p + n) % m for p in d)
 
-def compactified_shift():
-    return SystemSpec(COMPACTIFIED_SHIFT)
+    def point_apply_h(self, p, n):
+        return (int(p) + n) % self.period
 
+    def contains_point(self, d, p):
+        q = int(p)
+        if not 0 <= q < self.period:
+            raise InvalidPoint("point outside the cycle")
+        return q in d
 
-def two_point_shift():
-    return SystemSpec(TWO_POINT_SHIFT)
+    def generating_partition(self, n):
+        return tuple(self.make([i]) for i in range(self.period))
 
+    def sort_key(self, d):
+        return (len(d), tuple(sorted(d)))
 
-def quotient_product(fiber):
-    return SystemSpec(QUOTIENT_PRODUCT, fiber=fiber)
+    def sample_points(self, d, count):
+        return sorted(d)
 
+    def set_to_dict(self, d):
+        return {"points": sorted(d)}
 
-# ---------------------------------------------------------------------------
-# odometer residue masks
-# ---------------------------------------------------------------------------
+    def set_from_dict(self, d):
+        return self.make(_json_ints(d["points"], "points"))
+
+    def scale(self, d):
+        return self.period
+
+    def enumerate_points(self, d):
+        return sorted(d)
+
+    def canonical_bases(self, n):
+        return [self.make([0])]
+
+    def base_witness(self, base):
+        return 0
+
+    def adapted_bases(self, P, N):
+        return [self.make([0])]
+
+    def singleton(self, p):
+        return self.make([p])
 
 
 def _word_value(base, w):
@@ -171,120 +219,693 @@ def _value_word(base, val, length):
     return tuple((val // base**i) % base for i in range(length))
 
 
-def _odo_lift(base, L, mask, level):
-    """The mask at `level` >= L of the set with mask `mask` at level L:
-    the b^L-bit mask repeated b^(level-L) times."""
-    width = base**L
-    copies = base ** (level - L)
-    return mask * (((1 << (width * copies)) - 1) // ((1 << width) - 1))
-
-
-def _odo_mk(spec, L, mask):
-    """An odometer set from its mask at level L, lowered to the least
-    level: the mask at level L-1 suffices while the mask repeats with
-    period b^(L-1)."""
-    base = spec.base
-    while L:
-        width = base ** (L - 1)
-        if mask >> width != mask & ((1 << (width * (base - 1))) - 1):
-            break
-        mask &= (1 << width) - 1
-        L -= 1
-    return _mk(spec, (L, mask))
-
-
-def _odo_combine(a, b, op):
-    (La, ma), (Lb, mb) = a.data, b.data
-    base = a.spec.base
-    L = max(La, Lb)
-    return _odo_mk(
-        a.spec, L, op(_odo_lift(base, La, ma, L), _odo_lift(base, Lb, mb, L))
-    )
-
-
-def _odo_words(a):
-    """The sorted maximal cylinder words of an odometer set: the words of
-    length k <= L whose class mod b^k lies in the set while the class of
-    their parent does not."""
-    L, mask = a.data
-    base = a.spec.base
-    inside = [mask]  # classes mod b^k that lie in the set, for k = L..0
-    for k in range(L, 0, -1):
-        width = base ** (k - 1)
-        acc = (1 << width) - 1
-        for d in range(base):
-            acc &= inside[-1] >> (d * width)
-        inside.append(acc)
-    inside.reverse()
-    words = []
-    for k, m in enumerate(inside):
-        if k:
-            m &= ~_odo_lift(base, k - 1, inside[k - 1], k)
-        while m:
-            low = m & -m
-            words.append(_value_word(base, low.bit_length() - 1, k))
-            m ^= low
-    return tuple(sorted(words))
-
-
-def odometer_level(a):
-    """The least L such that the odometer set is a union of level-L
-    cylinders (the length of its longest maximal cylinder word)."""
-    return a.data[0]
-
-
-# ---------------------------------------------------------------------------
-# ClopenSet
-# ---------------------------------------------------------------------------
+def _add_carry_seq(base, digits, carry):
+    out = []
+    for d in digits:
+        t = d + carry
+        out.append(t % base)
+        carry = t // base
+    return out, carry
 
 
 @dataclass(frozen=True)
-class ClopenSet:
-    """A compact open subset of X in family-specific canonical form."""
+class Odometer(SystemSpec):
+    """The base-b adding machine on infinite digit strings (least
+    significant digit first), b = base.
 
-    spec: SystemSpec
-    data: object = field(hash=True)
+    A word w is the cylinder of strings starting with w, i.e. the residue
+    class sum(w_i b^i) mod b^len(w).  The data of a set is a pair
+    (L, mask): L is the least level at which the set is a union of
+    level-L cylinders, and bit r of mask is set when the class r mod b^L
+    lies in the set.  Reports list the set's maximal cylinder words.  A
+    point is (head, repeat): the digits of head, then repeat forever.
+    """
 
-    def is_empty(self):
-        return is_empty(self)
+    base: int = 2
+    family = ODOMETER
+    set_keys = (("words",), ())
+    empty_data = (0, 0)
 
-    def __contains__(self, point):
-        return contains_point(self, point)
+    def __post_init__(self):
+        if self.base < 2:
+            raise ValueError("base must be >= 2")
+
+    def make(self, words):
+        """The union of the cylinders of `words`."""
+        base = self.base
+        words = [tuple(int(d) for d in w) for w in words]
+        if any(not 0 <= d < base for w in words for d in w):
+            raise ValueError("digit out of range")
+        L = max((len(w) for w in words), default=0)
+        mask = 0
+        for w in words:
+            mask |= self._lift(len(w), 1 << _word_value(base, w), L)
+        return ClopenSet(self, self._lower(L, mask))
+
+    def _lift(self, L, mask, level):
+        """The mask at `level` >= L of the set with mask `mask` at level L:
+        the b^L-bit mask repeated b^(level-L) times."""
+        width = self.base**L
+        copies = self.base ** (level - L)
+        return mask * (((1 << (width * copies)) - 1) // ((1 << width) - 1))
+
+    def _lower(self, L, mask):
+        """The data of the set with mask `mask` at level L, lowered to the
+        least level: the mask at level L-1 suffices while the mask repeats
+        with period b^(L-1)."""
+        base = self.base
+        while L:
+            width = base ** (L - 1)
+            if mask >> width != mask & ((1 << (width * (base - 1))) - 1):
+                break
+            mask &= (1 << width) - 1
+            L -= 1
+        return (L, mask)
+
+    def _combine(self, da, db, op):
+        (La, ma), (Lb, mb) = da, db
+        L = max(La, Lb)
+        return self._lower(L, op(self._lift(La, ma, L), self._lift(Lb, mb, L)))
+
+    def _words(self, d):
+        """The sorted maximal cylinder words of a set: the words of length
+        k <= L whose class mod b^k lies in the set while the class of
+        their parent does not."""
+        L, mask = d
+        base = self.base
+        inside = [mask]  # classes mod b^k that lie in the set, for k = L..0
+        for k in range(L, 0, -1):
+            width = base ** (k - 1)
+            acc = (1 << width) - 1
+            for digit in range(base):
+                acc &= inside[-1] >> (digit * width)
+            inside.append(acc)
+        inside.reverse()
+        words = []
+        for k, m in enumerate(inside):
+            if k:
+                m &= ~self._lift(k - 1, inside[k - 1], k)
+            while m:
+                low = m & -m
+                words.append(_value_word(base, low.bit_length() - 1, k))
+                m ^= low
+        return tuple(sorted(words))
+
+    def union(self, da, db):
+        return self._combine(da, db, operator.or_)
+
+    def intersect(self, da, db):
+        return self._combine(da, db, operator.and_)
+
+    def complement(self, d):
+        # a mask repeats exactly when its complement does, so L stays least
+        L, mask = d
+        return (L, mask ^ ((1 << self.base**L) - 1))
+
+    def is_empty(self, d):
+        return not d[1]
+
+    def apply_h(self, d, n):
+        # h adds 1 to every class mod b^L: rotate the mask; a rotated mask
+        # repeats exactly when the mask does, so L stays least
+        L, mask = d
+        width = self.base**L
+        k = n % width
+        rotated = (mask << k) | (mask >> (width - k))
+        return (L, rotated & ((1 << width) - 1))
+
+    def point_apply_h(self, p, n):
+        base = self.base
+        head, repeat = list(p[0]), tuple(p[1])
+        if not repeat:
+            raise InvalidPoint("odometer point needs a nonempty repeating part")
+        # extend the explicit head so the carry settles to -1, 0 or 1
+        need = 2
+        m = abs(n)
+        while m:
+            need += 1
+            m //= base
+        while len(head) < len(p[0]) + need * len(repeat):
+            head.extend(repeat)
+        head, carry = _add_carry_seq(base, head, n)
+        if carry == 0:
+            return (tuple(head), repeat)
+        out, c1 = _add_carry_seq(base, repeat, carry)
+        if c1 == 0:
+            # carry dies within one period; afterwards the string is unchanged
+            return (tuple(head) + tuple(out), repeat)
+        # the carry survives a full period, so it survives every period and
+        # the mapped period repeats forever
+        return (tuple(head), tuple(out))
+
+    def contains_point(self, d, p):
+        base = self.base
+        if (
+            not isinstance(p, tuple)
+            or len(p) != 2
+            or not p[1]
+            or any(not 0 <= x < base for x in tuple(p[0]) + tuple(p[1]))
+        ):
+            raise InvalidPoint("bad odometer point description")
+        L, mask = d
+        head, repeat = p
+        r = 0
+        for i in range(L):
+            digit = head[i] if i < len(head) else repeat[(i - len(head)) % len(repeat)]
+            r += digit * base**i
+        return bool(mask >> r & 1)
+
+    def generating_partition(self, n):
+        return tuple(ClopenSet(self, (n, 1 << v)) for v in range(self.base**n))
+
+    def sort_key(self, d):
+        words = self._words(d)
+        return (len(words), words)
+
+    def sample_points(self, d, count):
+        base = self.base
+        words = self._words(d)
+        out = []
+        for w in words:
+            for i in range(max(1, count // max(1, len(words)))):
+                head = w + _value_word(base, i, 4)
+                out.append((head, (0,)))
+                out.append((head, (base - 1,)))
+        return out
+
+    def set_to_dict(self, d):
+        return {"words": [list(w) for w in self._words(d)]}
+
+    def set_from_dict(self, d):
+        if not isinstance(d["words"], list):
+            raise ValueError("words must be a list of digit lists")
+        return self.make([_json_ints(w, "a word") for w in d["words"]])
+
+    def scale(self, d):
+        return self.base ** d[0]
+
+    def enumerate_points(self, d):
+        if not self.is_empty(d):
+            raise NotCompactlySupported("cylinder sets are not finite point sets")
+        return []
+
+    def canonical_bases(self, n):
+        return [self.make([(0,) * n])]
+
+    def base_witness(self, base):
+        return ((), (0,))
+
+    def adapted_bases(self, P, N):
+        L = max([1] + [c.data[0] for c in P])
+        while self.base**L <= N:
+            L += 1
+        return [self.make([(0,) * L])]
 
 
-def _mk(spec, data):
-    return ClopenSet(spec, data)
+@dataclass(frozen=True)
+class CompactifiedShift(SystemSpec):
+    """Z with one point at infinity and the +1 shift.  The data of a set
+    is (finite set F, cofinite flag); the cofinite form contains inf."""
+
+    family = COMPACTIFIED_SHIFT
+    set_keys = (("F",), ("cofinite",))
+    empty_data = (frozenset(), False)
+
+    def make(self, points, cofinite=False):
+        return ClopenSet(self, (frozenset(int(p) for p in points), bool(cofinite)))
+
+    def union(self, da, db):
+        (fa, ca), (fb, cb) = da, db
+        if not ca and not cb:
+            return (fa | fb, False)
+        if ca and cb:
+            return (fa & fb, True)
+        if ca:
+            return (fa - fb, True)
+        return (fb - fa, True)
+
+    def intersect(self, da, db):
+        (fa, ca), (fb, cb) = da, db
+        if not ca and not cb:
+            return (fa & fb, False)
+        if ca and cb:
+            return (fa | fb, True)
+        if ca:
+            return (fb - fa, False)
+        return (fa - fb, False)
+
+    def complement(self, d):
+        fs, c = d
+        return (fs, not c)
+
+    def apply_h(self, d, n):
+        fs, c = d
+        return (frozenset(p + n for p in fs), c)
+
+    def point_apply_h(self, p, n):
+        if p == INF:
+            return p
+        return int(p) + n
+
+    def contains_point(self, d, p):
+        fs, c = d
+        if p == INF:
+            return c
+        return (int(p) in fs) != c
+
+    def generating_partition(self, n):
+        cells = [self.make([i]) for i in range(-n, n)]
+        cells.append(self.make(range(-n, n), cofinite=True))
+        return tuple(cells)
+
+    def sort_key(self, d):
+        fs, c = d
+        return (c, len(fs), tuple(sorted(fs)))
+
+    def sample_points(self, d, count):
+        fs, c = d
+        if not c:
+            return sorted(fs)
+        out = [INF]
+        lo = min(fs, default=0) - 1
+        hi = max(fs, default=0) + 1
+        for i in range(count):
+            if (lo - i) not in fs:
+                out.append(lo - i)
+            if (hi + i) not in fs:
+                out.append(hi + i)
+        return out
+
+    def set_to_dict(self, d):
+        fs, c = d
+        return {"F": sorted(fs), "cofinite": c}
+
+    def set_from_dict(self, d):
+        return self.make(_json_ints(d["F"], "F"), _json_flag(d, "cofinite"))
+
+    def scale(self, d):
+        return max((abs(p) for p in d[0]), default=0) + 1
+
+    def enumerate_points(self, d):
+        pts, cofinite = d
+        if cofinite:
+            raise NotCompactlySupported("set has a cofinite part")
+        return sorted(pts)
+
+    def canonical_bases(self, n):
+        return [self.make(range(-n, n), cofinite=True)]
+
+    def base_witness(self, base):
+        return INF
+
+    def adapted_bases(self, P, N):
+        U = next(c for c in P if contains_point(c, INF))
+        F = sorted(U.data[0])
+        if F:
+            b = F[-1] + 1
+            a = min(F[0] - N, b - (N + 2))
+        else:
+            b = 1
+            a = b - (N + 2)
+        return [self.make(range(a + 1, b), cofinite=True)]
+
+    def minimal_witness_ok(self, X_t, Y):
+        """The minimal set is {inf}."""
+        if contains_point(X_t, INF):
+            return contains_point(Y, INF)
+        return not is_empty(Y)
+
+    def singleton(self, p):
+        return self.make([p])
+
+
+@dataclass(frozen=True)
+class TwoPointShift(SystemSpec):
+    """Z with fixed points -inf and +inf.  The data of a set is (finite
+    difference set F, tail_minus, tail_plus).  An integer n is in the set
+    when membership differs from the tail default of its side exactly for
+    n in F (default is tail_minus for n < 0 and tail_plus for n >= 0);
+    -inf is in the set iff tail_minus, +inf iff tail_plus."""
+
+    family = TWO_POINT_SHIFT
+    set_keys = (("F",), ("tail_minus", "tail_plus"))
+    empty_data = (frozenset(), False, False)
+
+    def make(self, diff, tail_minus=False, tail_plus=False):
+        """The set from the canonical difference-set form."""
+        diff = frozenset(int(p) for p in diff)
+        return ClopenSet(self, (diff, bool(tail_minus), bool(tail_plus)))
+
+    def _combine(self, da, db, op):
+        (fa, tma, tpa), (fb, tmb, tpb) = da, db
+        tm = op(tma, tmb)
+        tp = op(tpa, tpb)
+        diff = set()
+        for n in fa | fb:
+            ma = (n in fa) != (tma if n < 0 else tpa)
+            mb = (n in fb) != (tmb if n < 0 else tpb)
+            if op(ma, mb) != (tm if n < 0 else tp):
+                diff.add(n)
+        return (frozenset(diff), tm, tp)
+
+    def union(self, da, db):
+        return self._combine(da, db, operator.or_)
+
+    def intersect(self, da, db):
+        return self._combine(da, db, operator.and_)
+
+    def complement(self, d):
+        fs, tm, tp = d
+        return (fs, not tm, not tp)
+
+    def apply_h(self, d, n):
+        fs, tm, tp = d
+        lo, hi = (n, 0) if n < 0 else (0, n)
+        diff = set()
+        for x in {p + n for p in fs} | set(range(lo, hi)):
+            inside = ((x - n) in fs) != (tm if x - n < 0 else tp)
+            if inside != (tm if x < 0 else tp):
+                diff.add(x)
+        return (frozenset(diff), tm, tp)
+
+    def point_apply_h(self, p, n):
+        if p in (MINUS_INF, PLUS_INF):
+            return p
+        return int(p) + n
+
+    def contains_point(self, d, p):
+        fs, tm, tp = d
+        if p == MINUS_INF:
+            return tm
+        if p == PLUS_INF:
+            return tp
+        q = int(p)
+        return (q in fs) != (tm if q < 0 else tp)
+
+    def generating_partition(self, n):
+        cells = [self.make([i]) for i in range(-n, n)]
+        cells.append(self.make(range(-n, 0), tail_minus=True))
+        cells.append(self.make(range(0, n), tail_plus=True))
+        return tuple(cells)
+
+    def sort_key(self, d):
+        fs, tm, tp = d
+        return (tm, tp, len(fs), tuple(sorted(fs)))
+
+    def sample_points(self, d, count):
+        fs, tm, tp = d
+        lo = min(fs, default=0) - 1
+        hi = max(fs, default=0) + 1
+        out = []
+        for n in range(lo - count, hi + count + 1):
+            if self.contains_point(d, n):
+                out.append(n)
+        if tm:
+            out.append(MINUS_INF)
+        if tp:
+            out.append(PLUS_INF)
+        return out
+
+    def set_to_dict(self, d):
+        fs, tm, tp = d
+        return {"F": sorted(fs), "tail_minus": tm, "tail_plus": tp}
+
+    def set_from_dict(self, d):
+        return self.make(
+            _json_ints(d["F"], "F"),
+            _json_flag(d, "tail_minus"),
+            _json_flag(d, "tail_plus"),
+        )
+
+    def scale(self, d):
+        return max((abs(p) for p in d[0]), default=0) + 1
+
+    def enumerate_points(self, d):
+        pts, tm, tp = d
+        if tm or tp:
+            raise NotCompactlySupported("set has a tail part")
+        return sorted(pts)
+
+    def canonical_bases(self, n):
+        return [self.make(range(-n, 0), tail_minus=True)]
+
+    def base_witness(self, base):
+        return MINUS_INF
+
+    def singleton(self, p):
+        return self.make([p])
+
+
+@dataclass(frozen=True)
+class QuotientProduct(SystemSpec):
+    """(Y x Z~)/(Y x {inf}) for a fiber system Y, where Z~ is the
+    one-point compactification of Z and the map acts fiberwise.  The data
+    of a set is (tail flag, ((k, fiber set), ...)) sorted by the integer
+    index k, storing only the slices that differ from the tail default
+    (the full fiber if tail, empty otherwise).  A point is inf or
+    (k, fiber point)."""
+
+    fiber: SystemSpec
+    family = QUOTIENT_PRODUCT
+    set_keys = ((), ("tail", "slices"))
+    empty_data = (False, ())
+
+    def __post_init__(self):
+        if not isinstance(self.fiber, (Odometer, FiniteCycle, CompactifiedShift)):
+            raise ValueError("quotient_product fiber must be odometer, "
+                             "finite_cycle or compactified_shift")
+
+    def make(self, slices, tail=False):
+        """The set from a map index -> fiber ClopenSet plus the tail flag."""
+        return ClopenSet(self, self._canon(slices, tail))
+
+    def _canon(self, slices, tail):
+        fiber = self.fiber
+        default = whole_space(fiber) if tail else empty_set(fiber)
+        items = []
+        for k, s in slices.items() if isinstance(slices, dict) else slices:
+            if s.spec != fiber:
+                raise MixedSystems("slice over wrong fiber spec")
+            if s != default:
+                items.append((int(k), s))
+        items.sort(key=lambda kv: kv[0])
+        return (bool(tail), tuple(items))
+
+    def slice(self, d, k):
+        """The fiber set over integer index k."""
+        sl = dict(d[1])
+        if k in sl:
+            return sl[k]
+        return whole_space(self.fiber) if d[0] else empty_set(self.fiber)
+
+    def window(self, d):
+        return sorted(k for k, _ in d[1])
+
+    def _combine(self, da, db, setop, flagop):
+        tail = flagop(da[0], db[0])
+        keys = {k for k, _ in da[1]} | {k for k, _ in db[1]}
+        slices = {k: setop(self.slice(da, k), self.slice(db, k)) for k in keys}
+        return self._canon(slices, tail)
+
+    def union(self, da, db):
+        return self._combine(da, db, union, operator.or_)
+
+    def intersect(self, da, db):
+        return self._combine(da, db, intersect, operator.and_)
+
+    def complement(self, d):
+        slices = {k: complement(s) for k, s in d[1]}
+        return self._canon(slices, not d[0])
+
+    def apply_h(self, d, n):
+        slices = {k: apply_h(s, n) for k, s in d[1]}
+        return self._canon(slices, d[0])
+
+    def point_apply_h(self, p, n):
+        if p == INF:
+            return p
+        k, fp = p
+        return (k, point_apply_h(self.fiber, fp, n))
+
+    def contains_point(self, d, p):
+        if p == INF:
+            return d[0]
+        if not isinstance(p, tuple) or len(p) != 2:
+            raise InvalidPoint("bad quotient point description")
+        k, fp = p
+        return contains_point(self.slice(d, int(k)), fp)
+
+    def generating_partition(self, n):
+        fiber_cells = generating_partition(self.fiber, n)
+        cells = [self.make({k: c}) for k in range(-n, n) for c in fiber_cells]
+        tail = {k: empty_set(self.fiber) for k in range(-n, n)}
+        return tuple(cells) + (self.make(tail, tail=True),)
+
+    def sort_key(self, d):
+        tail, slices = d
+        return (tail, tuple((k, sort_key(s)) for k, s in slices))
+
+    def sample_points(self, d, count):
+        tail, slices = d
+        out = []
+        for k, s in slices:
+            if not is_empty(s):
+                out.extend((k, fp) for fp in sample_points(s, max(2, count // 4)))
+        if tail:
+            out.append(INF)
+            edge = max((abs(k) for k, _ in slices), default=0) + 1
+            for k in (edge, -edge):
+                out.extend(
+                    (k, fp) for fp in sample_points(whole_space(self.fiber), 2)
+                )
+        return out
+
+    def set_to_dict(self, d):
+        tail, slices = d
+        return {
+            "tail": tail,
+            "slices": [{"k": k, "set": to_dict(s)} for k, s in slices],
+        }
+
+    def set_from_dict(self, d):
+        items = d.get("slices", [])
+        if not isinstance(items, list) or not all(
+            isinstance(item, dict) and set(item) == {"k", "set"} for item in items
+        ):
+            raise ValueError('slices must be a list of {"k", "set"} objects')
+        slices = {
+            _json_int(item["k"], "k"): from_dict(self.fiber, item["set"])
+            for item in items
+        }
+        return self.make(slices, _json_flag(d, "tail"))
+
+    def scale(self, d):
+        inner = max((set_scale(s) for _, s in d[1]), default=1)
+        win = max((abs(k) for k, _ in d[1]), default=0) + 1
+        return max(inner, win)
+
+    def enumerate_points(self, d):
+        tail, slices = d
+        if tail:
+            raise NotCompactlySupported("set has a tail part")
+        out = []
+        for k, s in slices:
+            out.extend((k, q) for q in enumerate_points(s))
+        return out
+
+    def canonical_bases(self, n):
+        return self._bases_over(
+            range(-n, n), lambda k: self.fiber.canonical_bases(n)
+        )
+
+    def _bases_over(self, window, fiber_bases):
+        """The tail off the window, then for each k in the window the
+        fiber sets fiber_bases(k) placed over k."""
+        bases = [self.make({k: empty_set(self.fiber) for k in window}, tail=True)]
+        for k in window:
+            bases.extend(self.make({k: fb}) for fb in fiber_bases(k))
+        return bases
+
+    def base_witness(self, base):
+        tail, slices = base.data
+        if tail:
+            return INF
+        k, s = slices[0]
+        return (k, self.fiber.base_witness(s))
+
+    def adapted_bases(self, P, N):
+        window = sorted({k for c in P for k, _ in c.data[1]})
+
+        def fiber_bases(k):
+            Pk = [s for s in (self.slice(c.data, k) for c in P) if not is_empty(s)]
+            return self.fiber.adapted_bases(Pk, N)
+
+        return self._bases_over(window, fiber_bases)
+
+    def minimal_witness_ok(self, X_t, Y):
+        """The minimal sets are {inf} and those of the fibers."""
+        if contains_point(X_t, INF) and not contains_point(Y, INF):
+            return False
+        keys = set(self.window(X_t.data)) | set(self.window(Y.data))
+        if X_t.data[0]:
+            keys.add(max((abs(k) for k in keys), default=0) + 1)
+        for k in keys:
+            Xk = self.slice(X_t.data, k)
+            if is_empty(Xk):
+                continue
+            if not self.fiber.minimal_witness_ok(Xk, self.slice(Y.data, k)):
+                return False
+        return True
+
+    def singleton(self, p):
+        k, fp = p
+        return self.make({k: self.fiber.singleton(fp)})
+
+    def displacement(self, x, y):
+        if x[0] != y[0]:
+            return None
+        return self.fiber.displacement(x[1], y[1])
+
+    def fiber_restriction(self, z):
+        if z == INF:
+            point = finite_cycle(1)
+            whole, empty = whole_space(point), empty_set(point)
+            return point, lambda E: whole if contains_point(E, INF) else empty
+        if not isinstance(z, int):
+            raise InvalidFiberPoint("fiber index must be an integer or inf")
+        return self.fiber, lambda E: self.slice(E.data, z)
+
+
+_SPEC_CLASSES = {cls.family: cls for cls in SystemSpec.__subclasses__()}
+
+
+def _json_int(value, what):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s must be an integer" % what)
+    return value
+
+
+def _json_ints(value, what):
+    if not isinstance(value, list) or any(
+        isinstance(v, bool) or not isinstance(v, int) for v in value
+    ):
+        raise ValueError("%s must be a list of integers" % what)
+    return value
+
+
+def _json_flag(d, key):
+    value = d.get(key, False)
+    if not isinstance(value, bool):
+        raise ValueError("%s must be true or false" % key)
+    return value
+
+
+finite_cycle = FiniteCycle
+odometer = Odometer
+compactified_shift = CompactifiedShift
+two_point_shift = TwoPointShift
+quotient_product = QuotientProduct
+
+
+# ---------------------------------------------------------------------------
+# building sets
+# ---------------------------------------------------------------------------
 
 
 def empty_set(spec):
-    f = spec.family
-    if f == FINITE_CYCLE:
-        return _mk(spec, frozenset())
-    if f == ODOMETER:
-        return _mk(spec, (0, 0))
-    if f == COMPACTIFIED_SHIFT:
-        return _mk(spec, (frozenset(), False))
-    if f == TWO_POINT_SHIFT:
-        return _mk(spec, (frozenset(), False, False))
-    return _mk(spec, (False, ()))
+    return ClopenSet(spec, spec.empty_data)
 
 
 def whole_space(spec):
-    f = spec.family
-    if f == FINITE_CYCLE:
-        return _mk(spec, frozenset(range(spec.period)))
-    if f == ODOMETER:
-        return _mk(spec, (0, 1))
-    if f == COMPACTIFIED_SHIFT:
-        return _mk(spec, (frozenset(), True))
-    if f == TWO_POINT_SHIFT:
-        return _mk(spec, (frozenset(), True, True))
-    return _mk(spec, (True, ()))
+    return ClopenSet(spec, spec.complement(spec.empty_data))
 
 
-def finite_cycle_set(spec, points):
-    pts = frozenset(int(p) % spec.period for p in points)
-    return _mk(spec, pts)
+# the family constructors, called as finite_cycle_set(spec, points) etc.
+finite_cycle_set = FiniteCycle.make
+odometer_set = Odometer.make
+shift_set = CompactifiedShift.make
+two_point_set = TwoPointShift.make
+quotient_set = QuotientProduct.make
 
 
 def cylinder(spec, word):
@@ -292,64 +913,9 @@ def cylinder(spec, word):
     return odometer_set(spec, [word])
 
 
-def odometer_set(spec, words):
-    """The union of the odometer cylinders of `words`."""
-    base = spec.base
-    words = [tuple(int(d) for d in w) for w in words]
-    if any(not 0 <= d < base for w in words for d in w):
-        raise ValueError("digit out of range")
-    L = max((len(w) for w in words), default=0)
-    mask = 0
-    for w in words:
-        mask |= _odo_lift(base, len(w), 1 << _word_value(base, w), L)
-    return _odo_mk(spec, L, mask)
-
-
-def shift_set(spec, points, cofinite=False):
-    return _mk(spec, (frozenset(int(p) for p in points), bool(cofinite)))
-
-
-def two_point_set(spec, diff, tail_minus=False, tail_plus=False):
-    """Build from the canonical difference-set form."""
-    return _mk(spec, (frozenset(int(p) for p in diff), bool(tail_minus), bool(tail_plus)))
-
-
-def quotient_set(spec, slices, tail=False):
-    """Build from a map index -> fiber ClopenSet plus the tail flag."""
-    fiber = spec.fiber
-    default = whole_space(fiber) if tail else empty_set(fiber)
-    items = []
-    for k, s in slices.items() if isinstance(slices, dict) else slices:
-        if s.spec != fiber:
-            raise MixedSystems("slice over wrong fiber spec")
-        if s != default:
-            items.append((int(k), s))
-    items.sort(key=lambda kv: kv[0])
-    return _mk(spec, (bool(tail), tuple(items)))
-
-
-def _q_tail(a):
-    return a.data[0]
-
-
-def _q_slice(a, k):
-    sl = dict(a.data[1])
-    if k in sl:
-        return sl[k]
-    return whole_space(a.spec.fiber) if a.data[0] else empty_set(a.spec.fiber)
-
-
-def quotient_slice(a, k):
-    """The fiber clopen set of `a` over integer index k."""
-    return _q_slice(a, k)
-
-
-def quotient_tail_flag(a):
-    return _q_tail(a)
-
-
 def quotient_window(a):
-    return sorted(k for k, _ in a.data[1])
+    """The sorted indices of the slices stored for a quotient set."""
+    return a.spec.window(a.data)
 
 
 # ---------------------------------------------------------------------------
@@ -364,106 +930,24 @@ def _check_same(a, b):
 
 def union(a, b):
     _check_same(a, b)
-    f = a.spec.family
-    if f in (FINITE_CYCLE,):
-        return _mk(a.spec, a.data | b.data)
-    if f == ODOMETER:
-        return _odo_combine(a, b, operator.or_)
-    if f == COMPACTIFIED_SHIFT:
-        (fa, ca), (fb, cb) = a.data, b.data
-        if not ca and not cb:
-            return _mk(a.spec, (fa | fb, False))
-        if ca and cb:
-            return _mk(a.spec, (fa & fb, True))
-        if ca:
-            return _mk(a.spec, (fa - fb, True))
-        return _mk(a.spec, (fb - fa, True))
-    if f == TWO_POINT_SHIFT:
-        return _tp_combine(a, b, lambda x, y: x or y)
-    if f == QUOTIENT_PRODUCT:
-        return _q_combine(a, b, union, lambda x, y: x or y)
-    raise AssertionError
+    return ClopenSet(a.spec, a.spec.union(a.data, b.data))
 
 
 def intersect(a, b):
     _check_same(a, b)
-    f = a.spec.family
-    if f == FINITE_CYCLE:
-        return _mk(a.spec, a.data & b.data)
-    if f == ODOMETER:
-        return _odo_combine(a, b, operator.and_)
-    if f == COMPACTIFIED_SHIFT:
-        (fa, ca), (fb, cb) = a.data, b.data
-        if not ca and not cb:
-            return _mk(a.spec, (fa & fb, False))
-        if ca and cb:
-            return _mk(a.spec, (fa | fb, True))
-        if ca:
-            return _mk(a.spec, (fb - fa, False))
-        return _mk(a.spec, (fa - fb, False))
-    if f == TWO_POINT_SHIFT:
-        return _tp_combine(a, b, lambda x, y: x and y)
-    if f == QUOTIENT_PRODUCT:
-        return _q_combine(a, b, intersect, lambda x, y: x and y)
-    raise AssertionError
+    return ClopenSet(a.spec, a.spec.intersect(a.data, b.data))
 
 
 def complement(a):
-    f = a.spec.family
-    if f == FINITE_CYCLE:
-        return _mk(a.spec, frozenset(range(a.spec.period)) - a.data)
-    if f == ODOMETER:
-        # a mask repeats exactly when its complement does, so L stays least
-        L, mask = a.data
-        return _mk(a.spec, (L, mask ^ ((1 << a.spec.base**L) - 1)))
-    if f == COMPACTIFIED_SHIFT:
-        fs, c = a.data
-        return _mk(a.spec, (fs, not c))
-    if f == TWO_POINT_SHIFT:
-        fs, tm, tp = a.data
-        return _mk(a.spec, (fs, not tm, not tp))
-    if f == QUOTIENT_PRODUCT:
-        tail = not _q_tail(a)
-        slices = {k: complement(s) for k, s in a.data[1]}
-        return quotient_set(a.spec, slices, tail)
-    raise AssertionError
+    return ClopenSet(a.spec, a.spec.complement(a.data))
 
 
 def difference(a, b):
     return intersect(a, complement(b))
 
 
-def _tp_combine(a, b, op):
-    (da, tma, tpa), (db, tmb, tpb) = a.data, b.data
-    tm = op(tma, tmb)
-    tp = op(tpa, tpb)
-    diff = set()
-    for n in da | db:
-        ma = (n in da) != (tma if n < 0 else tpa)
-        mb = (n in db) != (tmb if n < 0 else tpb)
-        if op(ma, mb) != (tm if n < 0 else tp):
-            diff.add(n)
-    return _mk(a.spec, (frozenset(diff), tm, tp))
-
-
-def _q_combine(a, b, setop, flagop):
-    tail = flagop(_q_tail(a), _q_tail(b))
-    keys = {k for k, _ in a.data[1]} | {k for k, _ in b.data[1]}
-    slices = {k: setop(_q_slice(a, k), _q_slice(b, k)) for k in keys}
-    return quotient_set(a.spec, slices, tail)
-
-
 def is_empty(a):
-    f = a.spec.family
-    if f == FINITE_CYCLE:
-        return not a.data
-    if f == ODOMETER:
-        return not a.data[1]
-    if f == COMPACTIFIED_SHIFT:
-        return not a.data[0] and not a.data[1]
-    if f == TWO_POINT_SHIFT:
-        return not a.data[0] and not a.data[1] and not a.data[2]
-    return not a.data[0] and not a.data[1]
+    return a.spec.is_empty(a.data)
 
 
 def equals(a, b):
@@ -486,141 +970,17 @@ def apply_h(a, n):
     n = int(n)
     if n == 0:
         return a
-    f = a.spec.family
-    if f == FINITE_CYCLE:
-        m = a.spec.period
-        return _mk(a.spec, frozenset((p + n) % m for p in a.data))
-    if f == ODOMETER:
-        # h adds 1 to every class mod b^L: rotate the mask; a rotated mask
-        # repeats exactly when the mask does, so L stays least
-        L, mask = a.data
-        width = a.spec.base**L
-        k = n % width
-        rotated = (mask << k) | (mask >> (width - k))
-        return _mk(a.spec, (L, rotated & ((1 << width) - 1)))
-    if f == COMPACTIFIED_SHIFT:
-        fs, c = a.data
-        return _mk(a.spec, (frozenset(p + n for p in fs), c))
-    if f == TWO_POINT_SHIFT:
-        fs, tm, tp = a.data
-        lo, hi = (n, 0) if n < 0 else (0, n)
-        diff = set()
-        for x in {p + n for p in fs} | set(range(lo, hi)):
-            inside = ((x - n) in fs) != (tm if x - n < 0 else tp)
-            if inside != (tm if x < 0 else tp):
-                diff.add(x)
-        return _mk(a.spec, (frozenset(diff), tm, tp))
-    if f == QUOTIENT_PRODUCT:
-        slices = {k: apply_h(s, n) for k, s in a.data[1]}
-        return quotient_set(a.spec, slices, _q_tail(a))
-    raise AssertionError
+    return ClopenSet(a.spec, a.spec.apply_h(a.data, n))
 
 
 def point_apply_h(spec, p, n):
     """The image h^n(p) of a point description."""
-    n = int(n)
-    f = spec.family
-    if f == FINITE_CYCLE:
-        return (int(p) + n) % spec.period
-    if f == ODOMETER:
-        return _odo_point_shift(spec.base, p, n)
-    if f == COMPACTIFIED_SHIFT:
-        if p == INF:
-            return p
-        return int(p) + n
-    if f == TWO_POINT_SHIFT:
-        if p in (MINUS_INF, PLUS_INF):
-            return p
-        return int(p) + n
-    if f == QUOTIENT_PRODUCT:
-        if p == INF:
-            return p
-        k, fp = p
-        return (k, point_apply_h(spec.fiber, fp, n))
-    raise AssertionError
-
-
-def _add_carry_seq(base, digits, carry):
-    out = []
-    for d in digits:
-        t = d + carry
-        out.append(t % base)
-        carry = t // base
-    return out, carry
-
-
-def _odo_point_shift(base, p, n):
-    head, repeat = list(p[0]), tuple(p[1])
-    if not repeat:
-        raise InvalidPoint("odometer point needs a nonempty repeating part")
-    # extend the explicit head so the carry settles to -1, 0 or 1
-    need = 2
-    m = abs(n)
-    while m:
-        need += 1
-        m //= base
-    while len(head) < len(p[0]) + need * len(repeat):
-        head.extend(repeat)
-    head, carry = _add_carry_seq(base, head, n)
-    if carry == 0:
-        return (tuple(head), repeat)
-    out, c1 = _add_carry_seq(base, repeat, carry)
-    if c1 == 0:
-        # carry dies within one period; afterwards the string is unchanged
-        return (tuple(head) + tuple(out), repeat)
-    # the carry survives a full period, so it survives every period and the
-    # mapped period repeats forever
-    return (tuple(head), tuple(out))
-
-
-def _odo_point_digit(base, p, i):
-    head, repeat = p
-    if i < len(head):
-        return head[i]
-    return repeat[(i - len(head)) % len(repeat)]
+    return spec.point_apply_h(p, int(n))
 
 
 def contains_point(a, p):
     """Exact membership of a point description."""
-    f = a.spec.family
-    if f == FINITE_CYCLE:
-        q = int(p)
-        if not 0 <= q < a.spec.period:
-            raise InvalidPoint("point outside the cycle")
-        return q in a.data
-    if f == ODOMETER:
-        if (
-            not isinstance(p, tuple)
-            or len(p) != 2
-            or not p[1]
-            or any(not 0 <= d < a.spec.base for d in tuple(p[0]) + tuple(p[1]))
-        ):
-            raise InvalidPoint("bad odometer point description")
-        L, mask = a.data
-        base = a.spec.base
-        r = sum(_odo_point_digit(base, p, i) * base**i for i in range(L))
-        return bool(mask >> r & 1)
-    if f == COMPACTIFIED_SHIFT:
-        fs, c = a.data
-        if p == INF:
-            return c
-        return (int(p) in fs) != c
-    if f == TWO_POINT_SHIFT:
-        fs, tm, tp = a.data
-        if p == MINUS_INF:
-            return tm
-        if p == PLUS_INF:
-            return tp
-        q = int(p)
-        return (q in fs) != (tm if q < 0 else tp)
-    if f == QUOTIENT_PRODUCT:
-        if p == INF:
-            return _q_tail(a)
-        if not isinstance(p, tuple) or len(p) != 2:
-            raise InvalidPoint("bad quotient point description")
-        k, fp = p
-        return contains_point(_q_slice(a, int(k)), fp)
-    raise AssertionError
+    return a.spec.contains_point(a.data, p)
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +1005,18 @@ def is_partition(sets, target=None):
             return False
         total = union(total, a)
     return total == target
+
+
+def partition_witness(spec, sets):
+    """Why the sets do not partition X: the first overlap of a set with
+    the union of the sets before it, else the part of X they miss."""
+    covered = empty_set(spec)
+    for a in sets:
+        overlap = intersect(covered, a)
+        if not is_empty(overlap):
+            return overlap
+        covered = union(covered, a)
+    return complement(covered)
 
 
 def common_refinement(P, Q):
@@ -678,114 +1050,23 @@ def generating_partition(spec, n):
     """The n-th member of the canonical generating sequence of partitions."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    f = spec.family
-    if f == FINITE_CYCLE:
-        return tuple(
-            finite_cycle_set(spec, [i]) for i in range(spec.period)
-        )
-    if f == ODOMETER:
-        return tuple(_mk(spec, (n, 1 << v)) for v in range(spec.base**n))
-    if f == COMPACTIFIED_SHIFT:
-        cells = [shift_set(spec, [i]) for i in range(-n, n)]
-        cells.append(shift_set(spec, range(-n, n), cofinite=True))
-        return tuple(cells)
-    if f == TWO_POINT_SHIFT:
-        cells = [two_point_set(spec, [i]) for i in range(-n, n)]
-        cells.append(two_point_set(spec, range(-n, 0), tail_minus=True))
-        cells.append(two_point_set(spec, range(0, n), tail_plus=True))
-        return tuple(cells)
-    if f == QUOTIENT_PRODUCT:
-        fiber_cells = generating_partition(spec.fiber, n)
-        cells = []
-        for k in range(-n, n):
-            for c in fiber_cells:
-                cells.append(quotient_set(spec, {k: c}))
-        tail = quotient_set(
-            spec,
-            {k: empty_set(spec.fiber) for k in range(-n, n)},
-            tail=True,
-        )
-        cells.append(tail)
-        return tuple(cells)
-    raise AssertionError
+    return spec.generating_partition(n)
 
 
 # ---------------------------------------------------------------------------
-# deterministic ordering, sampling, serialization
+# deterministic ordering, sampling, sizes, serialization
 # ---------------------------------------------------------------------------
 
 
 def sort_key(a):
     """A deterministic total order on canonical clopen sets."""
-    f = a.spec.family
-    if f == FINITE_CYCLE:
-        return (len(a.data), tuple(sorted(a.data)))
-    if f == ODOMETER:
-        words = _odo_words(a)
-        return (len(words), words)
-    if f == COMPACTIFIED_SHIFT:
-        fs, c = a.data
-        return (c, len(fs), tuple(sorted(fs)))
-    if f == TWO_POINT_SHIFT:
-        fs, tm, tp = a.data
-        return (tm, tp, len(fs), tuple(sorted(fs)))
-    tail, slices = a.data
-    return (tail, tuple((k, sort_key(s)) for k, s in slices))
+    return a.spec.sort_key(a.data)
 
 
 def sample_points(a, count=8):
     """Deterministic sample of distinct points of a nonempty set."""
-    f = a.spec.family
-    out = []
-    if f == FINITE_CYCLE:
-        out = sorted(a.data)
-    elif f == ODOMETER:
-        base = a.spec.base
-        words = _odo_words(a)
-        for w in words:
-            for i in range(max(1, count // max(1, len(words)))):
-                head = w + _value_word(base, i, 4)
-                out.append((head, (0,)))
-                out.append((head, (base - 1,)))
-    elif f == COMPACTIFIED_SHIFT:
-        fs, c = a.data
-        out = sorted(fs) if not c else []
-        if c:
-            out.append(INF)
-            lo = min(fs, default=0) - 1
-            hi = max(fs, default=0) + 1
-            for i in range(count):
-                if (lo - i) not in fs:
-                    out.append(lo - i)
-                if (hi + i) not in fs:
-                    out.append(hi + i)
-    elif f == TWO_POINT_SHIFT:
-        fs, tm, tp = a.data
-        lo = min(fs, default=0) - 1
-        hi = max(fs, default=0) + 1
-        for n in range(lo - count, hi + count + 1):
-            if contains_point(a, n):
-                out.append(n)
-        if tm:
-            out.append(MINUS_INF)
-        if tp:
-            out.append(PLUS_INF)
-    else:
-        tail, slices = a.data
-        for k, s in slices:
-            if not is_empty(s):
-                out.extend((k, fp) for fp in sample_points(s, max(2, count // 4)))
-        if tail:
-            out.append(INF)
-            ks = [k for k, _ in slices]
-            edge = max((abs(k) for k in ks), default=0) + 1
-            for k in (edge, -edge):
-                out.extend(
-                    (k, fp)
-                    for fp in sample_points(whole_space(a.spec.fiber), 2)
-                )
     seen = []
-    for p in out:
+    for p in a.spec.sample_points(a.data, count):
         if p not in seen:
             seen.append(p)
         if len(seen) >= count:
@@ -793,84 +1074,30 @@ def sample_points(a, count=8):
     return seen
 
 
+def set_scale(a):
+    """The window or level scale of a set: its period, b^L for an
+    odometer set, or one more than its largest index."""
+    return a.spec.scale(a.data)
+
+
+def enumerate_points(a):
+    """All points of a clopen set that is a finite set of points."""
+    return a.spec.enumerate_points(a.data)
+
+
 def to_dict(a):
-    f = a.spec.family
-    if f == FINITE_CYCLE:
-        return {"points": sorted(a.data)}
-    if f == ODOMETER:
-        return {"words": [list(w) for w in _odo_words(a)]}
-    if f == COMPACTIFIED_SHIFT:
-        fs, c = a.data
-        return {"F": sorted(fs), "cofinite": c}
-    if f == TWO_POINT_SHIFT:
-        fs, tm, tp = a.data
-        return {"F": sorted(fs), "tail_minus": tm, "tail_plus": tp}
-    tail, slices = a.data
-    return {
-        "tail": tail,
-        "slices": [{"k": k, "set": to_dict(s)} for k, s in slices],
-    }
-
-
-# The keys of each family's to_dict form: (required, optional).
-_SET_KEYS = {
-    FINITE_CYCLE: (("points",), ()),
-    ODOMETER: (("words",), ()),
-    COMPACTIFIED_SHIFT: (("F",), ("cofinite",)),
-    TWO_POINT_SHIFT: (("F",), ("tail_minus", "tail_plus")),
-    QUOTIENT_PRODUCT: ((), ("tail", "slices")),
-}
-
-
-def _json_ints(value, what):
-    if not isinstance(value, list) or any(
-        isinstance(v, bool) or not isinstance(v, int) for v in value
-    ):
-        raise ValueError("%s must be a list of integers" % what)
-    return value
-
-
-def _json_flag(d, key):
-    value = d.get(key, False)
-    if not isinstance(value, bool):
-        raise ValueError("%s must be true or false" % key)
-    return value
+    return a.spec.set_to_dict(a.data)
 
 
 def from_dict(spec, d):
     """Parse the to_dict form of a set; malformed input raises ValueError."""
-    f = spec.family
     if not isinstance(d, dict):
         raise ValueError("a clopen set must be a JSON object")
-    required, optional = _SET_KEYS[f]
+    required, optional = spec.set_keys
     unknown = sorted(set(d) - set(required) - set(optional))
     if unknown:
-        raise ValueError("unknown %s set key %r" % (f, unknown[0]))
+        raise ValueError("unknown %s set key %r" % (spec.family, unknown[0]))
     missing = [k for k in required if k not in d]
     if missing:
-        raise ValueError("missing %s set key %r" % (f, missing[0]))
-    if f == FINITE_CYCLE:
-        return finite_cycle_set(spec, _json_ints(d["points"], "points"))
-    if f == ODOMETER:
-        if not isinstance(d["words"], list):
-            raise ValueError("words must be a list of digit lists")
-        return odometer_set(spec, [_json_ints(w, "a word") for w in d["words"]])
-    if f == COMPACTIFIED_SHIFT:
-        return shift_set(spec, _json_ints(d["F"], "F"), _json_flag(d, "cofinite"))
-    if f == TWO_POINT_SHIFT:
-        return two_point_set(
-            spec,
-            _json_ints(d["F"], "F"),
-            _json_flag(d, "tail_minus"),
-            _json_flag(d, "tail_plus"),
-        )
-    items = d.get("slices", [])
-    if not isinstance(items, list) or not all(
-        isinstance(item, dict) and set(item) == {"k", "set"} for item in items
-    ):
-        raise ValueError('slices must be a list of {"k", "set"} objects')
-    slices = {
-        _json_int(item["k"], "k"): from_dict(spec.fiber, item["set"])
-        for item in items
-    }
-    return quotient_set(spec, slices, _json_flag(d, "tail"))
+        raise ValueError("missing %s set key %r" % (spec.family, missing[0]))
+    return spec.set_from_dict(d)

@@ -22,18 +22,10 @@ from .errors import (
     SaturationFailure,
 )
 from .space import (
-    COMPACTIFIED_SHIFT,
-    FINITE_CYCLE,
-    INF,
-    ODOMETER,
-    QUOTIENT_PRODUCT,
-    TWO_POINT_SHIFT,
     ClopenSet,
     SystemSpec,
     apply_h,
     common_refinement,
-    complement,
-    contains_point,
     difference,
     empty_set,
     generating_partition,
@@ -41,10 +33,9 @@ from .space import (
     is_empty,
     is_partition,
     is_subset,
-    quotient_set,
-    quotient_slice,
+    partition_witness,
     refine_by,
-    shift_set,
+    set_scale,
     sort_key,
     union,
 )
@@ -111,24 +102,9 @@ class FiberwiseReport:
     failure_witness: Optional[tuple] = None  # (ClopenSet, reason)
 
 
-def _set_scale(a):
-    f = a.spec.family
-    if f == FINITE_CYCLE:
-        return a.spec.period
-    if f == ODOMETER:
-        return a.spec.base ** space.odometer_level(a)
-    if f == COMPACTIFIED_SHIFT:
-        return max((abs(p) for p in a.data[0]), default=0) + 1
-    if f == TWO_POINT_SHIFT:
-        return max((abs(p) for p in a.data[0]), default=0) + 1
-    inner = max((_set_scale(s) for _, s in a.data[1]), default=1)
-    win = max((abs(k) for k, _ in a.data[1]), default=0) + 1
-    return max(inner, win)
-
-
 def default_max_steps(sets):
     """10 times the largest window or level scale in the inputs, plus 64."""
-    scale = max((_set_scale(a) for a in sets), default=1)
+    scale = max((set_scale(a) for a in sets), default=1)
     return 10 * scale + 64
 
 
@@ -190,18 +166,9 @@ def build_from_bases(bases, P, max_steps=None):
     S = ReturnSystem(spec, tuple(bases), towers)
     levels = tower_levels(S)
     if not is_partition(levels):
-        covered = empty_set(spec)
-        witness = None
-        for a in levels:
-            ov = intersect(covered, a)
-            if not is_empty(ov):
-                witness = ov
-                break
-            covered = union(covered, a)
-        if witness is None:
-            witness = complement(covered)
         raise SaturationFailure(
-            "tower levels do not partition the space", witness=witness
+            "tower levels do not partition the space",
+            witness=partition_witness(spec, levels),
         )
     return S
 
@@ -257,17 +224,7 @@ def validate_system(S, P):
 
     levels = tower_levels(S)
     ok_f = is_partition(levels)
-    wit_f = None
-    if not ok_f:
-        covered = empty_set(S.spec)
-        for a in levels:
-            ov = intersect(covered, a)
-            if not is_empty(ov):
-                wit_f = ov
-                break
-            covered = union(covered, a)
-        if wit_f is None:
-            wit_f = complement(covered)
+    wit_f = None if ok_f else partition_witness(S.spec, levels)
     entries.append(("f", ok_f, wit_f))
 
     return ValidationReport(tuple(entries))
@@ -328,49 +285,8 @@ def min_return_stats(S):
 
 
 # ---------------------------------------------------------------------------
-# canonical bases per family
+# fiberwise check and nested systems
 # ---------------------------------------------------------------------------
-
-
-def _canonical_bases(spec, n):
-    """Level-n bases meeting the known minimal set of every fiber."""
-    f = spec.family
-    if f == FINITE_CYCLE:
-        return [space.finite_cycle_set(spec, [0])]
-    if f == ODOMETER:
-        return [space.cylinder(spec, (0,) * n)]
-    if f == COMPACTIFIED_SHIFT:
-        return [shift_set(spec, range(-n, n), cofinite=True)]
-    if f == TWO_POINT_SHIFT:
-        return [space.two_point_set(spec, range(-n, 0), tail_minus=True)]
-    if f == QUOTIENT_PRODUCT:
-        bases = [
-            quotient_set(
-                spec, {k: empty_set(spec.fiber) for k in range(-n, n)}, tail=True
-            )
-        ]
-        for k in range(-n, n):
-            for fb in _canonical_bases(spec.fiber, n):
-                bases.append(quotient_set(spec, {k: fb}))
-        return bases
-    raise AssertionError
-
-
-def _base_witness(spec, base):
-    """One concrete point of a canonical base."""
-    f = spec.family
-    if f == FINITE_CYCLE:
-        return 0
-    if f == ODOMETER:
-        return ((), (0,))
-    if f == COMPACTIFIED_SHIFT:
-        return INF
-    if f == TWO_POINT_SHIFT:
-        return space.MINUS_INF
-    if space.quotient_tail_flag(base):
-        return INF
-    k = space.quotient_window(base)[0]
-    return (k, _base_witness(spec.fiber, quotient_slice(base, k)))
 
 
 def check_fiberwise(spec, depth, max_steps=None):
@@ -380,7 +296,7 @@ def check_fiberwise(spec, depth, max_steps=None):
         raise ValueError("depth must be >= 1")
     last_bases = None
     for n in range(1, depth + 1):
-        bases = _canonical_bases(spec, n)
+        bases = spec.canonical_bases(n)
         P = generating_partition(spec, n)
         try:
             build_from_bases(bases, P, max_steps)
@@ -395,7 +311,7 @@ def check_fiberwise(spec, depth, max_steps=None):
             wit = getattr(e, "witness", None)
             return FiberwiseReport(False, n, (), (wit, str(e)))
         last_bases = bases
-    witnesses = tuple(_base_witness(spec, b) for b in last_bases)
+    witnesses = tuple(spec.base_witness(b) for b in last_bases)
     return FiberwiseReport(True, depth, witnesses, None)
 
 
@@ -410,7 +326,7 @@ def nested_systems(spec, depth, max_steps=None):
     out = []
     prev = None
     for n in range(1, depth + 1):
-        bases = _canonical_bases(spec, n)
+        bases = spec.canonical_bases(n)
         P = generating_partition(spec, n)
         S = build_from_bases(bases, P, max_steps)
         P1, _ = tower_partitions(S)
@@ -428,70 +344,6 @@ def nested_systems(spec, depth, max_steps=None):
 # ---------------------------------------------------------------------------
 
 
-def _adapted_bases(spec, P, N):
-    f = spec.family
-    if f == FINITE_CYCLE:
-        return [space.finite_cycle_set(spec, [0])]
-    if f == ODOMETER:
-        L = max([1] + [space.odometer_level(c) for c in P])
-        while spec.base**L <= N:
-            L += 1
-        return [space.cylinder(spec, (0,) * L)]
-    if f == COMPACTIFIED_SHIFT:
-        U = next(c for c in P if contains_point(c, INF))
-        F = sorted(U.data[0])
-        if F:
-            b = F[-1] + 1
-            a = min(F[0] - N, b - (N + 2))
-        else:
-            b = 1
-            a = b - (N + 2)
-        return [shift_set(spec, range(a + 1, b), cofinite=True)]
-    if f == QUOTIENT_PRODUCT:
-        window = sorted({k for c in P for k in space.quotient_window(c)})
-        bases = [
-            quotient_set(
-                spec, {k: empty_set(spec.fiber) for k in window}, tail=True
-            )
-        ]
-        for k in window:
-            Pk = [
-                s
-                for s in (quotient_slice(c, k) for c in P)
-                if not is_empty(s)
-            ]
-            for fb in _adapted_bases(spec.fiber, Pk, N):
-                bases.append(quotient_set(spec, {k: fb}))
-        return bases
-    raise InvalidSystem("family has no adapted construction")
-
-
-def _minimal_witness_ok(spec, X_t, Y):
-    """Does Y meet the known minimal set of every fiber that X_t meets?"""
-    f = spec.family
-    if f in (FINITE_CYCLE, ODOMETER):
-        return not is_empty(Y)
-    if f == COMPACTIFIED_SHIFT:
-        if contains_point(X_t, INF):
-            return contains_point(Y, INF)
-        return not is_empty(Y)
-    if f == QUOTIENT_PRODUCT:
-        if contains_point(X_t, INF) and not contains_point(Y, INF):
-            return False
-        keys = set(space.quotient_window(X_t)) | set(space.quotient_window(Y))
-        if space.quotient_tail_flag(X_t):
-            keys.add(max((abs(k) for k in keys), default=0) + 1)
-        for k in keys:
-            if is_empty(quotient_slice(X_t, k)):
-                continue
-            if not _minimal_witness_ok(
-                spec.fiber, quotient_slice(X_t, k), quotient_slice(Y, k)
-            ):
-                return False
-        return True
-    return False
-
-
 def adapted_system_pair(spec, P, N, max_steps=None):
     """A pair (S, S2) of return systems subordinate to P, suitable for
     length-N approximation: the levels of both refine P, the first N
@@ -502,7 +354,7 @@ def adapted_system_pair(spec, P, N, max_steps=None):
         raise ValueError("N must be >= 1")
     if not is_partition(list(P)):
         raise ValueError("P must be a partition")
-    bases = _adapted_bases(spec, P, N)
+    bases = spec.adapted_bases(P, N)
     if max_steps is None:
         max_steps = default_max_steps(list(bases) + list(P)) + 20 * N
     S = refine_system(build_from_bases(bases, P, max_steps), P)
@@ -516,7 +368,7 @@ def adapted_system_pair(spec, P, N, max_steps=None):
     )
 
     for t, towers in enumerate(S.towers):
-        if not _minimal_witness_ok(spec, S.bases[t], towers[0].Y):
+        if not spec.minimal_witness_ok(S.bases[t], towers[0].Y):
             raise ConstructionFailed(
                 "leading slice misses a fiber minimal set", postcondition="a"
             )

@@ -100,7 +100,7 @@ def valid_system(spec, rng=None, max_steps=None):
         P = [base, space.complement(base)]
     elif f == space.QUOTIENT_PRODUCT:
         n = 2
-        base_sets = towers._canonical_bases(spec, n)
+        base_sets = spec.canonical_bases(n)
         P = list(space.generating_partition(spec, n))
         return towers.build_from_bases(base_sets, P, max_steps)
     else:

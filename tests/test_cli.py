@@ -296,6 +296,25 @@ def test_bad_arguments_are_usage_errors(spec, argv, spec_file, capsys):
     assert json.loads(err)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize(
+    "spec_text, base",
+    [
+        ("[" * 100_000 + "]" * 100_000, None),
+        (json.dumps(SHIFT.to_dict()), "[" * 5_000 + "]" * 5_000),
+    ],
+    ids=["spec", "base"],
+)
+def test_deeply_nested_input_is_usage_error(spec_text, base, tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text(spec_text)
+    argv = ["tower", "--spec", str(p)] + ([] if base is None else ["--base", base])
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == "ValueError"
+
+
 # ---------------------------------------------------------------------------
 # fuzzing the command line contract
 # ---------------------------------------------------------------------------
