@@ -79,7 +79,7 @@ def cmd_tower(args):
         except RecursionError:
             raise ValueError("--base is nested too deeply") from None
     else:
-        bases = spec.canonical_bases(args.depth)[:1]
+        bases = spec.canonical_bases(args.depth)
     comp = space.complement(functools.reduce(space.union, bases))
     P = bases + ([comp] if not space.is_empty(comp) else [])
     S = towers.build_from_bases(bases, P, args.max_steps)

@@ -296,6 +296,21 @@ def test_bad_arguments_are_usage_errors(spec, argv, spec_file, capsys):
     assert json.loads(err)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize(
+    "fiber",
+    [space.finite_cycle(3), space.odometer(2), space.compactified_shift()],
+)
+def test_tower_on_quotient_product(fiber, depth, spec_file, capsys):
+    path = spec_file(space.quotient_product(fiber))
+    code, out, _ = run(capsys, "tower", "--spec", path, "--depth", str(depth))
+    assert code == 0
+    body = json.loads(out)
+    assert body["validation"]["ok"] is True
+    # the tail base and one base over each index in [-depth, depth)
+    assert len(body["system"]["bases"]) == 2 * depth + 1
+
+
 @pytest.mark.parametrize(
     "spec_text, base",
     [
