@@ -17,7 +17,6 @@ from . import space
 from .errors import (
     DegenerateEigenbasis,
     NoConvergence,
-    NotCompactlySupported,
     NotUnitary,
     PartitionFailure,
 )

@@ -62,7 +62,11 @@ class SystemSpec:
     the only code that reads the data of its clopen sets.  Methods whose
     set arguments are named d, da or db take the data of sets over the
     spec and return data or plain values; the other methods take and
-    return ClopenSets.
+    return ClopenSets.  Every family defines make, union, intersect,
+    complement, apply_h, point_apply_h, contains_point,
+    generating_partition, sort_key, sample_points, set_to_dict,
+    set_from_dict, scale, enumerate_points, canonical_bases and
+    base_witness; the methods below are shared.
     """
 
     family: ClassVar[str]
@@ -321,9 +325,6 @@ class Odometer(SystemSpec):
         # a mask repeats exactly when its complement does, so L stays least
         L, mask = d
         return (L, mask ^ ((1 << self.base**L) - 1))
-
-    def is_empty(self, d):
-        return not d[1]
 
     def apply_h(self, d, n):
         # h adds 1 to every class mod b^L: rotate the mask; a rotated mask
