@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import cpalgebra as cp
 from . import space
@@ -120,6 +119,9 @@ def unitary_nth_root(V, N, tol=1e-10):
         or operator_norm(V.conj().T @ V - I) > tol
     ):
         raise NotUnitary("input is not unitary within tolerance")
+    # scipy.linalg costs about 28 MiB and 0.3 s to import; only this needs it
+    import scipy.linalg
+
     T, Q = scipy.linalg.schur(V, output="complex")
     theta = np.angle(np.diag(T))
     W = (Q * np.exp(1j * theta / N)) @ Q.conj().T
