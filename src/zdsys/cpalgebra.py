@@ -10,7 +10,6 @@ data of the resulting circle-algebra approximant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from . import space
 from .errors import IncompatiblePair, InvalidSystem, MixedSystems
@@ -18,6 +17,7 @@ from .space import (
     apply_h,
     complement,
     difference,
+    disjoint_union,
     empty_set,
     intersect,
     is_empty,
@@ -25,7 +25,7 @@ from .space import (
     union,
     whole_space,
 )
-from .towers import hat_base, tower_partitions, validate_system
+from .towers import hat_base, tower_levels
 
 EXACT_SCALARS = (0, 1, -1, 1j, -1j)
 
@@ -214,7 +214,7 @@ def from_dict(spec, d):
 # ---------------------------------------------------------------------------
 
 
-def matrix_units(S, verify=True):
+def matrix_units(S):
     """The tower matrix units: e[(t, k, i, j)] = chi_{h^i(Y)} u^{i-j}
     restricted to land on chi_{h^j(Y)}, which collapses to chi_{h^i(Y)}
     times u^{i-j}."""
@@ -227,28 +227,13 @@ def matrix_units(S, verify=True):
                     units[(t, k, i, j)] = cp_element(
                         S.spec, {i - j: [(1, Ei)]}
                     )
-    if verify:
-        diag = zero(S.spec)
-        for (t, k, i, j), e in units.items():
-            if i == j:
-                diag = add(diag, e)
-        if not equals(diag, one(S.spec)):
-            raise InvalidSystem("diagonal units do not sum to one")
-        if not _unit_relations_hold(units):
-            raise InvalidSystem("matrix unit relations fail")
     return units
 
 
-def _unit_relations_hold(units):
-    for (t, k, i, j), e in units.items():
-        for (t2, k2, i2, j2), f in units.items():
-            prod = multiply(e, f)
-            if (t, k) == (t2, k2) and j == i2:
-                if not equals(prod, units[(t, k, i, j2)]):
-                    return False
-            elif prod.terms:
-                return False
-    return True
+def matrix_unit_relations(S):
+    """True iff the tower units of S form a system of matrix units, that
+    is, iff the tower levels are pairwise disjoint (see identity_suite)."""
+    return disjoint_union(S.spec, tower_levels(S))[1] is None
 
 
 def _v_element(S):
@@ -352,122 +337,104 @@ class SuiteReport:
         }
 
 
-def _ident(lhs, rhs):
-    d = lhs - rhs
-    if d.terms:
-        return False, d
-    return True, None
+def _sum(spec, elements):
+    out = zero(spec)
+    for a in elements:
+        out = add(out, a)
+    return out
+
+
+def _entry(name, pairs):
+    """Suite entry over (lhs, rhs) pairs, all evaluated: it passes iff
+    every pair is equal, with lhs - rhs of the last unequal pair as its
+    witness."""
+    wit = None
+    for lhs, rhs in pairs:
+        d = lhs - rhs
+        if d.terms:
+            wit = d
+    return name, wit is None, wit
 
 
 def identity_suite(S, S2):
-    """Exact symbolic checks of the defining identities of the pair."""
-    check_pair(S, S2)
+    """Exact symbolic checks of the defining identities of the pair.
+
+    matrix_unit_relations is read off the tower levels, not off products
+    of units.  For units e_ij of a tower (Y, J) and f_kl of (Y', J'),
+    e_ij f_kl = chi_{h^i Y cap h^(i-j+k) Y'} u^(i-j+k-l).  For the same
+    tower and j = k this is e_il.  Otherwise it is zero iff
+    h^j Y cap h^k Y' is empty, h being a bijection.  So the relations
+    hold iff the levels h^j Y_{t,k}, 0 <= j < J, are pairwise disjoint
+    (empty levels allowed): one running union over sum J levels instead
+    of (sum J^2)^2 products."""
     spec = S.spec
-    u = shift_unitary(spec)
     pe = proof_unitaries(S, S2)
-    units = matrix_units(S, verify=False)
-    entries = []
-
-    entries.append(("matrix_unit_relations", _unit_relations_hold(units), None))
-
-    diag = zero(spec)
-    for (t, k, i, j), e in units.items():
-        if i == j:
-            diag = add(diag, e)
-    entries.append(("diagonal_units_sum_to_one",) + _ident(diag, one(spec)))
-
-    ok, wit = True, None
-    for towers in S.towers:
-        for c in towers:
-            for j in range(c.J - 1):
-                lhs = multiply(
-                    multiply(pe.v1, char(apply_h(c.Y, j))), adjoint(pe.v1)
-                )
-                good, d = _ident(lhs, char(apply_h(c.Y, j + 1)))
-                if not good:
-                    ok, wit = False, d
-    entries.append(("v1_moves", ok, wit))
-
-    ok, wit = True, None
-    for towers in S.towers:
-        for c in towers:
-            lhs = multiply(
-                multiply(pe.v1, char(apply_h(c.Y, c.J - 1))), adjoint(pe.v1)
-            )
-            good, d = _ident(lhs, char(c.Y))
-            if not good:
-                ok, wit = False, d
-    entries.append(("v1_wrap", ok, wit))
-
+    u = shift_unitary(spec)
+    units = matrix_units(S)
     w = multiply(pe.v2, adjoint(pe.v1))
-    ok, wit = True, None
-    for X_t in S.bases:
-        lhs = multiply(multiply(w, char(X_t)), adjoint(w))
-        good, d = _ident(lhs, char(X_t))
-        if not good:
-            ok, wit = False, d
-    entries.append(("v2v1_conjugates_base", ok, wit))
+    slices = [c for towers in S.towers for c in towers]
+    leads = [towers[0] for towers in S.towers]
 
-    ok, wit = True, None
-    for t, towers in enumerate(S.towers):
-        lead = towers[0]
-        core = intersect(lead.Y, apply_h(lead.Y, lead.J))
-        lhs = multiply(w, char(core))
-        good, d = _ident(lhs, char(core))
-        if not good:
-            ok, wit = False, d
-    entries.append(("v2v1_fixes_core", ok, wit))
+    def conj(a, x):
+        return multiply(multiply(a, x), adjoint(a))
 
-    # proof_unitaries has raised InvalidSystem unless uhat is unitary
-    entries.append(("uhat_unitary", True, None))
-
-    ok, wit = True, None
-    for (t, k, i, j), e in units.items():
-        if k != 0:
-            continue
-        good, d = _ident(multiply(pe.uhat, e), multiply(e, pe.uhat))
-        if not good:
-            ok, wit = False, d
-    entries.append(("uhat_commutes_with_units", ok, wit))
-
-    left = zero(spec)
-    right = zero(spec)
-    tops = empty_set(spec)
-    for t, towers in enumerate(S.towers):
-        lead = towers[0]
-        left = add(left, units[(t, 0, lead.J - 1, 0)])
-        right = add(right, units[(t, 0, 0, lead.J - 1)])
-        tops = union(tops, apply_h(lead.Y, lead.J - 1))
-    lhs = add(
-        multiply(multiply(left, pe.uhat), right), char(complement(tops))
+    diag = _sum(spec, (e for (_, _, i, j), e in units.items() if i == j))
+    cores = [char(intersect(c.Y, apply_h(c.Y, c.J))) for c in leads]
+    tops = [(t, c.J - 1) for t, c in enumerate(leads)]
+    left = _sum(spec, (units[(t, 0, top, 0)] for t, top in tops))
+    right = _sum(spec, (units[(t, 0, 0, top)] for t, top in tops))
+    top_levels = empty_set(spec)
+    for c in leads:
+        top_levels = union(top_levels, apply_h(c.Y, c.J - 1))
+    recovered = add(
+        multiply(multiply(left, pe.uhat), right),
+        char(complement(top_levels)),
     )
-    entries.append(("u2_recovery",) + _ident(lhs, pe.u2))
-
-    ok, wit = True, None
-    for t, towers in enumerate(S.towers):
-        lead = towers[0]
-        p_t = zero(spec)
-        for j in range(lead.J):
-            p_t = add(p_t, units[(t, 0, j, j)])
-        for other in (pe.u2, pe.uhat):
-            good, d = _ident(multiply(p_t, other), multiply(other, p_t))
-            if not good:
-                ok, wit = False, d
-    entries.append(("pt_commutes", ok, wit))
-
-    ok, wit = True, None
-    for t, towers in enumerate(S2.towers):
+    projections = [
+        _sum(spec, (units[(t, 0, j, j)] for j in range(c.J)))
+        for t, c in enumerate(leads)
+    ]
+    saturations = []
+    for towers in S2.towers:
         sat = empty_set(spec)
         for c in towers:
             for j in range(c.J):
                 sat = union(sat, apply_h(c.Y, j))
-        r_t = char(sat)
-        good, d = _ident(multiply(r_t, u), multiply(u, r_t))
-        if not good:
-            ok, wit = False, d
-    entries.append(("rt_central", ok, wit))
+        saturations.append(char(sat))
 
-    return SuiteReport(tuple(entries))
+    return SuiteReport((
+        ("matrix_unit_relations", matrix_unit_relations(S), None),
+        _entry("diagonal_units_sum_to_one", [(diag, one(spec))]),
+        _entry("v1_moves", (
+            (conj(pe.v1, char(apply_h(c.Y, j))), char(apply_h(c.Y, j + 1)))
+            for c in slices
+            for j in range(c.J - 1)
+        )),
+        _entry("v1_wrap", (
+            (conj(pe.v1, char(apply_h(c.Y, c.J - 1))), char(c.Y))
+            for c in slices
+        )),
+        _entry("v2v1_conjugates_base", (
+            (conj(w, char(X)), char(X)) for X in S.bases
+        )),
+        _entry("v2v1_fixes_core", ((multiply(w, x), x) for x in cores)),
+        # proof_unitaries has raised InvalidSystem unless uhat is unitary
+        ("uhat_unitary", True, None),
+        _entry("uhat_commutes_with_units", (
+            (multiply(pe.uhat, e), multiply(e, pe.uhat))
+            for (_, k, _, _), e in units.items()
+            if k == 0
+        )),
+        _entry("u2_recovery", [(recovered, pe.u2)]),
+        _entry("pt_commutes", (
+            (multiply(p, x), multiply(x, p))
+            for p in projections
+            for x in (pe.u2, pe.uhat)
+        )),
+        _entry("rt_central", (
+            (multiply(r, u), multiply(u, r)) for r in saturations
+        )),
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,7 @@ from .errors import NeedsRefinement, NotFiner, NotInvariant, NotMeasurable
 from .space import (
     apply_h,
     common_refinement,
-    difference,
     is_empty,
-    is_partition,
     is_subset,
 )
 

@@ -989,6 +989,24 @@ def contains_point(a, p):
 # ---------------------------------------------------------------------------
 
 
+def disjoint_union(spec, sets, nonempty=False):
+    """Walk the sets in order, keeping the union of those before each one.
+    (union, None) when they are pairwise disjoint; else (None, overlap)
+    at the first set that meets the union before it, or (None, None) at
+    the first empty set when nonempty is set."""
+    covered = empty_set(spec)
+    for a in sets:
+        if a.spec != spec:
+            raise MixedSystems("partition over mixed specs")
+        if nonempty and is_empty(a):
+            return None, None
+        overlap = intersect(covered, a)
+        if not is_empty(overlap):
+            return None, overlap
+        covered = union(covered, a)
+    return covered, None
+
+
 def is_partition(sets, target=None):
     """True iff the sets are nonempty, pairwise disjoint and cover the
     target set, which is all of X when not given."""
@@ -996,28 +1014,14 @@ def is_partition(sets, target=None):
         if not sets:
             return False
         target = whole_space(sets[0].spec)
-    total = empty_set(target.spec)
-    for a in sets:
-        if a.spec != target.spec:
-            raise MixedSystems("partition over mixed specs")
-        if is_empty(a):
-            return False
-        if not is_empty(intersect(total, a)):
-            return False
-        total = union(total, a)
-    return total == target
+    return disjoint_union(target.spec, sets, nonempty=True)[0] == target
 
 
 def partition_witness(spec, sets):
     """Why the sets do not partition X: the first overlap of a set with
     the union of the sets before it, else the part of X they miss."""
-    covered = empty_set(spec)
-    for a in sets:
-        overlap = intersect(covered, a)
-        if not is_empty(overlap):
-            return overlap
-        covered = union(covered, a)
-    return complement(covered)
+    covered, overlap = disjoint_union(spec, sets)
+    return complement(covered) if overlap is None else overlap
 
 
 def common_refinement(P, Q):

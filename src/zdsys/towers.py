@@ -27,6 +27,7 @@ from .space import (
     apply_h,
     common_refinement,
     difference,
+    disjoint_union,
     empty_set,
     generating_partition,
     intersect,
@@ -388,12 +389,10 @@ def adapted_system_pair(spec, P, N, max_steps=None):
     iters = [
         apply_h(X, i) for X in hats for i in range(N + 1) if not is_empty(X)
     ]
-    for i, A in enumerate(iters):
-        for B in iters[i + 1 :]:
-            if not is_empty(intersect(A, B)):
-                raise ConstructionFailed(
-                    "iterates of the reduced bases overlap", postcondition="d"
-                )
+    if disjoint_union(S.spec, iters)[1] is not None:
+        raise ConstructionFailed(
+            "iterates of the reduced bases overlap", postcondition="d"
+        )
     P1b, _ = tower_partitions(S2)
     if not (is_finer(P1b, P1) and is_finer(P1b, P2)):
         raise ConstructionFailed(

@@ -1,5 +1,7 @@
 """Crossed-product element arithmetic, matrix units, identity suite."""
 
+import json
+import os
 import random
 
 import pytest
@@ -7,10 +9,17 @@ import pytest
 import genutil
 from zdsys import cpalgebra as cp
 from zdsys import space, towers
-from zdsys.errors import IncompatiblePair, InvalidFiberPoint, MixedSystems
+from zdsys.errors import (
+    IncompatiblePair,
+    InvalidFiberPoint,
+    InvalidSystem,
+    MixedSystems,
+)
 
 SHIFT = space.compactified_shift()
 ODO = space.odometer(2)
+
+FAILING_SUITES = os.path.join(os.path.dirname(__file__), "failing_suites.json")
 
 
 def random_element(spec, rng, max_terms=3, max_shift=3):
@@ -121,6 +130,131 @@ def test_matrix_units_diagonal_sums_to_one():
         assert cp.equals(diag, cp.one(spec))
 
 
+def _unit_relations_hold(units):
+    """All-pairs oracle: e_ij f_kl is e_il for the same tower and j = k,
+    and zero otherwise."""
+    for (t, k, i, j), e in units.items():
+        for (t2, k2, i2, j2), f in units.items():
+            prod = cp.multiply(e, f)
+            if (t, k) == (t2, k2) and j == i2:
+                if not cp.equals(prod, units[(t, k, i, j2)]):
+                    return False
+            elif prod.terms:
+                return False
+    return True
+
+
+def test_unit_relations_match_all_pairs_oracle():
+    # valid systems, single-field mutants of the smaller ones (the oracle
+    # is quadratic in the units): duplicated, merged, shifted towers, and
+    # random cycle systems, whose towers mostly overlap
+    rng = random.Random(83)
+    valid = [genutil.valid_system(spec) for spec in genutil.system_specs()]
+    systems = list(valid)
+    for S in valid:
+        if len(cp.matrix_units(S)) <= 50:
+            systems += [M for _, M in genutil.mutants(S)]
+    systems += [random_cycle_pair(rng)[0] for _ in range(40)]
+    outcomes = []
+    for S in systems:
+        expected = _unit_relations_hold(cp.matrix_units(S))
+        assert cp.matrix_unit_relations(S) == expected
+        outcomes.append(expected)
+    assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
+
+
+def test_suite_entry_keeps_last_witness():
+    spec = space.finite_cycle(3)
+    a, b, c = (cp.char(space.finite_cycle_set(spec, [i])) for i in range(3))
+    pairs = iter([(a, b), (a, a), (c, b), (b, b)])
+    name, passed, wit = cp._entry("x", pairs)
+    assert (name, passed) == ("x", False) and cp.equals(wit, c - b)
+    assert next(pairs, None) is None
+    assert cp._entry("y", [(a, a), (b, b)]) == ("y", True, None)
+
+
+def _cycle_subset(rng, spec):
+    """A random nonempty subset of a finite cycle."""
+    p = spec.period
+    pts = [i for i in range(p) if rng.random() < 0.5]
+    return space.finite_cycle_set(spec, pts or [rng.randrange(p)])
+
+
+def _random_cycle_system(rng, spec, bases):
+    """A return system over the given bases of a finite cycle with one to
+    three random towers per base, each with a nonempty slice and a return
+    time of at most the period, as system_from_dict reads it back (it
+    sorts the towers)."""
+    d = {
+        "bases": [space.to_dict(b) for b in bases],
+        "towers": [
+            [
+                {
+                    "Y": space.to_dict(_cycle_subset(rng, spec)),
+                    "J": rng.randint(1, spec.period),
+                }
+                for _ in range(rng.randint(1, 3))
+            ]
+            for _ in bases
+        ],
+    }
+    return towers.system_from_dict(spec, d)
+
+
+def random_cycle_pair(rng):
+    """A hand-built pair (S, S2) on finite_cycle(2..7) with random towers;
+    S2 is based on the images h^J(Y) of the leading slices of S, so the
+    pair passes check_pair."""
+    spec = space.finite_cycle(rng.randint(2, 7))
+    bases = [_cycle_subset(rng, spec) for _ in range(rng.randint(1, 2))]
+    S = _random_cycle_system(rng, spec, bases)
+    bases2 = [space.apply_h(ts[0].Y, ts[0].J) for ts in S.towers]
+    return S, _random_cycle_system(rng, spec, bases2)
+
+
+def search_failing_suites(seed=5, trials=20000, keep=10, per_kind=3):
+    """Random cycle pairs whose identity suite completes with failures,
+    at most per_kind of each set of failing entries; the data of
+    failing_suites.json."""
+    rng = random.Random(seed)
+    kinds = {}
+    out = []
+    for _ in range(trials):
+        S, S2 = random_cycle_pair(rng)
+        try:
+            rep = cp.identity_suite(S, S2)
+        except InvalidSystem:
+            continue
+        kind = tuple(n for n, p, _ in rep.entries if not p)
+        if not kind or kinds.get(kind, 0) >= per_kind:
+            continue
+        kinds[kind] = kinds.get(kind, 0) + 1
+        out.append({
+            "period": S.spec.period,
+            "S": towers.system_to_dict(S),
+            "S2": towers.system_to_dict(S2),
+            "report": rep.to_dict(),
+        })
+        if len(out) == keep:
+            break
+    return out
+
+
+def test_failing_suite_reports():
+    # whole reports, witnesses included, of suites that complete with
+    # failures; every golden identities report passes
+    with open(FAILING_SUITES) as f:
+        cases = json.load(f)
+    assert len(cases) >= 10
+    for case in cases:
+        spec = space.finite_cycle(case["period"])
+        S = towers.system_from_dict(spec, case["S"])
+        S2 = towers.system_from_dict(spec, case["S2"])
+        rep = cp.identity_suite(S, S2)
+        assert not rep.ok
+        assert rep.to_dict() == case["report"]
+
+
 def test_matrix_units_products_closed():
     S = genutil.valid_system(SHIFT)
     e = cp.matrix_units(S)
@@ -227,7 +361,7 @@ def test_diagonal_span_contains_partition_algebra():
     # every P-constant step function is a sum of diagonal matrix units
     S, S2 = shift_pair()
     P1, _ = towers.tower_partitions(S)
-    e = cp.matrix_units(S, verify=False)
+    e = cp.matrix_units(S)
     diag_sets = {el.terms[0][1][0][1] for (t, k, i, j), el in e.items()
                  if i == j}
     U = space.shift_set(SHIFT, range(1, 8), cofinite=True)
