@@ -11,7 +11,7 @@ import sys
 
 from . import cpalgebra as cp
 from . import ktheory, numeric, space, towers
-from .errors import NeedsRefinement, ZdsysError
+from .errors import MaxStepsExceeded, NeedsRefinement, ZdsysError
 
 SCHEMA_VERSION = 1
 
@@ -82,7 +82,14 @@ def cmd_tower(args):
         bases = spec.canonical_bases(args.depth)
     comp = space.complement(functools.reduce(space.union, bases))
     P = bases + ([comp] if not space.is_empty(comp) else [])
-    S = towers.build_from_bases(bases, P, args.max_steps)
+    try:
+        S = towers.build_from_bases(bases, P, args.max_steps)
+    except MaxStepsExceeded as e:
+        # no return system over these bases: a failed verification, with
+        # the part of a base that does not come back as the witness
+        failed = towers.ValidationReport((("return", False, e.remainder),))
+        _emit({"system": None, "validation": failed.to_dict()}, args)
+        return 1
     report = towers.validate_system(S, P)
     _emit(
         {
@@ -151,9 +158,9 @@ def cmd_ktheory(args):
     spec = _load_spec(args.spec)
     levels = []
     for n in range(1, args.depth + 1):
-        level = ktheory.K0Level(space.generating_partition(spec, n))
+        P = space.generating_partition(spec, n)
         try:
-            levels.append(ktheory.level_report(level, n))
+            levels.append(ktheory.level_report(P, n))
         except NeedsRefinement:
             levels.append({"level": n, "needs_refinement": True})
     _emit({"levels": levels}, args)
@@ -190,8 +197,16 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise ValueError, so that they
+    exit 2 with a JSON error like every other input error."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zdsys",
         description="Tower systems and approximants on zero-dimensional "
         "dynamical systems",
@@ -215,8 +230,8 @@ def _check_args(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_args(args)
         return COMMANDS[args.command](args)
     except (ZdsysError, ValueError, OSError, json.JSONDecodeError) as e:

@@ -62,26 +62,9 @@ class InvalidFiberPoint(ZdsysError):
     """The requested point is not in the quotient base space."""
 
 
-class NotMeasurable(ZdsysError):
-    """A clopen set is not a union of partition elements."""
-
-
-class NotInvariant(ZdsysError):
-    """A clopen set is not invariant under the dynamics."""
-
-
-class NotFiner(ZdsysError):
-    """A partition does not refine another where required."""
-
-
 class NeedsRefinement(ZdsysError):
-    """The induced map is not square at this level; a finer level is attached."""
-
-    def __init__(self, message, finer_level=None, inclusion=None, alpha=None):
-        super().__init__(message)
-        self.finer_level = finer_level
-        self.inclusion = inclusion
-        self.alpha = alpha
+    """The induced map is not square at this level: h sends some cell of
+    the partition to a set that is not a cell."""
 
 
 class NotCompactlySupported(ZdsysError):

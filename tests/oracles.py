@@ -3,13 +3,15 @@
 Everything here is computed from first principles with the standard
 library only (fractions, itertools, cmath), without touching the main
 implementation, so the tests can compare two genuinely different routes
-to the same value.
+to the same value.  Functions that need the dynamics take it as
+callables.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -93,6 +95,179 @@ def invariant_factors(rows):
         out.append(g // prev)
         prev = g
     return out
+
+
+@dataclass(frozen=True)
+class IntMatrix:
+    rows: int
+    cols: int
+    entries: tuple  # row-major tuple of row tuples
+
+    def __post_init__(self):
+        if len(self.entries) != self.rows or any(
+            len(r) != self.cols for r in self.entries
+        ):
+            raise ValueError("inconsistent dimensions")
+
+    def __getitem__(self, ij):
+        return self.entries[ij[0]][ij[1]]
+
+    def to_lists(self):
+        return [list(r) for r in self.entries]
+
+
+def int_matrix(rows):
+    rows = [tuple(int(x) for x in r) for r in rows]
+    n = len(rows)
+    m = len(rows[0]) if rows else 0
+    return IntMatrix(n, m, tuple(rows))
+
+
+def identity_matrix(n):
+    return int_matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def mat_mul(A, B):
+    if A.cols != B.rows:
+        raise ValueError("shape mismatch")
+    Bt = list(zip(*B.entries)) if B.entries else []
+    return int_matrix(
+        [
+            [sum(a * b for a, b in zip(row, col)) for col in Bt]
+            for row in A.entries
+        ]
+    )
+
+
+def mat_sub(A, B):
+    if (A.rows, A.cols) != (B.rows, B.cols):
+        raise ValueError("shape mismatch")
+    return int_matrix(
+        [
+            [a - b for a, b in zip(ra, rb)]
+            for ra, rb in zip(A.entries, B.entries)
+        ]
+    )
+
+
+def smith_normal_form(A):
+    """A = U * D * V with U, V unimodular and D diagonal with a
+    divisibility chain d1 | d2 | ...  Returns (U, D, V)."""
+    n, m = A.rows, A.cols
+    D = [list(r) for r in A.entries]
+    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    V = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+
+    # row op on D is matched by the inverse column op on U, and column
+    # op on D by the inverse row op on V, keeping A = U * D * V exact.
+    def row_swap(i, j):
+        D[i], D[j] = D[j], D[i]
+        for r in U:
+            r[i], r[j] = r[j], r[i]
+
+    def col_swap(i, j):
+        for r in D:
+            r[i], r[j] = r[j], r[i]
+        V[i], V[j] = V[j], V[i]
+
+    def row_add(i, j, q):  # row_i += q * row_j
+        D[i] = [a + q * b for a, b in zip(D[i], D[j])]
+        for r in U:
+            r[j] -= q * r[i]
+
+    def col_add(i, j, q):  # col_i += q * col_j
+        for r in D:
+            r[i] += q * r[j]
+        V[j] = [a - q * b for a, b in zip(V[j], V[i])]
+
+    def row_negate(i):
+        D[i] = [-a for a in D[i]]
+        for r in U:
+            r[i] = -r[i]
+
+    for k in range(min(n, m)):
+        while True:
+            # nonzero entry of minimal absolute value as pivot; picking
+            # it afresh after every reduction pass keeps entries small,
+            # since every leftover remainder is smaller than the pivot
+            best = None
+            for i in range(k, n):
+                for j in range(k, m):
+                    if D[i][j] != 0 and (
+                        best is None
+                        or abs(D[i][j]) < abs(D[best[0]][best[1]])
+                    ):
+                        best = (i, j)
+            if best is None:
+                break
+            row_swap(k, best[0])
+            col_swap(k, best[1])
+            # one reduction pass over the pivot row and column
+            for i in range(k + 1, n):
+                if D[i][k] != 0:
+                    row_add(i, k, -(D[i][k] // D[k][k]))
+            for j in range(k + 1, m):
+                if D[k][j] != 0:
+                    col_add(j, k, -(D[k][j] // D[k][k]))
+            if any(D[i][k] for i in range(k + 1, n)) or any(
+                D[k][j] for j in range(k + 1, m)
+            ):
+                continue
+            # the pivot must divide the whole trailing block for the
+            # divisibility chain; fold an offending row in and redo
+            offender = None
+            for i in range(k + 1, n):
+                for j in range(k + 1, m):
+                    if D[i][j] % D[k][k] != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_add(k, offender, 1)
+        if k < min(n, m) and D[k][k] < 0:
+            row_negate(k)
+
+    return int_matrix(U), int_matrix(D), int_matrix(V)
+
+
+def _det(M):
+    # Bareiss elimination, exact over the integers
+    n = M.rows
+    if n == 0:
+        return 1
+    a = [list(r) for r in M.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def is_unimodular(M):
+    return M.rows == M.cols and abs(_det(M)) == 1
+
+
+def induced_matrix(cells, images, subset):
+    """All-pairs 0/1 matrix of the map the dynamics induces on indicator
+    classes: entry [i][j] = 1 iff cells[i] lies in images[j], where
+    images[j] is the image of cells[j] and subset(a, b) tests a <= b.
+    None when some cell lies in no image (the map is not square)."""
+    if not all(any(subset(c, img) for img in images) for c in cells):
+        return None
+    return [[1 if subset(c, img) else 0 for img in images] for c in cells]
 
 
 def cyclic_matrix(M):

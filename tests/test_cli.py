@@ -286,6 +286,8 @@ ODOMETER = space.odometer(2)
         (ODOMETER, ("tower", "--base", '{"words": [0]}')),
         (ODOMETER, ("tower", "--base", '{"words": {"0": 1}}')),
         (ODOMETER, ("tower", "--base", '{"points": [0]}')),
+        (ODOMETER, ("ktheory", "--depth", "abc")),
+        (ODOMETER, ("bogus",)),
     ],
 )
 def test_bad_arguments_are_usage_errors(spec, argv, spec_file, capsys):
@@ -294,6 +296,29 @@ def test_bad_arguments_are_usage_errors(spec, argv, spec_file, capsys):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("depth", ["1", "2"])
+def test_tower_without_return_is_verification_failure(depth, spec_file, capsys):
+    # the canonical base is the -inf tail, and its right end never comes back
+    spec = space.two_point_shift()
+    code, out, err = run(
+        capsys, "tower", "--spec", spec_file(spec), "--depth", depth
+    )
+    assert code == 1
+    assert err == ""
+    body = json.loads(out)
+    assert body["system"] is None
+    assert body["validation"]["ok"] is False
+    (entry,) = body["validation"]["entries"]
+    assert entry["condition"] == "return" and entry["pass"] is False
+    witness = space.from_dict(spec, entry["witness"])
+    assert not space.is_empty(witness)
+    base = spec.canonical_bases(int(depth))[0]
+    assert space.is_subset(witness, base)
+    # no point of the witness is back in the base after a few hundred steps
+    for n in range(1, 300):
+        assert space.is_empty(space.intersect(space.apply_h(witness, n), base))
 
 
 @pytest.mark.parametrize("depth", [1, 2])
@@ -354,7 +379,9 @@ def _mostly(valid, junk=_JSON_JUNK):
     return _RARELY.flatmap(lambda rare: junk if rare else valid)
 
 
-_SMALL_INT = _mostly(st.integers(1, 3), st.integers(-1, 0))
+_SMALL_ARG = _mostly(
+    st.integers(1, 3).map(str), st.sampled_from(["-1", "0", "1.5", "abc", ""])
+)
 
 
 @st.composite
@@ -411,9 +438,11 @@ _BASES = st.sampled_from(
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     spec_text=_SPEC_TEXT,
-    command=st.sampled_from(sorted(cli.COMMANDS)),
-    depth=_SMALL_INT,
-    N=_SMALL_INT,
+    command=_mostly(
+        st.sampled_from(sorted(cli.COMMANDS)), st.sampled_from(["bogus", ""])
+    ),
+    depth=_SMALL_ARG,
+    N=_SMALL_ARG,
     epsilon=st.none()
     | st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.5", "2.5", "1e9"]),
     base=_mostly(st.none(), _BASES),
@@ -426,8 +455,8 @@ def test_cli_contract_holds_for_random_input(
         path = os.path.join(tmp, "spec.json")
         with open(path, "w") as f:
             f.write(spec_text)
-        argv = [command, "--spec", path, "--depth=%d" % depth,
-                "--N=%d" % N, "--format=" + fmt]
+        argv = [command, "--spec", path, "--depth=" + depth,
+                "--N=" + N, "--format=" + fmt]
         if epsilon is not None:
             argv.append("--epsilon=" + epsilon)
         if base is not None:

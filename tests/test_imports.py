@@ -1,10 +1,13 @@
-"""Every module-level import of the package is read in its module."""
+"""Every module-level import of the package is read in its module, and
+every error class of the package is raised somewhere in it."""
 
 import ast
 import glob
 import os
 
 import pytest
+
+from zdsys import errors
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "zdsys")
 MODULES = sorted(
@@ -43,3 +46,38 @@ def test_unread_imports_scanner():
 def test_module_imports_are_read(path):
     with open(path) as f:
         assert unread_imports(f.read()) == []
+
+
+def raised_names(source):
+    """Names of the exceptions that the raise statements of source
+    raise, as `raise X` or `raise X(...)`, by name or attribute."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                out.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                out.add(exc.attr)
+    return out
+
+
+def test_raised_names_scanner():
+    src = "raise A\nraise B('x')\nraise errors.C(1) from None\nraise\n"
+    assert raised_names(src) == {"A", "B", "C"}
+
+
+def test_every_error_class_is_raised():
+    subclasses = sorted(
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type)
+        and issubclass(obj, errors.ZdsysError)
+        and obj is not errors.ZdsysError
+    )
+    assert subclasses
+    raised = set()
+    for path in MODULES:
+        with open(path) as f:
+            raised |= raised_names(f.read())
+    assert [name for name in subclasses if name not in raised] == []

@@ -1,4 +1,5 @@
-"""Integer matrix normal forms and partition-level invariants."""
+"""Partition-level K-theory by cycle counting, against the all-pairs
+induced matrix and the Smith normal form in tests/oracles.py."""
 
 import random
 
@@ -8,19 +9,19 @@ import genutil
 import oracles
 from zdsys import ktheory as kt
 from zdsys import space
-from zdsys.errors import NeedsRefinement, NotFiner, NotInvariant, NotMeasurable
+from zdsys.errors import NeedsRefinement
 
 
 def snf_diag(A):
-    _, D, _ = kt.smith_normal_form(A)
+    _, D, _ = oracles.smith_normal_form(A)
     return [D[(i, i)] for i in range(min(D.rows, D.cols))]
 
 
 def check_snf(A):
-    U, D, V = kt.smith_normal_form(A)
-    assert kt.mat_mul(kt.mat_mul(U, D), V).entries == A.entries
-    assert kt.is_unimodular(U)
-    assert kt.is_unimodular(V)
+    U, D, V = oracles.smith_normal_form(A)
+    assert oracles.mat_mul(oracles.mat_mul(U, D), V).entries == A.entries
+    assert oracles.is_unimodular(U)
+    assert oracles.is_unimodular(V)
     diag = [D[(i, i)] for i in range(min(D.rows, D.cols))]
     for i in range(D.rows):
         for j in range(D.cols):
@@ -37,12 +38,12 @@ def check_snf(A):
 
 
 def test_snf_examples():
-    assert snf_diag(kt.int_matrix([[2, 0], [0, 3]])) == [1, 6]
-    assert snf_diag(kt.identity_matrix(4)) == [1, 1, 1, 1]
-    assert snf_diag(kt.int_matrix(oracles.id_minus_cyclic(3))) == [1, 1, 0]
-    assert snf_diag(kt.int_matrix([[0, 0], [0, 0]])) == [0, 0]
-    assert snf_diag(kt.int_matrix([[6]])) == [6]
-    assert snf_diag(kt.int_matrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])) == [
+    assert snf_diag(oracles.int_matrix([[2, 0], [0, 3]])) == [1, 6]
+    assert snf_diag(oracles.identity_matrix(4)) == [1, 1, 1, 1]
+    assert snf_diag(oracles.int_matrix(oracles.id_minus_cyclic(3))) == [1, 1, 0]
+    assert snf_diag(oracles.int_matrix([[0, 0], [0, 0]])) == [0, 0]
+    assert snf_diag(oracles.int_matrix([[6]])) == [6]
+    assert snf_diag(oracles.int_matrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])) == [
         2,
         2,
         156,
@@ -54,7 +55,7 @@ def test_snf_random_matrices():
     for _ in range(500):
         n = rng.randint(1, 12)
         m = rng.randint(1, 12)
-        A = kt.int_matrix(
+        A = oracles.int_matrix(
             [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
         )
         check_snf(A)
@@ -66,7 +67,7 @@ def test_snf_matches_determinant_divisor_oracle():
         n = rng.randint(1, 5)
         m = rng.randint(1, 5)
         rows = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
-        diag = snf_diag(kt.int_matrix(rows))
+        diag = snf_diag(oracles.int_matrix(rows))
         expected = oracles.invariant_factors(rows)
         assert [d for d in diag if d != 0] == expected
 
@@ -76,41 +77,59 @@ def test_unimodularity_oracle_agreement():
     for _ in range(100):
         n = rng.randint(1, 5)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        M = kt.int_matrix(rows)
-        assert kt.is_unimodular(M) == (abs(oracles.det_over_Q(rows)) == 1)
+        M = oracles.int_matrix(rows)
+        assert oracles.is_unimodular(M) == (abs(oracles.det_over_Q(rows)) == 1)
 
 
-def test_k0_class():
-    spec = space.finite_cycle(4)
-    P = [space.finite_cycle_set(spec, [0, 1]), space.finite_cycle_set(spec, [2, 3])]
-    lvl = kt.K0Level(tuple(P))
-    assert kt.k0_class(space.finite_cycle_set(spec, [0, 1]), lvl) == (1, 0)
-    assert kt.k0_class(space.whole_space(spec), lvl) == (1, 1)
-    assert kt.k0_class(space.empty_set(spec), lvl) == (0, 0)
-    with pytest.raises(NotMeasurable):
-        kt.k0_class(space.finite_cycle_set(spec, [0]), lvl)
+def oracle_level(P):
+    """(k0 rank, k0 torsion, k1 rank) from the all-pairs induced matrix
+    and the Smith form of 1 - alpha*; None when the map is not square."""
+    images = [space.apply_h(c, 1) for c in P]
+    M = oracles.induced_matrix(P, images, space.is_subset)
+    if M is None:
+        return None
+    A = oracles.mat_sub(oracles.identity_matrix(len(P)), oracles.int_matrix(M))
+    diag = snf_diag(A)
+    k1_rank = sum(1 for d in diag if d == 0) + (A.cols - len(diag))
+    k0_rank = A.rows - sum(1 for d in diag if d != 0)
+    return k0_rank, [d for d in diag if d > 1], k1_rank
+
+
+def cycle_level(P):
+    """The same triple from level_report; None on NeedsRefinement."""
+    try:
+        data = kt.level_report(P, 1)
+    except NeedsRefinement:
+        return None
+    return data["k0"]["rank"], data["k0"]["torsion"], data["k1"]["rank"]
 
 
 def test_alpha_star_cycle_is_permutation():
     spec = space.finite_cycle(5)
     P = tuple(space.finite_cycle_set(spec, [i]) for i in range(5))
-    M = kt.alpha_star(kt.K0Level(P))
-    assert M.to_lists() == oracles.cyclic_matrix(5)
+    perm = kt.alpha_star(P)
+    assert perm == [1, 2, 3, 4, 0]
+    M = [[1 if i == perm[j] else 0 for j in range(5)] for i in range(5)]
+    assert M == oracles.cyclic_matrix(5)
 
 
 def test_alpha_star_odometer_is_permutation():
     spec = space.odometer(2)
     for n in (1, 2, 3):
-        P = tuple(space.generating_partition(spec, n))
-        M = kt.alpha_star(kt.K0Level(P))
-        # permutation matrix: each row and column sums to one
-        for row in M.entries:
-            assert sum(row) == 1
-        for col in zip(*M.entries):
-            assert sum(col) == 1
+        P = space.generating_partition(spec, n)
+        perm = kt.alpha_star(P)
+        assert sorted(perm) == list(range(len(P)))
+        # the all-pairs matrix is the matrix of perm
+        images = [space.apply_h(c, 1) for c in P]
+        M = oracles.induced_matrix(P, images, space.is_subset)
+        assert M == [
+            [1 if i == perm[j] else 0 for j in range(len(P))]
+            for i in range(len(P))
+        ]
         # single cycle through all 2^n cells
-        rows = M.to_lists()
-        A = kt.mat_sub(kt.identity_matrix(len(P)), M)
+        A = oracles.mat_sub(
+            oracles.identity_matrix(len(P)), oracles.int_matrix(M)
+        )
         assert oracles.rank_over_Q(A.to_lists()) == len(P) - 1
 
 
@@ -120,18 +139,78 @@ def test_alpha_star_needs_refinement_branch():
         space.shift_set(spec, [0]),
         space.complement(space.shift_set(spec, [0])),
     )
-    result = kt.alpha_star(kt.K0Level(P))
-    assert isinstance(result, tuple)
-    fine, inclusion, alpha = result
-    assert fine.rank > 2
-    # inclusion expresses each coarse cell as a sum of fine cells
-    assert inclusion.rows == 2 and inclusion.cols == fine.rank
-    for row in inclusion.entries:
-        assert sum(row) >= 1
-    # alpha is rectangular: fine classes mapped to coarse image classes
-    assert alpha.rows == fine.rank and alpha.cols == 2
-    for row in alpha.entries:
-        assert sum(row) == 1
+    with pytest.raises(NeedsRefinement):
+        kt.alpha_star(P)
+    # {0} lies in neither image, so the all-pairs matrix is not square
+    images = [space.apply_h(c, 1) for c in P]
+    assert oracles.induced_matrix(P, images, space.is_subset) is None
+
+
+_CYCLE4 = space.finite_cycle(4)
+_QUOTIENT = space.quotient_product(space.finite_cycle(3))
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        tuple(
+            space.finite_cycle_set(_CYCLE4, g)
+            for g in ([0, 1], [1, 2], [2, 3], [3, 0])
+        ),
+        (space.whole_space(_CYCLE4), space.empty_set(_CYCLE4)),
+        (space.quotient_set(_QUOTIENT, {0: space.whole_space(_QUOTIENT.fiber)}),),
+    ],
+    ids=["overlapping", "empty-cell", "missed-points"],
+)
+def test_alpha_star_rejects_non_partitions(P):
+    # h permutes the sets of each case, so only the partition check
+    # stands between them and a permutation
+    assert {space.apply_h(c, 1) for c in P} == set(P)
+    with pytest.raises(ValueError):
+        kt.alpha_star(P)
+
+
+MAX_ORACLE_CELLS = 128
+
+
+def test_cycle_count_matches_oracle_on_generating_levels():
+    compared, skipped, verdicts = 0, 0, set()
+    for spec in genutil.all_specs():
+        for n in range(1, 7):
+            P = space.generating_partition(spec, n)
+            if len(P) > MAX_ORACLE_CELLS:
+                skipped += 1
+                continue
+            got = cycle_level(P)
+            assert got == oracle_level(P), (spec.family, n)
+            compared += 1
+            verdicts.add(got is not None)
+    # the quotient of the odometer has 129, 321 and 769 cells at depths 4-6
+    assert (compared, skipped) == (27, 3)
+    assert verdicts == {True, False}
+
+
+def test_cycle_count_matches_oracle_on_random_cycle_partitions():
+    rng = random.Random(1017)
+    verdicts = []
+    for _ in range(200):
+        M = rng.randint(1, 12)
+        spec = space.finite_cycle(M)
+        if rng.random() < 0.5:
+            # the residues mod a divisor of M: h permutes them
+            d = rng.choice([d for d in range(1, M + 1) if M % d == 0])
+            groups = [list(range(r, M, d)) for r in range(d)]
+        else:
+            k = rng.randint(1, M)
+            labels = [rng.randrange(k) for _ in range(M)]
+            groups = [[x for x in range(M) if labels[x] == g] for g in range(k)]
+            groups = [g for g in groups if g]
+        rng.shuffle(groups)
+        P = tuple(space.finite_cycle_set(spec, g) for g in groups)
+        got = cycle_level(P)
+        assert got == oracle_level(P), groups
+        verdicts.append(got is not None)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_permutation_kernel_rank_is_cycle_count():
@@ -152,7 +231,7 @@ def test_permutation_kernel_rank_is_cycle_count():
             while x not in seen:
                 seen.add(x)
                 x = perm[x]
-        diag = snf_diag(kt.int_matrix(A))
+        diag = snf_diag(oracles.int_matrix(A))
         assert sum(1 for d in diag if d == 0) == cycles
         assert oracles.rank_over_Q(A) == n - cycles
 
@@ -161,10 +240,9 @@ def test_permutation_kernel_rank_is_cycle_count():
 def test_pv_level_cycle(M):
     spec = space.finite_cycle(M)
     P = tuple(space.finite_cycle_set(spec, [i]) for i in range(M))
-    data = kt.pv_level(kt.K0Level(P))
-    assert data["k1_rank"] == 1
-    assert data["k0_presentation"] == (1, [])
-    assert data["k1_torsion"] == []
+    data = kt.level_report(P, 1)
+    assert data["k1"] == {"rank": 1}
+    assert data["k0"] == {"rank": 1, "torsion": []}
     if M <= 6:
         expected = oracles.invariant_factors(oracles.id_minus_cyclic(M))
         assert all(d == 1 for d in expected)
@@ -173,8 +251,8 @@ def test_pv_level_cycle(M):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_pv_level_odometer(n):
     spec = space.odometer(2)
-    lvl = kt.K0Level(tuple(space.generating_partition(spec, n)))
-    assert kt.level_report(lvl, n) == {
+    P = space.generating_partition(spec, n)
+    assert kt.level_report(P, n) == {
         "level": n,
         "k1": {"rank": 1},
         "k0": {"rank": 1, "torsion": []},
@@ -187,69 +265,5 @@ def test_pv_level_needs_refinement():
         space.shift_set(spec, [0]),
         space.complement(space.shift_set(spec, [0])),
     )
-    with pytest.raises(NeedsRefinement) as e:
-        kt.pv_level(kt.K0Level(P))
-    assert e.value.finer_level.rank > 2
-    assert e.value.inclusion.rows == 2
-    assert e.value.alpha.cols == 2
-
-
-def test_connecting_map_functorial():
-    spec = space.odometer(2)
-    l1 = kt.K0Level(tuple(space.generating_partition(spec, 1)))
-    l2 = kt.K0Level(tuple(space.generating_partition(spec, 2)))
-    l3 = kt.K0Level(tuple(space.generating_partition(spec, 3)))
-    m12 = kt.connecting_map(l1, l2)
-    m23 = kt.connecting_map(l2, l3)
-    m13 = kt.connecting_map(l1, l3)
-    assert kt.mat_mul(m12, m23).entries == m13.entries
-    # classes are compatible along the maps
-    E = space.cylinder(spec, (0,))
-    v1 = kt.k0_class(E, l1)
-    v3 = kt.k0_class(E, l3)
-    lifted = [
-        sum(m13[(i, j)] * v3[j] for j in range(m13.cols))
-        for i in range(m13.rows)
-    ]
-    # E is a single coarse cell, so its fine indicator sums back cellwise
-    assert [1 if x else 0 for x in lifted] == list(v1)
-    with pytest.raises(NotFiner):
-        kt.connecting_map(l3, l1)
-
-
-def test_delta_class():
-    fiber = space.finite_cycle(3)
-    spec = space.quotient_product(fiber)
-    lvl = kt.K0Level(tuple(space.generating_partition(spec, 1)))
-    assert all(
-        x == 1 for x in kt.delta_class(space.whole_space(spec), lvl)
-    )
-    assert all(x == 0 for x in kt.delta_class(space.empty_set(spec), lvl))
-    moving = space.quotient_set(
-        spec, {0: space.finite_cycle_set(fiber, [0])}
-    )
-    with pytest.raises(NotInvariant):
-        kt.delta_class(moving, lvl)
-    # a full-fiber slice is invariant, measurable only at finer levels
-    sat = space.quotient_set(spec, {0: space.whole_space(fiber)})
-    lvl2 = kt.K0Level(tuple(space.generating_partition(spec, 1)))
-    vec = kt.delta_class(sat, lvl2)
-    assert sum(vec) >= 1
-    # a fiber-saturated invariant slice on the two point family
-    tspec = space.compactified_shift()
-    tl = kt.K0Level((space.whole_space(tspec),))
-    assert kt.delta_class(space.whole_space(tspec), tl) == (1,)
-
-
-def test_random_indicator_classes_additive():
-    rng = random.Random(1013)
-    for spec in genutil.all_specs():
-        P = tuple(space.generating_partition(spec, 2))
-        lvl = kt.K0Level(P)
-        for _ in range(25):
-            chosen = [c for c in P if rng.random() < 0.5]
-            E = space.empty_set(spec)
-            for c in chosen:
-                E = space.union(E, c)
-            vec = kt.k0_class(E, lvl)
-            assert sum(vec) == len(chosen)
+    with pytest.raises(NeedsRefinement):
+        kt.level_report(P, 1)
