@@ -227,6 +227,8 @@ def _check_args(args):
     for name in ("depth", "N"):
         if getattr(args, name) < 1:
             raise ValueError("--%s must be >= 1" % name)
+    if args.max_steps is not None and args.max_steps < 1:
+        raise ValueError("--max-steps must be >= 1")
 
 
 def main(argv=None):

@@ -2,6 +2,17 @@
 elements sum_n f_n u^n, where each f_n is a step function over clopen
 sets and u implements the dynamics: u^n chi_E = chi_{h^n(E)} u^n.
 
+A step function is stored as ((scalar, set), ...) with disjoint sets,
+one per scalar, ordered by sort_key.  It is computed as an atom ->
+scalar map: at a common scale every set involved is a bitmask over the
+family's finite atoms (SystemSpec.atoms), so sums and products take one
+pass over atoms instead of splitting every piece against every other.
+Each atom adds its scalars in piece order, v_k = v_(k-1) + c_k.  A
+disjoint-piece accumulator, which splits each new piece against every
+earlier one, forms c_k + v_(k-1) instead; IEEE addition is commutative,
+so the scalars agree bit for bit, and canonical sets are unique, so the
+sets agree too (tests/oracles.py keeps that accumulator as the oracle).
+
 Also builds the tower matrix units, the intertwining unitaries of a
 return-system pair, the identity suite they satisfy, and the dimension
 data of the resulting circle-algebra approximant.
@@ -10,17 +21,20 @@ data of the resulting circle-algebra approximant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from . import space
 from .errors import IncompatiblePair, InvalidSystem, MixedSystems
 from .space import (
+    ClopenSet,
     apply_h,
+    atom_indices,
+    atom_mask,
     complement,
-    difference,
     disjoint_union,
     empty_set,
     intersect,
-    is_empty,
     sort_key,
     union,
     whole_space,
@@ -30,40 +44,43 @@ from .towers import hat_base, tower_levels
 EXACT_SCALARS = (0, 1, -1, 1j, -1j)
 
 
-def _sf_accumulate(acc, pieces):
-    """Add step-function pieces into a disjoint-piece accumulator."""
-    for c, E in pieces:
-        rem = E
-        out = []
-        for d, F in acc:
-            I = intersect(rem, F)
-            if is_empty(I):
-                out.append((d, F))
-                continue
-            out.append((c + d, I))
-            left = difference(F, I)
-            if not is_empty(left):
-                out.append((d, left))
-            rem = difference(rem, I)
-        if not is_empty(rem):
-            out.append((c, rem))
-        acc = out
-    return acc
+def _sf_from_atoms(spec, s, values, known):
+    """Canonical step function of an atom -> scalar map at scale s:
+    atoms grouped by scalar, zeros dropped, one set per scalar, cells
+    ordered by sort_key.  `known` maps the masks of sets at hand to the
+    sets; a cell equal to one of them is that set, since canonical forms
+    are unique, so it is shared instead of built again."""
+    groups = {}
+    # runs of equal scalars come from one piece; each run joins its group
+    for c, run in groupby(values.items(), itemgetter(1)):
+        if c != 0:
+            groups.setdefault(complex(c), []).extend(map(itemgetter(0), run))
+    out = []
+    for c, xs in groups.items():
+        mask = atom_mask(xs)
+        E = known.get(mask)
+        if E is None:
+            E = ClopenSet(spec, spec.from_atoms(mask, s))
+        out.append((c, E))
+    out.sort(key=lambda ce: sort_key(ce[1]))
+    return tuple(out)
 
 
 def _sf_canon(spec, pieces):
-    """Canonical step function: disjoint supports, equal scalars merged,
-    zeros dropped, cells ordered deterministically."""
-    acc = _sf_accumulate([], [(c, E) for c, E in pieces if not is_empty(E)])
-    by_scalar = {}
-    for c, E in acc:
-        if c == 0:
-            continue
-        key = complex(c)
-        by_scalar[key] = union(by_scalar[key], E) if key in by_scalar else E
-    out = [(c, E) for c, E in by_scalar.items() if not is_empty(E)]
-    out.sort(key=lambda ce: sort_key(ce[1]))
-    return tuple(out)
+    """Canonical step function of a list of (scalar, set) pieces: each
+    atom sums the scalars of the pieces over it, in piece order."""
+    s = spec.atom_scale([E.data for _, E in pieces])
+    values = {}
+    known = {}
+    covered = 0
+    for c, E in pieces:
+        mask = spec.atoms(E.data, s)
+        known.setdefault(mask, E)
+        for x in atom_indices(mask & covered):
+            values[x] = values[x] + c
+        values.update(dict.fromkeys(atom_indices(mask & ~covered), c))
+        covered |= mask
+    return _sf_from_atoms(spec, s, values, known)
 
 
 @dataclass(frozen=True)
@@ -82,7 +99,9 @@ class CPElement:
 
 
 def cp_element(spec, terms):
-    """Build a canonical element from {n: [(scalar, set), ...]}."""
+    """Build a canonical element from {n: [(scalar, set), ...]}: per
+    term, each atom at the common scale of the term's sets sums the
+    scalars of the pieces over it, in piece order."""
     out = []
     for n, pieces in terms.items():
         sf = _sf_canon(spec, pieces)
@@ -130,17 +149,50 @@ def scale(a, c):
 
 
 def multiply(a, b):
+    """The product, by (f u^n)(g u^m) = f (g composed with h^-n) u^(n+m).
+
+    All sets of a and the images h^n(F) of the sets of b are unions of
+    atoms at one common scale.  For each term f u^n of a, f becomes an
+    atom -> scalar map; each piece d chi_F of each term of b then walks
+    the atoms of h^n(F) inside the support of f and adds c d into the
+    map of term n+m.  The cells of f and of g are disjoint, so within one
+    (n, m) pair at most one product reaches an atom, and the products of
+    an atom arrive in increasing n, the order in which the all-pairs
+    loop over n, m, the cells of f and the cells of g listed them."""
     _check(a, b)
-    terms = {}
+    spec = a.spec
+    shifted = {
+        n: [(m, [(d, apply_h(F, n)) for d, F in sf_b]) for m, sf_b in b.terms]
+        for n, _ in a.terms
+    }
+    s = spec.atom_scale(
+        [E.data for _, sf in a.terms for _, E in sf]
+        + [F.data for ts in shifted.values() for _, sf in ts for _, F in sf]
+    )
+    values = {}
+    known = {}
     for n, sf_a in a.terms:
-        for m, sf_b in b.terms:
-            # (f u^n)(g u^m) = f * (g composed with h^{-n}) u^{n+m}
-            for c, E in sf_a:
-                for d, F in sf_b:
-                    I = intersect(E, apply_h(F, n))
-                    if not is_empty(I):
-                        terms.setdefault(n + m, []).append((c * d, I))
-    return cp_element(a.spec, terms)
+        f = {}
+        support = 0
+        for c, E in sf_a:
+            mask = spec.atoms(E.data, s)
+            known.setdefault(mask, E)
+            support |= mask
+            f.update(dict.fromkeys(atom_indices(mask), c))
+        for m, sf_b in shifted.pop(n):
+            out = values.setdefault(n + m, {})
+            for d, F in sf_b:
+                mask = spec.atoms(F.data, s)
+                known.setdefault(mask, F)
+                for x in atom_indices(support & mask):
+                    p = f[x] * d
+                    out[x] = out[x] + p if x in out else p
+    terms = []
+    for k in sorted(values):
+        sf = _sf_from_atoms(spec, s, values.pop(k), known)
+        if sf:
+            terms.append((k, sf))
+    return CPElement(spec, tuple(terms))
 
 
 def adjoint(a):

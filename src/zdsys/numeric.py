@@ -65,11 +65,16 @@ def represent(a, points=None):
     index = {p: i for i, p in enumerate(points)}
     M = np.zeros((len(points), len(points)), dtype=complex)
     for n, sf in a.terms:
+        # the (x, y) entries with h^n(y) = x inside the window, in y order
+        moves = []
+        for y in points:
+            x = point_apply_h(spec, y, n)
+            if x in index:
+                moves.append((x, index[x], index[y]))
         for c, E in sf:
-            for y in points:
-                x = point_apply_h(spec, y, n)
-                if x in index and contains_point(E, x):
-                    M[index[x], index[y]] += c
+            for x, i, j in moves:
+                if contains_point(E, x):
+                    M[i, j] += c
     return CompactMatrixRep(spec, tuple(points), M)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, fields
+from itertools import compress, count
 from typing import ClassVar
 
 from .errors import (
@@ -65,8 +66,18 @@ class SystemSpec:
     return ClopenSets.  Every family defines make, union, intersect,
     complement, apply_h, point_apply_h, contains_point,
     generating_partition, sort_key, sample_points, set_to_dict,
-    set_from_dict, scale, enumerate_points, canonical_bases and
-    base_witness; the methods below are shared.
+    set_from_dict, scale, enumerate_points, canonical_bases,
+    base_witness and the atom triple:
+
+    - atom_scale(ds): the least scale s at which every set of the list
+      ds is a union of the family's atoms;
+    - atoms(d, s): the set as an int bitmask over the atoms at scale s,
+      for s at least atom_scale([d]) (componentwise for a pair);
+    - from_atoms(mask, s): the canonical data of the union of the atoms
+      in mask.
+
+    At one scale, union, intersection and complement are |, & and XOR
+    with the mask of X.  The methods below are shared.
     """
 
     family: ClassVar[str]
@@ -198,6 +209,16 @@ class FiniteCycle(SystemSpec):
 
     def scale(self, d):
         return self.period
+
+    def atom_scale(self, ds):
+        # the atoms are the points at every scale
+        return 0
+
+    def atoms(self, d, s):
+        return atom_mask(d)
+
+    def from_atoms(self, mask, s):
+        return frozenset(atom_indices(mask))
 
     def enumerate_points(self, d):
         return sorted(d)
@@ -405,6 +426,16 @@ class Odometer(SystemSpec):
     def scale(self, d):
         return self.base ** d[0]
 
+    def atom_scale(self, ds):
+        # the atoms at scale s are the residues mod b^s
+        return max((d[0] for d in ds), default=0)
+
+    def atoms(self, d, s):
+        return self._lift(d[0], d[1], s)
+
+    def from_atoms(self, mask, s):
+        return self._lower(s, mask)
+
     def enumerate_points(self, d):
         if not self.is_empty(d):
             raise NotCompactlySupported("cylinder sets are not finite point sets")
@@ -506,6 +537,22 @@ class CompactifiedShift(SystemSpec):
 
     def scale(self, d):
         return max((abs(p) for p in d[0]), default=0) + 1
+
+    def atom_scale(self, ds):
+        # the atoms at scale s are the integers p with |p| < s, at bit
+        # p + s, and the rest of X, inf included, at bit 0
+        return _window_scale(ds)
+
+    def atoms(self, d, s):
+        fs, c = d
+        mask = atom_mask(map(s.__add__, fs))
+        return mask ^ ((1 << 2 * s) - 1) if c else mask
+
+    def from_atoms(self, mask, s):
+        c = bool(mask & 1)
+        if c:
+            mask ^= (1 << 2 * s) - 1
+        return (frozenset(map((-s).__add__, atom_indices(mask))), c)
 
     def enumerate_points(self, d):
         pts, cofinite = d
@@ -640,6 +687,27 @@ class TwoPointShift(SystemSpec):
 
     def scale(self, d):
         return max((abs(p) for p in d[0]), default=0) + 1
+
+    def atom_scale(self, ds):
+        # the atoms at scale s are the integers p with |p| < s, at bit
+        # p + s, the minus tail, -inf included, at bit 0 and the plus
+        # tail, +inf included, at bit 2s
+        return _window_scale(ds)
+
+    def _tail_atoms(self, tm, tp, s):
+        """The mask of the set with tails tm, tp and no differences."""
+        minus = (1 << s) - 1 if tm else 0
+        plus = ((1 << s + 1) - 1) << s if tp else 0
+        return minus | plus
+
+    def atoms(self, d, s):
+        fs, tm, tp = d
+        return self._tail_atoms(tm, tp, s) ^ atom_mask(map(s.__add__, fs))
+
+    def from_atoms(self, mask, s):
+        tm, tp = bool(mask & 1), bool(mask >> 2 * s & 1)
+        diff = mask ^ self._tail_atoms(tm, tp, s)
+        return (frozenset(map((-s).__add__, atom_indices(diff))), tm, tp)
 
     def enumerate_points(self, d):
         pts, tm, tp = d
@@ -785,6 +853,43 @@ class QuotientProduct(SystemSpec):
         win = max((abs(k) for k, _ in d[1]), default=0) + 1
         return max(inner, win)
 
+    def atom_scale(self, ds):
+        # the atoms at scale (w, sf) are the fiber atoms at scale sf of
+        # each slice k with |k| < w, slice k at bits from (k + w - 1)
+        # times the fiber atom count, and the tail, inf included, above
+        slices = [kv for d in ds for kv in d[1]]
+        w = max((abs(k) for k, _ in slices), default=0) + 1
+        return (w, self.fiber.atom_scale([fs.data for _, fs in slices]))
+
+    def _fiber_atoms(self, sf):
+        """(mask of the whole fiber at scale sf, fiber atom count)."""
+        full = self.fiber.atoms(whole_space(self.fiber).data, sf)
+        return full, full.bit_length()
+
+    def atoms(self, d, s):
+        w, sf = s
+        full, width = self._fiber_atoms(sf)
+        tail, slices = d
+        default = full if tail else 0
+        mask = (1 << (2 * w - 1) * width + 1) - 1 if tail else 0
+        for k, fs in slices:
+            block = default ^ self.fiber.atoms(fs.data, sf)
+            mask ^= block << (k + w - 1) * width
+        return mask
+
+    def from_atoms(self, mask, s):
+        w, sf = s
+        full, width = self._fiber_atoms(sf)
+        tail = bool(mask >> (2 * w - 1) * width & 1)
+        default = full if tail else 0
+        items = []
+        for i in range(2 * w - 1):
+            block = mask >> i * width & full
+            if block != default:
+                fs = ClopenSet(self.fiber, self.fiber.from_atoms(block, sf))
+                items.append((i - w + 1, fs))
+        return (tail, tuple(items))
+
     def enumerate_points(self, d):
         tail, slices = d
         if tail:
@@ -860,6 +965,14 @@ class QuotientProduct(SystemSpec):
 _SPEC_CLASSES = {cls.family: cls for cls in SystemSpec.__subclasses__()}
 
 
+def _window_scale(ds):
+    """One more than the largest |p| over the F of the shift-type data."""
+    fs = [d[0] for d in ds if d[0]]
+    hi = max(map(max, fs), default=0)
+    lo = min(map(min, fs), default=0)
+    return max(hi, -lo) + 1
+
+
 def _json_int(value, what):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError("%s must be an integer" % what)
@@ -912,11 +1025,6 @@ quotient_set = QuotientProduct.make
 def cylinder(spec, word):
     """The odometer cylinder of all strings starting with `word`."""
     return odometer_set(spec, [word])
-
-
-def quotient_window(a):
-    """The sorted indices of the slices stored for a quotient set."""
-    return a.spec.window(a.data)
 
 
 # ---------------------------------------------------------------------------
@@ -1049,6 +1157,29 @@ def refine_by(P, pieces):
                     out.append(c)
         current = tuple(out)
     return current
+
+
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def atom_mask(indices):
+    """The atom mask of distinct atom indices."""
+    return sum(map((1).__lshift__, indices))
+
+
+def atom_indices(mask):
+    """The indices of the atoms in an atom mask, in increasing order."""
+    if mask.bit_count() <= 8:
+        # few atoms: peel off the lowest one at a time
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+    # many atoms: one flag byte per bit, least significant first
+    flags = bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
+    return list(compress(count(), flags))
 
 
 def generating_partition(spec, n):

@@ -278,15 +278,8 @@ def finer_system_criterion(S, S2):
     return True
 
 
-def min_return_stats(S):
-    """(min J over all towers, min J over the non-leading towers or None)."""
-    all_j = [c.J for towers in S.towers for c in towers]
-    rest = [c.J for towers in S.towers for c in towers[1:]]
-    return (min(all_j), min(rest) if rest else None)
-
-
 # ---------------------------------------------------------------------------
-# fiberwise check and nested systems
+# fiberwise check
 # ---------------------------------------------------------------------------
 
 
@@ -314,30 +307,6 @@ def check_fiberwise(spec, depth, max_steps=None):
         last_bases = bases
     witnesses = tuple(spec.base_witness(b) for b in last_bases)
     return FiberwiseReport(True, depth, witnesses, None)
-
-
-def nested_systems(spec, depth, max_steps=None):
-    """The systems over the canonical bases at levels 1..depth; bases
-    shrink level to level and levels refine the generating partitions."""
-    report = check_fiberwise(spec, depth, max_steps)
-    if not report.verdict:
-        raise InvalidSystem(
-            "spec fails the fiberwise check at depth %d" % report.depth
-        )
-    out = []
-    prev = None
-    for n in range(1, depth + 1):
-        bases = spec.canonical_bases(n)
-        P = generating_partition(spec, n)
-        S = build_from_bases(bases, P, max_steps)
-        P1, _ = tower_partitions(S)
-        assert is_finer(P1, P)
-        if prev is not None:
-            for b in bases:
-                assert any(is_subset(b, c) for c in prev.bases)
-        out.append(S)
-        prev = S
-    return out
 
 
 # ---------------------------------------------------------------------------

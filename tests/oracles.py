@@ -314,3 +314,77 @@ def first_return_time(step, member, point, max_steps):
         if member(q):
             return n
     return None
+
+
+def sf_accumulate(acc, pieces, intersect, difference, is_empty):
+    """Add step-function pieces (scalar, set) into a list of pieces with
+    disjoint sets: each new piece splits every earlier piece it meets,
+    and the overlap carries the new scalar plus the earlier one."""
+    for c, E in pieces:
+        rem = E
+        out = []
+        for d, F in acc:
+            I = intersect(rem, F)
+            if is_empty(I):
+                out.append((d, F))
+                continue
+            out.append((c + d, I))
+            left = difference(F, I)
+            if not is_empty(left):
+                out.append((d, left))
+            rem = difference(rem, I)
+        if not is_empty(rem):
+            out.append((c, rem))
+        acc = out
+    return acc
+
+
+def sf_canon(pieces, ops):
+    """Canonical step function by the accumulator: disjoint sets, equal
+    scalars merged under complex(), zeros dropped, cells ordered by
+    ops.sort_key.  `ops` gives intersect, difference, union, is_empty
+    and sort_key."""
+    acc = sf_accumulate(
+        [],
+        [(c, E) for c, E in pieces if not ops.is_empty(E)],
+        ops.intersect,
+        ops.difference,
+        ops.is_empty,
+    )
+    by_scalar = {}
+    for c, E in acc:
+        if c == 0:
+            continue
+        key = complex(c)
+        by_scalar[key] = (
+            ops.union(by_scalar[key], E) if key in by_scalar else E
+        )
+    out = list(by_scalar.items())
+    out.sort(key=lambda ce: ops.sort_key(ce[1]))
+    return tuple(out)
+
+
+def canonical_terms(terms, ops):
+    """Canonical terms ((n, step function), ...) of {n: pieces}."""
+    out = []
+    for n, pieces in sorted(terms.items()):
+        sf = sf_canon(pieces, ops)
+        if sf:
+            out.append((n, sf))
+    return tuple(out)
+
+
+def all_pairs_product(a_terms, b_terms, ops):
+    """{n + m: pieces} of the product of two elements given by their
+    terms: (f u^n)(g u^m) = f (g composed with h^-n) u^(n+m), one piece
+    c d on E & h^n(F) for every pair of cells.  `ops` also gives
+    apply_h."""
+    terms = {}
+    for n, sf_a in a_terms:
+        for m, sf_b in b_terms:
+            for c, E in sf_a:
+                for d, F in sf_b:
+                    I = ops.intersect(E, ops.apply_h(F, n))
+                    if not ops.is_empty(I):
+                        terms.setdefault(n + m, []).append((c * d, I))
+    return terms

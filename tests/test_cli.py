@@ -288,6 +288,8 @@ ODOMETER = space.odometer(2)
         (ODOMETER, ("tower", "--base", '{"points": [0]}')),
         (ODOMETER, ("ktheory", "--depth", "abc")),
         (ODOMETER, ("bogus",)),
+        (SHIFT, ("tower", "--max-steps", "0")),
+        (SHIFT, ("berg", "--max-steps", "-1")),
     ],
 )
 def test_bad_arguments_are_usage_errors(spec, argv, spec_file, capsys):
@@ -443,13 +445,14 @@ _BASES = st.sampled_from(
     ),
     depth=_SMALL_ARG,
     N=_SMALL_ARG,
+    max_steps=st.none() | _SMALL_ARG,
     epsilon=st.none()
     | st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.5", "2.5", "1e9"]),
     base=_mostly(st.none(), _BASES),
     fmt=st.sampled_from(["json", "text"]),
 )
 def test_cli_contract_holds_for_random_input(
-    spec_text, command, depth, N, epsilon, base, fmt
+    spec_text, command, depth, N, max_steps, epsilon, base, fmt
 ):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "spec.json")
@@ -457,6 +460,8 @@ def test_cli_contract_holds_for_random_input(
             f.write(spec_text)
         argv = [command, "--spec", path, "--depth=" + depth,
                 "--N=" + N, "--format=" + fmt]
+        if max_steps is not None:
+            argv.append("--max-steps=" + max_steps)
         if epsilon is not None:
             argv.append("--epsilon=" + epsilon)
         if base is not None:

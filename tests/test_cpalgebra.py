@@ -7,6 +7,7 @@ import random
 import pytest
 
 import genutil
+import oracles
 from zdsys import cpalgebra as cp
 from zdsys import space, towers
 from zdsys.errors import (
@@ -29,6 +30,52 @@ def random_element(spec, rng, max_terms=3, max_shift=3):
         c = complex(rng.randint(-2, 2), rng.randint(-2, 2))
         terms.setdefault(n, []).append((c, genutil.random_set(spec, rng)))
     return cp.cp_element(spec, terms)
+
+
+def random_float_terms(spec, rng):
+    """{n: pieces} with random complex scalars; in every term at least
+    three pieces cover one nonempty set, so that sums of three or more
+    floats meet on an atom, and now and then a piece cancels another."""
+    core = space.empty_set(spec)
+    while space.is_empty(core):
+        core = genutil.random_set(spec, rng)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        pieces = []
+        for i in range(rng.randint(3, 6)):
+            E = genutil.random_set(spec, rng)
+            c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            pieces.append((c, space.union(E, core) if i < 3 else E))
+            if rng.random() < 0.2:
+                pieces.append((-c, E))
+        rng.shuffle(pieces)
+        terms[rng.randint(-3, 3)] = pieces
+    return terms
+
+
+@pytest.mark.parametrize("spec", genutil.all_specs())
+def test_step_functions_match_accumulator_oracle(spec):
+    """The atom maps give the terms of the all-pairs accumulator, floats
+    equal with ==, since each atom sums its scalars in the same order."""
+    rng = random.Random(67)
+    for _ in range(12):
+        ta, tb = random_float_terms(spec, rng), random_float_terms(spec, rng)
+        a, b = cp.cp_element(spec, ta), cp.cp_element(spec, tb)
+        assert a.terms == oracles.canonical_terms(ta, space)
+        both = {}
+        for n, sf in a.terms + b.terms:
+            both.setdefault(n, []).extend(sf)
+        assert cp.add(a, b).terms == oracles.canonical_terms(both, space)
+        star = {
+            -n: [(complex(c).conjugate(), space.apply_h(E, -n)) for c, E in sf]
+            for n, sf in a.terms
+        }
+        assert cp.adjoint(a).terms == oracles.canonical_terms(star, space)
+        for x, y in ((a, b), (b, a), (a, cp.adjoint(a))):
+            product = oracles.all_pairs_product(x.terms, y.terms, space)
+            assert cp.multiply(x, y).terms == oracles.canonical_terms(
+                product, space
+            )
 
 
 def test_covariance_relation():

@@ -1,5 +1,6 @@
-"""Every module-level import of the package is read in its module, and
-every error class of the package is raised somewhere in it."""
+"""Every module-level import of the package is read in its module,
+every error class of the package is raised somewhere in it, and every
+module-level function is used in it or is public API."""
 
 import ast
 import glob
@@ -81,3 +82,72 @@ def test_every_error_class_is_raised():
         with open(path) as f:
             raised |= raised_names(f.read())
     assert [name for name in subclasses if name not in raised] == []
+
+
+# Module-level functions that nothing in the package calls, kept as
+# documented, tested API for library users.
+PUBLIC_API = {
+    # the restriction of an element to one fiber, a *-homomorphism
+    "cpalgebra.fiber_restrict",
+    # the odometer cylinder of a word, the basic odometer set
+    "space.cylinder",
+    # the paper's finer-system relation between two return systems
+    "towers.finer_system_criterion",
+    # the inverse of system_to_dict, which the tower report writes
+    "towers.system_from_dict",
+}
+
+
+def unreferenced_functions(sources):
+    """"module.name" of the module-level functions of sources, a dict
+    {module: source}, that no code in them reads as a name or attribute
+    outside the function's own body.  Names match across modules, so a
+    function counts as used when any same-named thing is read."""
+    defs = []
+    reads = set()  # (name read, module, module-level function holding it)
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            owner = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = top.name
+                defs.append((module, owner))
+            for n in ast.walk(top):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    reads.add((n.id, module, owner))
+                elif isinstance(n, ast.Attribute):
+                    reads.add((n.attr, module, owner))
+    used = {
+        (module, name)
+        for module, name in defs
+        for read, m, owner in reads
+        if read == name and (m, owner) != (module, name)
+    }
+    return ["%s.%s" % d for d in defs if d not in used]
+
+
+def test_unreferenced_functions_scanner():
+    a = (
+        "def f():\n    return f()\n"  # only calls itself
+        "def g():\n    pass\n"
+        "def h():\n    pass\n"
+        "TABLE = {'h': h}\n"
+        "class C:\n    def f(self):\n        pass\n"
+    )
+    b = "import a\n\ndef k():\n    return a.g()\n"
+    assert unreferenced_functions({"a": a, "b": b}) == ["a.f", "b.k"]
+
+
+def test_every_function_is_used_or_public():
+    sources = {}
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path) as f:
+            sources[os.path.basename(path)[:-3]] = f.read()
+    assert sorted(set(unreferenced_functions(sources)) - PUBLIC_API) == []
+    # the list names only functions that exist
+    defined = {
+        "%s.%s" % (module, top.name)
+        for module, source in sources.items()
+        for top in ast.parse(source).body
+        if isinstance(top, ast.FunctionDef)
+    }
+    assert sorted(PUBLIC_API - defined) == []

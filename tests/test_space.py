@@ -118,7 +118,7 @@ def test_quotient_canonical_drops_default_slices():
         tail=True,
     )
     # slice 0 equals the tail default and must not be stored
-    assert space.quotient_window(a) == [1]
+    assert spec.window(a.data) == [1]
     assert space.contains_point(a, (0, ((), (0,))))
     assert space.contains_point(a, space.INF)
 
@@ -164,6 +164,46 @@ def test_apply_h_is_boolean_automorphism(spec):
     assert space.apply_h(space.whole_space(spec), 3) == space.whole_space(
         spec
     )
+
+
+def coarser_scales(s):
+    """The atom scale s and some coarser ones; a quotient scale is a
+    (window, fiber scale) pair and coarsens in each part."""
+    if isinstance(s, tuple):
+        w, f = s
+        return [(w + i, g) for i in (0, 1, 3) for g in coarser_scales(f)]
+    return [s, s + 1, s + 3]
+
+
+@pytest.mark.parametrize("spec", genutil.all_specs())
+def test_atoms_are_a_boolean_isomorphism(spec):
+    rng = random.Random(83)
+    whole = space.whole_space(spec).data
+    for _ in range(40):
+        a = genutil.random_set(spec, rng)
+        b = genutil.random_set(spec, rng)
+        for s in coarser_scales(spec.atom_scale([a.data])):
+            assert spec.from_atoms(spec.atoms(a.data, s), s) == a.data
+        for s in coarser_scales(spec.atom_scale([a.data, b.data])):
+            ma, mb = spec.atoms(a.data, s), spec.atoms(b.data, s)
+            every = spec.atoms(whole, s)
+            assert spec.atoms(space.intersect(a, b).data, s) == ma & mb
+            assert spec.atoms(space.union(a, b).data, s) == ma | mb
+            assert spec.atoms(space.complement(a).data, s) == ma ^ every
+            # every mask is the mask of a set, in canonical form
+            m = rng.getrandbits(every.bit_length())
+            assert spec.atoms(spec.from_atoms(m, s), s) == m
+
+
+@pytest.mark.parametrize("spec", genutil.all_specs())
+def test_common_scale_of_images_holds_every_image(spec):
+    rng = random.Random(89)
+    for _ in range(40):
+        E = genutil.random_set(spec, rng)
+        images = [space.apply_h(E, n) for n in range(-5, 6)]
+        s = spec.atom_scale([X.data for X in images])
+        for X in images:
+            assert spec.from_atoms(spec.atoms(X.data, s), s) == X.data
 
 
 @pytest.mark.parametrize("spec", genutil.all_specs())

@@ -256,25 +256,6 @@ def test_check_fiberwise_witnesses():
     assert any(isinstance(w, tuple) for w in rep.z_witnesses)
 
 
-def test_nested_systems():
-    out = towers.nested_systems(ODO, 3)
-    assert [S.towers[0][0].J for S in out] == [2, 4, 8]
-    for n, S in enumerate(out, start=1):
-        P1, _ = towers.tower_partitions(S)
-        assert towers.is_finer(
-            P1, list(space.generating_partition(ODO, n))
-        )
-    for prev, nxt in zip(out, out[1:]):
-        for b in nxt.bases:
-            assert any(space.is_subset(b, c) for c in prev.bases)
-
-    cyc = towers.nested_systems(space.finite_cycle(4), 2)
-    assert [S.towers[0][0].J for S in cyc] == [4, 4]
-
-    sh = towers.nested_systems(SHIFT, 2)
-    assert all(S.T == 1 for S in sh)
-
-
 def test_adapted_pair_shift_example():
     U = space.shift_set(SHIFT, range(1, 8), cofinite=True)
     P = [U] + [space.shift_set(SHIFT, [i]) for i in range(1, 8)]
@@ -297,27 +278,23 @@ def test_adapted_pair_odometer_equal_systems():
     assert space.is_empty(towers.hat_base(S, 0))
 
 
+def min_return_time(S):
+    return min(c.J for tws in S.towers for c in tws)
+
+
 def test_adapted_pair_min_return_grows_with_N():
     # aperiodic family: every return time at least N
     for N in (2, 5, 9):
         P = list(space.generating_partition(ODO, 1))
         S, _ = towers.adapted_system_pair(ODO, P, N)
-        assert towers.min_return_stats(S)[0] >= N
+        assert min_return_time(S) >= N
 
 
 def test_cycle_always_has_short_return():
     # periodic family: some return time at most the period
     spec = space.finite_cycle(5)
     S = genutil.valid_system(spec)
-    assert towers.min_return_stats(S)[0] <= 5
-
-
-def test_min_return_stats():
-    S, base, P = shift_window_system(0, 7)
-    assert towers.min_return_stats(S) == (1, 7)
-    U = space.cylinder(ODO, (0, 0, 0))
-    S = towers.build_from_bases([U], [space.whole_space(ODO)])
-    assert towers.min_return_stats(S) == (8, None)
+    assert min_return_time(S) <= 5
 
 
 def test_adapted_pair_quotient():
