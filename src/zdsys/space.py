@@ -1059,11 +1059,6 @@ def is_empty(a):
     return a.spec.is_empty(a.data)
 
 
-def equals(a, b):
-    _check_same(a, b)
-    return a == b
-
-
 def is_subset(a, b):
     _check_same(a, b)
     return is_empty(difference(a, b))

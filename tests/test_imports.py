@@ -87,6 +87,8 @@ def test_every_error_class_is_raised():
 # Module-level functions that nothing in the package calls, kept as
 # documented, tested API for library users.
 PUBLIC_API = {
+    # the inverse of cpalgebra.to_dict, which identity-suite reports use
+    "cpalgebra.from_dict",
     # the restriction of an element to one fiber, a *-homomorphism
     "cpalgebra.fiber_restrict",
     # the odometer cylinder of a word, the basic odometer set
@@ -100,41 +102,58 @@ PUBLIC_API = {
 
 def unreferenced_functions(sources):
     """"module.name" of the module-level functions of sources, a dict
-    {module: source}, that no code in them reads as a name or attribute
-    outside the function's own body.  Names match across modules, so a
-    function counts as used when any same-named thing is read."""
+    {module: source} of the modules of one package, that no code of the
+    package reads outside the function's own body.  A read is a bare
+    name in the function's module, or in a module that imports it with
+    `from .module import name`, or an attribute of the module bound by
+    `from . import module`."""
     defs = []
-    reads = set()  # (name read, module, module-level function holding it)
+    used = set()
     for module, source in sources.items():
-        for top in ast.parse(source).body:
+        tree = ast.parse(source)
+        names = {}  # bare name -> (module, name) imported under it
+        modules = {}  # name -> module bound by `from . import module`
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    bound = alias.asname or alias.name
+                    if node.module is None:
+                        modules[bound] = alias.name
+                    else:
+                        names[bound] = (node.module, alias.name)
+        for top in tree.body:
             owner = None
             if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner = top.name
-                defs.append((module, owner))
+                owner = (module, top.name)
+                defs.append(owner)
             for n in ast.walk(top):
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                    reads.add((n.id, module, owner))
-                elif isinstance(n, ast.Attribute):
-                    reads.add((n.attr, module, owner))
-    used = {
-        (module, name)
-        for module, name in defs
-        for read, m, owner in reads
-        if read == name and (m, owner) != (module, name)
-    }
+                    ref = names.get(n.id, (module, n.id))
+                elif (
+                    isinstance(n, ast.Attribute)
+                    and isinstance(n.value, ast.Name)
+                    and n.value.id in modules
+                ):
+                    ref = (modules[n.value.id], n.attr)
+                else:
+                    continue
+                if ref != owner:
+                    used.add(ref)
     return ["%s.%s" % d for d in defs if d not in used]
 
 
 def test_unreferenced_functions_scanner():
     a = (
+        "from . import b\n"
+        "from .b import g as gee\n"
         "def f():\n    return f()\n"  # only calls itself
-        "def g():\n    pass\n"
         "def h():\n    pass\n"
         "TABLE = {'h': h}\n"
-        "class C:\n    def f(self):\n        pass\n"
+        "def run():\n    return b.k() + gee()\n"
     )
-    b = "import a\n\ndef k():\n    return a.g()\n"
-    assert unreferenced_functions({"a": a, "b": b}) == ["a.f", "b.k"]
+    # b.h shares its name with the used a.h
+    b = "def g():\n    pass\ndef k():\n    pass\ndef h():\n    pass\n"
+    assert unreferenced_functions({"a": a, "b": b}) == ["a.f", "a.run", "b.h"]
 
 
 def test_every_function_is_used_or_public():
