@@ -44,20 +44,21 @@ from .towers import hat_base, tower_levels
 EXACT_SCALARS = (0, 1, -1, 1j, -1j)
 
 
-def _sf_from_atoms(spec, s, values, known):
-    """Canonical step function of an atom -> scalar map at scale s:
-    atoms grouped by scalar, zeros dropped, one set per scalar, cells
+def _sf_from_atoms(spec, s, groups, values, known):
+    """Canonical step function at scale s of the atoms of a scalar ->
+    mask map `groups` and of an atom -> scalar map `values`: atoms
+    grouped by complex(scalar), zeros dropped, one set per scalar, cells
     ordered by sort_key.  `known` maps the masks of sets at hand to the
     sets; a cell equal to one of them is that set, since canonical forms
     are unique, so it is shared instead of built again."""
-    groups = {}
-    # runs of equal scalars come from one piece; each run joins its group
+    # consecutive atoms often share a scalar; each run joins its group
     for c, run in groupby(values.items(), itemgetter(1)):
         if c != 0:
-            groups.setdefault(complex(c), []).extend(map(itemgetter(0), run))
+            key = complex(c)
+            xs = map(itemgetter(0), run)
+            groups[key] = groups.get(key, 0) | atom_mask(xs)
     out = []
-    for c, xs in groups.items():
-        mask = atom_mask(xs)
+    for c, mask in groups.items():
         E = known.get(mask)
         if E is None:
             E = ClopenSet(spec, spec.from_atoms(mask, s))
@@ -67,20 +68,28 @@ def _sf_from_atoms(spec, s, values, known):
 
 
 def _sf_canon(spec, pieces):
-    """Canonical step function of a list of (scalar, set) pieces: each
-    atom sums the scalars of the pieces over it, in piece order."""
+    """Canonical step function of a list of (scalar, set) pieces: an
+    atom under one piece takes its scalar, and an atom under several
+    sums their scalars in piece order."""
     s = spec.atom_scale([E.data for _, E in pieces])
-    values = {}
+    masks = []
     known = {}
-    covered = 0
+    covered = shared = 0
     for c, E in pieces:
         mask = spec.atoms(E.data, s)
         known.setdefault(mask, E)
-        for x in atom_indices(mask & covered):
-            values[x] = values[x] + c
-        values.update(dict.fromkeys(atom_indices(mask & ~covered), c))
+        shared |= mask & covered
         covered |= mask
-    return _sf_from_atoms(spec, s, values, known)
+        masks.append((c, mask))
+    groups = {}
+    values = {}
+    for c, mask in masks:
+        alone = mask & ~shared
+        if alone and c != 0:
+            groups[complex(c)] = groups.get(complex(c), 0) | alone
+        for x in atom_indices(mask & shared):
+            values[x] = values[x] + c if x in values else c
+    return _sf_from_atoms(spec, s, groups, values, known)
 
 
 @dataclass(frozen=True)
@@ -189,7 +198,7 @@ def multiply(a, b):
                     out[x] = out[x] + p if x in out else p
     terms = []
     for k in sorted(values):
-        sf = _sf_from_atoms(spec, s, values.pop(k), known)
+        sf = _sf_from_atoms(spec, s, {}, values.pop(k), known)
         if sf:
             terms.append((k, sf))
     return CPElement(spec, tuple(terms))
