@@ -12,6 +12,10 @@ disjoint-piece accumulator, which splits each new piece against every
 earlier one, forms c_k + v_(k-1) instead; IEEE addition is commutative,
 so the scalars agree bit for bit, and canonical sets are unique, so the
 sets agree too (tests/oracles.py keeps that accumulator as the oracle).
+One exception: cells whose scalars compare equal but differ in the sign
+of a zero part, such as 1+0j and the 1-0j that adjoint makes from 1,
+merge into one cell as in the accumulator, but which of the two scalars
+that cell keeps may differ from the accumulator's choice.
 
 Also builds the tower matrix units, the intertwining unitaries of a
 return-system pair, the identity suite they satisfy, and the dimension
@@ -21,8 +25,6 @@ data of the resulting circle-algebra approximant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 
 from . import space
 from .errors import IncompatiblePair, InvalidSystem, MixedSystems
@@ -51,12 +53,12 @@ def _sf_from_atoms(spec, s, groups, values, known):
     ordered by sort_key.  `known` maps the masks of sets at hand to the
     sets; a cell equal to one of them is that set, since canonical forms
     are unique, so it is shared instead of built again."""
-    # consecutive atoms often share a scalar; each run joins its group
-    for c, run in groupby(values.items(), itemgetter(1)):
+    cells = {}
+    for x, c in values.items():
         if c != 0:
-            key = complex(c)
-            xs = map(itemgetter(0), run)
-            groups[key] = groups.get(key, 0) | atom_mask(xs)
+            cells.setdefault(complex(c), []).append(x)
+    for key, xs in cells.items():
+        groups[key] = groups.get(key, 0) | atom_mask(xs)
     out = []
     for c, mask in groups.items():
         E = known.get(mask)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, fields
-from itertools import compress, count
 from typing import ClassVar
 
 from .errors import (
@@ -1154,9 +1153,6 @@ def refine_by(P, pieces):
     return current
 
 
-_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
 def atom_mask(indices):
     """The atom mask of distinct atom indices."""
     return sum(map((1).__lshift__, indices))
@@ -1164,17 +1160,12 @@ def atom_mask(indices):
 
 def atom_indices(mask):
     """The indices of the atoms in an atom mask, in increasing order."""
-    if mask.bit_count() <= 8:
-        # few atoms: peel off the lowest one at a time
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
-    # many atoms: one flag byte per bit, least significant first
-    flags = bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
-    return list(compress(count(), flags))
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def generating_partition(spec, n):
