@@ -453,7 +453,8 @@ class Odometer(SystemSpec):
         return [self.make([(0,) * L])]
 
 
-@dataclass(frozen=True)
+# no parameters, so SystemSpec's generated __init__, __eq__, __hash__
+# and __repr__ serve; a decorator of its own costs 7 KiB at import
 class CompactifiedShift(SystemSpec):
     """Z with one point at infinity and the +1 shift.  The data of a set
     is (finite set F, cofinite flag); the cofinite form contains inf."""
@@ -586,7 +587,8 @@ class CompactifiedShift(SystemSpec):
         return self.make([p])
 
 
-@dataclass(frozen=True)
+# no parameters, so SystemSpec's generated __init__, __eq__, __hash__
+# and __repr__ serve; a decorator of its own costs 7 KiB at import
 class TwoPointShift(SystemSpec):
     """Z with fixed points -inf and +inf.  The data of a set is (finite
     difference set F, tail_minus, tail_plus).  An integer n is in the set
