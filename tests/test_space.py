@@ -306,8 +306,11 @@ def test_serialization_round_trip(spec):
     for _ in range(100):
         a = genutil.random_set(spec, rng)
         assert space.from_dict(spec, space.to_dict(a)) == a
-    d = spec.to_dict()
-    assert space.SystemSpec.from_dict(d) == spec
+    back = space.SystemSpec.from_dict(spec.to_dict())
+    assert back == spec and hash(back) == hash(spec)
+    assert repr(back) == repr(spec)
+    others = [o for o in genutil.all_specs() if o.family != spec.family]
+    assert all(o != spec for o in others)
 
 
 def test_sample_points_lie_in_set():
