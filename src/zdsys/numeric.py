@@ -86,8 +86,12 @@ def represent(a, points=None):
 def operator_norm(M):
     """Largest singular value, from LAPACK's singular values (the
     2-norm of Golub and Van Loan, Matrix Computations, 2.3 and 8.6).
-    No singular vectors are formed.  A matrix with a NaN or infinite
-    entry, or one LAPACK fails on, raises NoConvergence."""
+    No singular vectors are formed.  All-zero rows and columns are
+    dropped first: M*M is then the same Gram matrix with zero rows and
+    columns deleted, so the nonzero singular values, and with them the
+    norm, are unchanged, while a `represent` window, mostly zero rows
+    and columns, shrinks to its nonzero block.  A matrix with a NaN or
+    infinite entry, or one LAPACK fails on, raises NoConvergence."""
     if isinstance(M, CompactMatrixRep):
         M = M.matrix
     M = np.asarray(M, dtype=complex)
@@ -95,6 +99,10 @@ def operator_norm(M):
         return 0.0
     if not np.isfinite(M).all():
         raise NoConvergence("matrix has a NaN or infinite entry")
+    nonzero = M != 0
+    M = M[nonzero.any(axis=1)][:, nonzero.any(axis=0)]
+    if M.size == 0:
+        return 0.0
     try:
         return float(np.linalg.norm(M, 2))
     except np.linalg.LinAlgError as e:
@@ -109,7 +117,17 @@ def operator_norm(M):
 def unitary_nth_root(V, N, tol=1e-10):
     """The N-th root of a unitary through the principal branch: each
     eigenvalue e^{i theta}, theta in (-pi, pi], becomes e^{i theta/N}.
-    The result is a function of V and satisfies |W - 1| <= pi/N."""
+    An eigenvalue within tol of -1 counts as theta = pi, whatever the
+    sign of the rounding in its imaginary part.  The result is a
+    function of V and satisfies |W - 1| <= pi/N.
+
+    The eigenbasis is that of a Hermitian matrix with the eigenvectors
+    of V: V is turned by a phase so that the widest gap between its
+    eigenvalues sits at -1, and the Cayley transform
+    C = i(1 - R)(1 + R)^{-1} of the turned unitary R is Hermitian.  Its
+    orthonormal eigenvectors Q, from numpy's Hermitian solver, are also
+    orthonormal where eigenvalues repeat; theta is read off the diagonal
+    of Q* V Q."""
     if N < 1:
         raise ValueError("N must be >= 1")
     V = np.asarray(V, dtype=complex)
@@ -124,11 +142,15 @@ def unitary_nth_root(V, N, tol=1e-10):
         or operator_norm(V.conj().T @ V - I) > tol
     ):
         raise NotUnitary("input is not unitary within tolerance")
-    # scipy.linalg costs about 28 MiB and 0.3 s to import; only this needs it
-    import scipy.linalg
-
-    T, Q = scipy.linalg.schur(V, output="complex")
-    theta = np.angle(np.diag(T))
+    angles = np.sort(np.angle(np.linalg.eigvals(V)))
+    gaps = np.diff(angles, append=angles[0] + 2 * math.pi)
+    k = int(np.argmax(gaps))
+    # the gap is at least 2 pi/n wide, so 1 + R is invertible
+    R = V * np.exp(1j * (math.pi - angles[k] - gaps[k] / 2))
+    C = 1j * np.linalg.solve(I + R, I - R)
+    _, Q = np.linalg.eigh((C + C.conj().T) / 2)
+    theta = np.angle(np.einsum("ij,ij->j", Q.conj(), V @ Q))
+    theta[theta <= -math.pi + tol] = math.pi
     W = (Q * np.exp(1j * theta / N)) @ Q.conj().T
     if operator_norm(np.linalg.matrix_power(W, N) - V) > tol:
         raise DegenerateEigenbasis("root verification failed")

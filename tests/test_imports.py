@@ -1,10 +1,14 @@
 """Every module-level import of the package is read in its module,
-every error class of the package is raised somewhere in it, and every
-module-level function is used in it or is public API."""
+no module imports scipy, every error class of the package is raised
+somewhere in it, and every module-level function is used in it or is
+public API."""
 
 import ast
 import glob
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -47,6 +51,60 @@ def test_unread_imports_scanner():
 def test_module_imports_are_read(path):
     with open(path) as f:
         assert unread_imports(f.read()) == []
+
+
+def imported_packages(source):
+    """Top-level packages named by the absolute imports of source, at
+    module level or inside functions."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_imported_packages_scanner():
+    src = (
+        "import numpy as np, os.path\n"
+        "from . import a\n"
+        "from .b import c\n"
+        "def f():\n    import scipy.linalg\n"
+        "    from json import dumps\n"
+    )
+    assert imported_packages(src) == {"numpy", "os", "scipy", "json"}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(glob.glob(os.path.join(SRC, "*.py"))), ids=os.path.basename
+)
+def test_module_does_not_import_scipy(path):
+    with open(path) as f:
+        assert "scipy" not in imported_packages(f.read())
+
+
+def test_berg_job_does_not_load_scipy(tmp_path):
+    # numpy is the only runtime dependency; a berg job runs the unitary
+    # root, the operator norms and the cutdown check
+    spec = tmp_path / "shift.json"
+    spec.write_text(json.dumps({"family": "compactified_shift"}))
+    script = (
+        "import sys\n"
+        "from zdsys import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "if 'scipy' in sys.modules:\n"
+        "    sys.exit('scipy was imported')\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.abspath(SRC)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "berg", "--spec", str(spec),
+         "--depth", "1", "--N", "4"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pass"]
 
 
 def raised_names(source):

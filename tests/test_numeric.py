@@ -128,6 +128,8 @@ def test_operator_norm_empty_and_zero():
     assert numeric.operator_norm(np.zeros((0, 0))) == 0.0
     assert numeric.operator_norm(np.zeros((0, 3))) == 0.0
     assert numeric.operator_norm(np.zeros((4, 2))) == 0.0
+    # signed zeros are zero rows and columns too
+    assert numeric.operator_norm(np.full((3, 5), complex(-0.0, -0.0))) == 0.0
     rep = numeric.represent(cp.zero(SHIFT))
     assert numeric.operator_norm(rep) == 0.0
 
@@ -140,6 +142,42 @@ def test_operator_norm_rejects_non_finite():
             numeric.operator_norm(M)
         with pytest.raises(NoConvergence):
             numeric.operator_norm(np.array([[complex(1, bad)]]))
+        # alone in its row and column, among zero rows and columns
+        M = np.zeros((4, 5), dtype=complex)
+        M[2, 3] = bad
+        with pytest.raises(NoConvergence):
+            numeric.operator_norm(M)
+
+
+def _pad_with_zeros(M, rng, rows, cols):
+    """M with zero rows and columns inserted at random places."""
+    P = np.zeros((M.shape[0] + rows, M.shape[1] + cols), dtype=complex)
+    r = np.sort(rng.choice(P.shape[0], size=M.shape[0], replace=False))
+    c = np.sort(rng.choice(P.shape[1], size=M.shape[1], replace=False))
+    P[np.ix_(r, c)] = M
+    return P
+
+
+def test_operator_norm_ignores_zero_rows_and_columns():
+    rng = np.random.default_rng(48)
+    for _ in range(300):
+        m, n = (int(k) for k in rng.integers(1, 9, size=2))
+        M = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        # sparse entries leave some rows and columns of M zero as well
+        M *= rng.random((m, n)) < rng.choice([0.3, 1.0])
+        P = _pad_with_zeros(M, rng, *(int(k) for k in rng.integers(0, 12, 2)))
+        expected = np.linalg.norm(P, 2)
+        assert abs(numeric.operator_norm(P) - expected) <= 1e-12 * max(
+            1.0, expected
+        )
+    # represent windows: the support widened by the largest shift
+    rng = random.Random(49)
+    for _ in range(60):
+        M = numeric.represent(random_compact_element(rng)).matrix
+        expected = np.linalg.norm(M, 2) if M.size else 0.0
+        assert abs(numeric.operator_norm(M) - expected) <= 1e-12 * max(
+            1.0, expected
+        )
 
 
 def test_unitary_root_swap_matches_oracle():
@@ -160,6 +198,74 @@ def test_unitary_root_identity_and_phase():
     V = np.array([[-1.0 + 0j]])
     W = numeric.unitary_nth_root(V, 3)
     assert abs(W[0, 0] - cmath.exp(1j * math.pi / 3)) < 1e-10
+
+
+def _min_root_angle(V, N):
+    return np.angle(np.linalg.eigvals(numeric.unitary_nth_root(V, N))).min()
+
+
+def test_unitary_root_takes_pi_at_minus_one():
+    # -1 as an eigenvalue of multiplicity two, and as the eigenvalue of a
+    # 4-cycle, is e^{i pi}: its root is e^{i pi/N}, never e^{-i pi/N}
+    W = numeric.unitary_nth_root(-np.eye(2, dtype=complex), 3)
+    assert np.max(np.abs(W - cmath.exp(1j * math.pi / 3) * np.eye(2))) < 1e-12
+    V = np.eye(6, dtype=complex)[[3, 2, 4, 1, 5, 0]]
+    assert _min_root_angle(V, 4) > -math.pi / 4 + 1e-9
+    W = numeric.unitary_nth_root(V, 4)
+    assert np.min(np.abs(np.linalg.eigvals(W) - cmath.exp(1j * math.pi / 4))) < 1e-12
+    # every eigenvalue of the root of a permutation or a signed
+    # permutation lies on the arc (-pi/N, pi/N]
+    rng = np.random.default_rng(78)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        N = int(rng.integers(1, 65))
+        V = np.eye(n)[rng.permutation(n)] * rng.choice([-1, 1], size=n)
+        assert _min_root_angle(V, N) > -math.pi / N + 1e-9
+
+
+def _schur_root(V, N, tol=1e-10):
+    """The root through a complex Schur form V = Q T Q*, with the branch
+    rule of unitary_nth_root: angle(T_jj) in (-pi, pi], and pi within
+    tol of -pi."""
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    T, Q = scipy_linalg.schur(V, output="complex")
+    theta = np.angle(np.diag(T))
+    theta[theta <= -math.pi + tol] = math.pi
+    return (Q * np.exp(1j * theta / N)) @ Q.conj().T
+
+
+def _random_unitary(rng, n):
+    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Q, R = np.linalg.qr(Z)
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def _root_cases(rng):
+    """Unitaries with simple, repeated and -1 eigenvalues."""
+    yield np.array([[1.0 + 0j]])
+    yield np.array([[-1.0 + 0j]])
+    yield -np.eye(3, dtype=complex)
+    for _ in range(150):
+        n = int(rng.integers(1, 10))
+        perm = np.eye(n)[rng.permutation(n)]
+        yield _random_unitary(rng, n)
+        yield perm + 0j
+        yield perm * rng.choice([-1, 1], size=n) + 0j
+        # a few eigenvalues, -1 among them, repeated in a random basis
+        U = _random_unitary(rng, n)
+        phases = rng.choice([1, -1, 1j, cmath.exp(2j * math.pi / 3)], size=n)
+        yield (U * phases) @ U.conj().T
+
+
+def test_unitary_root_matches_schur_oracle():
+    rng = np.random.default_rng(79)
+    count = 0
+    for V in _root_cases(rng):
+        N = int(rng.integers(1, 65))
+        W = numeric.unitary_nth_root(V, N)
+        assert np.max(np.abs(W - _schur_root(V, N))) < 1e-12
+        count += 1
+    assert count == 603
 
 
 def test_unitary_root_rejects_non_unitary():
