@@ -87,16 +87,15 @@ def operator_norm(M):
     """Largest singular value, from LAPACK's singular values (the
     2-norm of Golub and Van Loan, Matrix Computations, 2.3 and 8.6).
     No singular vectors are formed.  All-zero rows and columns are
-    dropped first: M*M is then the same Gram matrix with zero rows and
-    columns deleted, so the nonzero singular values, and with them the
-    norm, are unchanged, while a `represent` window, mostly zero rows
-    and columns, shrinks to its nonzero block.  A matrix with a NaN or
-    infinite entry, or one LAPACK fails on, raises NoConvergence."""
+    dropped first: dropping a zero row leaves M*M as it is, and dropping
+    a zero column deletes a zero row and column of M*M, so the nonzero
+    singular values, and with them the norm, are unchanged, while a
+    `represent` window, mostly zero rows and columns, shrinks to its
+    nonzero block.  A matrix with a NaN or infinite entry, or one
+    LAPACK fails on, raises NoConvergence."""
     if isinstance(M, CompactMatrixRep):
         M = M.matrix
     M = np.asarray(M, dtype=complex)
-    if M.size == 0:
-        return 0.0
     if not np.isfinite(M).all():
         raise NoConvergence("matrix has a NaN or infinite entry")
     nonzero = M != 0
