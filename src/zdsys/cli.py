@@ -229,6 +229,9 @@ def _check_args(args):
             raise ValueError("--%s must be >= 1" % name)
     if args.max_steps is not None and args.max_steps < 1:
         raise ValueError("--max-steps must be >= 1")
+    # JSON has no Infinity or NaN to write a non-finite epsilon as
+    if args.epsilon is not None and not math.isfinite(args.epsilon):
+        raise ValueError("--epsilon must be finite")
 
 
 def main(argv=None):

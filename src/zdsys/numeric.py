@@ -2,14 +2,18 @@
 operator norms, unitary N-th roots, block cutdown estimates, and the
 end-to-end verification that the approximant unitary z v1 u2 z* is
 epsilon-close to the implementing unitary u.
+
+numpy is imported inside the functions that use it, not at module
+level.  Only `berg` among the commands needs floating point; the others
+are exact.  So `zdsys.numeric`, and with it the package and the CLI,
+imports and can be traced without loading numpy, and a `berg` job
+loads it on its first numeric call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import cpalgebra as cp
 from . import space
@@ -48,6 +52,8 @@ def represent(a, points=None):
     the union of all coefficient supports, expanded by up to the largest
     shift in either direction, unless explicit points are given.
     """
+    import numpy as np
+
     spec = a.spec
     if points is None:
         pts = set()
@@ -93,6 +99,8 @@ def operator_norm(M):
     `represent` window, mostly zero rows and columns, shrinks to its
     nonzero block.  A matrix with a NaN or infinite entry, or one
     LAPACK fails on, raises NoConvergence."""
+    import numpy as np
+
     if isinstance(M, CompactMatrixRep):
         M = M.matrix
     M = np.asarray(M, dtype=complex)
@@ -127,6 +135,8 @@ def unitary_nth_root(V, N, tol=1e-10):
     orthonormal eigenvectors Q, from numpy's Hermitian solver, are also
     orthonormal where eigenvalues repeat; theta is read off the diagonal
     of Q* V Q."""
+    import numpy as np
+
     if N < 1:
         raise ValueError("N must be >= 1")
     V = np.asarray(V, dtype=complex)
@@ -265,6 +275,8 @@ def _interpolating_unitary(Y, y_points, W, N):
     For x, y in Y the entry (W^{N-j})_{xy} chi_x u^{x-y} conjugates to
     (W^{N-j})_{xy} chi_{h^j x} u^{x-y}, so z is built in one step from
     the entries.  Entries of modulus at most 1e-15 are dropped."""
+    import numpy as np
+
     spec = Y.spec
     powers = {0: np.eye(len(y_points), dtype=complex)}
     for m in range(1, N + 1):
@@ -294,6 +306,8 @@ def _interpolating_unitary(Y, y_points, W, N):
 def berg_verify(spec, P, N, epsilon, max_steps=None):
     """Build an adapted pair for (P, N), interpolate its unitaries with
     an N-th root, and measure how far the result is from u."""
+    import numpy as np
+
     if not epsilon > math.pi / N:
         raise ValueError("epsilon must exceed pi/N")
     S, S2 = adapted_system_pair(spec, P, N, max_steps)

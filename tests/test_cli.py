@@ -274,6 +274,8 @@ ODOMETER = space.odometer(2)
         (SHIFT, ("berg", "--N", "0")),
         (SHIFT, ("berg", "--N", "-3")),
         (SHIFT, ("berg", "--epsilon", "nan")),
+        (SHIFT, ("berg", "--epsilon", "inf")),
+        (SHIFT, ("berg", "--epsilon", "1e400")),
         (SHIFT, ("ktheory", "--depth", "0")),
         (SHIFT, ("approximant", "--depth", "-1")),
         (SHIFT, ("tower", "--base", '{"G": [1]}')),
@@ -437,6 +439,16 @@ _BASES = st.sampled_from(
 )
 
 
+def _reject_constant(name):
+    raise ValueError("%s is not JSON" % name)
+
+
+def _strict_json(text):
+    """json.loads without Python's NaN, Infinity and -Infinity, which
+    RFC 8259 JSON does not have."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     spec_text=_SPEC_TEXT,
@@ -472,8 +484,8 @@ def test_cli_contract_holds_for_random_input(
     assert code in (0, 1, 2), (argv, spec_text)
     assert "Traceback" not in err.getvalue()
     if code == 2:
-        body = json.loads(err.getvalue())
+        body = _strict_json(err.getvalue())
         assert isinstance(body, dict) and "error" in body, (argv, spec_text)
         assert out.getvalue() == ""
     elif fmt == "json":
-        json.loads(out.getvalue())
+        _strict_json(out.getvalue())

@@ -1,7 +1,7 @@
 """Every module-level import of the package is read in its module,
-no module imports scipy, every error class of the package is raised
-somewhere in it, and every module-level function is used in it or is
-public API."""
+no module imports scipy, numpy is loaded only by a berg job, every
+error class of the package is raised somewhere in it, and every
+module-level function is used in it or is public API."""
 
 import ast
 import glob
@@ -53,16 +53,34 @@ def test_module_imports_are_read(path):
         assert unread_imports(f.read()) == []
 
 
-def imported_packages(source):
-    """Top-level packages named by the absolute imports of source, at
-    module level or inside functions."""
+def _packages(nodes):
     out = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in nodes:
         if isinstance(node, ast.Import):
             out.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             out.add(node.module.split(".")[0])
     return out
+
+
+def imported_packages(source):
+    """Top-level packages named by the absolute imports of source, at
+    module level or inside functions."""
+    return _packages(ast.walk(ast.parse(source)))
+
+
+def import_time_packages(source):
+    """Top-level packages named by the absolute imports that run when
+    source is imported: those outside every function body, in class
+    bodies and in `if` and `try` blocks too."""
+
+    def outside_functions(node):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield child
+                yield from outside_functions(child)
+
+    return _packages(outside_functions(ast.parse(source)))
 
 
 def test_imported_packages_scanner():
@@ -84,9 +102,31 @@ def test_module_does_not_import_scipy(path):
         assert "scipy" not in imported_packages(f.read())
 
 
+def test_import_time_packages_scanner():
+    src = (
+        "import os.path\n"
+        "from . import numeric\n"
+        "try:\n    import json\nexcept ImportError:\n    pass\n"
+        "class A:\n    from numpy import linalg\n"
+        "    def m(self):\n        import scipy\n"
+        "def f():\n    import numpy as np\n"
+        "async def g():\n    import sys\n"
+    )
+    assert import_time_packages(src) == {"os", "json", "numpy"}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(glob.glob(os.path.join(SRC, "*.py"))), ids=os.path.basename
+)
+def test_module_does_not_import_numpy_at_import_time(path):
+    # only berg needs numpy, and numeric imports it inside its functions
+    with open(path) as f:
+        assert "numpy" not in import_time_packages(f.read())
+
+
 def test_berg_job_does_not_load_scipy(tmp_path):
     # numpy is the only runtime dependency; a berg job runs the unitary
-    # root, the operator norms and the cutdown check
+    # root, the operator norms and the cutdown check, and loads numpy
     spec = tmp_path / "shift.json"
     spec.write_text(json.dumps({"family": "compactified_shift"}))
     script = (
@@ -95,6 +135,8 @@ def test_berg_job_does_not_load_scipy(tmp_path):
         "code = cli.main(sys.argv[1:])\n"
         "if 'scipy' in sys.modules:\n"
         "    sys.exit('scipy was imported')\n"
+        "if 'numpy' not in sys.modules:\n"
+        "    sys.exit('numpy was not imported')\n"
         "sys.exit(code)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.abspath(SRC)))
@@ -105,6 +147,50 @@ def test_berg_job_does_not_load_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["pass"]
+
+
+# Run in a fresh process with `import numpy` made to fail: every golden
+# job other than berg, compared as test_golden compares it, plus
+# error-berg-N0, which fails in argument checking before any numeric
+# work, and --help of every command.
+_NUMPY_BLOCKED = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+import test_golden as golden
+from zdsys import cli
+
+failed = []
+for job in golden.JOBS:
+    if job["args"][0] == "berg" and job["name"] != "error-berg-N0":
+        continue
+    got = golden.run_job(job)
+    want = golden._RECORDED[job["name"]]
+    if got["exit"] != want["exit"] or any(
+        golden.first_difference(got[s], want[s]) for s in ("stdout", "stderr")
+    ):
+        failed.append(job["name"])
+for command in sorted(cli.COMMANDS):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main([command, "--help"])
+    except SystemExit as e:
+        if e.code == 0:
+            continue
+    failed.append(command + " --help")
+print(json.dumps(failed))
+"""
+
+
+def test_jobs_other_than_berg_run_with_numpy_blocked():
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = [os.path.dirname(os.path.abspath(SRC)), tests]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_BLOCKED],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def raised_names(source):
