@@ -42,7 +42,7 @@ def _point_key(p):
 class CompactMatrixRep:
     spec: space.SystemSpec
     points: tuple
-    matrix: np.ndarray
+    matrix: object  # a numpy.ndarray; numpy is not bound at module level
 
 
 def represent(a, points=None):

@@ -1139,22 +1139,6 @@ def common_refinement(P, Q):
     return tuple(out)
 
 
-def refine_by(P, pieces):
-    """Refine partition P by a list of clopen sets (not necessarily a
-    partition): split every element along each piece."""
-    current = tuple(P)
-    for piece in pieces:
-        out = []
-        for a in current:
-            inner = intersect(a, piece)
-            outer = difference(a, piece)
-            for c in (inner, outer):
-                if not is_empty(c):
-                    out.append(c)
-        current = tuple(out)
-    return current
-
-
 def atom_mask(indices):
     """The atom mask of distinct atom indices."""
     return sum(map((1).__lshift__, indices))

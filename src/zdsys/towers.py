@@ -35,7 +35,6 @@ from .space import (
     is_partition,
     is_subset,
     partition_witness,
-    refine_by,
     set_scale,
     sort_key,
     union,
@@ -136,13 +135,12 @@ def _sorted_towers(classes):
     return tuple(sorted(classes, key=lambda c: (c.J, sort_key(c.Y))))
 
 
-def tower_levels(S, upper=False):
-    """All tower levels h^j(Y_{t,k}); j runs 0..J-1, or 1..J when upper."""
+def tower_levels(S):
+    """All tower levels h^j(Y_{t,k}) for 0 <= j < J_{t,k}."""
     out = []
-    lo = 1 if upper else 0
     for towers in S.towers:
         for c in towers:
-            for j in range(lo, c.J + lo):
+            for j in range(c.J):
                 out.append(apply_h(c.Y, j))
     return tuple(out)
 
@@ -154,10 +152,9 @@ def build_from_bases(bases, P, max_steps=None):
     spec = bases[0].spec
     if max_steps is None:
         max_steps = default_max_steps(list(bases) + list(P))
-    for i, a in enumerate(bases):
-        for b in bases[i + 1 :]:
-            if not is_empty(intersect(a, b)):
-                raise ValueError("bases must be pairwise disjoint")
+    if disjoint_union(spec, bases)[1] is not None:
+        raise ValueError("bases must be pairwise disjoint")
+    for a in bases:
         if not any(is_subset(a, U) for U in P):
             raise NotSubordinate("a base straddles the partition")
     towers = tuple(
@@ -232,37 +229,36 @@ def validate_system(S, P):
 
 
 def tower_partitions(S):
-    """(P1, P2): the level partitions with j in 0..J-1 and 1..J."""
-    P1 = tower_levels(S, upper=False)
-    P2 = tower_levels(S, upper=True)
+    """(P1, P2): the level partitions with j in 0..J-1 and 1..J, so
+    P2 = h(P1), element by element."""
+    P1 = tower_levels(S)
     if not is_partition(list(P1)):
         raise InvalidSystem("tower levels do not partition the space")
-    return P1, P2
+    return P1, tuple(apply_h(L, 1) for L in P1)
 
 
 def refine_system(S, P_target, include_upper=True):
-    """Split every tower slice Y so that all its levels h^j(Y), j = 0..J,
-    land inside single elements of P_target.  Bases and return times are
-    unchanged.  With include_upper false, only the levels j = 0..J-1 are
-    constrained."""
+    """Split every tower slice Y into the nonempty sets
+    Y & h^0(U_0) & ... & h^-J(U_J) with each U_j in the partition
+    P_target, so that all its levels h^j(Y), j = 0..J, land inside single
+    elements of P_target.  Bases and return times are unchanged.  With
+    include_upper false, only the levels j = 0..J-1 are constrained."""
+    if not is_partition(list(P_target)):
+        raise ValueError("P_target must be a partition")
     new_towers = []
     for towers in S.towers:
         classes = []
         for c in towers:
             top = c.J + 1 if include_upper else c.J
-            pieces = refine_by(
-                [c.Y],
-                [apply_h(U, -j) for j in range(top) for U in P_target],
-            )
+            pieces = (c.Y,)
+            for j in range(top):
+                pieces = common_refinement(
+                    pieces, [apply_h(U, -j) for U in P_target]
+                )
             for Y in pieces:
                 classes.append(Tower(Y, c.J))
         new_towers.append(_sorted_towers(classes))
     return ReturnSystem(S.spec, S.bases, tuple(new_towers))
-
-
-def is_finer(P1, P2):
-    """True iff every element of P1 is contained in some element of P2."""
-    return all(any(is_subset(a, b) for b in P2) for a in P1)
 
 
 def finer_system_criterion(S, S2):
@@ -319,7 +315,14 @@ def adapted_system_pair(spec, P, N, max_steps=None):
     length-N approximation: the levels of both refine P, the first N
     iterates of X_t minus its fixed core stay pairwise disjoint, and S2
     is based on the images h^{J_{t,1}}(Y_{t,1}) with levels refining both
-    level partitions of S."""
+    level partitions of S.
+
+    Postconditions a, b and d are checked.  c (P1 and P2 refine P) and
+    e (the lower levels of S2 refine P1 and P2) hold by construction:
+    refine_system(., Q) puts each constrained level in one cell of Q.
+    S is refined by P for j = 0..J, which gives c.  P2 = h(P1) is a
+    partition, so is R = common_refinement(P1, P2), and S2 is refined
+    by R for j < J, which gives e."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if not is_partition(list(P)):
@@ -350,10 +353,6 @@ def adapted_system_pair(spec, P, N, max_steps=None):
                     "iterate of a base straddles the partition",
                     postcondition="b",
                 )
-    if not (is_finer(P1, P) and is_finer(P2, P)):
-        raise ConstructionFailed(
-            "level partitions do not refine the input", postcondition="c"
-        )
     hats = [hat_base(S, t) for t in range(S.T)]
     iters = [
         apply_h(X, i) for X in hats for i in range(N + 1) if not is_empty(X)
@@ -361,11 +360,6 @@ def adapted_system_pair(spec, P, N, max_steps=None):
     if disjoint_union(S.spec, iters)[1] is not None:
         raise ConstructionFailed(
             "iterates of the reduced bases overlap", postcondition="d"
-        )
-    P1b, _ = tower_partitions(S2)
-    if not (is_finer(P1b, P1) and is_finer(P1b, P2)):
-        raise ConstructionFailed(
-            "second system does not refine the first", postcondition="e"
         )
     return S, S2
 

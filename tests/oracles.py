@@ -388,3 +388,25 @@ def all_pairs_product(a_terms, b_terms, ops):
                     if not ops.is_empty(I):
                         terms.setdefault(n + m, []).append((c * d, I))
     return terms
+
+
+def refine_by(P, pieces, ops):
+    """Refine the cells of P by a list of sets, not necessarily a
+    partition: split every cell along each piece into its part inside
+    and its part outside.  `ops` gives intersect, difference and
+    is_empty."""
+    current = tuple(P)
+    for piece in pieces:
+        out = []
+        for a in current:
+            for c in (ops.intersect(a, piece), ops.difference(a, piece)):
+                if not ops.is_empty(c):
+                    out.append(c)
+        current = tuple(out)
+    return current
+
+
+def is_finer(P1, P2, ops):
+    """True iff every cell of P1 lies inside some cell of P2, by all
+    pairs.  `ops` gives is_subset."""
+    return all(any(ops.is_subset(a, b) for b in P2) for a in P1)

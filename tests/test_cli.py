@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -489,3 +490,45 @@ def test_cli_contract_holds_for_random_input(
         assert out.getvalue() == ""
     elif fmt == "json":
         _strict_json(out.getvalue())
+
+
+# valid berg arguments, so that the drawn epsilon reaches the report:
+# above pi/2 >= pi/N it always does, below it the run exits 2
+_BERG_SPECS = st.one_of(
+    st.just({"family": "compactified_shift"}),
+    st.integers(1, 6).map(
+        lambda p: {"family": "finite_cycle", "params": {"period": p}}
+    ),
+)
+_FINITE_EPSILON = st.floats(1.6, 100.0) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+_NONFINITE_EPSILON = st.sampled_from(
+    ["nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e400"]
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    spec=_BERG_SPECS,
+    N=st.integers(2, 6),
+    epsilon=_FINITE_EPSILON.map(repr) | _NONFINITE_EPSILON,
+)
+def test_berg_reports_the_epsilon_given(spec, N, epsilon):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w") as f:
+            json.dump(spec, f)
+        argv = ["berg", "--spec", path, "--depth=1", "--N=%d" % N,
+                "--epsilon=" + epsilon]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    if not math.isfinite(float(epsilon)):
+        assert code == 2, argv
+        assert "error" in _strict_json(err.getvalue())
+        assert out.getvalue() == ""
+    elif code in (0, 1):
+        assert _strict_json(out.getvalue())["epsilon"] == float(epsilon)
+    else:
+        assert code == 2 and float(epsilon) <= math.pi / N, argv

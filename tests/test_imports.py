@@ -1,17 +1,22 @@
 """Every module-level import of the package is read in its module,
 no module imports scipy, numpy is loaded only by a berg job, every
-error class of the package is raised somewhere in it, and every
-module-level function is used in it or is public API."""
+error class of the package is raised somewhere in it, every
+module-level function is used in it or is public API, and the
+annotations of every dataclass resolve."""
 
 import ast
+import dataclasses
 import glob
+import inspect
 import json
 import os
 import subprocess
 import sys
+import typing
 
 import pytest
 
+import zdsys
 from zdsys import errors
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "zdsys")
@@ -314,3 +319,20 @@ def test_every_function_is_used_or_public():
         if isinstance(top, ast.FunctionDef)
     }
     assert sorted(PUBLIC_API - defined) == []
+
+
+def test_dataclass_annotations_resolve():
+    # typing.get_type_hints evaluates every annotation in its module, so
+    # a name bound only inside functions, such as numpy, fails here
+    checked = 0
+    for name in zdsys.__all__:
+        module = getattr(zdsys, name)
+        for obj in vars(module).values():
+            if (
+                inspect.isclass(obj)
+                and dataclasses.is_dataclass(obj)
+                and obj.__module__ == module.__name__
+            ):
+                typing.get_type_hints(obj)
+                checked += 1
+    assert checked >= 10

@@ -117,6 +117,14 @@ def test_build_rejects_straddling_base():
         towers.build_from_bases([base], list(P))
 
 
+def test_build_rejects_overlapping_bases():
+    spec = space.finite_cycle(6)
+    a = space.finite_cycle_set(spec, [0, 1])
+    b = space.finite_cycle_set(spec, [1, 3])
+    with pytest.raises(ValueError, match="pairwise disjoint"):
+        towers.build_from_bases([a, b], [space.whole_space(spec)])
+
+
 def test_build_detects_saturation_failure():
     # two bases in the same orbit of a finite cycle overlap in levels
     spec = space.finite_cycle(4)
@@ -157,6 +165,12 @@ def test_tower_partitions_example():
     assert len(P1) == 8 and len(P2) == 8
     assert space.is_partition(list(P1))
     assert space.is_partition(list(P2))
+    assert P2 == tuple(
+        space.apply_h(c.Y, j)
+        for tws in S.towers
+        for c in tws
+        for j in range(1, c.J + 1)
+    )
     singles = [space.shift_set(SHIFT, [i]) for i in range(7)]
     for s in singles:
         assert s in P1
@@ -174,8 +188,8 @@ def test_refine_system_example():
     slices = [c.Y for c in S2.towers[0] if c.J == 1]
     assert space.shift_set(SHIFT, [7]) in slices
     P1, P2 = towers.tower_partitions(S2)
-    assert towers.is_finer(P1, target)
-    assert towers.is_finer(P2, target)
+    assert oracles.is_finer(P1, target, space)
+    assert oracles.is_finer(P2, target, space)
 
 
 def test_refine_no_op_when_already_finer():
@@ -200,23 +214,60 @@ def test_refine_odometer_cylinder_split():
 
 @pytest.mark.parametrize("spec", genutil.system_specs())
 def test_refinement_postconditions_randomized(spec):
-    rng = random.Random(17)
     S = genutil.valid_system(spec)
     P = genutil.subordinating_partition(S)
     P1, P2 = towers.tower_partitions(S)
-    for _ in range(50):
-        target = genutil.random_partition(spec, rng)
-        S2 = towers.refine_system(S, target)
-        # same bases, valid, slices refine the original slices
-        assert S2.bases == S.bases
-        assert towers.validate_system(S2, P).ok
-        assert towers.finer_system_criterion(S, S2)
-        Q1, Q2 = towers.tower_partitions(S2)
-        assert towers.is_finer(Q1, target)
-        assert towers.is_finer(Q2, target)
-        # level refinement holds on both sides at once
-        assert towers.is_finer(Q1, P1) == towers.is_finer(Q2, P2)
-        assert towers.is_finer(Q1, P1)
+    for seed in (17, 515):
+        rng = random.Random(seed)
+        for _ in range(50):
+            target = genutil.random_partition(spec, rng)
+            S2 = towers.refine_system(S, target)
+            # same bases, valid, slices refine the original slices
+            assert S2.bases == S.bases
+            assert towers.validate_system(S2, P).ok
+            assert towers.finer_system_criterion(S, S2)
+            Q1, Q2 = towers.tower_partitions(S2)
+            assert oracles.is_finer(Q1, target, space)
+            assert oracles.is_finer(Q2, target, space)
+            assert oracles.is_finer(Q1, P1, space)
+            assert oracles.is_finer(Q2, P2, space)
+
+
+def refine_by_oracle(S, target, include_upper):
+    """The towers of refine_system, with every slice split along each
+    h^-j(U) in turn by the all-pairs oracle."""
+    out = []
+    for tws in S.towers:
+        classes = []
+        for c in tws:
+            top = c.J + 1 if include_upper else c.J
+            pieces = [space.apply_h(U, -j) for j in range(top) for U in target]
+            for Y in oracles.refine_by([c.Y], pieces, space):
+                classes.append(towers.Tower(Y, c.J))
+        classes.sort(key=lambda c: (c.J, space.sort_key(c.Y)))
+        out.append(tuple(classes))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("spec", genutil.system_specs())
+def test_refine_system_matches_refine_by_oracle(spec):
+    rng = random.Random(29)
+    S = genutil.valid_system(spec)
+    P1, P2 = towers.tower_partitions(S)
+    targets = [P1, space.common_refinement(P1, P2)]
+    targets += [genutil.random_partition(spec, rng) for _ in range(10)]
+    for target in targets:
+        for include_upper in (True, False):
+            S2 = towers.refine_system(S, target, include_upper)
+            assert S2.towers == refine_by_oracle(S, target, include_upper)
+
+
+def test_refine_system_rejects_non_partition_target():
+    S, base, P = shift_window_system(0, 7)
+    seven = space.shift_set(SHIFT, [7])
+    for target in ([seven], [seven, space.whole_space(SHIFT)], []):
+        with pytest.raises(ValueError):
+            towers.refine_system(S, target)
 
 
 def test_finer_system_criterion_base_mismatch():
@@ -232,8 +283,8 @@ def test_finer_system_criterion_base_mismatch():
 def test_is_finer_trivial_cases():
     spec = space.finite_cycle(3)
     singles = list(space.generating_partition(spec, 1))
-    assert towers.is_finer(singles, [space.whole_space(spec)])
-    assert not towers.is_finer([space.whole_space(spec)], singles)
+    assert oracles.is_finer(singles, [space.whole_space(spec)], space)
+    assert not oracles.is_finer([space.whole_space(spec)], singles, space)
 
 
 def test_check_fiberwise_verdicts():
@@ -319,12 +370,19 @@ def test_adapted_pair_quotient():
 
 
 def test_adapted_pair_postconditions_asserted():
+    # c and e hold by construction; check them, and d, by brute force,
+    # on every family with an adapted construction
     U = space.shift_set(SHIFT, range(1, 8), cofinite=True)
     P = [U] + [space.shift_set(SHIFT, [i]) for i in range(1, 8)]
-    for N in (1, 2, 4, 8):
-        S, S2 = towers.adapted_system_pair(SHIFT, P, N)
+    cases = [(SHIFT, P, N) for N in (1, 2, 4, 8)]
+    for spec in genutil.system_specs():
+        for N in (1, 3):
+            cases.append((spec, space.generating_partition(spec, 2), N))
+    for spec, P, N in cases:
+        S, S2 = towers.adapted_system_pair(spec, P, N)
         P1, P2 = towers.tower_partitions(S)
-        assert towers.is_finer(P1, P) and towers.is_finer(P2, P)
+        assert oracles.is_finer(P1, P, space)
+        assert oracles.is_finer(P2, P, space)
         hats = [towers.hat_base(S, t) for t in range(S.T)]
         pieces = [
             space.apply_h(X, i)
@@ -335,6 +393,9 @@ def test_adapted_pair_postconditions_asserted():
         for i, A in enumerate(pieces):
             for B in pieces[i + 1 :]:
                 assert space.is_empty(space.intersect(A, B))
+        Q1, _ = towers.tower_partitions(S2)
+        assert oracles.is_finer(Q1, P1, space)
+        assert oracles.is_finer(Q1, P2, space)
 
 
 def test_orbit_saturation_covers_samples():
