@@ -211,7 +211,7 @@ def test_fiberwise_gate():
     assert rep.failure_witness is not None
 
 
-# 9. mutation coverage
+# 9. mutation coverage and randomized refinement postconditions
 
 
 def test_validator_catches_all_mutants():
@@ -224,3 +224,22 @@ def test_validator_catches_all_mutants():
             total += 1
             assert not towers.validate_system(M, P).ok, (spec.family, desc)
     assert total >= 100
+
+
+@pytest.mark.parametrize("spec", genutil.system_specs())
+def test_refinement_postconditions(spec):
+    rng = random.Random(515)
+    S = genutil.valid_system(spec)
+    P = genutil.subordinating_partition(S)
+    P1, P2 = towers.tower_partitions(S)
+    for _ in range(50):
+        target = genutil.random_partition(spec, rng)
+        S2 = towers.refine_system(S, target)
+        assert S2.bases == S.bases
+        assert towers.validate_system(S2, P).ok
+        assert towers.finer_system_criterion(S, S2)
+        Q1, Q2 = towers.tower_partitions(S2)
+        assert oracles.is_finer(Q1, target, space)
+        assert oracles.is_finer(Q2, target, space)
+        assert oracles.is_finer(Q1, P1, space)
+        assert oracles.is_finer(Q2, P2, space)
