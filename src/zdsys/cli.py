@@ -239,10 +239,21 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         _check_args(args)
         return COMMANDS[args.command](args)
-    except (ZdsysError, ValueError, OSError, json.JSONDecodeError) as e:
+    except (
+        ZdsysError,
+        ValueError,
+        OSError,
+        json.JSONDecodeError,
+        MemoryError,
+        RecursionError,
+    ) as e:
+        # an input too large for this machine is an input error too
+        message = str(e)
+        if isinstance(e, MemoryError) and not message:
+            message = "input too large for the available memory"
         body = {
             "error": type(e).__name__,
-            "message": str(e),
+            "message": message,
             "schema_version": SCHEMA_VERSION,
         }
         print(json.dumps(_jsonable(body), sort_keys=True, indent=2),

@@ -3,6 +3,12 @@ operator norms, unitary N-th roots, block cutdown estimates, and the
 end-to-end verification that the approximant unitary z v1 u2 z* is
 epsilon-close to the implementing unitary u.
 
+An element's matrix is built once, from the points of its pieces: each
+piece places its scalar at the entries it covers.  The block cutdowns
+of the Berg check are then slices of that one matrix, with rows and
+columns labelled by the blocks that hold their points, and no cutdown
+is formed as a symbolic element.
+
 numpy is imported inside the functions that use it, not at module
 level.  Only `berg` among the commands needs floating point; the others
 are exact.  So `zdsys.numeric`, and with it the package and the CLI,
@@ -48,39 +54,40 @@ class CompactMatrixRep:
 def represent(a, points=None):
     """Matrix of the element on the finitely many points it touches.
 
-    Entry [x, y] is sum over n of f_n(x) when h^n(y) = x.  The window is
-    the union of all coefficient supports, expanded by up to the largest
-    shift in either direction, unless explicit points are given.
+    Entry [x, y] is the sum over n of f_n(x) when h^n(y) = x.  Each
+    piece (c, E) of f_n places c at [x, h^-n(x)] for every point x of E
+    whose preimage is in the window as well, the terms taken in
+    increasing n.  The pieces of one term are disjoint, so an entry
+    takes at most one addition per term.  The window is the union of all
+    piece supports, widened by up to the largest shift either way,
+    unless explicit points are given.  Either way every piece must be a
+    finite point set; a cofinite one raises NotCompactlySupported.
     """
     import numpy as np
 
     spec = a.spec
+    pieces = [
+        (n, c, enumerate_points(E)) for n, sf in a.terms for c, E in sf
+    ]
     if points is None:
-        pts = set()
-        for n, sf in a.terms:
-            for _, E in sf:
-                pts.update(enumerate_points(E))
+        support = {x for _, _, xs in pieces for x in xs}
         reach = max((abs(n) for n, _ in a.terms), default=0)
-        expanded = set()
-        for p in pts:
-            for m in range(-reach, reach + 1):
-                expanded.add(point_apply_h(spec, p, m))
-        points = sorted(expanded, key=_point_key)
+        window = {
+            point_apply_h(spec, x, m)
+            for x in support
+            for m in range(-reach, reach + 1)
+        }
+        points = sorted(window, key=_point_key)
     else:
         points = list(points)
     index = {p: i for i, p in enumerate(points)}
     M = np.zeros((len(points), len(points)), dtype=complex)
-    for n, sf in a.terms:
-        # the (x, y) entries with h^n(y) = x inside the window, in y order
-        moves = []
-        for y in points:
-            x = point_apply_h(spec, y, n)
-            if x in index:
-                moves.append((x, index[x], index[y]))
-        for c, E in sf:
-            for x, i, j in moves:
-                if contains_point(E, x):
-                    M[i, j] += c
+    for n, c, xs in pieces:
+        for x in xs:
+            i = index.get(x)
+            j = index.get(point_apply_h(spec, x, -n))
+            if i is not None and j is not None:
+                M[i, j] += c
     return CompactMatrixRep(spec, tuple(points), M)
 
 
@@ -171,42 +178,58 @@ def unitary_nth_root(V, N, tol=1e-10):
 # ---------------------------------------------------------------------------
 
 
+def _cell_labels(cells, points):
+    """Map each point to the index of the cell that holds it; the cells
+    partition X, so there is exactly one."""
+    return {
+        x: next(k for k, C in enumerate(cells) if contains_point(C, x))
+        for x in points
+    }
+
+
 def cutdown_check(a, blocks, tol=1e-9, coeff_tol=1e-12):
     """Verify that a is block-diagonal for the given (p, q) projection
     pairs and that its norm is at most the largest block norm.
 
+    Every cutdown is read off one matrix M = represent(a).  Each window
+    point x gets a row label, the index of the p holding it, and a
+    column label, the index of the q holding it.
+
     A piece c chi_E u^n of a survives in chi_p a chi_q as the piece
-    c chi_{E & p & h^n(q)} u^n, so every cutdown is read off the pieces
-    of a.  The offending pair is the least (i, j), i != j, for which
-    some piece with |c| > coeff_tol meets p_i & h^n(q_j)."""
-    spec = a.spec
+    c chi_{E & p & h^n(q)} u^n, which is nonzero at x exactly when x is
+    in E and p and h^-n(x) is in q.  So the offending pair, the least
+    (i, j), i != j, for which some piece with |c| > coeff_tol meets
+    p_i & h^n(q_j), is the least (row(x), column(h^-n(x))) off the
+    diagonal over the points x of such pieces.  This is read off the
+    pieces, not the entries of M: on a periodic orbit the terms n and
+    n + period add up in one entry.
+
+    Entry [x, y] of chi_p a chi_q is the same sum over n, in the same
+    order, as entry [x, y] of M when x is in p and y in q, and 0
+    otherwise.  So the rows labelled k and the columns labelled k of M
+    hold every nonzero entry of block k's matrix, in the same point
+    order; operator_norm drops the zero rows and columns of both, so
+    the block norms are those of the symbolic cutdowns, float for
+    float."""
+    import numpy as np
+
     for side in (0, 1):
         cells = [b[side] for b in blocks if not is_empty(b[side])]
         if not space.is_partition(cells):
             raise PartitionFailure(
                 "block projections do not sum to the identity"
             )
-    offending = None
-    block_terms = [{} for _ in blocks]
-    for n, sf in a.terms:
-        images = [apply_h(q, n) for _, q in blocks]
-        for c, E in sf:
-            for i, (p, _) in enumerate(blocks):
-                A = space.intersect(E, p)
-                if is_empty(A):
-                    continue
-                B = space.intersect(A, images[i])
-                if not is_empty(B):
-                    block_terms[i].setdefault(n, []).append((c, B))
-                # the images h^n(q_j) partition X, so A leaves h^n(q_i)
-                # exactly when it meets some other h^n(q_j)
-                if B == A or abs(c) <= coeff_tol:
-                    continue
-                for j, image in enumerate(images):
-                    if j != i and not is_empty(space.intersect(A, image)):
-                        if offending is None or (i, j) < offending:
-                            offending = (i, j)
-                        break
+    rep = represent(a)
+    row = _cell_labels([p for p, _ in blocks], rep.points)
+    col = _cell_labels([q for _, q in blocks], rep.points)
+    pairs = {
+        (row[x], col[point_apply_h(a.spec, x, -n)])
+        for n, sf in a.terms
+        for c, E in sf
+        if abs(c) > coeff_tol
+        for x in enumerate_points(E)
+    }
+    offending = min((ij for ij in pairs if ij[0] != ij[1]), default=None)
     if offending is not None:
         return {
             "block_diagonal": False,
@@ -215,11 +238,13 @@ def cutdown_check(a, blocks, tol=1e-9, coeff_tol=1e-12):
             "total_norm": None,
             "bound_holds": False,
         }
+    rows = np.array([row[x] for x in rep.points], dtype=int)
+    cols = np.array([col[x] for x in rep.points], dtype=int)
     block_norms = [
-        operator_norm(represent(cp.cp_element(spec, terms)))
-        for terms in block_terms
+        operator_norm(rep.matrix[rows == k][:, cols == k])
+        for k in range(len(blocks))
     ]
-    total = operator_norm(represent(a))
+    total = operator_norm(rep)
     bound = max(block_norms, default=0.0) + tol
     return {
         "block_diagonal": True,
@@ -318,7 +343,6 @@ def berg_verify(spec, P, N, epsilon, max_steps=None):
     if is_empty(Y):
         z = cp.one(spec)
         norm_w = 0.0
-        block_norms = ()
     else:
         y_points = sorted(enumerate_points(Y), key=_point_key)
         v_el = cp.multiply(

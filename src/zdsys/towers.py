@@ -245,20 +245,24 @@ def refine_system(S, P_target, include_upper=True):
     include_upper false, only the levels j = 0..J-1 are constrained."""
     if not is_partition(list(P_target)):
         raise ValueError("P_target must be a partition")
-    new_towers = []
-    for towers in S.towers:
-        classes = []
-        for c in towers:
-            top = c.J + 1 if include_upper else c.J
-            pieces = (c.Y,)
-            for j in range(top):
-                pieces = common_refinement(
-                    pieces, [apply_h(U, -j) for U in P_target]
-                )
-            for Y in pieces:
-                classes.append(Tower(Y, c.J))
-        new_towers.append(_sorted_towers(classes))
-    return ReturnSystem(S.spec, S.bases, tuple(new_towers))
+    extra = 1 if include_upper else 0
+    pieces = [[(c.Y,) for c in towers] for towers in S.towers]
+    height = max((c.J for towers in S.towers for c in towers), default=0)
+    for j in range(height + extra):
+        # h^-j(P_target) serves every slice constrained at level j, and
+        # only one j's images are held at a time
+        pulled = [apply_h(U, -j) for U in P_target]
+        for towers, split in zip(S.towers, pieces):
+            for k, c in enumerate(towers):
+                if j < c.J + extra:
+                    split[k] = common_refinement(split[k], pulled)
+    new_towers = tuple(
+        _sorted_towers(
+            Tower(Y, c.J) for c, ps in zip(towers, split) for Y in ps
+        )
+        for towers, split in zip(S.towers, pieces)
+    )
+    return ReturnSystem(S.spec, S.bases, new_towers)
 
 
 def finer_system_criterion(S, S2):

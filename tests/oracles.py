@@ -410,3 +410,39 @@ def is_finer(P1, P2, ops):
     """True iff every cell of P1 lies inside some cell of P2, by all
     pairs.  `ops` gives is_subset."""
     return all(any(ops.is_subset(a, b) for b in P2) for a in P1)
+
+
+def represent_by_moves(spec, terms, ops, points=None, key=None):
+    """(points, rows) of the matrix of the element with the given terms,
+    by moves: for each term n, each window point y whose image
+    x = h^n(y) is in the window, and each piece (c, E) of the term with
+    x in E, c is added at [x, y].  Without points, the window is every
+    point of every piece, widened by up to the largest |n| either way
+    and sorted by key.  `ops` gives point_apply_h, contains_point and
+    enumerate_points."""
+    if points is None:
+        support = set()
+        for _, sf in terms:
+            for _, E in sf:
+                support.update(ops.enumerate_points(E))
+        reach = max((abs(n) for n, _ in terms), default=0)
+        window = {
+            ops.point_apply_h(spec, p, m)
+            for p in support
+            for m in range(-reach, reach + 1)
+        }
+        points = sorted(window, key=key)
+    points = list(points)
+    index = {p: i for i, p in enumerate(points)}
+    rows = [[0j] * len(points) for _ in points]
+    for n, sf in terms:
+        moves = []
+        for y in points:
+            x = ops.point_apply_h(spec, y, n)
+            if x in index:
+                moves.append((x, index[x], index[y]))
+        for c, E in sf:
+            for x, i, j in moves:
+                if ops.contains_point(E, x):
+                    rows[i][j] += c
+    return points, rows

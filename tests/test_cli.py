@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -358,6 +360,55 @@ def test_deeply_nested_input_is_usage_error(spec_text, base, tmp_path, capsys):
     assert out == ""
     assert "Traceback" not in err
     assert json.loads(err)["error"] == "ValueError"
+
+
+def _limit_address_space(limit=1536 * 2**20):
+    """Cap the address space of the calling process; run in the child
+    between fork and exec, so the test process keeps its own limit."""
+    import resource
+
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
+def test_input_too_large_for_memory_is_input_error(tmp_path):
+    # an odometer set at depth 40 is a 2^40-bit mask: the allocation
+    # fails under the limit, and the failure is an input error
+    spec = tmp_path / "odo.json"
+    spec.write_text(json.dumps(space.odometer(2).to_dict()))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "zdsys.cli", "tower", "--spec", str(spec),
+         "--depth", "40"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"] == "MemoryError"
+
+
+@pytest.mark.parametrize(
+    "error",
+    [MemoryError(), RecursionError("maximum recursion depth exceeded")],
+    ids=["MemoryError", "RecursionError"],
+)
+def test_resource_errors_are_input_errors(error, spec_file, capsys, monkeypatch):
+    def exhausted(args):
+        raise error
+
+    monkeypatch.setitem(cli.COMMANDS, "tower", exhausted)
+    code, out, err = run(capsys, "tower", "--spec", spec_file(SHIFT))
+    assert code == 2
+    assert out == ""
+    body = json.loads(err)
+    assert body["error"] == type(error).__name__
+    assert body["message"]
 
 
 # ---------------------------------------------------------------------------

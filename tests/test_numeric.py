@@ -19,6 +19,10 @@ from zdsys.errors import (
 )
 
 SHIFT = space.compactified_shift()
+TWO_POINT = space.two_point_shift()
+CYCLE = space.finite_cycle(3)
+QSHIFT = space.quotient_product(SHIFT)
+QCYCLE = space.quotient_product(CYCLE)
 
 
 def test_represent_examples():
@@ -44,6 +48,17 @@ def test_represent_rejects_infinite_supports():
     odo = space.odometer(2)
     with pytest.raises(NotCompactlySupported):
         numeric.represent(cp.char(space.cylinder(odo, (0,))))
+    # explicit points need finite pieces as well, even where the
+    # window's entries would be defined
+    cofinite = [
+        (space.shift_set(SHIFT, [1], cofinite=True), [0, 1, 2]),
+        (space.two_point_set(TWO_POINT, [], tail_plus=True), [0, 1]),
+        (space.quotient_set(QSHIFT, {}, tail=True), [(0, 0), (0, 1)]),
+    ]
+    for E, points in cofinite:
+        a = cp.multiply(cp.char(E), cp.shift_unitary(E.spec))
+        with pytest.raises(NotCompactlySupported):
+            numeric.represent(a, points=points)
 
 
 def random_compact_element(rng, max_terms=3):
@@ -323,7 +338,6 @@ def test_cutdown_check_detects_coupling():
     assert not out["bound_holds"]
 
 
-QSHIFT = space.quotient_product(SHIFT)
 
 
 def shift_partition(a, b):
@@ -367,11 +381,20 @@ def cutdown_check_oracle(a, blocks, tol=1e-9, coeff_tol=1e-12):
 
 
 def random_finite_set(spec, rng):
+    """A finite point set: integers in [-3, 3], points of a cycle, or
+    such sets over the indices -1, 0 and 1 of a quotient product."""
     if spec.family == space.QUOTIENT_PRODUCT:
         return space.quotient_set(
             spec, {k: random_finite_set(spec.fiber, rng) for k in (-1, 0, 1)}
         )
-    return space.shift_set(spec, [x for x in range(-3, 4) if rng.random() < 0.4])
+    if spec.family == space.FINITE_CYCLE:
+        return space.finite_cycle_set(
+            spec, [x for x in range(spec.period) if rng.random() < 0.5]
+        )
+    points = [x for x in range(-3, 4) if rng.random() < 0.4]
+    if spec.family == space.TWO_POINT_SHIFT:
+        return space.two_point_set(spec, points)
+    return space.shift_set(spec, points)
 
 
 def random_element(spec, rng, max_terms=4):
@@ -384,6 +407,44 @@ def random_element(spec, rng, max_terms=4):
             (c, random_finite_set(spec, rng))
         )
     return cp.cp_element(spec, terms)
+
+
+FINITE_SPECS = [SHIFT, TWO_POINT, CYCLE, QSHIFT, QCYCLE]
+FINITE_IDS = ["shift", "two-point", "cycle", "quotient", "quotient-cycle"]
+
+
+def _oracle_matrix(a, points=None):
+    points, rows = oracles.represent_by_moves(
+        a.spec, a.terms, space, points, key=numeric._point_key
+    )
+    n = len(points)
+    return points, np.array(rows, dtype=complex).reshape(n, n)
+
+
+@pytest.mark.parametrize("spec", FINITE_SPECS, ids=FINITE_IDS)
+def test_represent_matches_move_oracle(spec):
+    rng = random.Random(61)
+    for _ in range(40):
+        a = random_element(spec, rng)
+        rep = numeric.represent(a)
+        points, M = _oracle_matrix(a)
+        assert rep.points == tuple(points)
+        assert np.array_equal(rep.matrix, M)
+        # explicit points: part of the window and points outside it, in
+        # any order
+        extra = space.enumerate_points(random_finite_set(spec, rng))
+        points = [p for p in rep.points if rng.random() < 0.7]
+        points += [p for p in extra if p not in points]
+        rng.shuffle(points)
+        rep = numeric.represent(a, points=points)
+        assert rep.points == tuple(points)
+        assert np.array_equal(rep.matrix, _oracle_matrix(a, points)[1])
+    # on a cycle of period 3 the three terms add up in one entry, and
+    # 0.1 + 0.2 + 0.3 rounds differently from 0.3 + 0.2 + 0.1: the sum
+    # must run over the terms in increasing n
+    E = random_finite_set(spec, rng)
+    a = cp.cp_element(spec, {-3: [(0.1, E)], 0: [(0.2, E)], 3: [(0.3, E)]})
+    assert np.array_equal(numeric.represent(a).matrix, _oracle_matrix(a)[1])
 
 
 def random_blocks(spec, rng):
@@ -399,7 +460,24 @@ def random_blocks(spec, rng):
     return list(zip(P, Q))
 
 
-@pytest.mark.parametrize("spec", [SHIFT, QSHIFT], ids=["shift", "quotient"])
+def _assert_cutdown_matches_oracle(a, blocks):
+    got = numeric.cutdown_check(a, blocks)
+    want = cutdown_check_oracle(a, blocks)
+    assert got["block_diagonal"] == want["block_diagonal"]
+    assert got["offending_pair"] == want["offending_pair"]
+    assert got["bound_holds"] == want["bound_holds"]
+    # the slices of one matrix give the symbolic cutdowns' norms, float
+    # for float
+    assert got["block_norms"] == want["block_norms"]
+    assert got["total_norm"] == want["total_norm"]
+    return got["block_diagonal"]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SHIFT, QSHIFT, CYCLE, QCYCLE],
+    ids=["shift", "quotient", "cycle", "quotient-cycle"],
+)
 def test_cutdown_check_matches_all_pairs_oracle(spec):
     rng = random.Random(53)
     verdicts = []
@@ -413,20 +491,26 @@ def test_cutdown_check_matches_all_pairs_oracle(spec):
             a = cp.zero(spec)
             for p, q in blocks:
                 a = a + cp.char(p) * b * cp.char(q)
-        got = numeric.cutdown_check(a, blocks)
-        want = cutdown_check_oracle(a, blocks)
-        assert got["block_diagonal"] == want["block_diagonal"]
-        assert got["offending_pair"] == want["offending_pair"]
-        assert got["bound_holds"] == want["bound_holds"]
-        assert len(got["block_norms"]) == len(want["block_norms"])
-        for x, y in zip(got["block_norms"], want["block_norms"]):
-            assert abs(x - y) <= 1e-12
-        if want["total_norm"] is None:
-            assert got["total_norm"] is None
-        else:
-            assert abs(got["total_norm"] - want["total_norm"]) <= 1e-12
-        verdicts.append(got["block_diagonal"])
+        verdicts.append(_assert_cutdown_matches_oracle(a, blocks))
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 5
+
+
+@pytest.mark.parametrize("spec", [CYCLE, QCYCLE], ids=["cycle", "quotient-cycle"])
+def test_cutdown_check_reads_pieces_where_terms_share_entries(spec):
+    # c chi_E u^-1 - c chi_E u^2 on a cycle of period 3: both terms land
+    # on the same entries, so its matrix is zero, yet each piece couples
+    # the blocks it crosses, and the symbolic cutdowns see that
+    rng = random.Random(54)
+    hidden = 0
+    for _ in range(20):
+        blocks = random_blocks(spec, rng)
+        c = complex(rng.uniform(0.5, 1), rng.uniform(-1, 1))
+        E = random_finite_set(spec, rng)
+        a = cp.cp_element(spec, {-1: [(c, E)], 2: [(-c, E)]})
+        assert not numeric.represent(a).matrix.any()
+        if not _assert_cutdown_matches_oracle(a, blocks):
+            hidden += 1
+    assert hidden >= 5
 
 
 def _point_singleton(spec, x):
