@@ -11,7 +11,12 @@ import sys
 
 from . import cpalgebra as cp
 from . import ktheory, numeric, space, towers
-from .errors import MaxStepsExceeded, NeedsRefinement, ZdsysError
+from .errors import (
+    MaxStepsExceeded,
+    NeedsRefinement,
+    SaturationFailure,
+    ZdsysError,
+)
 
 SCHEMA_VERSION = 1
 
@@ -82,23 +87,28 @@ def cmd_tower(args):
         bases = spec.canonical_bases(args.depth)
     comp = space.complement(functools.reduce(space.union, bases))
     P = bases + ([comp] if not space.is_empty(comp) else [])
+    # no return system over these bases is a failed verification, with
+    # its witness: the part of a base that does not come back, or the
+    # overlap or gap of the tower levels (condition f)
     try:
         S = towers.build_from_bases(bases, P, args.max_steps)
     except MaxStepsExceeded as e:
-        # no return system over these bases: a failed verification, with
-        # the part of a base that does not come back as the witness
-        failed = towers.ValidationReport((("return", False, e.remainder),))
-        _emit({"system": None, "validation": failed.to_dict()}, args)
-        return 1
-    report = towers.validate_system(S, P)
-    _emit(
-        {
-            "system": towers.system_to_dict(S),
-            "validation": report.to_dict(),
-        },
-        args,
-    )
-    return 0 if report.ok else 1
+        failure = ("return", False, e.remainder)
+    except SaturationFailure as e:
+        failure = ("f", False, e.witness)
+    else:
+        report = towers.validate_system(S, P)
+        _emit(
+            {
+                "system": towers.system_to_dict(S),
+                "validation": report.to_dict(),
+            },
+            args,
+        )
+        return 0 if report.ok else 1
+    failed = towers.ValidationReport((failure,))
+    _emit({"system": None, "validation": failed.to_dict()}, args)
+    return 1
 
 
 def cmd_fiberwise(args):

@@ -3,15 +3,17 @@
 Five space families are supported, one SystemSpec subclass each.  A
 clopen set is a ClopenSet(spec, data) whose data is in the family's
 unique canonical form, so equality is structural comparison and all
-Boolean operations are exact.  Only the family's class reads the data;
-the module-level functions check the specs of their operands, call the
-spec's method and build the resulting ClopenSet.
+Boolean operations are exact.  Only the family's class reads the data.
+Union and intersection are defined once, on SystemSpec, through the
+family's atom masks; the partition primitives take one pass over the
+same masks.  The module-level functions check the specs of their
+operands, call the spec's method and build the resulting ClopenSet.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, fields
+from itertools import compress, count
 from typing import ClassVar
 
 from .errors import (
@@ -62,11 +64,10 @@ class SystemSpec:
     the only code that reads the data of its clopen sets.  Methods whose
     set arguments are named d, da or db take the data of sets over the
     spec and return data or plain values; the other methods take and
-    return ClopenSets.  Every family defines make, union, intersect,
-    complement, apply_h, point_apply_h, contains_point,
-    generating_partition, sort_key, sample_points, set_to_dict,
-    set_from_dict, scale, enumerate_points, canonical_bases,
-    base_witness and the atom triple:
+    return ClopenSets.  Every family defines make, complement, apply_h,
+    point_apply_h, contains_point, generating_partition, sort_key,
+    sample_points, set_to_dict, set_from_dict, scale, enumerate_points,
+    canonical_bases, base_witness and the atom triple:
 
     - atom_scale(ds): the least scale s at which every set of the list
       ds is a union of the family's atoms;
@@ -77,6 +78,16 @@ class SystemSpec:
 
     At one scale, union, intersection and complement are |, & and XOR
     with the mask of X.  The methods below are shared.
+
+    Lemma: union and intersect below return exactly the data of the
+    union and the intersection.  atoms(., s) is a bijection from the
+    sets that are unions of atoms at scale s onto the masks, and it
+    maps union to | and intersection to &, so the mask
+    atoms(da, s) | atoms(db, s) is the mask of the union, and
+    from_atoms turns it into the union's data in canonical form.  That
+    form is unique, so this data is the data any other exact union
+    would return.  tests/test_space.py holds every family's triple to
+    this contract.
     """
 
     family: ClassVar[str]
@@ -86,6 +97,14 @@ class SystemSpec:
     def is_empty(self, d):
         # the canonical form of the empty set is unique
         return d == self.empty_data
+
+    def union(self, da, db):
+        s = self.atom_scale([da, db])
+        return self.from_atoms(self.atoms(da, s) | self.atoms(db, s), s)
+
+    def intersect(self, da, db):
+        s = self.atom_scale([da, db])
+        return self.from_atoms(self.atoms(da, s) & self.atoms(db, s), s)
 
     def to_dict(self):
         params = {}
@@ -168,12 +187,6 @@ class FiniteCycle(SystemSpec):
 
     def make(self, points):
         return ClopenSet(self, frozenset(int(p) % self.period for p in points))
-
-    def union(self, da, db):
-        return da | db
-
-    def intersect(self, da, db):
-        return da & db
 
     def complement(self, d):
         return frozenset(range(self.period)) - d
@@ -306,11 +319,6 @@ class Odometer(SystemSpec):
             L -= 1
         return (L, mask)
 
-    def _combine(self, da, db, op):
-        (La, ma), (Lb, mb) = da, db
-        L = max(La, Lb)
-        return self._lower(L, op(self._lift(La, ma, L), self._lift(Lb, mb, L)))
-
     def _words(self, d):
         """The sorted maximal cylinder words of a set: the words of length
         k <= L whose class mod b^k lies in the set while the class of
@@ -334,12 +342,6 @@ class Odometer(SystemSpec):
                 words.append(_value_word(base, low.bit_length() - 1, k))
                 m ^= low
         return tuple(sorted(words))
-
-    def union(self, da, db):
-        return self._combine(da, db, operator.or_)
-
-    def intersect(self, da, db):
-        return self._combine(da, db, operator.and_)
 
     def complement(self, d):
         # a mask repeats exactly when its complement does, so L stays least
@@ -466,26 +468,6 @@ class CompactifiedShift(SystemSpec):
     def make(self, points, cofinite=False):
         return ClopenSet(self, (frozenset(int(p) for p in points), bool(cofinite)))
 
-    def union(self, da, db):
-        (fa, ca), (fb, cb) = da, db
-        if not ca and not cb:
-            return (fa | fb, False)
-        if ca and cb:
-            return (fa & fb, True)
-        if ca:
-            return (fa - fb, True)
-        return (fb - fa, True)
-
-    def intersect(self, da, db):
-        (fa, ca), (fb, cb) = da, db
-        if not ca and not cb:
-            return (fa & fb, False)
-        if ca and cb:
-            return (fa | fb, True)
-        if ca:
-            return (fb - fa, False)
-        return (fa - fb, False)
-
     def complement(self, d):
         fs, c = d
         return (fs, not c)
@@ -604,24 +586,6 @@ class TwoPointShift(SystemSpec):
         """The set from the canonical difference-set form."""
         diff = frozenset(int(p) for p in diff)
         return ClopenSet(self, (diff, bool(tail_minus), bool(tail_plus)))
-
-    def _combine(self, da, db, op):
-        (fa, tma, tpa), (fb, tmb, tpb) = da, db
-        tm = op(tma, tmb)
-        tp = op(tpa, tpb)
-        diff = set()
-        for n in fa | fb:
-            ma = (n in fa) != (tma if n < 0 else tpa)
-            mb = (n in fb) != (tmb if n < 0 else tpb)
-            if op(ma, mb) != (tm if n < 0 else tp):
-                diff.add(n)
-        return (frozenset(diff), tm, tp)
-
-    def union(self, da, db):
-        return self._combine(da, db, operator.or_)
-
-    def intersect(self, da, db):
-        return self._combine(da, db, operator.and_)
 
     def complement(self, d):
         fs, tm, tp = d
@@ -770,18 +734,6 @@ class QuotientProduct(SystemSpec):
 
     def window(self, d):
         return sorted(k for k, _ in d[1])
-
-    def _combine(self, da, db, setop, flagop):
-        tail = flagop(da[0], db[0])
-        keys = {k for k, _ in da[1]} | {k for k, _ in db[1]}
-        slices = {k: setop(self.slice(da, k), self.slice(db, k)) for k in keys}
-        return self._canon(slices, tail)
-
-    def union(self, da, db):
-        return self._combine(da, db, union, operator.or_)
-
-    def intersect(self, da, db):
-        return self._combine(da, db, intersect, operator.and_)
 
     def complement(self, d):
         slices = {k: complement(s) for k, s in d[1]}
@@ -1097,18 +1049,24 @@ def disjoint_union(spec, sets, nonempty=False):
     """Walk the sets in order, keeping the union of those before each one.
     (union, None) when they are pairwise disjoint; else (None, overlap)
     at the first set that meets the union before it, or (None, None) at
-    the first empty set when nonempty is set."""
-    covered = empty_set(spec)
-    for a in sets:
-        if a.spec != spec:
-            raise MixedSystems("partition over mixed specs")
-        if nonempty and is_empty(a):
+    the first empty set when nonempty is set.  A set over another spec
+    raises MixedSystems when the walk reaches it.  One pass over the
+    atom masks at one scale: only the result is built as a set."""
+    sets = list(sets)
+    mixed = next((i for i, a in enumerate(sets) if a.spec != spec), None)
+    walk = sets[:mixed]
+    s = spec.atom_scale([a.data for a in walk])
+    covered = 0
+    for a in walk:
+        mask = spec.atoms(a.data, s)
+        if nonempty and not mask:
             return None, None
-        overlap = intersect(covered, a)
-        if not is_empty(overlap):
-            return None, overlap
-        covered = union(covered, a)
-    return covered, None
+        if mask & covered:
+            return None, ClopenSet(spec, spec.from_atoms(mask & covered, s))
+        covered |= mask
+    if mixed is not None:
+        raise MixedSystems("partition over mixed specs")
+    return ClopenSet(spec, spec.from_atoms(covered, s)), None
 
 
 def is_partition(sets, target=None):
@@ -1129,13 +1087,22 @@ def partition_witness(spec, sets):
 
 
 def common_refinement(P, Q):
-    """All nonempty pairwise intersections, ordered by (P index, Q index)."""
+    """All nonempty pairwise intersections, ordered by (P index, Q index),
+    from the atom masks of P and Q at one scale."""
+    if not P or not Q:
+        return ()
+    spec = P[0].spec
+    sets = (*P, *Q)
+    if any(a.spec != spec for a in sets):
+        raise MixedSystems("operands over different system specs")
+    s = spec.atom_scale([a.data for a in sets])
+    masks = [spec.atoms(b.data, s) for b in Q]
     out = []
     for a in P:
-        for b in Q:
-            c = intersect(a, b)
-            if not is_empty(c):
-                out.append(c)
+        mask = spec.atoms(a.data, s)
+        for m in masks:
+            if mask & m:
+                out.append(ClopenSet(spec, spec.from_atoms(mask & m, s)))
     return tuple(out)
 
 
@@ -1144,14 +1111,13 @@ def atom_mask(indices):
     return sum(map((1).__lshift__, indices))
 
 
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def atom_indices(mask):
     """The indices of the atoms in an atom mask, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    # the binary digits, least significant first, as 0/1 selectors
+    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BITS)))
 
 
 def generating_partition(spec, n):

@@ -39,12 +39,12 @@ def random_set(spec, rng, depth=3):
         pts = [i for i in range(spec.period) if rng.random() < 0.5]
         return space.finite_cycle_set(spec, pts)
     if f == space.ODOMETER:
+        # from words, not by union, so that the union tests draw sets
+        # that do not depend on the union under test
         cells = space.generating_partition(spec, depth)
         chosen = [c for c in cells if rng.random() < 0.5]
-        out = space.empty_set(spec)
-        for c in chosen:
-            out = space.union(out, c)
-        return out
+        words = [w for c in chosen for w in space.to_dict(c)["words"]]
+        return space.odometer_set(spec, words)
     if f == space.COMPACTIFIED_SHIFT:
         F = [n for n in range(-6, 7) if rng.random() < 0.3]
         return space.shift_set(spec, F, cofinite=rng.random() < 0.5)

@@ -406,6 +406,38 @@ def refine_by(P, pieces, ops):
     return current
 
 
+def disjoint_union(spec, sets, ops, nonempty=False):
+    """Running union: walk the sets in order, keeping the union of those
+    before each one.  (union, None) when they are pairwise disjoint;
+    else (None, overlap) at the first set that meets the union before
+    it, or (None, None) at the first empty set when nonempty is set.
+    `ops` gives empty_set, intersect, union, is_empty and MixedSystems,
+    raised at the first set over another spec."""
+    covered = ops.empty_set(spec)
+    for a in sets:
+        if a.spec != spec:
+            raise ops.MixedSystems("partition over mixed specs")
+        if nonempty and ops.is_empty(a):
+            return None, None
+        overlap = ops.intersect(covered, a)
+        if not ops.is_empty(overlap):
+            return None, overlap
+        covered = ops.union(covered, a)
+    return covered, None
+
+
+def common_refinement(P, Q, ops):
+    """All nonempty pairwise intersections, ordered by (P index, Q
+    index), by all pairs.  `ops` gives intersect and is_empty."""
+    out = []
+    for a in P:
+        for b in Q:
+            c = ops.intersect(a, b)
+            if not ops.is_empty(c):
+                out.append(c)
+    return tuple(out)
+
+
 def is_finer(P1, P2, ops):
     """True iff every cell of P1 lies inside some cell of P2, by all
     pairs.  `ops` gives is_subset."""

@@ -328,6 +328,27 @@ def test_tower_without_return_is_verification_failure(depth, spec_file, capsys):
         assert space.is_empty(space.intersect(space.apply_h(witness, n), base))
 
 
+def test_tower_whose_levels_miss_x_is_verification_failure(spec_file, capsys):
+    # the towers over one fiber point of slice 0 cover slice 0 and no more
+    spec = space.quotient_product(space.finite_cycle(3))
+    base = space.quotient_set(
+        spec, {0: space.finite_cycle_set(spec.fiber, [0])}
+    )
+    code, out, err = run(
+        capsys, "tower", "--spec", spec_file(spec),
+        "--base", json.dumps(space.to_dict(base)),
+    )
+    assert code == 1
+    assert err == ""
+    body = json.loads(out)
+    assert body["system"] is None
+    assert body["validation"]["ok"] is False
+    (entry,) = body["validation"]["entries"]
+    assert entry["condition"] == "f" and entry["pass"] is False
+    covered = space.quotient_set(spec, {0: space.whole_space(spec.fiber)})
+    assert space.from_dict(spec, entry["witness"]) == space.complement(covered)
+
+
 @pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize(
     "fiber",

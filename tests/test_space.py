@@ -5,6 +5,7 @@ import random
 import pytest
 
 import genutil
+import oracles
 from zdsys import space
 from zdsys.errors import InvalidPoint, MixedSystems
 
@@ -185,14 +186,29 @@ def test_atoms_are_a_boolean_isomorphism(spec):
         for s in coarser_scales(spec.atom_scale([a.data])):
             assert spec.from_atoms(spec.atoms(a.data, s), s) == a.data
         for s in coarser_scales(spec.atom_scale([a.data, b.data])):
-            ma, mb = spec.atoms(a.data, s), spec.atoms(b.data, s)
+            ma = spec.atoms(a.data, s)
             every = spec.atoms(whole, s)
-            assert spec.atoms(space.intersect(a, b).data, s) == ma & mb
-            assert spec.atoms(space.union(a, b).data, s) == ma | mb
             assert spec.atoms(space.complement(a).data, s) == ma ^ every
             # every mask is the mask of a set, in canonical form
             m = rng.getrandbits(every.bit_length())
             assert spec.atoms(spec.from_atoms(m, s), s) == m
+
+
+@pytest.mark.parametrize("spec", genutil.all_specs())
+def test_union_and_intersect_agree_with_membership(spec):
+    # union and intersect come from the atom masks; contains_point reads
+    # the family's data directly, so it is an independent oracle
+    rng = random.Random(97)
+    for _ in range(200):
+        a = genutil.random_set(spec, rng)
+        b = genutil.random_set(spec, rng)
+        u, i = space.union(a, b), space.intersect(a, b)
+        for E in (a, b, space.complement(a), space.complement(b)):
+            for p in space.sample_points(E, 6):
+                in_a = space.contains_point(a, p)
+                in_b = space.contains_point(b, p)
+                assert space.contains_point(u, p) == (in_a or in_b)
+                assert space.contains_point(i, p) == (in_a and in_b)
 
 
 @pytest.mark.parametrize("spec", genutil.all_specs())
@@ -298,6 +314,58 @@ def test_common_refinement_is_finer_partition(spec):
         for c in R:
             assert any(space.is_subset(c, d) for d in P)
             assert any(space.is_subset(c, d) for d in Q)
+
+
+PARTITION_SPECS = list(
+    dict.fromkeys(genutil.all_specs() + genutil.system_specs())
+)
+
+
+def _outcome(f, *args, **kwargs):
+    """f's result, or MixedSystems itself when f raises it."""
+    try:
+        return f(*args, **kwargs)
+    except MixedSystems:
+        return MixedSystems
+
+
+def _set_lists(spec, rng):
+    """Partitions, and lists of random sets that may overlap, repeat or
+    be empty."""
+    yield genutil.random_partition(spec, rng)
+    yield [genutil.random_set(spec, rng) for _ in range(rng.randint(0, 5))]
+    P = genutil.random_partition(spec, rng)
+    yield P + [space.empty_set(spec)] + P[:1]
+
+
+@pytest.mark.parametrize("spec", PARTITION_SPECS)
+def test_partition_primitives_match_oracles(spec):
+    rng = random.Random(13)
+    other = space.whole_space(space.finite_cycle(2))
+    for _ in range(30):
+        lists = list(_set_lists(spec, rng))
+        for sets in lists:
+            # a set over another spec, at every position
+            variants = [sets] + [
+                sets[:i] + [other] + sets[i:] for i in range(len(sets) + 1)
+            ]
+            for v in variants:
+                for nonempty in (False, True):
+                    assert _outcome(
+                        space.disjoint_union, spec, v, nonempty
+                    ) == _outcome(
+                        oracles.disjoint_union, spec, v, space, nonempty
+                    )
+        for P in lists:
+            for Q in lists:
+                R = space.common_refinement(P, Q)
+                assert R == oracles.common_refinement(P, Q, space)
+        P, Q = lists[0], lists[1]
+        for mixed in ([other] + P, P + [other]):
+            for args in ((mixed, Q), (Q, mixed)):
+                assert _outcome(space.common_refinement, *args) == _outcome(
+                    oracles.common_refinement, *args, space
+                )
 
 
 @pytest.mark.parametrize("spec", genutil.all_specs())
