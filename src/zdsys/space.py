@@ -12,8 +12,8 @@ operands, call the spec's method and build the resulting ClopenSet.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
-from itertools import compress, count
 from typing import ClassVar
 
 from .errors import (
@@ -72,7 +72,8 @@ class SystemSpec:
     - atom_scale(ds): the least scale s at which every set of the list
       ds is a union of the family's atoms;
     - atoms(d, s): the set as an int bitmask over the atoms at scale s,
-      for s at least atom_scale([d]) (componentwise for a pair);
+      for s at least atom_scale([d]) (componentwise for a pair, and a
+      superset of the slice keys on the quotient);
     - from_atoms(mask, s): the canonical data of the union of the atoms
       in mask.
 
@@ -807,12 +808,13 @@ class QuotientProduct(SystemSpec):
         return max(inner, win)
 
     def atom_scale(self, ds):
-        # the atoms at scale (w, sf) are the fiber atoms at scale sf of
-        # each slice k with |k| < w, slice k at bits from (k + w - 1)
-        # times the fiber atom count, and the tail, inf included, above
+        # the atoms at scale (ks, sf) are the fiber atoms at scale sf of
+        # each slice k of the sorted tuple ks, slice ks[i] at bits from i
+        # times the fiber atom count, and above them one atom for the
+        # rest of X: the other slices and inf
         slices = [kv for d in ds for kv in d[1]]
-        w = max((abs(k) for k, _ in slices), default=0) + 1
-        return (w, self.fiber.atom_scale([fs.data for _, fs in slices]))
+        ks = tuple(sorted({k for k, _ in slices}))
+        return (ks, self.fiber.atom_scale([fs.data for _, fs in slices]))
 
     def _fiber_atoms(self, sf):
         """(mask of the whole fiber at scale sf, fiber atom count)."""
@@ -820,27 +822,32 @@ class QuotientProduct(SystemSpec):
         return full, full.bit_length()
 
     def atoms(self, d, s):
-        w, sf = s
+        ks, sf = s
         full, width = self._fiber_atoms(sf)
         tail, slices = d
         default = full if tail else 0
-        mask = (1 << (2 * w - 1) * width + 1) - 1 if tail else 0
+        mask = (1 << len(ks) * width + 1) - 1 if tail else 0
         for k, fs in slices:
             block = default ^ self.fiber.atoms(fs.data, sf)
-            mask ^= block << (k + w - 1) * width
+            mask ^= block << bisect_left(ks, k) * width
         return mask
 
     def from_atoms(self, mask, s):
-        w, sf = s
+        ks, sf = s
         full, width = self._fiber_atoms(sf)
-        tail = bool(mask >> (2 * w - 1) * width & 1)
+        top = len(ks) * width
+        tail = bool(mask >> top & 1)
         default = full if tail else 0
+        # the bits where a slice differs from the tail default: visit
+        # only the blocks that hold one, lowest first
+        diff = mask ^ ((1 << top + 1) - 1) if tail else mask
         items = []
-        for i in range(2 * w - 1):
-            block = mask >> i * width & full
-            if block != default:
-                fs = ClopenSet(self.fiber, self.fiber.from_atoms(block, sf))
-                items.append((i - w + 1, fs))
+        while diff:
+            i = ((diff & -diff).bit_length() - 1) // width
+            block = diff >> i * width & full
+            diff ^= block << i * width
+            fs = ClopenSet(self.fiber, self.fiber.from_atoms(block ^ default, sf))
+            items.append((ks[i], fs))
         return (tail, tuple(items))
 
     def enumerate_points(self, d):
@@ -1111,13 +1118,14 @@ def atom_mask(indices):
     return sum(map((1).__lshift__, indices))
 
 
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def atom_indices(mask):
     """The indices of the atoms in an atom mask, in increasing order."""
-    # the binary digits, least significant first, as 0/1 selectors
-    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BITS)))
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def generating_partition(spec, n):

@@ -169,10 +169,13 @@ def test_apply_h_is_boolean_automorphism(spec):
 
 def coarser_scales(s):
     """The atom scale s and some coarser ones; a quotient scale is a
-    (window, fiber scale) pair and coarsens in each part."""
+    (slice keys, fiber scale) pair and coarsens by more keys and in the
+    fiber scale."""
     if isinstance(s, tuple):
-        w, f = s
-        return [(w + i, g) for i in (0, 1, 3) for g in coarser_scales(f)]
+        ks, f = s
+        far = max(ks, default=0) + 5
+        wider = (ks, tuple(sorted({*ks, -1, 0, 2})), tuple(sorted({*ks, far})))
+        return [(k, g) for k in wider for g in coarser_scales(f)]
     return [s, s + 1, s + 3]
 
 
