@@ -72,8 +72,9 @@ class SystemSpec:
     - atom_scale(ds): the least scale s at which every set of the list
       ds is a union of the family's atoms;
     - atoms(d, s): the set as an int bitmask over the atoms at scale s,
-      for s at least atom_scale([d]) (componentwise for a pair, and a
-      superset of the slice keys on the quotient);
+      for s at least atom_scale([d]) (componentwise for a pair; on the
+      quotient s is (slice keys, fiber scale, whole-fiber mask), with
+      keys a superset of the set's slice keys);
     - from_atoms(mask, s): the canonical data of the union of the atoms
       in mask.
 
@@ -808,22 +809,19 @@ class QuotientProduct(SystemSpec):
         return max(inner, win)
 
     def atom_scale(self, ds):
-        # the atoms at scale (ks, sf) are the fiber atoms at scale sf of
-        # each slice k of the sorted tuple ks, slice ks[i] at bits from i
-        # times the fiber atom count, and above them one atom for the
-        # rest of X: the other slices and inf
+        # the atoms at scale (ks, sf, full) are the fiber atoms at scale
+        # sf of each slice k of the sorted tuple ks, slice ks[i] at bits
+        # from i times the fiber atom count, and above them one atom for
+        # the rest of X: the other slices and inf; full is the mask of
+        # the whole fiber at sf, and its width is the fiber atom count
         slices = [kv for d in ds for kv in d[1]]
         ks = tuple(sorted({k for k, _ in slices}))
-        return (ks, self.fiber.atom_scale([fs.data for _, fs in slices]))
-
-    def _fiber_atoms(self, sf):
-        """(mask of the whole fiber at scale sf, fiber atom count)."""
-        full = self.fiber.atoms(whole_space(self.fiber).data, sf)
-        return full, full.bit_length()
+        sf = self.fiber.atom_scale([fs.data for _, fs in slices])
+        return (ks, sf, self.fiber.atoms(whole_space(self.fiber).data, sf))
 
     def atoms(self, d, s):
-        ks, sf = s
-        full, width = self._fiber_atoms(sf)
+        ks, sf, full = s
+        width = full.bit_length()
         tail, slices = d
         default = full if tail else 0
         mask = (1 << len(ks) * width + 1) - 1 if tail else 0
@@ -833,8 +831,8 @@ class QuotientProduct(SystemSpec):
         return mask
 
     def from_atoms(self, mask, s):
-        ks, sf = s
-        full, width = self._fiber_atoms(sf)
+        ks, sf, full = s
+        width = full.bit_length()
         top = len(ks) * width
         tail = bool(mask >> top & 1)
         default = full if tail else 0
@@ -1095,7 +1093,9 @@ def partition_witness(spec, sets):
 
 def common_refinement(P, Q):
     """All nonempty pairwise intersections, ordered by (P index, Q index),
-    from the atom masks of P and Q at one scale."""
+    from the atom masks of P and Q at one scale.  For pairwise disjoint
+    Q it is tuple(P) iff each a in P is nonempty and lies in one cell U
+    of Q: then a & U is a and the other cells miss a."""
     if not P or not Q:
         return ()
     spec = P[0].spec

@@ -146,7 +146,8 @@ def tower_levels(S):
 
 
 def build_from_bases(bases, P, max_steps=None):
-    """Return system with the given bases; towers by first return."""
+    """Return system with the given bases; towers by first return.  The
+    cells of P must be pairwise disjoint."""
     if not bases:
         raise ValueError("need at least one base")
     spec = bases[0].spec
@@ -154,9 +155,10 @@ def build_from_bases(bases, P, max_steps=None):
         max_steps = default_max_steps(list(bases) + list(P))
     if disjoint_union(spec, bases)[1] is not None:
         raise ValueError("bases must be pairwise disjoint")
-    for a in bases:
-        if not any(is_subset(a, U) for U in P):
-            raise NotSubordinate("a base straddles the partition")
+    # an empty base is left to first_return_decomposition's ValueError
+    nonempty = [a for a in bases if not is_empty(a)]
+    if common_refinement(nonempty, P) != tuple(nonempty):
+        raise NotSubordinate("a base straddles the partition")
     towers = tuple(
         _sorted_towers(first_return_decomposition(a, max_steps).classes)
         for a in bases
@@ -180,7 +182,7 @@ def validate_system(S, P):
 
     ok_b, wit_b = True, None
     for X_t in S.bases:
-        if is_empty(X_t) or not any(is_subset(X_t, U) for U in P):
+        if common_refinement((X_t,), P) != (X_t,):
             ok_b, wit_b = False, X_t
             break
     entries.append(("b", ok_b, wit_b))
@@ -242,40 +244,39 @@ def refine_system(S, P_target, include_upper=True):
     Y & h^0(U_0) & ... & h^-J(U_J) with each U_j in the partition
     P_target, so that all its levels h^j(Y), j = 0..J, land inside single
     elements of P_target.  Bases and return times are unchanged.  With
-    include_upper false, only the levels j = 0..J-1 are constrained."""
+    include_upper false, only the levels j = 0..J-1 are constrained.
+    The pieces are carried up each tower: the cells of Y by P_target,
+    then of h(W) for each piece W, up to the top constrained level.
+    Lemma: h(h^j(V)) & U = h^(j+1)(V & h^-(j+1)(U)), so by induction
+    the top pieces are h^top of the sets above; canonical forms are
+    unique and _sorted_towers fixes the order."""
     if not is_partition(list(P_target)):
         raise ValueError("P_target must be a partition")
-    extra = 1 if include_upper else 0
-    pieces = [[(c.Y,) for c in towers] for towers in S.towers]
-    height = max((c.J for towers in S.towers for c in towers), default=0)
-    for j in range(height + extra):
-        # h^-j(P_target) serves every slice constrained at level j, and
-        # only one j's images are held at a time
-        pulled = [apply_h(U, -j) for U in P_target]
-        for towers, split in zip(S.towers, pieces):
-            for k, c in enumerate(towers):
-                if j < c.J + extra:
-                    split[k] = common_refinement(split[k], pulled)
+
+    def split(c):
+        top = c.J if include_upper else c.J - 1
+        pieces = common_refinement((c.Y,), P_target)
+        for _ in range(top):
+            pieces = common_refinement([apply_h(W, 1) for W in pieces],
+                                       P_target)
+        return [Tower(apply_h(W, -top), c.J) for W in pieces]
+
     new_towers = tuple(
-        _sorted_towers(
-            Tower(Y, c.J) for c, ps in zip(towers, split) for Y in ps
-        )
-        for towers, split in zip(S.towers, pieces)
+        _sorted_towers(piece for c in towers for piece in split(c))
+        for towers in S.towers
     )
     return ReturnSystem(S.spec, S.bases, new_towers)
 
 
 def finer_system_criterion(S, S2):
     """True iff every tower slice of S2 is contained in a tower slice of S.
-    Requires the two systems to have the same union of bases."""
+    Requires the two systems to have the same union of bases.  The slices
+    of S are pairwise disjoint, as the bases are and slices tile each base."""
     if S.base_union() != S2.base_union():
         raise BaseMismatch("systems have different base unions")
     slices = [c.Y for towers in S.towers for c in towers]
-    for towers in S2.towers:
-        for c in towers:
-            if not any(is_subset(c.Y, Y) for Y in slices):
-                return False
-    return True
+    pieces = [c.Y for towers in S2.towers for c in towers]
+    return common_refinement(pieces, slices) == tuple(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +350,11 @@ def adapted_system_pair(spec, P, N, max_steps=None):
             raise ConstructionFailed(
                 "leading slice misses a fiber minimal set", postcondition="a"
             )
-    for X_t in S.bases:
-        for n in range(N):
-            img = apply_h(X_t, n)
-            if not any(is_subset(img, U) for U in P):
-                raise ConstructionFailed(
-                    "iterate of a base straddles the partition",
-                    postcondition="b",
-                )
+    images = [apply_h(X_t, n) for X_t in S.bases for n in range(N)]
+    if common_refinement(images, P) != tuple(images):
+        raise ConstructionFailed(
+            "iterate of a base straddles the partition", postcondition="b"
+        )
     hats = [hat_base(S, t) for t in range(S.T)]
     iters = [
         apply_h(X, i) for X in hats for i in range(N + 1) if not is_empty(X)

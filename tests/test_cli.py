@@ -349,6 +349,18 @@ def test_tower_whose_levels_miss_x_is_verification_failure(spec_file, capsys):
     assert space.from_dict(spec, entry["witness"]) == space.complement(covered)
 
 
+def test_tower_with_empty_base_is_input_error(spec_file, capsys):
+    code, out, err = run(
+        capsys, "tower", "--spec", spec_file(SHIFT),
+        "--base", '{"F": [], "cofinite": false}',
+    )
+    assert code == 2
+    assert out == ""
+    body = json.loads(err)
+    assert body["error"] == "ValueError"
+    assert body["message"] == "base must be nonempty"
+
+
 @pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize(
     "fiber",

@@ -167,15 +167,21 @@ def test_apply_h_is_boolean_automorphism(spec):
     )
 
 
-def coarser_scales(s):
-    """The atom scale s and some coarser ones; a quotient scale is a
-    (slice keys, fiber scale) pair and coarsens by more keys and in the
-    fiber scale."""
+def coarser_scales(spec, s):
+    """The atom scale s of spec and some coarser ones; a quotient scale
+    is a (slice keys, fiber scale, whole-fiber mask) triple and coarsens
+    by more keys and in the fiber scale, with the mask at that scale."""
     if isinstance(s, tuple):
-        ks, f = s
+        ks, f, _ = s
+        fiber = spec.fiber
+        whole = space.whole_space(fiber).data
         far = max(ks, default=0) + 5
         wider = (ks, tuple(sorted({*ks, -1, 0, 2})), tuple(sorted({*ks, far})))
-        return [(k, g) for k in wider for g in coarser_scales(f)]
+        return [
+            (k, g, fiber.atoms(whole, g))
+            for k in wider
+            for g in coarser_scales(fiber, f)
+        ]
     return [s, s + 1, s + 3]
 
 
@@ -186,9 +192,9 @@ def test_atoms_are_a_boolean_isomorphism(spec):
     for _ in range(40):
         a = genutil.random_set(spec, rng)
         b = genutil.random_set(spec, rng)
-        for s in coarser_scales(spec.atom_scale([a.data])):
+        for s in coarser_scales(spec, spec.atom_scale([a.data])):
             assert spec.from_atoms(spec.atoms(a.data, s), s) == a.data
-        for s in coarser_scales(spec.atom_scale([a.data, b.data])):
+        for s in coarser_scales(spec, spec.atom_scale([a.data, b.data])):
             ma = spec.atoms(a.data, s)
             every = spec.atoms(whole, s)
             assert spec.atoms(space.complement(a).data, s) == ma ^ every

@@ -117,6 +117,18 @@ def test_build_rejects_straddling_base():
         towers.build_from_bases([base], list(P))
 
 
+def test_build_rejects_straddling_base_beside_empty_base():
+    # NotSubordinate wins over the empty base's ValueError, in any order
+    base = space.shift_set(SHIFT, range(1, 7), cofinite=True)
+    empty = space.empty_set(SHIFT)
+    P = list(space.generating_partition(SHIFT, 2))
+    for bases in ([empty, base], [base, empty]):
+        with pytest.raises(NotSubordinate):
+            towers.build_from_bases(bases, P)
+    with pytest.raises(ValueError, match="base must be nonempty"):
+        towers.build_from_bases([empty], P)
+
+
 def test_build_rejects_overlapping_bases():
     spec = space.finite_cycle(6)
     a = space.finite_cycle_set(spec, [0, 1])
@@ -268,6 +280,63 @@ def test_refine_system_rejects_non_partition_target():
     for target in ([seven], [seven, space.whole_space(SHIFT)], []):
         with pytest.raises(ValueError):
             towers.refine_system(S, target)
+
+
+def inside_one_cell_oracle(sets, cells):
+    """Each set lies inside some cell, by all-pairs is_subset."""
+    return all(any(space.is_subset(a, U) for U in cells) for a in sets)
+
+
+def slices_of(S):
+    return [c.Y for tws in S.towers for c in tws]
+
+
+@pytest.mark.parametrize("spec", genutil.system_specs())
+def test_finer_system_criterion_matches_oracle(spec):
+    rng = random.Random(41)
+    S = genutil.valid_system(spec)
+    verdicts = set()
+    for _ in range(12):
+        target = genutil.random_partition(spec, rng, depth=3)
+        S2 = towers.refine_system(S, target)
+        assert S2.bases == S.bases
+        assert towers.finer_system_criterion(S, S2)
+        finer = towers.finer_system_criterion(S2, S)
+        assert finer == inside_one_cell_oracle(slices_of(S), slices_of(S2))
+        verdicts.add(finer)
+    # the cycle's slices are single points, which nothing splits
+    if spec.family == space.FINITE_CYCLE:
+        assert verdicts == {True}
+    else:
+        assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("spec", genutil.system_specs())
+def test_not_subordinate_matches_oracle(spec):
+    # bases drawn whole or cut down to one cell of P, so both verdicts
+    # occur; a base that fits P may still fail to return or saturate
+    rng = random.Random(43)
+    verdicts = set()
+    for _ in range(12):
+        P = genutil.random_partition(spec, rng)
+        a = genutil.random_set(spec, rng)
+        b = space.difference(genutil.random_set(spec, rng), a)
+        if rng.random() < 0.5:
+            a = space.intersect(a, rng.choice(P))
+        bases = [E for E in (a, b) if not space.is_empty(E)]
+        if not bases:
+            continue
+        fits = inside_one_cell_oracle(bases, P)
+        verdicts.add(fits)
+        try:
+            towers.build_from_bases(bases, P, max_steps=40)
+        except NotSubordinate:
+            assert not fits
+        except (MaxStepsExceeded, SaturationFailure):
+            assert fits
+        else:
+            assert fits
+    assert verdicts == {True, False}
 
 
 def test_finer_system_criterion_base_mismatch():
