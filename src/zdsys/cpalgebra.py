@@ -24,8 +24,6 @@ data of the resulting circle-algebra approximant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import space
 from .errors import IncompatiblePair, InvalidSystem, MixedSystems
 from .space import (
@@ -94,8 +92,7 @@ def _sf_canon(spec, pieces):
     return _sf_from_atoms(spec, s, groups, values, known)
 
 
-@dataclass(frozen=True)
-class CPElement:
+class CPElement(space.Record):
     spec: space.SystemSpec
     terms: tuple  # of (n, ((scalar, ClopenSet), ...)), sorted by n
 
@@ -311,8 +308,7 @@ def _v_element(S):
     return cp_element(S.spec, terms)
 
 
-@dataclass(frozen=True)
-class ProofElements:
+class ProofElements(space.Record):
     v1: CPElement
     u1: CPElement
     v2: CPElement
@@ -378,8 +374,7 @@ def proof_unitaries(S, S2):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(space.Record):
     entries: tuple  # of (name, passed, witness CPElement or None)
 
     @property
@@ -505,8 +500,7 @@ def identity_suite(S, S2):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ATDescriptor:
+class ATDescriptor(space.Record):
     blocks: tuple  # of (circle_dim, (matrix_dims, ...))
 
     def to_dict(self):

@@ -19,7 +19,6 @@ loads it on its first numeric call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import cpalgebra as cp
 from . import space
@@ -44,8 +43,7 @@ def _point_key(p):
     return (0, p, 0)
 
 
-@dataclass(frozen=True)
-class CompactMatrixRep:
+class CompactMatrixRep(space.Record):
     spec: space.SystemSpec
     points: tuple
     matrix: object  # a numpy.ndarray; numpy is not bound at module level
@@ -260,8 +258,7 @@ def cutdown_check(a, blocks, tol=1e-9, coeff_tol=1e-12):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BergReport:
+class BergReport(space.Record):
     N: int
     epsilon: float
     norm_w_minus_1: float

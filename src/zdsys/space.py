@@ -13,8 +13,6 @@ operands, call the spec's method and build the resulting ClopenSet.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
-from typing import ClassVar
 
 from .errors import (
     InvalidFiberPoint,
@@ -43,12 +41,127 @@ MINUS_INF = "-inf"
 PLUS_INF = "+inf"
 
 
-@dataclass(frozen=True)
-class ClopenSet:
-    """A compact open subset of X in family-specific canonical form."""
+_setattr = object.__setattr__
 
+
+class Record:
+    """Base of the package's immutable value classes.
+
+    A subclass declares its fields as annotations, in order after the
+    inherited ones, and may give a field a class-level default.  The
+    instances behave as those of a frozen dataclass:
+
+    - the constructor takes the fields by position or by keyword, fills
+      in the defaults and then calls __post_init__;
+    - two instances are equal when they are of the same class and their
+      tuples of field values are equal;
+    - the hash is the hash of that tuple, and the repr is
+      Cls(field=value, ...), so hashes, set orders and reports are the
+      ones a frozen dataclass gives;
+    - assigning or deleting an attribute raises AttributeError.
+
+    The constructor keeps the field values as one tuple as well, which
+    __eq__ and __hash__ read.  Unlike the dataclasses module, Record
+    compiles no code at import.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = {}
+        defaults = {}
+        for klass in reversed(cls.__mro__):
+            own = vars(klass)
+            for name in own.get("__annotations__", ()):
+                fields[name] = None  # a redeclared field keeps its place
+                if name in own and name not in own.get("__slots__", ()):
+                    defaults[name] = own[name]
+        cls._fields = tuple(fields)
+        cls._defaults = defaults
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            args = self._arguments(args, kwargs)
+        for name, value in zip(names, args):
+            _setattr(self, name, value)
+        _setattr(self, "_key", args)  # the field values, for == and hash
+        self.__post_init__()
+
+    @classmethod
+    def _arguments(cls, args, kwargs):
+        """The field values in field order, from the fields given by
+        position and by keyword and from the defaults."""
+        names = cls._fields
+        if len(args) > len(names):
+            raise TypeError("%s() takes %d fields but %d were given"
+                            % (cls.__name__, len(names), len(args)))
+        values = dict(zip(names, args))
+        for name in kwargs:
+            if name not in names or name in values:
+                raise TypeError("%s() got an unexpected or repeated field %r"
+                                % (cls.__name__, name))
+        values.update(kwargs)
+        for name in names:
+            if name not in values and name not in cls._defaults:
+                raise TypeError("%s() missing field %r" % (cls.__name__, name))
+        return tuple(values[n] if n in values else cls._defaults[n]
+                     for n in names)
+
+    def __post_init__(self):
+        """Check the fields; a subclass with invariants overrides it."""
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__qualname__,
+            ", ".join("%s=%r" % (name, getattr(self, name))
+                      for name in self._fields),
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class ClopenSet(Record):
+    """A compact open subset of X in family-specific canonical form.
+
+    The set operations build one per result, so it has slots and
+    two-field methods of its own, with the semantics of Record's."""
+
+    __slots__ = ("spec", "data")
     spec: SystemSpec
-    data: object = field(hash=True)
+    data: object
+
+    def __init__(self, spec, data):
+        _setattr(self, "spec", spec)
+        _setattr(self, "data", data)
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.spec, self.data) == (other.spec, other.data)
+
+    def __hash__(self):
+        return hash((self.spec, self.data))
+
+    def __reduce__(self):
+        # slots are restored by setattr, which a frozen object refuses
+        return (self.__class__, (self.spec, self.data))
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +169,7 @@ class ClopenSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(Record):
     """Description of the space X and homeomorphism h.
 
     Each family is a subclass that holds the family's parameters and is
@@ -92,9 +204,10 @@ class SystemSpec:
     this contract.
     """
 
-    family: ClassVar[str]
-    set_keys: ClassVar[tuple]  # (required, optional) keys of the set JSON
-    empty_data: ClassVar[object]  # the data of the empty set
+    # Each family sets these plain class attributes, which are not
+    # fields: family, the name in spec JSON; set_keys, the (required,
+    # optional) keys of the set JSON; empty_data, the data of the empty
+    # set.  The parameters of a family are its annotated fields.
 
     def is_empty(self, d):
         # the canonical form of the empty set is unique
@@ -110,9 +223,9 @@ class SystemSpec:
 
     def to_dict(self):
         params = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            params[f.name] = value.to_dict() if f.name == "fiber" else value
+        for name in self._fields:
+            value = getattr(self, name)
+            params[name] = value.to_dict() if name == "fiber" else value
         return {"family": self.family, "params": params}
 
     @staticmethod
@@ -132,7 +245,7 @@ class SystemSpec:
         else:
             params = d["params"]
         cls = _SPEC_CLASSES[family]
-        names = [f.name for f in fields(cls)]
+        names = cls._fields
         unknown = sorted(set(params) - set(names))
         if unknown:
             raise ValueError("unknown %s parameter %r" % (family, unknown[0]))
@@ -173,7 +286,6 @@ class SystemSpec:
         return self, lambda E: E
 
 
-@dataclass(frozen=True)
 class FiniteCycle(SystemSpec):
     """X = {0,...,M-1} with the +1 cycle, M = period.  The data of a set
     is the frozenset of its points."""
@@ -267,7 +379,6 @@ def _add_carry_seq(base, digits, carry):
     return out, carry
 
 
-@dataclass(frozen=True)
 class Odometer(SystemSpec):
     """The base-b adding machine on infinite digit strings (least
     significant digit first), b = base.
@@ -457,8 +568,6 @@ class Odometer(SystemSpec):
         return [self.make([(0,) * L])]
 
 
-# no parameters, so SystemSpec's generated __init__, __eq__, __hash__
-# and __repr__ serve; a decorator of its own costs 7 KiB at import
 class CompactifiedShift(SystemSpec):
     """Z with one point at infinity and the +1 shift.  The data of a set
     is (finite set F, cofinite flag); the cofinite form contains inf."""
@@ -571,8 +680,6 @@ class CompactifiedShift(SystemSpec):
         return self.make([p])
 
 
-# no parameters, so SystemSpec's generated __init__, __eq__, __hash__
-# and __repr__ serve; a decorator of its own costs 7 KiB at import
 class TwoPointShift(SystemSpec):
     """Z with fixed points -inf and +inf.  The data of a set is (finite
     difference set F, tail_minus, tail_plus).  An integer n is in the set
@@ -692,7 +799,6 @@ class TwoPointShift(SystemSpec):
         return self.make([p])
 
 
-@dataclass(frozen=True)
 class QuotientProduct(SystemSpec):
     """(Y x Z~)/(Y x {inf}) for a fiber system Y, where Z~ is the
     one-point compactification of Z and the map acts fiberwise.  The data
@@ -1100,7 +1206,9 @@ def common_refinement(P, Q):
         return ()
     spec = P[0].spec
     sets = (*P, *Q)
-    if any(a.spec != spec for a in sets):
+    # list.count tests identity before ==, in C: one pass, no calls
+    # for the usual shared spec object
+    if [a.spec for a in sets].count(spec) != len(sets):
         raise MixedSystems("operands over different system specs")
     s = spec.atom_scale([a.data for a in sets])
     masks = [spec.atoms(b.data, s) for b in Q]

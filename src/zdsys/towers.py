@@ -9,9 +9,6 @@ after exactly J_{t,k} steps.  The tower levels h^j(Y_{t,k}) for
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from . import space
 from .errors import (
     BaseMismatch,
@@ -23,6 +20,7 @@ from .errors import (
 )
 from .space import (
     ClopenSet,
+    Record,
     SystemSpec,
     apply_h,
     common_refinement,
@@ -41,22 +39,19 @@ from .space import (
 )
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(Record):
     """One return class: base slice Y and its constant return time J."""
 
     Y: ClopenSet
     J: int
 
 
-@dataclass(frozen=True)
-class ReturnDecomposition:
+class ReturnDecomposition(Record):
     base: ClopenSet
     classes: tuple
 
 
-@dataclass(frozen=True)
-class ReturnSystem:
+class ReturnSystem(Record):
     spec: SystemSpec
     bases: tuple
     towers: tuple  # towers[t] is a tuple of Tower, sorted by (J, set order)
@@ -72,8 +67,7 @@ class ReturnSystem:
         return out
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     entries: tuple  # of (condition, passed, witness ClopenSet or None)
 
     @property
@@ -94,12 +88,11 @@ class ValidationReport:
         }
 
 
-@dataclass(frozen=True)
-class FiberwiseReport:
+class FiberwiseReport(Record):
     verdict: bool
     depth: int
     z_witnesses: tuple
-    failure_witness: Optional[tuple] = None  # (ClopenSet, reason)
+    failure_witness: tuple | None = None  # (ClopenSet, reason)
 
 
 def default_max_steps(sets):

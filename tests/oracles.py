@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
 
@@ -478,3 +478,145 @@ def represent_by_moves(spec, terms, ops, points=None, key=None):
                 if ops.contains_point(E, x):
                     rows[i][j] += c
     return points, rows
+
+
+# ---------------------------------------------------------------------------
+# frozen-dataclass twins of the value classes
+# ---------------------------------------------------------------------------
+#
+# Each twin has the name and the fields, in order, of one value class of
+# the package, as that class was declared when it was a frozen
+# dataclass.  A twin built from an object's field values has the hash and
+# repr the object had then, and twins compare as those objects did.
+
+
+@dataclass(frozen=True)
+class ClopenSet:
+    spec: object
+    data: object
+
+
+@dataclass(frozen=True)
+class SystemSpec:
+    pass
+
+
+@dataclass(frozen=True)
+class FiniteCycle(SystemSpec):
+    period: int
+
+
+@dataclass(frozen=True)
+class Odometer(SystemSpec):
+    base: int = 2
+
+
+@dataclass(frozen=True)
+class CompactifiedShift(SystemSpec):
+    pass
+
+
+@dataclass(frozen=True)
+class TwoPointShift(SystemSpec):
+    pass
+
+
+@dataclass(frozen=True)
+class QuotientProduct(SystemSpec):
+    fiber: object
+
+
+@dataclass(frozen=True)
+class Tower:
+    Y: object
+    J: int
+
+
+@dataclass(frozen=True)
+class ReturnDecomposition:
+    base: object
+    classes: tuple
+
+
+@dataclass(frozen=True)
+class ReturnSystem:
+    spec: object
+    bases: tuple
+    towers: tuple
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    entries: tuple
+
+
+@dataclass(frozen=True)
+class FiberwiseReport:
+    verdict: bool
+    depth: int
+    z_witnesses: tuple
+    failure_witness: object = None
+
+
+@dataclass(frozen=True)
+class CPElement:
+    spec: object
+    terms: tuple
+
+
+@dataclass(frozen=True)
+class ProofElements:
+    v1: object
+    u1: object
+    v2: object
+    u2: object
+    uhat: object
+    Y: object
+    Xhat: tuple
+
+
+@dataclass(frozen=True)
+class SuiteReport:
+    entries: tuple
+
+
+@dataclass(frozen=True)
+class ATDescriptor:
+    blocks: tuple
+
+
+@dataclass(frozen=True)
+class CompactMatrixRep:
+    spec: object
+    points: tuple
+    matrix: object
+
+
+@dataclass(frozen=True)
+class BergReport:
+    N: int
+    epsilon: float
+    norm_w_minus_1: float
+    norm_u_prime_minus_u: float
+    block_norms: tuple
+    z_unitary_ok: bool
+    z_commutes_ok: bool
+    blocks_ok: bool
+
+
+VALUE_TWINS = {
+    cls.__name__: cls
+    for cls in (
+        ClopenSet, SystemSpec, FiniteCycle, Odometer, CompactifiedShift,
+        TwoPointShift, QuotientProduct, Tower, ReturnDecomposition,
+        ReturnSystem, ValidationReport, FiberwiseReport, CPElement,
+        ProofElements, SuiteReport, ATDescriptor, CompactMatrixRep,
+        BergReport,
+    )
+}
+
+
+def value_twin(obj):
+    """The twin of a value object, built from its field values."""
+    twin = VALUE_TWINS[type(obj).__name__]
+    return twin(*(getattr(obj, f.name) for f in fields(twin)))

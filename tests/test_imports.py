@@ -1,13 +1,12 @@
 """Every module-level import of the package is read in its module,
 no module imports scipy, numpy is loaded only by a berg job, every
 error class of the package is raised somewhere in it, every
-module-level function is used in it or is public API, and the
-annotations of every dataclass resolve."""
+module-level function is used in it or is public API, the
+annotations of every value class resolve, and importing the CLI loads
+neither dataclasses, inspect nor typing."""
 
 import ast
-import dataclasses
 import glob
-import inspect
 import json
 import os
 import subprocess
@@ -17,7 +16,7 @@ import typing
 import pytest
 
 import zdsys
-from zdsys import errors
+from zdsys import errors, space
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "zdsys")
 MODULES = sorted(
@@ -127,6 +126,40 @@ def test_module_does_not_import_numpy_at_import_time(path):
     # only berg needs numpy, and numeric imports it inside its functions
     with open(path) as f:
         assert "numpy" not in import_time_packages(f.read())
+
+
+@pytest.mark.parametrize(
+    "path", sorted(glob.glob(os.path.join(SRC, "*.py"))), ids=os.path.basename
+)
+def test_module_does_not_import_dataclasses_or_typing(path):
+    # the value classes derive from space.Record; dataclasses (which
+    # loads inspect) and typing would add about 12 ms to every start
+    with open(path) as f:
+        assert import_time_packages(f.read()) & {"dataclasses", "typing"} == set()
+
+
+# Lists the modules that `import zdsys.cli` loads among those it must
+# not: numpy is for berg alone, and dataclasses, inspect and typing
+# cost about 12 ms of every process start.
+START_PATH_PROBE = """
+import json, sys
+before = set(sys.modules)
+import zdsys.cli
+new = set(sys.modules) - before
+print(json.dumps(sorted(new & {"dataclasses", "inspect", "typing", "numpy"})))
+"""
+
+
+def test_cli_start_path_is_lean():
+    # -S keeps site, whose .pth files may import typing, out of the
+    # snapshot
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.abspath(SRC)))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", START_PATH_PROBE],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def test_berg_job_does_not_load_scipy(tmp_path):
@@ -321,7 +354,7 @@ def test_every_function_is_used_or_public():
     assert sorted(PUBLIC_API - defined) == []
 
 
-def test_dataclass_annotations_resolve():
+def test_value_class_annotations_resolve():
     # typing.get_type_hints evaluates every annotation in its module, so
     # a name bound only inside functions, such as numpy, fails here
     checked = 0
@@ -329,9 +362,10 @@ def test_dataclass_annotations_resolve():
         module = getattr(zdsys, name)
         for obj in vars(module).values():
             if (
-                inspect.isclass(obj)
-                and dataclasses.is_dataclass(obj)
+                isinstance(obj, type)
+                and issubclass(obj, space.Record)
                 and obj.__module__ == module.__name__
+                and obj is not space.Record
             ):
                 typing.get_type_hints(obj)
                 checked += 1

@@ -377,6 +377,14 @@ def test_partition_primitives_match_oracles(spec):
                 )
 
 
+def test_common_refinement_takes_equal_specs_that_are_not_one_object():
+    whole = space.whole_space(space.odometer(2))
+    half = space.cylinder(space.odometer(2), (0,))
+    assert whole.spec is not half.spec
+    assert space.common_refinement((whole,), (half,)) == (half,)
+    assert space.common_refinement((half,), (whole,)) == (half,)
+
+
 @pytest.mark.parametrize("spec", genutil.all_specs())
 def test_serialization_round_trip(spec):
     rng = random.Random(11)
