@@ -9,15 +9,21 @@ of the Berg check are then slices of that one matrix, with rows and
 columns labelled by the blocks that hold their points, and no cutdown
 is formed as a symbolic element.
 
-numpy is imported inside the functions that use it, not at module
-level.  Only `berg` among the commands needs floating point; the others
-are exact.  So `zdsys.numeric`, and with it the package and the CLI,
-imports and can be traced without loading numpy, and a `berg` job
-loads it on its first numeric call.
+Matrices are sparse: a shape and a dict of the stored entries.  What
+`berg` asks of them is computed in pure Python.  The corner unitary
+that it takes a root of permutes the points of Y, and the root of a
+permutation is explicit on each of its cycles.  The matrices that it
+takes norms of split into independent blocks, and a block with at most
+two rows or two columns has a closed-form norm.  numpy is imported
+inside functions only: for a norm block with at least three rows and
+three columns, for the root of a unitary that is not a permutation, and
+for dense input.  So `zdsys.numeric`, and with it the package and the
+CLI, imports and can be traced without loading numpy.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from . import cpalgebra as cp
@@ -37,6 +43,71 @@ from .towers import adapted_system_pair
 # ---------------------------------------------------------------------------
 
 
+class SparseMatrix:
+    """A matrix as its shape and a dict {(row, col): value} of its stored
+    entries; an entry that is not stored is 0.  toarray() and __array__
+    hand it to numpy."""
+
+    __slots__ = ("shape", "entries")
+    __hash__ = None
+
+    def __init__(self, shape, entries):
+        self.shape = shape
+        self.entries = entries
+
+    def __repr__(self):
+        return "SparseMatrix(%r, %r)" % (self.shape, self.entries)
+
+    @classmethod
+    def identity(cls, n):
+        return cls((n, n), {(i, i): 1 + 0j for i in range(n)})
+
+    def __sub__(self, other):
+        entries = dict(self.entries)
+        for ij, c in other.entries.items():
+            entries[ij] = entries.get(ij, 0j) - c
+        return SparseMatrix(self.shape, entries)
+
+    def __matmul__(self, other):
+        by_row = {}
+        for (k, j), b in other.entries.items():
+            by_row.setdefault(k, []).append((j, b))
+        entries = {}
+        for (i, k), a in self.entries.items():
+            for j, b in by_row.get(k, ()):
+                entries[i, j] = entries.get((i, j), 0j) + a * b
+        return SparseMatrix((self.shape[0], other.shape[1]), entries)
+
+    def toarray(self):
+        import numpy as np
+
+        A = np.zeros(self.shape, dtype=complex)
+        for ij, c in self.entries.items():
+            A[ij] = c
+        return A
+
+    def __array__(self, dtype=None, copy=None):
+        A = self.toarray()
+        return A if dtype is None else A.astype(dtype)
+
+
+def _sparse(M):
+    """M as a SparseMatrix: itself, the matrix of a CompactMatrixRep, or
+    the nonzero entries of what numpy reads as a 2-d complex array."""
+    if isinstance(M, CompactMatrixRep):
+        M = M.matrix
+    if isinstance(M, SparseMatrix):
+        return M
+    import numpy as np
+
+    A = np.asarray(M, dtype=complex)
+    if A.ndim != 2:
+        raise ValueError("matrix must be 2-dimensional")
+    rows, cols = np.nonzero(A)
+    keys = zip(rows.tolist(), cols.tolist())
+    return SparseMatrix(A.shape, dict(zip(keys, A[rows, cols].tolist())))
+
+
 def _point_key(p):
     if isinstance(p, tuple):
         return (1, p[0], _point_key(p[1]))
@@ -46,7 +117,7 @@ def _point_key(p):
 class CompactMatrixRep(space.Record):
     spec: space.SystemSpec
     points: tuple
-    matrix: object  # a numpy.ndarray; numpy is not bound at module level
+    matrix: SparseMatrix
 
 
 def represent(a, points=None):
@@ -56,13 +127,12 @@ def represent(a, points=None):
     piece (c, E) of f_n places c at [x, h^-n(x)] for every point x of E
     whose preimage is in the window as well, the terms taken in
     increasing n.  The pieces of one term are disjoint, so an entry
-    takes at most one addition per term.  The window is the union of all
-    piece supports, widened by up to the largest shift either way,
-    unless explicit points are given.  Either way every piece must be a
-    finite point set; a cofinite one raises NotCompactlySupported.
+    takes at most one addition per term, and every entry is a complex
+    sum started at 0j.  The window is the union of all piece supports,
+    widened by up to the largest shift either way, unless explicit
+    points are given.  Either way every piece must be a finite point
+    set; a cofinite one raises NotCompactlySupported.
     """
-    import numpy as np
-
     spec = a.spec
     pieces = [
         (n, c, enumerate_points(E)) for n, sf in a.terms for c, E in sf
@@ -79,14 +149,15 @@ def represent(a, points=None):
     else:
         points = list(points)
     index = {p: i for i, p in enumerate(points)}
-    M = np.zeros((len(points), len(points)), dtype=complex)
+    entries = {}
     for n, c, xs in pieces:
         for x in xs:
             i = index.get(x)
             j = index.get(point_apply_h(spec, x, -n))
             if i is not None and j is not None:
-                M[i, j] += c
-    return CompactMatrixRep(spec, tuple(points), M)
+                entries[i, j] = entries.get((i, j), 0j) + c
+    n = len(points)
+    return CompactMatrixRep(spec, tuple(points), SparseMatrix((n, n), entries))
 
 
 # ---------------------------------------------------------------------------
@@ -94,31 +165,96 @@ def represent(a, points=None):
 # ---------------------------------------------------------------------------
 
 
-def operator_norm(M):
-    """Largest singular value, from LAPACK's singular values (the
-    2-norm of Golub and Van Loan, Matrix Computations, 2.3 and 8.6).
-    No singular vectors are formed.  All-zero rows and columns are
-    dropped first: dropping a zero row leaves M*M as it is, and dropping
-    a zero column deletes a zero row and column of M*M, so the nonzero
-    singular values, and with them the norm, are unchanged, while a
-    `represent` window, mostly zero rows and columns, shrinks to its
-    nonzero block.  A matrix with a NaN or infinite entry, or one
-    LAPACK fails on, raises NoConvergence."""
+def _blocks(entries):
+    """The ((row, col), value) entries grouped into blocks, each sorted
+    in window order: a row and a column are in one block when a chain of
+    entries links them."""
+    parent = {}
+
+    def find(v):
+        root = v
+        while root in parent:
+            root = parent[root]
+        while v != root:
+            parent[v], v = root, parent[v]
+        return root
+
+    for (i, j), _ in entries:
+        r, c = find((0, i)), find((1, j))
+        if r != c:
+            parent[r] = c
+    blocks = {}
+    for e in entries:
+        blocks.setdefault(find((0, e[0][0])), []).append(e)
+    return [sorted(b) for b in blocks.values()]
+
+
+def _block_norm(block):
+    rows = {i for (i, _), _ in block}
+    cols = {j for (_, j), _ in block}
+    if len(rows) == 1 or len(cols) == 1:
+        return math.hypot(*[x for _, c in block for x in (c.real, c.imag)])
+    if len(rows) == 2 or len(cols) == 2:
+        # the two rows of the block, or its two columns; the entries are
+        # scaled by a power of two, exactly, so no square overflows
+        side = 0 if len(rows) == 2 else 1
+        first = min(rows if side == 0 else cols)
+        e = math.frexp(max(max(abs(c.real), abs(c.imag)) for _, c in block))[1]
+        lines = ({}, {})
+        for ij, c in block:
+            lines[ij[side] != first][ij[1 - side]] = complex(
+                math.ldexp(c.real, -e), math.ldexp(c.imag, -e)
+            )
+        x, y = lines
+        g11 = sum(c.real * c.real + c.imag * c.imag for c in x.values())
+        g22 = sum(c.real * c.real + c.imag * c.imag for c in y.values())
+        g12 = abs(sum(c * y[k].conjugate() for k, c in x.items() if k in y))
+        top = (g11 + g22) / 2 + math.hypot((g11 - g22) / 2, g12)
+        return math.ldexp(math.sqrt(top), e)
     import numpy as np
 
-    if isinstance(M, CompactMatrixRep):
-        M = M.matrix
-    M = np.asarray(M, dtype=complex)
-    if not np.isfinite(M).all():
-        raise NoConvergence("matrix has a NaN or infinite entry")
-    nonzero = M != 0
-    M = M[nonzero.any(axis=1)][:, nonzero.any(axis=0)]
-    if M.size == 0:
-        return 0.0
+    r = {i: k for k, i in enumerate(sorted(rows))}
+    s = {j: k for k, j in enumerate(sorted(cols))}
+    B = np.zeros((len(r), len(s)), dtype=complex)
+    for (i, j), c in block:
+        B[r[i], s[j]] = c
     try:
-        return float(np.linalg.norm(M, 2))
-    except np.linalg.LinAlgError as e:
-        raise NoConvergence("singular values did not converge: %s" % e) from e
+        return float(np.linalg.norm(B, 2))
+    except np.linalg.LinAlgError as err:
+        raise NoConvergence("singular values did not converge: %s" % err) from err
+
+
+def operator_norm(M):
+    """Largest singular value of a SparseMatrix, a CompactMatrixRep or
+    anything numpy reads as a 2-d array.
+
+    Lemma: link row i and column j when entry [i, j] is nonzero, and
+    call the rows and columns of one connected component a block.  Up
+    to a permutation of the rows and of the columns, M is the direct
+    sum of its blocks and of a zero matrix, so M*M is the direct sum of
+    the blocks' B*B and a zero matrix, and the norm of M is the largest
+    block norm (0 when there is no block).
+
+    - A block with one row or one column is a vector; its norm is the
+      Euclidean norm, from math.hypot.
+    - A block with two rows or two columns has the 2 x 2 Gram matrix
+      G = B B* or B* B, whose larger eigenvalue is
+      (g11 + g22)/2 + hypot((g11 - g22)/2, |g12|).  Both terms are
+      non-negative, so nothing cancels, also where the two singular
+      values agree.
+    - Any larger block takes LAPACK's singular values, the 2-norm of
+      Golub and Van Loan, Matrix Computations, 2.3 and 8.6, on that
+      block alone, with numpy imported there.
+
+    Each block's entries are read in window order, so a block's norm
+    is a function of its values alone: a slice of a matrix and a matrix
+    with the same nonzero block give the same float.  A matrix with a
+    NaN or infinite entry, or one LAPACK fails on, raises
+    NoConvergence."""
+    entries = [(ij, c) for ij, c in _sparse(M).entries.items() if c != 0]
+    if not all(cmath.isfinite(c) for _, c in entries):
+        raise NoConvergence("matrix has a NaN or infinite entry")
+    return max(map(_block_norm, _blocks(entries)), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -126,30 +262,62 @@ def operator_norm(M):
 # ---------------------------------------------------------------------------
 
 
-def unitary_nth_root(V, N, tol=1e-10):
-    """The N-th root of a unitary through the principal branch: each
-    eigenvalue e^{i theta}, theta in (-pi, pi], becomes e^{i theta/N}.
-    An eigenvalue within tol of -1 counts as theta = pi, whatever the
-    sign of the rounding in its imaginary part.  The result is a
-    function of V and satisfies |W - 1| <= pi/N.
+def _cycles(V):
+    """The cycles [s_0, s_1, ...], V e_{s_t} = e_{s_{t+1}}, of the
+    permutation matrix V, or None if V is not one: each row and each
+    column must hold exactly one nonzero entry, and it must be 1."""
+    image = {}
+    for (i, j), c in V.entries.items():
+        if c != 0:
+            if c != 1 or j in image:
+                return None
+            image[j] = i
+    n = V.shape[0]
+    if len(image) != n or len(set(image.values())) != n:
+        return None
+    cycles, seen = [], set()
+    for s in range(n):
+        cycle = []
+        while s not in seen:
+            seen.add(s)
+            cycle.append(s)
+            s = image[s]
+        if cycle:
+            cycles.append(cycle)
+    return cycles
 
-    The eigenbasis is that of a Hermitian matrix with the eigenvectors
-    of V: V is turned by a phase so that the widest gap between its
-    eigenvalues sits at -1, and the Cayley transform
-    C = i(1 - R)(1 + R)^{-1} of the turned unitary R is Hermitian.  Its
-    orthonormal eigenvectors Q, from numpy's Hermitian solver, are also
-    orthonormal where eigenvalues repeat; theta is read off the diagonal
-    of Q* V Q."""
+
+def _cycle_root(L, N):
+    """[c_0, ..., c_{L-1}], c_d = W[s_{t+d}, s_t] for the principal N-th
+    root W of the cyclic shift on L points."""
+    # theta_k = 2 pi k/L wrapped into (-pi, pi]; at 2k = L the quotient
+    # below is 1.0 exactly, so theta_k is pi
+    roots = [
+        cmath.exp(1j * math.pi * (2 * (k if 2 * k <= L else k - L) / L) / N)
+        for k in range(L)
+    ]
+    return [
+        sum(roots[k] * cmath.exp(-2j * math.pi * (k * d % L) / L)
+            for k in range(L)) / L
+        for d in range(L)
+    ]
+
+
+def _power(W, m):
+    """W^m for m >= 0, by repeated squaring."""
+    P = SparseMatrix.identity(W.shape[0])
+    while m:
+        if m & 1:
+            P = P @ W
+        W = W @ W
+        m >>= 1
+    return P
+
+
+def _eigenbasis_root(V, N, tol):
     import numpy as np
 
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    V = np.asarray(V, dtype=complex)
-    if V.ndim != 2 or V.shape[0] != V.shape[1]:
-        raise ValueError("V must be square")
     n = V.shape[0]
-    if n == 0:
-        return V.copy()
     I = np.eye(n)
     if (
         operator_norm(V @ V.conj().T - I) > tol
@@ -169,6 +337,55 @@ def unitary_nth_root(V, N, tol=1e-10):
     if operator_norm(np.linalg.matrix_power(W, N) - V) > tol:
         raise DegenerateEigenbasis("root verification failed")
     return W
+
+
+def unitary_nth_root(V, N, tol=1e-10):
+    """The N-th root of a unitary through the principal branch: each
+    eigenvalue e^{i theta}, theta in (-pi, pi], becomes e^{i theta/N}.
+    The result is a function of V and satisfies |W - 1| <= pi/N.  A
+    SparseMatrix V gives a SparseMatrix root, any other input an
+    ndarray.
+
+    A permutation matrix V, with exactly one nonzero entry in each row
+    and each column and that entry 1, is unitary exactly, and its root
+    is explicit on each cycle s_0 -> s_1 -> ... -> s_{L-1} -> s_0: on
+    the span of e_{s_0}, ..., e_{s_{L-1}}, V is the cyclic shift, with
+    the eigenvectors sum_t e^{-2 pi i k t/L} e_{s_t} for the eigenvalues
+    e^{i theta_k}, theta_k = 2 pi k/L wrapped into (-pi, pi].  So
+    W[s_{t+d}, s_t] = (1/L) sum_k e^{i theta_k/N} e^{-2 pi i k d/L}, and
+    theta_k = pi exactly for k = L/2.  W^N is checked against V in the
+    Frobenius norm, which bounds the operator norm from above.
+
+    Any other V goes through an eigenbasis, with numpy.  It must be
+    unitary within tol, and an eigenvalue within tol of -1 counts as
+    theta = pi, whatever the sign of the rounding in its imaginary
+    part.  The eigenbasis is that of a Hermitian matrix with the
+    eigenvectors of V: V is turned by a phase so that the widest gap
+    between its eigenvalues sits at -1, and the Cayley transform
+    C = i(1 - R)(1 + R)^{-1} of the turned unitary R is Hermitian.  Its
+    orthonormal eigenvectors Q, from numpy's Hermitian solver, are also
+    orthonormal where eigenvalues repeat; theta is read off the diagonal
+    of Q* V Q.  W^N is checked against V in the operator norm."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    S = _sparse(V)
+    n = S.shape[0]
+    if S.shape != (n, n):
+        raise ValueError("V must be square")
+    cycles = _cycles(S)
+    if cycles is None:
+        W = _eigenbasis_root(S.toarray(), N, tol)
+        return _sparse(W) if isinstance(V, SparseMatrix) else W
+    entries = {}
+    for cycle in cycles:
+        L = len(cycle)
+        for d, c in enumerate(_cycle_root(L, N)):
+            for t, s in enumerate(cycle):
+                entries[cycle[(t + d) % L], s] = c
+    W = SparseMatrix((n, n), entries)
+    if math.hypot(*map(abs, (_power(W, N) - S).entries.values())) > tol:
+        raise DegenerateEigenbasis("root verification failed")
+    return W if isinstance(V, SparseMatrix) else W.toarray()
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +421,11 @@ def cutdown_check(a, blocks, tol=1e-9, coeff_tol=1e-12):
 
     Entry [x, y] of chi_p a chi_q is the same sum over n, in the same
     order, as entry [x, y] of M when x is in p and y in q, and 0
-    otherwise.  So the rows labelled k and the columns labelled k of M
-    hold every nonzero entry of block k's matrix, in the same point
-    order; operator_norm drops the zero rows and columns of both, so
+    otherwise.  So block k's matrix is M with every entry outside the
+    rows labelled k and the columns labelled k left out, on the same
+    window.  operator_norm reads each of its blocks in window order, so
     the block norms are those of the symbolic cutdowns, float for
     float."""
-    import numpy as np
-
     for side in (0, 1):
         cells = [b[side] for b in blocks if not is_empty(b[side])]
         if not space.is_partition(cells):
@@ -236,11 +451,13 @@ def cutdown_check(a, blocks, tol=1e-9, coeff_tol=1e-12):
             "total_norm": None,
             "bound_holds": False,
         }
-    rows = np.array([row[x] for x in rep.points], dtype=int)
-    cols = np.array([col[x] for x in rep.points], dtype=int)
+    cutdowns = [{} for _ in blocks]
+    for (i, j), c in rep.matrix.entries.items():
+        k = row[rep.points[i]]
+        if k == col[rep.points[j]]:
+            cutdowns[k][i, j] = c
     block_norms = [
-        operator_norm(rep.matrix[rows == k][:, cols == k])
-        for k in range(len(blocks))
+        operator_norm(SparseMatrix(rep.matrix.shape, e)) for e in cutdowns
     ]
     total = operator_norm(rep)
     bound = max(block_norms, default=0.0) + tol
@@ -292,44 +509,43 @@ class BergReport(space.Record):
 
 def _interpolating_unitary(Y, y_points, W, N):
     """z = sum over j < N of chi_{h^j Y} u^j W^{N-j} u^{-j} chi_{h^j Y},
-    plus 1 off those levels, for W a matrix on the points of Y.
+    plus 1 off those levels, for W a SparseMatrix on the points of Y.
 
     For x, y in Y the entry (W^{N-j})_{xy} chi_x u^{x-y} conjugates to
     (W^{N-j})_{xy} chi_{h^j x} u^{x-y}, so z is built in one step from
-    the entries.  Entries of modulus at most 1e-15 are dropped."""
-    import numpy as np
-
+    the entries, taken in row-major order.  The powers are sparse
+    products.  Entries of modulus at most 1e-15 are dropped."""
     spec = Y.spec
-    powers = {0: np.eye(len(y_points), dtype=complex)}
-    for m in range(1, N + 1):
-        powers[m] = powers[m - 1] @ W
+    powers = [SparseMatrix.identity(len(y_points))]
+    for _ in range(N):
+        powers.append(powers[-1] @ W)
     singletons = [spec.singleton(x) for x in y_points]
     terms = {}
     covered = space.empty_set(spec)
     for j in range(N):
         covered = space.union(covered, apply_h(Y, j))
-        for r, x in enumerate(y_points):
-            for s, y in enumerate(y_points):
-                c = powers[N - j][r, s]
-                if abs(c) <= 1e-15:
-                    continue
-                n = spec.displacement(x, y)
-                if n is None:
-                    raise DegenerateEigenbasis(
-                        "matrix couples points of different fibers"
-                    )
-                terms.setdefault(n, []).append(
-                    (c, apply_h(singletons[r], j))
+        for (r, s), c in sorted(powers[N - j].entries.items()):
+            if abs(c) <= 1e-15:
+                continue
+            n = spec.displacement(y_points[r], y_points[s])
+            if n is None:
+                raise DegenerateEigenbasis(
+                    "matrix couples points of different fibers"
                 )
+            terms.setdefault(n, []).append((c, apply_h(singletons[r], j)))
     terms.setdefault(0, []).append((1, space.complement(covered)))
     return cp.cp_element(spec, terms)
 
 
 def berg_verify(spec, P, N, epsilon, max_steps=None):
     """Build an adapted pair for (P, N), interpolate its unitaries with
-    an N-th root, and measure how far the result is from u."""
-    import numpy as np
+    an N-th root, and measure how far the result is from u.
 
+    v1 and v2 are sums of matrix units with coefficient 1, so the corner
+    V = chi_Y v2 v1* chi_Y permutes the points of Y, and its root takes
+    the cycle path of unitary_nth_root.  The matrices whose norms are
+    taken here split into small blocks, and only a block with at least
+    three rows and three columns would load numpy."""
     if not epsilon > math.pi / N:
         raise ValueError("epsilon must exceed pi/N")
     S, S2 = adapted_system_pair(spec, P, N, max_steps)
@@ -348,7 +564,7 @@ def berg_verify(spec, P, N, epsilon, max_steps=None):
         )
         V = represent(v_el, points=y_points).matrix
         W = unitary_nth_root(V, N)
-        norm_w = operator_norm(W - np.eye(len(y_points)))
+        norm_w = operator_norm(W - SparseMatrix.identity(len(y_points)))
 
         z = _interpolating_unitary(Y, y_points, W, N)
 

@@ -1,5 +1,5 @@
 """Every module-level import of the package is read in its module,
-no module imports scipy, numpy is loaded only by a berg job, every
+no module imports scipy, no CLI job loads numpy or scipy, every
 error class of the package is raised somewhere in it, every
 module-level function is used in it or is public API, the
 annotations of every value class resolve, and importing the CLI loads
@@ -123,7 +123,8 @@ def test_import_time_packages_scanner():
     "path", sorted(glob.glob(os.path.join(SRC, "*.py"))), ids=os.path.basename
 )
 def test_module_does_not_import_numpy_at_import_time(path):
-    # only berg needs numpy, and numeric imports it inside its functions
+    # numeric imports numpy inside the functions that need it, for
+    # dense input and for cases berg never makes
     with open(path) as f:
         assert "numpy" not in import_time_packages(f.read())
 
@@ -139,7 +140,7 @@ def test_module_does_not_import_dataclasses_or_typing(path):
 
 
 # Lists the modules that `import zdsys.cli` loads among those it must
-# not: numpy is for berg alone, and dataclasses, inspect and typing
+# not: no CLI job needs numpy, and dataclasses, inspect and typing
 # cost about 12 ms of every process start.
 START_PATH_PROBE = """
 import json, sys
@@ -162,35 +163,44 @@ def test_cli_start_path_is_lean():
     assert json.loads(proc.stdout) == []
 
 
-def test_berg_job_does_not_load_scipy(tmp_path):
-    # numpy is the only runtime dependency; a berg job runs the unitary
-    # root, the operator norms and the cutdown check, and loads numpy
-    spec = tmp_path / "shift.json"
-    spec.write_text(json.dumps({"family": "compactified_shift"}))
+@pytest.mark.parametrize(
+    "spec, depth",
+    [
+        ({"family": "compactified_shift"}, "2"),
+        ({"family": "quotient_product",
+          "fiber": {"family": "compactified_shift"}}, "2"),
+    ],
+    ids=["shift", "quotient-shift"],
+)
+def test_berg_jobs_load_neither_numpy_nor_scipy(tmp_path, spec, depth):
+    # a berg job runs the unitary root, the operator norms and the
+    # cutdown check; its corner unitary is a permutation and its norm
+    # blocks have at most two rows, so it needs neither
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
     script = (
         "import sys\n"
         "from zdsys import cli\n"
         "code = cli.main(sys.argv[1:])\n"
-        "if 'scipy' in sys.modules:\n"
-        "    sys.exit('scipy was imported')\n"
-        "if 'numpy' not in sys.modules:\n"
-        "    sys.exit('numpy was not imported')\n"
+        "loaded = {'numpy', 'scipy'} & set(sys.modules)\n"
+        "if loaded:\n"
+        "    sys.exit('imported: %s' % sorted(loaded))\n"
         "sys.exit(code)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.abspath(SRC)))
     proc = subprocess.run(
-        [sys.executable, "-c", script, "berg", "--spec", str(spec),
-         "--depth", "1", "--N", "4"],
+        [sys.executable, "-c", script, "berg", "--spec", str(path),
+         "--depth", depth, "--N", "8"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["pass"]
+    report = json.loads(proc.stdout)
+    assert report["pass"] and report["norm_w_minus_1"] > 0
 
 
 # Run in a fresh process with `import numpy` made to fail: every golden
-# job other than berg, compared as test_golden compares it, plus
-# error-berg-N0, which fails in argument checking before any numeric
-# work, and --help of every command.
+# job, berg on every family included, compared as test_golden compares
+# it, and --help of every command.
 _NUMPY_BLOCKED = """
 import contextlib, io, json, sys
 sys.modules["numpy"] = None
@@ -199,8 +209,6 @@ from zdsys import cli
 
 failed = []
 for job in golden.JOBS:
-    if job["args"][0] == "berg" and job["name"] != "error-berg-N0":
-        continue
     got = golden.run_job(job)
     want = golden._RECORDED[job["name"]]
     if got["exit"] != want["exit"] or any(
@@ -219,7 +227,7 @@ print(json.dumps(failed))
 """
 
 
-def test_jobs_other_than_berg_run_with_numpy_blocked():
+def test_golden_jobs_run_with_numpy_blocked():
     tests = os.path.dirname(os.path.abspath(__file__))
     path = [os.path.dirname(os.path.abspath(SRC)), tests]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))

@@ -1,8 +1,12 @@
 """Matrix representations, norms, roots, and the interpolation check."""
 
 import cmath
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,16 +34,16 @@ def test_represent_examples():
     rep = numeric.represent(a)
     # window is {-1, 0, 1}; the only entry sends -1 to 0
     assert rep.points == (-1, 0, 1)
-    M = rep.matrix
+    M = rep.matrix.toarray()
     assert M[1, 0] == 1
     assert np.count_nonzero(M) == 1
 
-    assert numeric.represent(cp.zero(SHIFT)).matrix.size == 0
+    assert numeric.represent(cp.zero(SHIFT)).matrix.toarray().size == 0
 
     b = cp.char(space.shift_set(SHIFT, [2, 5]))
     rep = numeric.represent(b)
     assert rep.points == (2, 5)
-    assert np.allclose(rep.matrix, np.eye(2))
+    assert np.allclose(rep.matrix.toarray(), np.eye(2))
 
 
 def test_represent_rejects_infinite_supports():
@@ -77,11 +81,12 @@ def test_represent_is_multiplicative():
     for _ in range(40):
         a = random_compact_element(rng)
         b = random_compact_element(rng)
-        Ma = numeric.represent(a, points=window).matrix
-        Mb = numeric.represent(b, points=window).matrix
+        Ma = numeric.represent(a, points=window).matrix.toarray()
+        Mb = numeric.represent(b, points=window).matrix.toarray()
         Mab = numeric.represent(cp.multiply(a, b), points=window).matrix
-        assert np.allclose(Ma @ Mb, Mab, atol=1e-12)
+        assert np.allclose(Ma @ Mb, Mab.toarray(), atol=1e-12)
         Ms = numeric.represent(cp.adjoint(a), points=window).matrix
+        Ms = Ms.toarray()
         assert np.allclose(Ma.conj().T, Ms, atol=1e-12)
 
 
@@ -189,10 +194,125 @@ def test_operator_norm_ignores_zero_rows_and_columns():
     rng = random.Random(49)
     for _ in range(60):
         M = numeric.represent(random_compact_element(rng)).matrix
-        expected = np.linalg.norm(M, 2) if M.size else 0.0
+        expected = np.linalg.norm(M.toarray(), 2) if M.entries else 0.0
         assert abs(numeric.operator_norm(M) - expected) <= 1e-12 * max(
             1.0, expected
         )
+
+
+def _random_block_matrix(rng, shapes, scale):
+    """A random complex matrix that is, up to a permutation of its rows
+    and of its columns, the direct sum of dense blocks of the given
+    shapes and of a few zero rows and columns."""
+    m = sum(r for r, _ in shapes) + int(rng.integers(0, 3))
+    n = sum(c for _, c in shapes) + int(rng.integers(0, 3))
+    M = np.zeros((m, n), dtype=complex)
+    rows, cols = rng.permutation(m), rng.permutation(n)
+    i = j = 0
+    for r, c in shapes:
+        B = rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+        M[np.ix_(rows[i:i + r], cols[j:j + c])] = scale * B
+        i, j = i + r, j + c
+    return M
+
+
+def _block_shape(rng, kind):
+    k = int(rng.integers(1, 6))
+    if kind == "line":
+        return (1, k) if rng.random() < 0.5 else (k, 1)
+    if kind == "two":
+        return (2, k + 1) if rng.random() < 0.5 else (k + 1, 2)
+    return tuple(int(x) for x in rng.integers(3, 6, size=2))
+
+
+@pytest.mark.parametrize("kinds", [("line",), ("two",), ("large",),
+                                   ("line", "two", "large")])
+def test_operator_norm_of_blocks_matches_lapack(kinds):
+    # blocks with one row or column, with two, and with at least three
+    # rows and three columns; scaled far from 1 as well, where squared
+    # entries would overflow or underflow
+    rng = np.random.default_rng(81)
+    for _ in range(150):
+        shapes = [_block_shape(rng, rng.choice(kinds))
+                  for _ in range(int(rng.integers(1, 5)))]
+        scale = rng.choice([1.0, 1e-200, 1e200])
+        M = _random_block_matrix(rng, shapes, scale)
+        expected = np.linalg.norm(M, 2)
+        for given in (M, numeric._sparse(M)):
+            got = numeric.operator_norm(given)
+            assert abs(got - expected) <= 1e-12 * expected
+
+
+def test_operator_norm_two_line_block_with_equal_singular_values():
+    # a scaled unitary and a scaled 2 x 3 co-isometry: sigma1 = sigma2,
+    # where the discriminant form of the Gram eigenvalue cancels
+    rng = np.random.default_rng(82)
+    for _ in range(50):
+        Q = _random_unitary(rng, 2)
+        assert abs(numeric.operator_norm(2.5 * Q) - 2.5) <= 1e-12 * 2.5
+        U = _random_unitary(rng, 3)[:2]
+        assert abs(numeric.operator_norm(3 * U) - 3) <= 1e-12 * 3
+        assert abs(numeric.operator_norm(3 * U.T) - 3) <= 1e-12 * 3
+
+
+# Norms and permutation roots in a fresh process with `import numpy`
+# made to fail: matrices whose blocks have at most two rows or two
+# columns, and permutations with cycles of any length, need no numpy.
+_SMALL_BLOCKS_BLOCKED = """
+import json, sys
+sys.modules["numpy"] = None
+from zdsys import numeric
+norms, perms = json.loads(sys.argv[1])
+out = [[], []]
+for shape, entries in norms:
+    M = numeric.SparseMatrix(
+        tuple(shape), {(i, j): complex(a, b) for i, j, a, b in entries}
+    )
+    out[0].append(numeric.operator_norm(M))
+for n, entries, N in perms:
+    V = numeric.SparseMatrix((n, n), {(i, j): 1 + 0j for i, j in entries})
+    W = numeric.unitary_nth_root(V, N)
+    out[1].append([[i, j, c.real, c.imag] for (i, j), c in W.entries.items()])
+print(json.dumps(out))
+"""
+
+
+def test_small_blocks_and_permutation_roots_run_with_numpy_blocked():
+    rng = np.random.default_rng(83)
+    dense = [
+        _random_block_matrix(
+            rng, [_block_shape(rng, rng.choice(["line", "two"]))
+                  for _ in range(4)], 1.0)
+        for _ in range(20)
+    ]
+    norms = [
+        [M.shape, [[i, j, M[i, j].real, M[i, j].imag]
+                   for i, j in zip(*np.nonzero(M))]]
+        for M in dense
+    ]
+    perms = []
+    for N in (1, 2, 5):
+        V = _random_permutation_matrix(rng, [1, 2, 3, 4, 7])
+        perms.append([V.shape[0], sorted(V.entries), N])
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SMALL_BLOCKS_BLOCKED,
+         json.dumps([norms, perms], default=int)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got_norms, got_roots = json.loads(proc.stdout)
+    for M, got in zip(dense, got_norms):
+        expected = np.linalg.norm(M, 2)
+        assert abs(got - expected) <= 1e-12 * expected
+    for (n, entries, N), root in zip(perms, got_roots):
+        V = np.zeros((n, n))
+        V[tuple(zip(*entries))] = 1
+        W = np.zeros((n, n), dtype=complex)
+        for i, j, a, b in root:
+            W[i, j] = complex(a, b)
+        assert np.max(np.abs(W - eigenbasis_root(V, N))) < 1e-12
 
 
 def test_unitary_root_swap_matches_oracle():
@@ -283,6 +403,92 @@ def test_unitary_root_rejects_non_unitary():
         numeric.unitary_nth_root(np.array([[2.0, 0], [0, 1.0]]), 2)
     with pytest.raises(ValueError):
         numeric.unitary_nth_root(np.eye(2), 0)
+
+
+def _random_permutation_matrix(rng, lengths):
+    """A SparseMatrix permuting its basis in cycles of the given
+    lengths, on shuffled points."""
+    n = sum(lengths)
+    points = rng.permutation(n).tolist()
+    entries = {}
+    for L in lengths:
+        cycle, points = points[:L], points[L:]
+        for t in range(L):
+            entries[cycle[(t + 1) % L], cycle[t]] = 1 + 0j
+    return numeric.SparseMatrix((n, n), entries)
+
+
+# the eigenbasis path of unitary_nth_root, bound before any test
+# replaces it
+_EIGENBASIS_ROOT = numeric._eigenbasis_root
+
+
+def eigenbasis_root(V, N):
+    return _EIGENBASIS_ROOT(np.asarray(V, dtype=complex), N, 1e-10)
+
+
+@pytest.fixture
+def eigenbasis_calls(monkeypatch):
+    """The calls that unitary_nth_root makes to the eigenbasis path."""
+    calls = []
+    root = numeric._eigenbasis_root
+
+    def recorded(*args):
+        calls.append(args)
+        return root(*args)
+
+    monkeypatch.setattr(numeric, "_eigenbasis_root", recorded)
+    return calls
+
+
+def test_permutation_root_matches_eigenbasis_root(eigenbasis_calls):
+    # cycles of every length from 1 to 7, even ones included, where the
+    # eigenvalue -1 must take theta = pi
+    rng = np.random.default_rng(84)
+    for L in range(1, 8):
+        for N in range(1, 10):
+            extra = rng.integers(1, 8, size=int(rng.integers(0, 3)))
+            V = _random_permutation_matrix(rng, [L] + extra.tolist())
+            W = numeric.unitary_nth_root(V, N)
+            assert isinstance(W, numeric.SparseMatrix)
+            expected = eigenbasis_root(V.toarray(), N)
+            assert np.max(np.abs(W.toarray() - expected)) < 1e-12
+            # dense input takes the same path and gives an ndarray
+            dense = numeric.unitary_nth_root(V.toarray(), N)
+            assert np.array_equal(dense, W.toarray())
+    assert eigenbasis_calls == []
+
+
+def test_other_unitaries_take_the_eigenbasis_path(eigenbasis_calls):
+    rng = np.random.default_rng(85)
+    P = np.eye(4)[[1, 2, 3, 0]]
+    cases = [
+        P * np.array([1, 1, -1, 1]),  # a signed permutation
+        P * np.array([1, 1j, 1, 1]),  # a phase on one entry
+        _random_unitary(rng, 3),
+        np.array([[0.6, -0.8], [0.8, 0.6]]),
+    ]
+    for V in cases:
+        W = numeric.unitary_nth_root(numeric._sparse(V), 3)
+        assert isinstance(W, numeric.SparseMatrix)
+        assert np.array_equal(W.toarray(), eigenbasis_root(V, 3))
+    assert len(eigenbasis_calls) == len(cases)
+
+
+def test_unitary_root_rejects_near_permutations():
+    P = np.eye(3, dtype=complex)[[1, 2, 0]]
+    bad = []
+    for value in (2, 0.5, 1 + 1e-6):  # an entry of 2, and scaled ones
+        V = P.copy()
+        V[1, 0] = value
+        bad.append(V)
+    V = P.copy()
+    V[:, 2] = 0  # a missing column
+    bad.append(V)
+    for V in bad:
+        for given in (V, numeric._sparse(V)):
+            with pytest.raises(NotUnitary):
+                numeric.unitary_nth_root(given, 2)
 
 
 def test_unitary_root_random_unitaries():
@@ -507,7 +713,7 @@ def test_cutdown_check_reads_pieces_where_terms_share_entries(spec):
         c = complex(rng.uniform(0.5, 1), rng.uniform(-1, 1))
         E = random_finite_set(spec, rng)
         a = cp.cp_element(spec, {-1: [(c, E)], 2: [(-c, E)]})
-        assert not numeric.represent(a).matrix.any()
+        assert not numeric.represent(a).matrix.toarray().any()
         if not _assert_cutdown_matches_oracle(a, blocks):
             hidden += 1
     assert hidden >= 5
@@ -523,15 +729,17 @@ def _point_singleton(spec, x):
 def product_z(Y, y_points, W, N):
     """The interpolating unitary built as symbolic products:
     sum over j < N of chi_{h^j Y} u^j w_{N-j} u^{-j} chi_{h^j Y}, plus 1
-    off those levels, where w_m is the element of the matrix W^m."""
+    off those levels, where w_m is the element of the matrix W^m.  W is
+    a SparseMatrix, and its powers are its sparse products, as in
+    _interpolating_unitary, so that both sides hold the same floats."""
     spec = Y.spec
-    powers = [np.eye(len(y_points), dtype=complex)]
+    powers = [numeric.SparseMatrix.identity(len(y_points))]
     for _ in range(N):
         powers.append(powers[-1] @ W)
     z = cp.zero(spec)
     covered = space.empty_set(spec)
     for j in range(N):
-        M = powers[N - j]
+        M = powers[N - j].toarray()
         terms = {}
         for r, x in enumerate(y_points):
             for s, y in enumerate(y_points):
@@ -588,6 +796,7 @@ def test_interpolating_unitary_matches_products_for_any_matrix():
         W = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
         # zero entries, and entries on either side of the 1e-15 drop
         W *= rng.choice([0, 1e-16, 1e-14, 1], size=(k, k))
+        W = numeric._sparse(W)
         z = numeric._interpolating_unitary(Y, y_points, W, N)
         assert cp.equals(z, product_z(Y, y_points, W, N))
 

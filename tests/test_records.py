@@ -111,7 +111,7 @@ def test_matrix_rep_repr_matches_the_dataclass_twin():
     a = cp.cp_element(SHIFT, {1: [(1, space.shift_set(SHIFT, [0, 2]))]})
     rep = numeric.represent(a)
     assert repr(rep) == repr(oracles.value_twin(rep))
-    with pytest.raises(TypeError):  # the numpy matrix is unhashable
+    with pytest.raises(TypeError):  # the sparse matrix is unhashable
         hash(rep)
 
 
