@@ -31,10 +31,19 @@ from . import space
 from .errors import (
     DegenerateEigenbasis,
     NoConvergence,
+    NotCompactlySupported,
     NotUnitary,
     PartitionFailure,
 )
-from .space import apply_h, contains_point, enumerate_points, is_empty, point_apply_h
+from .space import (
+    apply_h,
+    contains_point,
+    disjoint_union,
+    enumerate_points,
+    intersect,
+    is_empty,
+    point_apply_h,
+)
 from .towers import adapted_system_pair
 
 
@@ -395,9 +404,20 @@ def unitary_nth_root(V, N, tol=1e-10):
 
 def _cell_labels(cells, points):
     """Map each point to the index of the cell that holds it; the cells
-    partition X, so there is exactly one."""
+    partition X, so there is exactly one.  A cell that is a finite point
+    set labels its own points, and only the points left over are tested
+    against the other cells, such as the rest of X."""
+    labels = {}
+    others = []
+    for k, C in enumerate(cells):
+        try:
+            labels.update(dict.fromkeys(enumerate_points(C), k))
+        except NotCompactlySupported:
+            others.append((k, C))
     return {
-        x: next(k for k, C in enumerate(cells) if contains_point(C, x))
+        x: labels[x] if x in labels else next(
+            k for k, C in others if contains_point(C, x)
+        )
         for x in points
     }
 
@@ -537,6 +557,37 @@ def _interpolating_unitary(Y, y_points, W, N):
     return cp.cp_element(spec, terms)
 
 
+def _commutes_with_cells(z, P, tol=1e-10):
+    """z_commutes_ok of berg_verify, by the lemma there: False iff, for
+    some term n != 0 of z and cell U of P, the union E of the term's
+    sets with |c| > tol meets the symmetric difference of U and h^n U,
+    that is, iff E & U != E & h^n U."""
+    spec = z.spec
+    for n, sf in z.terms:
+        if n == 0:
+            continue
+        # the sets of one term are disjoint
+        E = disjoint_union(spec, [F for c, F in sf if abs(c) > tol])[0]
+        for U in P:
+            if intersect(E, U) != intersect(E, apply_h(U, n)):
+                return False
+    return True
+
+
+def _berg_blocks(Y, N):
+    """The (p, q) pairs of the cutdown check: (h^n Y, h^(n-1) Y) for
+    n = 1..N, (Y, h^N Y), (h^-1 Y, h^-1 Y) and the rest of X twice."""
+    blocks = [(apply_h(Y, n), apply_h(Y, n - 1)) for n in range(1, N + 1)]
+    blocks.append((Y, apply_h(Y, N)))
+    blocks.append((apply_h(Y, -1), apply_h(Y, -1)))
+    lo = space.empty_set(Y.spec)
+    for j in range(-1, N + 1):
+        lo = space.union(lo, apply_h(Y, j))
+    rest = space.complement(lo)
+    blocks.append((rest, rest))
+    return blocks
+
+
 def berg_verify(spec, P, N, epsilon, max_steps=None):
     """Build an adapted pair for (P, N), interpolate its unitaries with
     an N-th root, and measure how far the result is from u.
@@ -545,7 +596,22 @@ def berg_verify(spec, P, N, epsilon, max_steps=None):
     V = chi_Y v2 v1* chi_Y permutes the points of Y, and its root takes
     the cycle path of unitary_nth_root.  The matrices whose norms are
     taken here split into small blocks, and only a block with at least
-    three rows and three columns would load numpy."""
+    three rows and three columns would load numpy.
+
+    z_commutes_ok asks whether z chi_U - chi_U z has no coefficient
+    above 1e-10 for any cell U of P.  It is read off the pieces of z,
+    without products.  Lemma: let z = sum_n f_n u^n with finite
+    coefficients.  Since u^n chi_U = chi_{h^n U} u^n, term n of
+    z chi_U - chi_U z is f_n (chi_{h^n U} - chi_U) u^n: f_n on
+    h^n U minus U, -f_n on U minus h^n U, and 0 elsewhere, and for
+    n = 0 it is 0.  The products form the same: their scalars are
+    c * 1 and 1 * c, which equal c in modulus for finite c, and the
+    difference adds c and -c to an exact 0 on U & h^n U and leaves c
+    or -c on the symmetric difference.  So the check passes iff no
+    piece (c, E) of z with n != 0 and |c| > 1e-10 meets the symmetric
+    difference of U and h^n U.
+    The coefficients of z are finite: they are 1 and the entries of
+    powers of the closed-form cycle root."""
     if not epsilon > math.pi / N:
         raise ValueError("epsilon must exceed pi/N")
     S, S2 = adapted_system_pair(spec, P, N, max_steps)
@@ -571,13 +637,7 @@ def berg_verify(spec, P, N, epsilon, max_steps=None):
     z_unitary_ok = cp.equals_approx(
         cp.multiply(z, cp.adjoint(z)), cp.one(spec), 1e-10
     ) and cp.equals_approx(cp.multiply(cp.adjoint(z), z), cp.one(spec), 1e-10)
-    z_commutes_ok = all(
-        cp.max_coefficient(
-            cp.multiply(z, cp.char(U)) - cp.multiply(cp.char(U), z)
-        )
-        <= 1e-10
-        for U in P
-    )
+    z_commutes_ok = _commutes_with_cells(z, P)
 
     u_prime = cp.multiply(
         cp.multiply(z, cp.multiply(pe.v1, pe.u2)), cp.adjoint(z)
@@ -589,17 +649,7 @@ def berg_verify(spec, P, N, epsilon, max_steps=None):
         block_norms = ()
         blocks_ok = True
     else:
-        blocks = []
-        lo = space.empty_set(spec)
-        for n in range(1, N + 1):
-            blocks.append((apply_h(Y, n), apply_h(Y, n - 1)))
-        blocks.append((Y, apply_h(Y, N)))
-        blocks.append((apply_h(Y, -1), apply_h(Y, -1)))
-        for j in range(-1, N + 1):
-            lo = space.union(lo, apply_h(Y, j))
-        rest = space.complement(lo)
-        blocks.append((rest, rest))
-        report = cutdown_check(d, blocks)
+        report = cutdown_check(d, _berg_blocks(Y, N))
         block_norms = tuple(report["block_norms"])
         blocks_ok = report["block_diagonal"] and report["bound_holds"]
         norm_d = report["total_norm"]

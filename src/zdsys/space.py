@@ -569,23 +569,39 @@ class Odometer(SystemSpec):
 
 
 class CompactifiedShift(SystemSpec):
-    """Z with one point at infinity and the +1 shift.  The data of a set
-    is (finite set F, cofinite flag); the cofinite form contains inf."""
+    """Z with one point at infinity and the +1 shift.
+
+    The data of a set is (lo, bits, cofinite).  The finite set F, which
+    the set holds or, when cofinite, leaves out, is stored as its own
+    atom mask: bit i of bits is the point lo + i, and lo = min F, so bit
+    0 of a nonempty F is set; the empty F is (0, 0, cofinite).  The
+    cofinite form contains inf.  So apply_h adds n to lo, complement
+    flips the flag, and the atoms at a scale are one shift and one XOR
+    of bits: a Boolean operation is a few big-int operations over the
+    window width, not a pass over the points.
+    """
 
     family = COMPACTIFIED_SHIFT
     set_keys = (("F",), ("cofinite",))
-    empty_data = (frozenset(), False)
+    empty_data = (0, 0, False)
 
     def make(self, points, cofinite=False):
-        return ClopenSet(self, (frozenset(int(p) for p in points), bool(cofinite)))
+        fs = {int(p) for p in points}
+        lo = min(fs, default=0)
+        return ClopenSet(self, (lo, atom_mask(p - lo for p in fs), bool(cofinite)))
+
+    def _points(self, d):
+        """The sorted points of F."""
+        lo = d[0]
+        return [lo + i for i in atom_indices(d[1])]
 
     def complement(self, d):
-        fs, c = d
-        return (fs, not c)
+        lo, bits, c = d
+        return (lo, bits, not c)
 
     def apply_h(self, d, n):
-        fs, c = d
-        return (frozenset(p + n for p in fs), c)
+        lo, bits, c = d
+        return (lo + n, bits, c) if bits else d
 
     def point_apply_h(self, p, n):
         if p == INF:
@@ -593,10 +609,11 @@ class CompactifiedShift(SystemSpec):
         return int(p) + n
 
     def contains_point(self, d, p):
-        fs, c = d
+        lo, bits, c = d
         if p == INF:
             return c
-        return (int(p) in fs) != c
+        i = int(p) - lo
+        return (i >= 0 and bits >> i & 1 == 1) != c
 
     def generating_partition(self, n):
         cells = [self.make([i]) for i in range(-n, n)]
@@ -604,54 +621,61 @@ class CompactifiedShift(SystemSpec):
         return tuple(cells)
 
     def sort_key(self, d):
-        fs, c = d
-        return (c, len(fs), tuple(sorted(fs)))
+        return (d[2], d[1].bit_count(), tuple(self._points(d)))
 
     def sample_points(self, d, count):
-        fs, c = d
+        lo, bits, c = d
         if not c:
-            return sorted(fs)
+            return self._points(d)
+        # the integers just below min F and just above max F, or around
+        # 0 when F is empty, lie outside F
+        below, above = lo - 1, lo + max(bits.bit_length(), 1)
         out = [INF]
-        lo = min(fs, default=0) - 1
-        hi = max(fs, default=0) + 1
         for i in range(count):
-            if (lo - i) not in fs:
-                out.append(lo - i)
-            if (hi + i) not in fs:
-                out.append(hi + i)
+            out.append(below - i)
+            out.append(above + i)
         return out
 
     def set_to_dict(self, d):
-        fs, c = d
-        return {"F": sorted(fs), "cofinite": c}
+        return {"F": self._points(d), "cofinite": d[2]}
 
     def set_from_dict(self, d):
         return self.make(_json_ints(d["F"], "F"), _json_flag(d, "cofinite"))
 
     def scale(self, d):
-        return max((abs(p) for p in d[0]), default=0) + 1
+        lo, bits, _ = d
+        return max(1 - lo, lo + bits.bit_length()) if bits else 1
 
     def atom_scale(self, ds):
         # the atoms at scale s are the integers p with |p| < s, at bit
         # p + s, and the rest of X, inf included, at bit 0
-        return _window_scale(ds)
+        s = 1
+        for lo, bits, _ in ds:
+            if bits:
+                if 1 - lo > s:
+                    s = 1 - lo
+                if lo + bits.bit_length() > s:
+                    s = lo + bits.bit_length()
+        return s
 
     def atoms(self, d, s):
-        fs, c = d
-        mask = atom_mask(map(s.__add__, fs))
+        lo, bits, c = d
+        mask = bits << lo + s
         return mask ^ ((1 << 2 * s) - 1) if c else mask
 
     def from_atoms(self, mask, s):
         c = bool(mask & 1)
         if c:
             mask ^= (1 << 2 * s) - 1
-        return (frozenset(map((-s).__add__, atom_indices(mask))), c)
+        if not mask:
+            return (0, 0, c)
+        low = (mask & -mask).bit_length() - 1
+        return (low - s, mask >> low, c)
 
     def enumerate_points(self, d):
-        pts, cofinite = d
-        if cofinite:
+        if d[2]:
             raise NotCompactlySupported("set has a cofinite part")
-        return sorted(pts)
+        return self._points(d)
 
     def canonical_bases(self, n):
         return [self.make(range(-n, n), cofinite=True)]
@@ -661,10 +685,10 @@ class CompactifiedShift(SystemSpec):
 
     def adapted_bases(self, P, N):
         U = next(c for c in P if contains_point(c, INF))
-        F = sorted(U.data[0])
-        if F:
-            b = F[-1] + 1
-            a = min(F[0] - N, b - (N + 2))
+        lo, bits, _ = U.data
+        if bits:
+            b = lo + bits.bit_length()
+            a = min(lo - N, b - (N + 2))
         else:
             b = 1
             a = b - (N + 2)
@@ -1030,7 +1054,7 @@ _SPEC_CLASSES = {cls.family: cls for cls in SystemSpec.__subclasses__()}
 
 
 def _window_scale(ds):
-    """One more than the largest |p| over the F of the shift-type data."""
+    """One more than the largest |p| over the F of two-point shift data."""
     fs = [d[0] for d in ds if d[0]]
     hi = max(map(max, fs), default=0)
     lo = min(map(min, fs), default=0)

@@ -480,6 +480,106 @@ def represent_by_moves(spec, terms, ops, points=None, key=None):
     return points, rows
 
 
+def cell_labels(cells, points, contains_point):
+    """Map each point to the index of the first cell that holds it,
+    testing every cell in turn."""
+    return {
+        x: next(k for k, C in enumerate(cells) if contains_point(C, x))
+        for x in points
+    }
+
+
+def commutes_by_products(z, P, ops, tol=1e-10):
+    """True iff z chi_U - chi_U z has no coefficient above tol for any
+    cell U of P, with both products formed.  `ops` gives multiply, char
+    and max_coefficient, and the elements subtract."""
+    return all(
+        ops.max_coefficient(
+            ops.multiply(z, ops.char(U)) - ops.multiply(ops.char(U), z)
+        )
+        <= tol
+        for U in P
+    )
+
+
+class FrozensetShift:
+    """Sets of the compactified shift as (frozenset F, cofinite): the
+    set is F, or its complement together with the point "inf" when
+    cofinite.  Each operation works on the points of F."""
+
+    INF = "inf"
+
+    @staticmethod
+    def make(points, cofinite=False):
+        return (frozenset(points), bool(cofinite))
+
+    @staticmethod
+    def contains_point(d, p):
+        fs, c = d
+        if p == FrozensetShift.INF:
+            return c
+        return (p in fs) != c
+
+    @staticmethod
+    def _combine(da, db, op):
+        (fa, ca), (fb, cb) = da, db
+        c = op(ca, cb)
+        # a point outside fa | fb is in each set exactly when its flag is
+        fs = fa | fb
+        return (
+            frozenset(p for p in fs if op((p in fa) != ca, (p in fb) != cb) != c),
+            c,
+        )
+
+    @staticmethod
+    def union(da, db):
+        return FrozensetShift._combine(da, db, lambda x, y: x or y)
+
+    @staticmethod
+    def intersect(da, db):
+        return FrozensetShift._combine(da, db, lambda x, y: x and y)
+
+    @staticmethod
+    def complement(d):
+        return (d[0], not d[1])
+
+    @staticmethod
+    def apply_h(d, n):
+        return (frozenset(p + n for p in d[0]), d[1])
+
+    @staticmethod
+    def sort_key(d):
+        fs, c = d
+        return (c, len(fs), tuple(sorted(fs)))
+
+    @staticmethod
+    def set_to_dict(d):
+        return {"F": sorted(d[0]), "cofinite": d[1]}
+
+    @staticmethod
+    def sample_points(d, count):
+        fs, c = d
+        if not c:
+            return sorted(fs)
+        out = [FrozensetShift.INF]
+        lo = min(fs, default=0) - 1
+        hi = max(fs, default=0) + 1
+        for i in range(count):
+            if (lo - i) not in fs:
+                out.append(lo - i)
+            if (hi + i) not in fs:
+                out.append(hi + i)
+        return out
+
+    @staticmethod
+    def scale(d):
+        return max((abs(p) for p in d[0]), default=0) + 1
+
+    @staticmethod
+    def atom_scale(ds):
+        return max((FrozensetShift.scale(d) for d in ds), default=1)
+
+
 # ---------------------------------------------------------------------------
 # frozen-dataclass twins of the value classes
 # ---------------------------------------------------------------------------

@@ -426,6 +426,26 @@ def test_input_too_large_for_memory_is_input_error(tmp_path):
     assert json.loads(proc.stderr)["error"] == "MemoryError"
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
+def test_shift_base_too_wide_for_memory_is_input_error(tmp_path):
+    # a shift set stores the mask of its finite part: points 0 and 10^12
+    # make a 10^12-bit mask, which fails under the limit
+    spec = tmp_path / "shift.json"
+    spec.write_text(json.dumps(SHIFT.to_dict()))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "zdsys.cli", "tower", "--spec", str(spec),
+         "--base", '{"F": [0, 1000000000000], "cofinite": true}'],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"] == "MemoryError"
+
+
 @pytest.mark.parametrize(
     "error",
     [MemoryError(), RecursionError("maximum recursion depth exceeded")],

@@ -332,8 +332,8 @@ def test_proof_unitaries_shift():
         assert cp.is_unitary(el)
     # Y is the union of the two endpoints of the window
     assert len(pe.Xhat) == 1
-    pts = sorted(pe.Y.data[0])
-    assert len(pts) == 2 and not pe.Y.data[1]
+    assert not space.to_dict(pe.Y)["cofinite"]
+    assert len(space.enumerate_points(pe.Y)) == 2
 
 
 def test_proof_unitaries_odometer_trivial():

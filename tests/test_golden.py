@@ -64,6 +64,10 @@ def _jobs():
             "--N", "4")
     add("berg-shift-d2-eps", _SHIFT, "berg", "--depth", "2", "--N", "3",
         "--epsilon", "1.5")
+    # the benchmark's berg sizes
+    for N in ("16", "48"):
+        add("berg-shift-d3-N%s" % N, _SHIFT, "berg", "--depth", "3", "--N", N)
+    add("berg-q-shift-d2-N8", _Q_SHIFT, "berg", "--depth", "2", "--N", "8")
     add("fiberwise-shift-text", _SHIFT, "fiberwise", "--format", "text")
     add("tower-shift-base", _SHIFT, "tower", "--base",
         '{"F": [1, 2, 3], "cofinite": true}')

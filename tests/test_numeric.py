@@ -839,3 +839,110 @@ def test_berg_error_shrinks_with_n():
         assert rep.passed
         norms.append(rep.norm_u_prime_minus_u)
     assert norms[0] > norms[1] > norms[2]
+
+
+def _golden_berg_jobs():
+    """(name, spec, P, N, recorded z_commutes_ok) of every golden berg
+    job that exits 0."""
+    path = os.path.join(os.path.dirname(__file__), "golden.json")
+    with open(path) as f:
+        golden = json.load(f)
+    out = []
+    for entry in golden:
+        args = entry["args"]
+        if args[0] != "berg" or entry["exit"] != 0:
+            continue
+        opts = dict(zip(args[1::2], args[2::2]))
+        spec = space.SystemSpec.from_dict(entry["spec"])
+        P = space.generating_partition(spec, int(opts.get("--depth", 1)))
+        N = int(opts.get("--N", 4))
+        out.append((entry["name"], spec, P, N, entry["stdout"]["z_commutes_ok"]))
+    return out
+
+
+def _berg_z(spec, P, N):
+    """The interpolating unitary z of berg_verify."""
+    Y, y_points, W = _berg_root(spec, P, N)
+    if not y_points:
+        return cp.one(spec)
+    return numeric._interpolating_unitary(Y, y_points, W, N)
+
+
+GOLDEN_BERG = _golden_berg_jobs()
+
+
+@pytest.mark.parametrize(
+    "name, spec, P, N, recorded", GOLDEN_BERG, ids=[j[0] for j in GOLDEN_BERG]
+)
+def test_z_commutation_lemma_on_golden_berg_jobs(name, spec, P, N, recorded):
+    z = _berg_z(spec, P, N)
+    got = numeric._commutes_with_cells(z, P)
+    assert got == oracles.commutes_by_products(z, P, cp) == recorded
+
+
+def _random_cp_element(spec, rng):
+    """Pieces over random sets, cofinite ones included, with
+    coefficients on both sides of the 1e-10 threshold."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        c *= rng.choice([1e-11, 3e-11, 1e-9, 1])
+        terms.setdefault(rng.randint(-3, 3), []).append(
+            (c, genutil.random_set(spec, rng))
+        )
+    return cp.cp_element(spec, terms)
+
+
+@pytest.mark.parametrize(
+    "spec, depth", [(SHIFT, 3), (QSHIFT, 1), (CYCLE, 1)],
+    ids=["shift", "quotient", "cycle"],
+)
+def test_z_commutation_lemma_matches_products_on_failing_elements(spec, depth):
+    rng = random.Random(71)
+    S, _ = towers.adapted_system_pair(spec, space.generating_partition(spec, depth), 4)
+    units = list(cp.matrix_units(S).values())
+    u = cp.shift_unitary(spec)
+    elements = [u]
+    for c in (1e-11, 3e-11, 1e-9, 0.5):
+        for e in rng.sample(units, min(4, len(units))):
+            elements += [u + cp.scale(e, c), cp.one(spec) + cp.scale(e, c)]
+    elements += [_random_cp_element(spec, rng) for _ in range(30)]
+    verdicts = []
+    for z in elements:
+        for P in (
+            space.generating_partition(spec, depth),
+            genutil.random_partition(spec, rng),
+            # the lemma holds for any sets, not only for partitions
+            [genutil.random_set(spec, rng) for _ in range(2)],
+        ):
+            got = numeric._commutes_with_cells(z, P)
+            assert got == oracles.commutes_by_products(z, P, cp)
+            verdicts.append(got)
+    assert verdicts.count(True) >= 5 and verdicts.count(False) >= 5
+
+
+@pytest.mark.parametrize(
+    "spec, P, Ns",
+    [
+        (SHIFT, space.generating_partition(SHIFT, 3), (4, 16)),
+        (QSHIFT, space.generating_partition(QSHIFT, 2), (3, 8)),
+        (CYCLE, space.generating_partition(CYCLE, 1), (2, 4)),
+    ],
+    ids=["shift", "quotient", "cycle"],
+)
+def test_cell_labels_match_all_cells_labelling(spec, P, Ns):
+    rng = random.Random(73)
+    for N in Ns:
+        Y, _, _ = _berg_root(spec, P, N)
+        blocks = numeric._berg_blocks(Y, N)
+        for side in (0, 1):
+            cells = [b[side] for b in blocks]
+            if side:
+                rng.shuffle(cells)  # the rest of X need not come last
+            points = list(
+                {x: None for C in cells for x in space.sample_points(C, 12)}
+            )
+            rng.shuffle(points)
+            assert numeric._cell_labels(cells, points) == oracles.cell_labels(
+                cells, points, space.contains_point
+            )

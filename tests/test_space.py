@@ -94,10 +94,72 @@ def test_odometer_digits_out_of_range_rejected():
 def test_shift_set_forms():
     spec = space.compactified_shift()
     a = space.shift_set(spec, [1, 2])
-    assert space.complement(a).data == (frozenset({1, 2}), True)
+    assert space.to_dict(space.complement(a)) == {"F": [1, 2], "cofinite": True}
+    assert space.enumerate_points(a) == [1, 2]
     assert space.complement(space.complement(a)) == a
     assert space.contains_point(space.complement(a), space.INF)
     assert not space.contains_point(a, space.INF)
+
+
+def _random_shift_points(rng):
+    """A finite F: empty, one point, or points near 0, below 0 or far
+    from 0 on either side."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return []
+    if kind == 1:
+        return [rng.randint(-10**6, 10**6)]
+    far = rng.randint(10**4, 10**6)
+    centre = rng.choice([0, -20, -far, far])
+    return [centre + rng.randint(-8, 8) for _ in range(rng.randint(1, 6))]
+
+
+def test_shift_encoding_matches_frozenset_twin():
+    spec = space.compactified_shift()
+    twin = oracles.FrozensetShift
+    rng = random.Random(16)
+
+    def pair():
+        F, c = _random_shift_points(rng), rng.random() < 0.5
+        return space.shift_set(spec, F, c), twin.make(F, c)
+
+    def same(a, t):
+        assert space.to_dict(a) == twin.set_to_dict(t)
+        assert space.sort_key(a) == twin.sort_key(t)
+        assert space.set_scale(a) == twin.scale(t)
+        for count in (1, 4):
+            assert spec.sample_points(a.data, count) == twin.sample_points(t, count)
+        if not t[1]:
+            assert space.enumerate_points(a) == sorted(t[0])
+
+    for _ in range(400):
+        (a, ta), (b, tb) = pair(), pair()
+        same(a, ta)
+        assert spec.atom_scale([a.data, b.data]) == twin.atom_scale([ta, tb])
+        assert spec.atom_scale([]) == twin.atom_scale([])
+        for op in ("union", "intersect"):
+            same(getattr(space, op)(a, b), getattr(twin, op)(ta, tb))
+        same(space.complement(a), twin.complement(ta))
+        n = rng.choice([0, 1, -3, rng.randint(-10**6, 10**6)])
+        same(space.apply_h(a, n), twin.apply_h(ta, n))
+        finite = sorted(ta[0] | tb[0])
+        points = [space.INF, 0] + finite
+        points += [p + e for p in finite[:2] + finite[-1:] for e in (-1, 1)]
+        points += twin.sample_points(twin.complement(ta), 3)
+        for p in points:
+            assert space.contains_point(a, p) == twin.contains_point(ta, p)
+        # equal sets have equal data, however they were built
+        assert (a.data == b.data) == (ta == tb)
+        for c in (
+            space.apply_h(space.apply_h(a, n), -n),
+            space.union(a, space.intersect(a, b)),
+            space.complement(space.complement(a)),
+            space.intersect(space.union(a, b), a),
+            space.from_dict(spec, space.to_dict(a)),
+        ):
+            assert c.data == a.data and hash(c) == hash(a)
+    empty = space.empty_set(spec)
+    assert space.union(empty, empty).data == space.apply_h(empty, 7).data
 
 
 def test_two_point_membership_and_tails():
