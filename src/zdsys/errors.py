@@ -71,17 +71,15 @@ class NotCompactlySupported(ZdsysError):
     """A coefficient of the element is not supported on a finite point set."""
 
 
-class NotUnitary(ZdsysError):
-    """A matrix expected to be unitary is not, within tolerance."""
-
-
 class DegenerateEigenbasis(ZdsysError):
-    """The numeric eigendecomposition failed to certify its output."""
+    """A numeric root failed its verification, or its matrix couples
+    points of different fibers."""
 
 
 class NoConvergence(ZdsysError):
     """A numeric routine could not produce its result: the matrix has a
-    NaN or infinite entry, or LAPACK's singular value iteration failed."""
+    NaN or infinite entry, or one-sided Jacobi did not converge within
+    its sweep cap."""
 
 
 class PartitionFailure(ZdsysError):

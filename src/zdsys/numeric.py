@@ -9,16 +9,13 @@ of the Berg check are then slices of that one matrix, with rows and
 columns labelled by the blocks that hold their points, and no cutdown
 is formed as a symbolic element.
 
-Matrices are sparse: a shape and a dict of the stored entries.  What
-`berg` asks of them is computed in pure Python.  The corner unitary
-that it takes a root of permutes the points of Y, and the root of a
-permutation is explicit on each of its cycles.  The matrices that it
-takes norms of split into independent blocks, and a block with at most
-two rows or two columns has a closed-form norm.  numpy is imported
-inside functions only: for a norm block with at least three rows and
-three columns, for the root of a unitary that is not a permutation, and
-for dense input.  So `zdsys.numeric`, and with it the package and the
-CLI, imports and can be traced without loading numpy.
+Matrices are sparse: a shape and a dict of the stored entries, and
+everything here is computed in pure Python.  The corner unitary that
+`berg` takes a root of permutes the points of Y, and the root of a
+permutation is explicit on each of its cycles; no other unitary is
+accepted.  The matrices that it takes norms of split into independent
+blocks.  A block with at most two rows or two columns has a closed-form
+norm, and a larger one goes through one-sided Jacobi.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from .errors import (
     DegenerateEigenbasis,
     NoConvergence,
     NotCompactlySupported,
-    NotUnitary,
     PartitionFailure,
 )
 from .space import (
@@ -54,8 +50,7 @@ from .towers import adapted_system_pair
 
 class SparseMatrix:
     """A matrix as its shape and a dict {(row, col): value} of its stored
-    entries; an entry that is not stored is 0.  toarray() and __array__
-    hand it to numpy."""
+    entries; an entry that is not stored is 0."""
 
     __slots__ = ("shape", "entries")
     __hash__ = None
@@ -86,35 +81,6 @@ class SparseMatrix:
             for j, b in by_row.get(k, ()):
                 entries[i, j] = entries.get((i, j), 0j) + a * b
         return SparseMatrix((self.shape[0], other.shape[1]), entries)
-
-    def toarray(self):
-        import numpy as np
-
-        A = np.zeros(self.shape, dtype=complex)
-        for ij, c in self.entries.items():
-            A[ij] = c
-        return A
-
-    def __array__(self, dtype=None, copy=None):
-        A = self.toarray()
-        return A if dtype is None else A.astype(dtype)
-
-
-def _sparse(M):
-    """M as a SparseMatrix: itself, the matrix of a CompactMatrixRep, or
-    the nonzero entries of what numpy reads as a 2-d complex array."""
-    if isinstance(M, CompactMatrixRep):
-        M = M.matrix
-    if isinstance(M, SparseMatrix):
-        return M
-    import numpy as np
-
-    A = np.asarray(M, dtype=complex)
-    if A.ndim != 2:
-        raise ValueError("matrix must be 2-dimensional")
-    rows, cols = np.nonzero(A)
-    keys = zip(rows.tolist(), cols.tolist())
-    return SparseMatrix(A.shape, dict(zip(keys, A[rows, cols].tolist())))
 
 
 def _point_key(p):
@@ -203,39 +169,71 @@ def _block_norm(block):
     cols = {j for (_, j), _ in block}
     if len(rows) == 1 or len(cols) == 1:
         return math.hypot(*[x for _, c in block for x in (c.real, c.imag)])
-    if len(rows) == 2 or len(cols) == 2:
-        # the two rows of the block, or its two columns; the entries are
-        # scaled by a power of two, exactly, so no square overflows
-        side = 0 if len(rows) == 2 else 1
-        first = min(rows if side == 0 else cols)
-        e = math.frexp(max(max(abs(c.real), abs(c.imag)) for _, c in block))[1]
-        lines = ({}, {})
-        for ij, c in block:
-            lines[ij[side] != first][ij[1 - side]] = complex(
-                math.ldexp(c.real, -e), math.ldexp(c.imag, -e)
-            )
-        x, y = lines
-        g11 = sum(c.real * c.real + c.imag * c.imag for c in x.values())
-        g22 = sum(c.real * c.real + c.imag * c.imag for c in y.values())
-        g12 = abs(sum(c * y[k].conjugate() for k, c in x.items() if k in y))
-        top = (g11 + g22) / 2 + math.hypot((g11 - g22) / 2, g12)
-        return math.ldexp(math.sqrt(top), e)
-    import numpy as np
+    # the lines of the block's shorter side, its rows or its columns; the
+    # entries are scaled by a power of two, exactly, so no square
+    # overflows
+    side = 0 if len(rows) <= len(cols) else 1
+    e = math.frexp(max(max(abs(c.real), abs(c.imag)) for _, c in block))[1]
+    lines = {}
+    for ij, c in block:
+        lines.setdefault(ij[side], {})[ij[1 - side]] = complex(
+            math.ldexp(c.real, -e), math.ldexp(c.imag, -e)
+        )
+    lines = [lines[k] for k in sorted(lines)]
+    if len(lines) > 2:
+        return math.ldexp(_jacobi_norm(lines), e)
+    x, y = lines
+    g11 = sum(c.real * c.real + c.imag * c.imag for c in x.values())
+    g22 = sum(c.real * c.real + c.imag * c.imag for c in y.values())
+    g12 = abs(sum(c * y[k].conjugate() for k, c in x.items() if k in y))
+    top = (g11 + g22) / 2 + math.hypot((g11 - g22) / 2, g12)
+    return math.ldexp(math.sqrt(top), e)
 
-    r = {i: k for k, i in enumerate(sorted(rows))}
-    s = {j: k for k, j in enumerate(sorted(cols))}
-    B = np.zeros((len(r), len(s)), dtype=complex)
-    for (i, j), c in block:
-        B[r[i], s[j]] = c
-    try:
-        return float(np.linalg.norm(B, 2))
-    except np.linalg.LinAlgError as err:
-        raise NoConvergence("singular values did not converge: %s" % err) from err
+
+_JACOBI_SWEEPS = 30
+
+
+def _jacobi_norm(lines):
+    """Largest singular value of the matrix whose rows are the given
+    lines, dicts {index: value}, by one-sided Jacobi: rotate pairs of
+    rows until every pair is orthogonal to working precision; the norm
+    of the longest row is then the largest singular value."""
+    keys = sorted({k for line in lines for k in line})
+    vs = [[line.get(k, 0j) for k in keys] for line in lines]
+    tol = len(keys) * math.ulp(1.0)
+    for _ in range(_JACOBI_SWEEPS):
+        done = True
+        for p in range(len(vs)):
+            for q in range(p + 1, len(vs)):
+                x, y = vs[p], vs[q]
+                a = sum(c.real * c.real + c.imag * c.imag for c in x)
+                b = sum(c.real * c.real + c.imag * c.imag for c in y)
+                g = sum(c.conjugate() * d for c, d in zip(x, y))
+                if abs(g) <= tol * math.sqrt(a) * math.sqrt(b):
+                    continue
+                # x' = cos x - sin w* y and y' = sin w x + cos y, with
+                # w = g/|g| and tan the smaller root t of
+                # t^2 + 2 zeta t - 1, are orthogonal
+                done = False
+                zeta = (b - a) / (2 * abs(g))
+                t = math.copysign(1.0, zeta) / (
+                    abs(zeta) + math.hypot(1.0, zeta)
+                )
+                cos = 1 / math.hypot(1.0, t)
+                sin_w = cos * t * g / abs(g)
+                vs[p] = [cos * c - sin_w.conjugate() * d for c, d in zip(x, y)]
+                vs[q] = [sin_w * c + cos * d for c, d in zip(x, y)]
+        if done:
+            return math.sqrt(max(
+                sum(c.real * c.real + c.imag * c.imag for c in v) for v in vs
+            ))
+    raise NoConvergence(
+        "one-sided Jacobi did not converge in %d sweeps" % _JACOBI_SWEEPS
+    )
 
 
 def operator_norm(M):
-    """Largest singular value of a SparseMatrix, a CompactMatrixRep or
-    anything numpy reads as a 2-d array.
+    """Largest singular value of a SparseMatrix or a CompactMatrixRep.
 
     Lemma: link row i and column j when entry [i, j] is nonzero, and
     call the rows and columns of one connected component a block.  Up
@@ -251,16 +249,24 @@ def operator_norm(M):
       (g11 + g22)/2 + hypot((g11 - g22)/2, |g12|).  Both terms are
       non-negative, so nothing cancels, also where the two singular
       values agree.
-    - Any larger block takes LAPACK's singular values, the 2-norm of
-      Golub and Van Loan, Matrix Computations, 2.3 and 8.6, on that
-      block alone, with numpy imported there.
+    - Any larger block goes through the one-sided Jacobi method of
+      Hestenes, "Inversion of matrices by biorthogonalization and
+      related results", J. SIAM 6 (1958), on the lines of its shorter
+      side.  Plane rotations make every pair of lines orthogonal, and
+      then the line norms are the singular values.  A pair counts as
+      orthogonal once |<x, y>| <= n eps |x| |y|, n the line length, and
+      at most _JACOBI_SWEEPS sweeps over all pairs are made.
 
-    Each block's entries are read in window order, so a block's norm
-    is a function of its values alone: a slice of a matrix and a matrix
-    with the same nonzero block give the same float.  A matrix with a
-    NaN or infinite entry, or one LAPACK fails on, raises
+    Past one line, the entries are scaled by a power of two, exactly,
+    so no square overflows.  Each block's entries are read in window
+    order, so a block's norm is a function of its values alone: a slice
+    of a matrix and a matrix with the same nonzero block give the same
+    float.  A matrix with a NaN or infinite entry, or a block that
+    Jacobi leaves unconverged after the last sweep, raises
     NoConvergence."""
-    entries = [(ij, c) for ij, c in _sparse(M).entries.items() if c != 0]
+    if isinstance(M, CompactMatrixRep):
+        M = M.matrix
+    entries = [(ij, c) for ij, c in M.entries.items() if c != 0]
     if not all(cmath.isfinite(c) for _, c in entries):
         raise NoConvergence("matrix has a NaN or infinite entry")
     return max(map(_block_norm, _blocks(entries)), default=0.0)
@@ -323,68 +329,30 @@ def _power(W, m):
     return P
 
 
-def _eigenbasis_root(V, N, tol):
-    import numpy as np
-
-    n = V.shape[0]
-    I = np.eye(n)
-    if (
-        operator_norm(V @ V.conj().T - I) > tol
-        or operator_norm(V.conj().T @ V - I) > tol
-    ):
-        raise NotUnitary("input is not unitary within tolerance")
-    angles = np.sort(np.angle(np.linalg.eigvals(V)))
-    gaps = np.diff(angles, append=angles[0] + 2 * math.pi)
-    k = int(np.argmax(gaps))
-    # the gap is at least 2 pi/n wide, so 1 + R is invertible
-    R = V * np.exp(1j * (math.pi - angles[k] - gaps[k] / 2))
-    C = 1j * np.linalg.solve(I + R, I - R)
-    _, Q = np.linalg.eigh((C + C.conj().T) / 2)
-    theta = np.angle(np.einsum("ij,ij->j", Q.conj(), V @ Q))
-    theta[theta <= -math.pi + tol] = math.pi
-    W = (Q * np.exp(1j * theta / N)) @ Q.conj().T
-    if operator_norm(np.linalg.matrix_power(W, N) - V) > tol:
-        raise DegenerateEigenbasis("root verification failed")
-    return W
-
-
 def unitary_nth_root(V, N, tol=1e-10):
     """The N-th root of a unitary through the principal branch: each
     eigenvalue e^{i theta}, theta in (-pi, pi], becomes e^{i theta/N}.
-    The result is a function of V and satisfies |W - 1| <= pi/N.  A
-    SparseMatrix V gives a SparseMatrix root, any other input an
-    ndarray.
+    The result is a function of V and satisfies |W - 1| <= pi/N.
 
-    A permutation matrix V, with exactly one nonzero entry in each row
-    and each column and that entry 1, is unitary exactly, and its root
-    is explicit on each cycle s_0 -> s_1 -> ... -> s_{L-1} -> s_0: on
-    the span of e_{s_0}, ..., e_{s_{L-1}}, V is the cyclic shift, with
-    the eigenvectors sum_t e^{-2 pi i k t/L} e_{s_t} for the eigenvalues
-    e^{i theta_k}, theta_k = 2 pi k/L wrapped into (-pi, pi].  So
-    W[s_{t+d}, s_t] = (1/L) sum_k e^{i theta_k/N} e^{-2 pi i k d/L}, and
-    theta_k = pi exactly for k = L/2.  W^N is checked against V in the
-    Frobenius norm, which bounds the operator norm from above.
-
-    Any other V goes through an eigenbasis, with numpy.  It must be
-    unitary within tol, and an eigenvalue within tol of -1 counts as
-    theta = pi, whatever the sign of the rounding in its imaginary
-    part.  The eigenbasis is that of a Hermitian matrix with the
-    eigenvectors of V: V is turned by a phase so that the widest gap
-    between its eigenvalues sits at -1, and the Cayley transform
-    C = i(1 - R)(1 + R)^{-1} of the turned unitary R is Hermitian.  Its
-    orthonormal eigenvectors Q, from numpy's Hermitian solver, are also
-    orthonormal where eigenvalues repeat; theta is read off the diagonal
-    of Q* V Q.  W^N is checked against V in the operator norm."""
+    V must be a SparseMatrix that permutes its basis: exactly one
+    nonzero entry in each row and each column, and that entry 1.  Any
+    other V raises ValueError.  Such a V is unitary exactly, and its
+    root is explicit on each cycle s_0 -> s_1 -> ... -> s_{L-1} -> s_0:
+    on the span of e_{s_0}, ..., e_{s_{L-1}}, V is the cyclic shift,
+    with the eigenvectors sum_t e^{-2 pi i k t/L} e_{s_t} for the
+    eigenvalues e^{i theta_k}, theta_k = 2 pi k/L wrapped into
+    (-pi, pi].  So W[s_{t+d}, s_t] = (1/L) sum_k e^{i theta_k/N}
+    e^{-2 pi i k d/L}, and theta_k = pi exactly for k = L/2.  W^N is
+    checked against V in the Frobenius norm, which bounds the operator
+    norm from above; a miss beyond tol raises DegenerateEigenbasis."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    S = _sparse(V)
-    n = S.shape[0]
-    if S.shape != (n, n):
-        raise ValueError("V must be square")
-    cycles = _cycles(S)
+    if not isinstance(V, SparseMatrix) or V.shape[0] != V.shape[1]:
+        raise ValueError("V must be a square SparseMatrix")
+    n = V.shape[0]
+    cycles = _cycles(V)
     if cycles is None:
-        W = _eigenbasis_root(S.toarray(), N, tol)
-        return _sparse(W) if isinstance(V, SparseMatrix) else W
+        raise ValueError("V must be a permutation matrix")
     entries = {}
     for cycle in cycles:
         L = len(cycle)
@@ -392,9 +360,9 @@ def unitary_nth_root(V, N, tol=1e-10):
             for t, s in enumerate(cycle):
                 entries[cycle[(t + d) % L], s] = c
     W = SparseMatrix((n, n), entries)
-    if math.hypot(*map(abs, (_power(W, N) - S).entries.values())) > tol:
+    if math.hypot(*map(abs, (_power(W, N) - V).entries.values())) > tol:
         raise DegenerateEigenbasis("root verification failed")
-    return W if isinstance(V, SparseMatrix) else W.toarray()
+    return W
 
 
 # ---------------------------------------------------------------------------
@@ -593,10 +561,11 @@ def berg_verify(spec, P, N, epsilon, max_steps=None):
     an N-th root, and measure how far the result is from u.
 
     v1 and v2 are sums of matrix units with coefficient 1, so the corner
-    V = chi_Y v2 v1* chi_Y permutes the points of Y, and its root takes
-    the cycle path of unitary_nth_root.  The matrices whose norms are
-    taken here split into small blocks, and only a block with at least
-    three rows and three columns would load numpy.
+    V = chi_Y v2 v1* chi_Y permutes the points of Y, which is what
+    unitary_nth_root asks of it: the root is taken cycle by cycle.  The
+    matrices whose norms are taken here split into small blocks, which
+    take the closed forms of operator_norm up to two rows or two
+    columns, and one-sided Jacobi past that.
 
     z_commutes_ok asks whether z chi_U - chi_U z has no coefficient
     above 1e-10 for any cell U of P.  It is read off the pieces of z,

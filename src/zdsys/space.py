@@ -927,10 +927,12 @@ class QuotientProduct(SystemSpec):
             isinstance(item, dict) and set(item) == {"k", "set"} for item in items
         ):
             raise ValueError('slices must be a list of {"k", "set"} objects')
-        slices = {
-            _json_int(item["k"], "k"): from_dict(self.fiber, item["set"])
-            for item in items
-        }
+        slices = {}
+        for item in items:
+            k = _json_int(item["k"], "k")
+            if k in slices:
+                raise ValueError("slice index %d appears twice" % k)
+            slices[k] = from_dict(self.fiber, item["set"])
         return self.make(slices, _json_flag(d, "tail"))
 
     def scale(self, d):

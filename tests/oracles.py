@@ -4,7 +4,9 @@ Everything here is computed from first principles with the standard
 library only (fractions, itertools, cmath), without touching the main
 implementation, so the tests can compare two genuinely different routes
 to the same value.  Functions that need the dynamics take it as
-callables.
+callables.  The dense-matrix helpers (dense, sparse and
+eigenbasis_root) import numpy, a test dependency, in their bodies, so
+that this module imports without it.
 """
 
 from __future__ import annotations
@@ -303,6 +305,66 @@ def swap_root(N):
         [p_plus[i][j] + phase * p_minus[i][j] for j in range(2)]
         for i in range(2)
     ]
+
+
+def dense(M):
+    """The complex ndarray of anything with a shape and a dict
+    {(row, col): value} of entries, such as a SparseMatrix."""
+    import numpy as np
+
+    A = np.zeros(M.shape, dtype=complex)
+    for ij, c in M.entries.items():
+        A[ij] = c
+    return A
+
+
+def sparse(A, matrix_class):
+    """matrix_class(shape, entries) from the nonzero entries of the 2-d
+    array A."""
+    import numpy as np
+
+    A = np.asarray(A, dtype=complex)
+    rows, cols = np.nonzero(A)
+    keys = zip(rows.tolist(), cols.tolist())
+    return matrix_class(A.shape, dict(zip(keys, A[rows, cols].tolist())))
+
+
+def eigenbasis_root(V, N, tol=1e-10):
+    """The principal N-th root of the unitary ndarray V through an
+    eigenbasis: each eigenvalue e^{i theta}, theta in (-pi, pi], becomes
+    e^{i theta/N}, and one within tol of -1 counts as theta = pi,
+    whatever the sign of the rounding in its imaginary part.
+
+    The eigenbasis is that of a Hermitian matrix with the eigenvectors
+    of V: V is turned by a phase so that the widest gap between its
+    eigenvalues sits at -1, and the Cayley transform
+    C = i(1 - R)(1 + R)^{-1} of the turned unitary R is Hermitian.  Its
+    orthonormal eigenvectors Q, from numpy's Hermitian solver, are also
+    orthonormal where eigenvalues repeat; theta is read off the diagonal
+    of Q* V Q.  A V that is not unitary within tol, or a root whose
+    N-th power misses V by more than tol, raises ValueError."""
+    import numpy as np
+
+    V = np.asarray(V, dtype=complex)
+    I = np.eye(V.shape[0])
+    if (
+        np.linalg.norm(V @ V.conj().T - I, 2) > tol
+        or np.linalg.norm(V.conj().T @ V - I, 2) > tol
+    ):
+        raise ValueError("input is not unitary within tolerance")
+    angles = np.sort(np.angle(np.linalg.eigvals(V)))
+    gaps = np.diff(angles, append=angles[0] + 2 * math.pi)
+    k = int(np.argmax(gaps))
+    # the gap is at least 2 pi/n wide, so 1 + R is invertible
+    R = V * np.exp(1j * (math.pi - angles[k] - gaps[k] / 2))
+    C = 1j * np.linalg.solve(I + R, I - R)
+    _, Q = np.linalg.eigh((C + C.conj().T) / 2)
+    theta = np.angle(np.einsum("ij,ij->j", Q.conj(), V @ Q))
+    theta[theta <= -math.pi + tol] = math.pi
+    W = (Q * np.exp(1j * theta / N)) @ Q.conj().T
+    if np.linalg.norm(np.linalg.matrix_power(W, N) - V, 2) > tol:
+        raise ValueError("root verification failed")
+    return W
 
 
 def first_return_time(step, member, point, max_steps):

@@ -361,6 +361,27 @@ def test_tower_with_empty_base_is_input_error(spec_file, capsys):
     assert body["message"] == "base must be nonempty"
 
 
+def test_quotient_base_with_repeated_slice_index_is_input_error(
+    spec_file, capsys
+):
+    # a dict of the slices would keep only the last slice over k = 0
+    spec = space.quotient_product(space.finite_cycle(3))
+    base = {"tail": False, "slices": [
+        {"k": 0, "set": {"points": [0]}},
+        {"k": 0, "set": {"points": [1]}},
+    ]}
+    with pytest.raises(ValueError):
+        space.from_dict(spec, base)
+    code, out, err = run(
+        capsys, "tower", "--spec", spec_file(spec), "--base", json.dumps(base)
+    )
+    assert code == 2
+    assert out == ""
+    body = json.loads(err)
+    assert body["error"] == "ValueError"
+    assert body["message"] == "slice index 0 appears twice"
+
+
 @pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize(
     "fiber",

@@ -1,9 +1,9 @@
 """Every module-level import of the package is read in its module,
-no module imports scipy, no CLI job loads numpy or scipy, every
-error class of the package is raised somewhere in it, every
-module-level function is used in it or is public API, the
-annotations of every value class resolve, and importing the CLI loads
-neither dataclasses, inspect nor typing."""
+no module imports numpy or scipy, at module level or inside a
+function, no CLI job loads either, every error class of the package is
+raised somewhere in it, every module-level function is used in it or
+is public API, the annotations of every value class resolve, and
+importing the CLI loads neither dataclasses, inspect nor typing."""
 
 import ast
 import glob
@@ -123,10 +123,10 @@ def test_import_time_packages_scanner():
     "path", sorted(glob.glob(os.path.join(SRC, "*.py"))), ids=os.path.basename
 )
 def test_module_does_not_import_numpy_at_import_time(path):
-    # numeric imports numpy inside the functions that need it, for
-    # dense input and for cases berg never makes
+    # nor anywhere else: numpy is a test dependency only, and no function
+    # of the package imports it either
     with open(path) as f:
-        assert "numpy" not in import_time_packages(f.read())
+        assert "numpy" not in imported_packages(f.read())
 
 
 @pytest.mark.parametrize(

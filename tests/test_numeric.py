@@ -15,12 +15,7 @@ import genutil
 import oracles
 from zdsys import cpalgebra as cp
 from zdsys import numeric, space, towers
-from zdsys.errors import (
-    NoConvergence,
-    NotCompactlySupported,
-    NotUnitary,
-    PartitionFailure,
-)
+from zdsys.errors import NoConvergence, NotCompactlySupported, PartitionFailure
 
 SHIFT = space.compactified_shift()
 TWO_POINT = space.two_point_shift()
@@ -29,21 +24,25 @@ QSHIFT = space.quotient_product(SHIFT)
 QCYCLE = space.quotient_product(CYCLE)
 
 
+def sparse(A):
+    return oracles.sparse(A, numeric.SparseMatrix)
+
+
 def test_represent_examples():
     a = cp.multiply(cp.char(space.shift_set(SHIFT, [0])), cp.shift_unitary(SHIFT))
     rep = numeric.represent(a)
     # window is {-1, 0, 1}; the only entry sends -1 to 0
     assert rep.points == (-1, 0, 1)
-    M = rep.matrix.toarray()
+    M = oracles.dense(rep.matrix)
     assert M[1, 0] == 1
     assert np.count_nonzero(M) == 1
 
-    assert numeric.represent(cp.zero(SHIFT)).matrix.toarray().size == 0
+    assert oracles.dense(numeric.represent(cp.zero(SHIFT)).matrix).size == 0
 
     b = cp.char(space.shift_set(SHIFT, [2, 5]))
     rep = numeric.represent(b)
     assert rep.points == (2, 5)
-    assert np.allclose(rep.matrix.toarray(), np.eye(2))
+    assert np.allclose(oracles.dense(rep.matrix), np.eye(2))
 
 
 def test_represent_rejects_infinite_supports():
@@ -81,26 +80,26 @@ def test_represent_is_multiplicative():
     for _ in range(40):
         a = random_compact_element(rng)
         b = random_compact_element(rng)
-        Ma = numeric.represent(a, points=window).matrix.toarray()
-        Mb = numeric.represent(b, points=window).matrix.toarray()
+        Ma = oracles.dense(numeric.represent(a, points=window).matrix)
+        Mb = oracles.dense(numeric.represent(b, points=window).matrix)
         Mab = numeric.represent(cp.multiply(a, b), points=window).matrix
-        assert np.allclose(Ma @ Mb, Mab.toarray(), atol=1e-12)
+        assert np.allclose(Ma @ Mb, oracles.dense(Mab), atol=1e-12)
         Ms = numeric.represent(cp.adjoint(a), points=window).matrix
-        Ms = Ms.toarray()
+        Ms = oracles.dense(Ms)
         assert np.allclose(Ma.conj().T, Ms, atol=1e-12)
 
 
 def test_operator_norm_examples():
-    assert abs(numeric.operator_norm(np.array([[0, 1], [1, 0]])) - 1) < 1e-10
+    assert abs(numeric.operator_norm(sparse([[0, 1], [1, 0]])) - 1) < 1e-10
     assert (
-        abs(numeric.operator_norm(np.diag([3, -4j])) - 4) < 1e-10
+        abs(numeric.operator_norm(sparse(np.diag([3, -4j]))) - 4) < 1e-10
     )
     golden = (1 + math.sqrt(5)) / 2
     assert (
-        abs(numeric.operator_norm(np.array([[1, 1], [0, 1]])) - golden)
+        abs(numeric.operator_norm(sparse([[1, 1], [0, 1]])) - golden)
         < 1e-10
     )
-    assert numeric.operator_norm(np.zeros((3, 3))) == 0.0
+    assert numeric.operator_norm(sparse(np.zeros((3, 3)))) == 0.0
 
 
 def test_operator_norm_matches_2x2_oracle():
@@ -109,7 +108,7 @@ def test_operator_norm_matches_2x2_oracle():
         a, b, c, d = (
             complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4)
         )
-        M = np.array([[a, b], [c, d]])
+        M = sparse([[a, b], [c, d]])
         expected = oracles.singular_values_2x2(a, b, c, d)[0]
         assert abs(numeric.operator_norm(M) - expected) < 1e-9
 
@@ -128,7 +127,7 @@ def test_operator_norm_matches_singular_values():
             # rank r: a product through an r-dimensional space
             M = M[:, :r] @ (rng.standard_normal((r, n)) + 0j)
         expected = _top_singular_value(M)
-        assert abs(numeric.operator_norm(M) - expected) <= 1e-12 * max(
+        assert abs(numeric.operator_norm(sparse(M)) - expected) <= 1e-12 * max(
             1.0, expected
         )
     for n in (1, 3, 6):
@@ -137,19 +136,21 @@ def test_operator_norm_matches_singular_values():
         Q, _ = np.linalg.qr(
             rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         )
-        assert abs(numeric.operator_norm(2.5 * Q) - 2.5) < 1e-12
+        assert abs(numeric.operator_norm(sparse(2.5 * Q)) - 2.5) < 1e-12
         isometry = Q[:, : max(1, n - 1)]
-        assert abs(numeric.operator_norm(3 * isometry) - 3) < 1e-12
+        assert abs(numeric.operator_norm(sparse(3 * isometry)) - 3) < 1e-12
         D = np.diag([2.0, -2.0, 2j, 1.0][:n] + [0.5] * max(0, n - 4))
-        assert abs(numeric.operator_norm(D) - 2.0) < 1e-12
+        assert abs(numeric.operator_norm(sparse(D)) - 2.0) < 1e-12
 
 
 def test_operator_norm_empty_and_zero():
-    assert numeric.operator_norm(np.zeros((0, 0))) == 0.0
-    assert numeric.operator_norm(np.zeros((0, 3))) == 0.0
-    assert numeric.operator_norm(np.zeros((4, 2))) == 0.0
+    assert numeric.operator_norm(sparse(np.zeros((0, 0)))) == 0.0
+    assert numeric.operator_norm(sparse(np.zeros((0, 3)))) == 0.0
+    assert numeric.operator_norm(sparse(np.zeros((4, 2)))) == 0.0
     # signed zeros are zero rows and columns too
-    assert numeric.operator_norm(np.full((3, 5), complex(-0.0, -0.0))) == 0.0
+    zeros = {(i, j): complex(-0.0, -0.0) for i in range(3) for j in range(5)}
+    signed = numeric.SparseMatrix((3, 5), zeros)
+    assert numeric.operator_norm(signed) == 0.0
     rep = numeric.represent(cp.zero(SHIFT))
     assert numeric.operator_norm(rep) == 0.0
 
@@ -159,14 +160,14 @@ def test_operator_norm_rejects_non_finite():
         M = np.eye(3, dtype=complex)
         M[1, 2] = bad
         with pytest.raises(NoConvergence):
-            numeric.operator_norm(M)
+            numeric.operator_norm(sparse(M))
         with pytest.raises(NoConvergence):
-            numeric.operator_norm(np.array([[complex(1, bad)]]))
+            numeric.operator_norm(sparse([[complex(1, bad)]]))
         # alone in its row and column, among zero rows and columns
         M = np.zeros((4, 5), dtype=complex)
         M[2, 3] = bad
         with pytest.raises(NoConvergence):
-            numeric.operator_norm(M)
+            numeric.operator_norm(sparse(M))
 
 
 def _pad_with_zeros(M, rng, rows, cols):
@@ -187,14 +188,14 @@ def test_operator_norm_ignores_zero_rows_and_columns():
         M *= rng.random((m, n)) < rng.choice([0.3, 1.0])
         P = _pad_with_zeros(M, rng, *(int(k) for k in rng.integers(0, 12, 2)))
         expected = np.linalg.norm(P, 2)
-        assert abs(numeric.operator_norm(P) - expected) <= 1e-12 * max(
+        assert abs(numeric.operator_norm(sparse(P)) - expected) <= 1e-12 * max(
             1.0, expected
         )
     # represent windows: the support widened by the largest shift
     rng = random.Random(49)
     for _ in range(60):
         M = numeric.represent(random_compact_element(rng)).matrix
-        expected = np.linalg.norm(M.toarray(), 2) if M.entries else 0.0
+        expected = np.linalg.norm(oracles.dense(M), 2) if M.entries else 0.0
         assert abs(numeric.operator_norm(M) - expected) <= 1e-12 * max(
             1.0, expected
         )
@@ -238,9 +239,8 @@ def test_operator_norm_of_blocks_matches_lapack(kinds):
         scale = rng.choice([1.0, 1e-200, 1e200])
         M = _random_block_matrix(rng, shapes, scale)
         expected = np.linalg.norm(M, 2)
-        for given in (M, numeric._sparse(M)):
-            got = numeric.operator_norm(given)
-            assert abs(got - expected) <= 1e-12 * expected
+        got = numeric.operator_norm(sparse(M))
+        assert abs(got - expected) <= 1e-12 * expected
 
 
 def test_operator_norm_two_line_block_with_equal_singular_values():
@@ -249,16 +249,34 @@ def test_operator_norm_two_line_block_with_equal_singular_values():
     rng = np.random.default_rng(82)
     for _ in range(50):
         Q = _random_unitary(rng, 2)
-        assert abs(numeric.operator_norm(2.5 * Q) - 2.5) <= 1e-12 * 2.5
+        assert abs(numeric.operator_norm(sparse(2.5 * Q)) - 2.5) <= 1e-12 * 2.5
         U = _random_unitary(rng, 3)[:2]
-        assert abs(numeric.operator_norm(3 * U) - 3) <= 1e-12 * 3
-        assert abs(numeric.operator_norm(3 * U.T) - 3) <= 1e-12 * 3
+        assert abs(numeric.operator_norm(sparse(3 * U)) - 3) <= 1e-12 * 3
+        assert abs(numeric.operator_norm(sparse(3 * U.T)) - 3) <= 1e-12 * 3
+
+
+def test_operator_norm_raises_past_the_sweep_cap(monkeypatch):
+    # a dense 4 x 4 block needs more than one Jacobi sweep; a block with
+    # two rows takes the closed form and no sweep at all
+    rng = np.random.default_rng(86)
+    M = sparse(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    two = sparse(
+        rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
+    )
+    expected = numeric.operator_norm(two)
+    lapack = np.linalg.norm(oracles.dense(M), 2)
+    assert abs(numeric.operator_norm(M) - lapack) <= 1e-12 * lapack
+    monkeypatch.setattr(numeric, "_JACOBI_SWEEPS", 1)
+    with pytest.raises(NoConvergence):
+        numeric.operator_norm(M)
+    monkeypatch.setattr(numeric, "_JACOBI_SWEEPS", 0)
+    assert numeric.operator_norm(two) == expected
 
 
 # Norms and permutation roots in a fresh process with `import numpy`
-# made to fail: matrices whose blocks have at most two rows or two
-# columns, and permutations with cycles of any length, need no numpy.
-_SMALL_BLOCKS_BLOCKED = """
+# made to fail: the package needs no numpy for either, on blocks of any
+# shape and permutations with cycles of any length.
+_NORMS_AND_ROOTS_BLOCKED = """
 import json, sys
 sys.modules["numpy"] = None
 from zdsys import numeric
@@ -277,12 +295,12 @@ print(json.dumps(out))
 """
 
 
-def test_small_blocks_and_permutation_roots_run_with_numpy_blocked():
+def test_norms_and_permutation_roots_run_with_numpy_blocked():
     rng = np.random.default_rng(83)
     dense = [
         _random_block_matrix(
-            rng, [_block_shape(rng, rng.choice(["line", "two"]))
-                  for _ in range(4)], 1.0)
+            rng, [_block_shape(rng, rng.choice(["line", "two", "large"]))
+                  for _ in range(4)], rng.choice([1.0, 1e-200, 1e200]))
         for _ in range(20)
     ]
     norms = [
@@ -297,7 +315,7 @@ def test_small_blocks_and_permutation_roots_run_with_numpy_blocked():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run(
-        [sys.executable, "-c", _SMALL_BLOCKS_BLOCKED,
+        [sys.executable, "-c", _NORMS_AND_ROOTS_BLOCKED,
          json.dumps([norms, perms], default=int)],
         capture_output=True, text=True, env=env, timeout=120,
     )
@@ -312,47 +330,56 @@ def test_small_blocks_and_permutation_roots_run_with_numpy_blocked():
         W = np.zeros((n, n), dtype=complex)
         for i, j, a, b in root:
             W[i, j] = complex(a, b)
-        assert np.max(np.abs(W - eigenbasis_root(V, N))) < 1e-12
+        assert np.max(np.abs(W - oracles.eigenbasis_root(V, N))) < 1e-12
 
 
 def test_unitary_root_swap_matches_oracle():
-    V = np.array([[0, 1], [1, 0]], dtype=complex)
+    V = sparse([[0, 1], [1, 0]])
     for N in (2, 3, 5, 8):
         W = numeric.unitary_nth_root(V, N)
         expected = np.array(oracles.swap_root(N))
-        assert np.max(np.abs(W - expected)) < 1e-10
+        assert np.max(np.abs(oracles.dense(W) - expected)) < 1e-10
+        assert numeric.operator_norm(numeric._power(W, N) - V) < 1e-10
         assert (
-            numeric.operator_norm(np.linalg.matrix_power(W, N) - V) < 1e-10
+            numeric.operator_norm(W - numeric.SparseMatrix.identity(2))
+            <= math.pi / N + 1e-9
         )
-        assert numeric.operator_norm(W - np.eye(2)) <= math.pi / N + 1e-9
 
 
 def test_unitary_root_identity_and_phase():
-    assert np.allclose(numeric.unitary_nth_root(np.eye(3), 7), np.eye(3))
-    # -1 goes through the upper branch: angle pi, root e^{i pi / 3}
-    V = np.array([[-1.0 + 0j]])
-    W = numeric.unitary_nth_root(V, 3)
+    W = numeric.unitary_nth_root(numeric.SparseMatrix.identity(3), 7)
+    assert np.allclose(oracles.dense(W), np.eye(3))
+    # -1 goes through the upper branch: angle pi, root e^{i pi / 3}; the
+    # swap has the eigenvalues 1 and -1
+    W = oracles.eigenbasis_root(np.array([[-1.0 + 0j]]), 3)
     assert abs(W[0, 0] - cmath.exp(1j * math.pi / 3)) < 1e-10
+    W = numeric.unitary_nth_root(sparse([[0, 1], [1, 0]]), 3)
+    eigenvalues = np.sort_complex(np.linalg.eigvals(oracles.dense(W)))
+    expected = np.sort_complex(np.array([1, cmath.exp(1j * math.pi / 3)]))
+    assert np.max(np.abs(eigenvalues - expected)) < 1e-12
 
 
 def test_unitary_root_takes_pi_at_minus_one():
     # -1 as an eigenvalue of multiplicity two, and as the eigenvalue of a
     # 4-cycle, is e^{i pi}: its root is e^{i pi/N}, never e^{-i pi/N}
-    W = numeric.unitary_nth_root(-np.eye(2, dtype=complex), 3)
+    W = oracles.eigenbasis_root(-np.eye(2, dtype=complex), 3)
     expected = cmath.exp(1j * math.pi / 3) * np.eye(2)
     assert np.max(np.abs(W - expected)) < 1e-12
-    V = np.eye(6, dtype=complex)[[3, 2, 4, 1, 5, 0]]
-    eigenvalues = np.linalg.eigvals(numeric.unitary_nth_root(V, 4))
+    V = sparse(np.eye(6, dtype=complex)[[3, 2, 4, 1, 5, 0]])
+    W = oracles.dense(numeric.unitary_nth_root(V, 4))
+    eigenvalues = np.linalg.eigvals(W)
     assert np.angle(eigenvalues).min() > -math.pi / 4 + 1e-9
     assert np.min(np.abs(eigenvalues - cmath.exp(1j * math.pi / 4))) < 1e-12
-    # every eigenvalue of the root of a permutation or a signed
-    # permutation lies on the arc (-pi/N, pi/N]
+    # every eigenvalue of the root of a permutation, and of the oracle's
+    # root of a signed permutation, lies on the arc (-pi/N, pi/N]
     rng = np.random.default_rng(78)
     for _ in range(200):
         n = int(rng.integers(1, 9))
         N = int(rng.integers(1, 65))
-        V = np.eye(n)[rng.permutation(n)] * rng.choice([-1, 1], size=n)
-        W = numeric.unitary_nth_root(V, N)
+        V = np.eye(n)[rng.permutation(n)]
+        W = oracles.dense(numeric.unitary_nth_root(sparse(V), N))
+        assert np.angle(np.linalg.eigvals(W)).min() > -math.pi / N + 1e-9
+        W = oracles.eigenbasis_root(V * rng.choice([-1, 1], size=n), N)
         assert np.angle(np.linalg.eigvals(W)).min() > -math.pi / N + 1e-9
 
 
@@ -391,18 +418,28 @@ def _root_cases(rng):
 
 
 def test_unitary_root_matches_schur_oracle():
+    # the eigenbasis oracle on every case, and the cycle root on the
+    # permutations among them
     rng = np.random.default_rng(79)
+    permutations = 0
     for V in _root_cases(rng):
         N = int(rng.integers(1, 65))
-        W = numeric.unitary_nth_root(V, N)
-        assert np.max(np.abs(W - _schur_root(V, N))) < 1e-12
+        expected = _schur_root(V, N)
+        assert np.max(np.abs(oracles.eigenbasis_root(V, N) - expected)) < 1e-12
+        if np.isin(V, (0, 1)).all():
+            W = oracles.dense(numeric.unitary_nth_root(sparse(V), N))
+            assert np.max(np.abs(W - expected)) < 1e-12
+            permutations += 1
+    assert permutations >= 150
 
 
 def test_unitary_root_rejects_non_unitary():
-    with pytest.raises(NotUnitary):
-        numeric.unitary_nth_root(np.array([[2.0, 0], [0, 1.0]]), 2)
     with pytest.raises(ValueError):
-        numeric.unitary_nth_root(np.eye(2), 0)
+        numeric.unitary_nth_root(sparse([[2.0, 0], [0, 1.0]]), 2)
+    with pytest.raises(ValueError):
+        numeric.unitary_nth_root(numeric.SparseMatrix.identity(2), 0)
+    with pytest.raises(ValueError):
+        numeric.unitary_nth_root(numeric.SparseMatrix((2, 3), {}), 2)
 
 
 def _random_permutation_matrix(rng, lengths):
@@ -418,30 +455,7 @@ def _random_permutation_matrix(rng, lengths):
     return numeric.SparseMatrix((n, n), entries)
 
 
-# the eigenbasis path of unitary_nth_root, bound before any test
-# replaces it
-_EIGENBASIS_ROOT = numeric._eigenbasis_root
-
-
-def eigenbasis_root(V, N):
-    return _EIGENBASIS_ROOT(np.asarray(V, dtype=complex), N, 1e-10)
-
-
-@pytest.fixture
-def eigenbasis_calls(monkeypatch):
-    """The calls that unitary_nth_root makes to the eigenbasis path."""
-    calls = []
-    root = numeric._eigenbasis_root
-
-    def recorded(*args):
-        calls.append(args)
-        return root(*args)
-
-    monkeypatch.setattr(numeric, "_eigenbasis_root", recorded)
-    return calls
-
-
-def test_permutation_root_matches_eigenbasis_root(eigenbasis_calls):
+def test_permutation_root_matches_eigenbasis_root():
     # cycles of every length from 1 to 7, even ones included, where the
     # eigenvalue -1 must take theta = pi
     rng = np.random.default_rng(84)
@@ -451,15 +465,13 @@ def test_permutation_root_matches_eigenbasis_root(eigenbasis_calls):
             V = _random_permutation_matrix(rng, [L] + extra.tolist())
             W = numeric.unitary_nth_root(V, N)
             assert isinstance(W, numeric.SparseMatrix)
-            expected = eigenbasis_root(V.toarray(), N)
-            assert np.max(np.abs(W.toarray() - expected)) < 1e-12
-            # dense input takes the same path and gives an ndarray
-            dense = numeric.unitary_nth_root(V.toarray(), N)
-            assert np.array_equal(dense, W.toarray())
-    assert eigenbasis_calls == []
+            expected = oracles.eigenbasis_root(oracles.dense(V), N)
+            assert np.max(np.abs(oracles.dense(W) - expected)) < 1e-12
 
 
-def test_other_unitaries_take_the_eigenbasis_path(eigenbasis_calls):
+def test_unitary_root_rejects_other_unitaries():
+    # only permutations are taken, as SparseMatrix; a unitary that is
+    # not one, and a dense array, raise ValueError
     rng = np.random.default_rng(85)
     P = np.eye(4)[[1, 2, 3, 0]]
     cases = [
@@ -469,10 +481,10 @@ def test_other_unitaries_take_the_eigenbasis_path(eigenbasis_calls):
         np.array([[0.6, -0.8], [0.8, 0.6]]),
     ]
     for V in cases:
-        W = numeric.unitary_nth_root(numeric._sparse(V), 3)
-        assert isinstance(W, numeric.SparseMatrix)
-        assert np.array_equal(W.toarray(), eigenbasis_root(V, 3))
-    assert len(eigenbasis_calls) == len(cases)
+        with pytest.raises(ValueError):
+            numeric.unitary_nth_root(sparse(V), 3)
+    with pytest.raises(ValueError):
+        numeric.unitary_nth_root(P, 3)
 
 
 def test_unitary_root_rejects_near_permutations():
@@ -486,12 +498,13 @@ def test_unitary_root_rejects_near_permutations():
     V[:, 2] = 0  # a missing column
     bad.append(V)
     for V in bad:
-        for given in (V, numeric._sparse(V)):
-            with pytest.raises(NotUnitary):
-                numeric.unitary_nth_root(given, 2)
+        with pytest.raises(ValueError):
+            numeric.unitary_nth_root(sparse(V), 2)
 
 
 def test_unitary_root_random_unitaries():
+    # the eigenbasis oracle, with its bounds measured by operator_norm,
+    # whose dense blocks go through Jacobi
     rng = np.random.default_rng(77)
     for _ in range(30):
         n = int(rng.integers(1, 7))
@@ -502,11 +515,13 @@ def test_unitary_root_random_unitaries():
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             v = v / np.linalg.norm(v)
             V = (np.eye(n) - 2 * np.outer(v, v.conj())) @ V
-        W = numeric.unitary_nth_root(V, N)
+        W = oracles.eigenbasis_root(V, N)
         assert (
-            numeric.operator_norm(np.linalg.matrix_power(W, N) - V) < 1e-10
+            numeric.operator_norm(sparse(np.linalg.matrix_power(W, N) - V))
+            < 1e-10
         )
-        assert numeric.operator_norm(W - np.eye(n)) <= math.pi / N + 1e-9
+        norm = numeric.operator_norm(sparse(W - np.eye(n)))
+        assert norm <= math.pi / N + 1e-9
 
 
 def test_cutdown_check_block_diagonal():
@@ -635,7 +650,7 @@ def test_represent_matches_move_oracle(spec):
         rep = numeric.represent(a)
         points, M = _oracle_matrix(a)
         assert rep.points == tuple(points)
-        assert np.array_equal(rep.matrix, M)
+        assert np.array_equal(oracles.dense(rep.matrix), M)
         # explicit points: part of the window and points outside it, in
         # any order
         extra = space.enumerate_points(random_finite_set(spec, rng))
@@ -644,13 +659,17 @@ def test_represent_matches_move_oracle(spec):
         rng.shuffle(points)
         rep = numeric.represent(a, points=points)
         assert rep.points == tuple(points)
-        assert np.array_equal(rep.matrix, _oracle_matrix(a, points)[1])
+        assert np.array_equal(
+            oracles.dense(rep.matrix), _oracle_matrix(a, points)[1]
+        )
     # on a cycle of period 3 the three terms add up in one entry, and
     # 0.1 + 0.2 + 0.3 rounds differently from 0.3 + 0.2 + 0.1: the sum
     # must run over the terms in increasing n
     E = random_finite_set(spec, rng)
     a = cp.cp_element(spec, {-3: [(0.1, E)], 0: [(0.2, E)], 3: [(0.3, E)]})
-    assert np.array_equal(numeric.represent(a).matrix, _oracle_matrix(a)[1])
+    assert np.array_equal(
+        oracles.dense(numeric.represent(a).matrix), _oracle_matrix(a)[1]
+    )
 
 
 def random_blocks(spec, rng):
@@ -713,7 +732,7 @@ def test_cutdown_check_reads_pieces_where_terms_share_entries(spec):
         c = complex(rng.uniform(0.5, 1), rng.uniform(-1, 1))
         E = random_finite_set(spec, rng)
         a = cp.cp_element(spec, {-1: [(c, E)], 2: [(-c, E)]})
-        assert not numeric.represent(a).matrix.toarray().any()
+        assert not oracles.dense(numeric.represent(a).matrix).any()
         if not _assert_cutdown_matches_oracle(a, blocks):
             hidden += 1
     assert hidden >= 5
@@ -739,7 +758,7 @@ def product_z(Y, y_points, W, N):
     z = cp.zero(spec)
     covered = space.empty_set(spec)
     for j in range(N):
-        M = powers[N - j].toarray()
+        M = oracles.dense(powers[N - j])
         terms = {}
         for r, x in enumerate(y_points):
             for s, y in enumerate(y_points):
@@ -796,7 +815,7 @@ def test_interpolating_unitary_matches_products_for_any_matrix():
         W = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
         # zero entries, and entries on either side of the 1e-15 drop
         W *= rng.choice([0, 1e-16, 1e-14, 1], size=(k, k))
-        W = numeric._sparse(W)
+        W = sparse(W)
         z = numeric._interpolating_unitary(Y, y_points, W, N)
         assert cp.equals(z, product_z(Y, y_points, W, N))
 
