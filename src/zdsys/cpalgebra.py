@@ -3,19 +3,24 @@ elements sum_n f_n u^n, where each f_n is a step function over clopen
 sets and u implements the dynamics: u^n chi_E = chi_{h^n(E)} u^n.
 
 A step function is stored as ((scalar, set), ...) with disjoint sets,
-one per scalar, ordered by sort_key.  It is computed as an atom ->
-scalar map: at a common scale every set involved is a bitmask over the
-family's finite atoms (SystemSpec.atoms), so sums and products take one
-pass over atoms instead of splitting every piece against every other.
-Each atom adds its scalars in piece order, v_k = v_(k-1) + c_k.  A
-disjoint-piece accumulator, which splits each new piece against every
+one per scalar, ordered by sort_key.  It is computed on cells as masks:
+at a common scale every set involved is an int bitmask over the
+family's finite atoms (SystemSpec.atoms), so a piece becomes a
+(scalar, mask) item, and sums and products are big-int &, | and ~ on
+whole masks instead of splitting every piece against every other.  An
+atom under one item takes that item's scalar, so all such atoms of an
+item are handled as one mask.  Only an atom under several items is
+visited alone; it adds their scalars in item order, v_k = v_(k-1) + c_k.
+A disjoint-piece accumulator, which splits each new piece against every
 earlier one, forms c_k + v_(k-1) instead; IEEE addition is commutative,
 so the scalars agree bit for bit, and canonical sets are unique, so the
 sets agree too (tests/oracles.py keeps that accumulator as the oracle).
 One exception: cells whose scalars compare equal but differ in the sign
 of a zero part, such as 1+0j and the 1-0j that adjoint makes from 1,
-merge into one cell as in the accumulator, but which of the two scalars
-that cell keeps may differ from the accumulator's choice.
+merge into one cell as in the accumulator.  That cell keeps the scalar
+of the first item with atoms alone under it that carry the value, or,
+when there is none, the sum at the first atom visited alone that does;
+the accumulator may keep the other scalar.
 
 Also builds the tower matrix units, the intertwining unitaries of a
 return-system pair, the identity suite they satisfy, and the dimension
@@ -44,13 +49,27 @@ from .towers import hat_base, tower_levels
 EXACT_SCALARS = (0, 1, -1, 1j, -1j)
 
 
-def _sf_from_atoms(spec, s, groups, values, known):
-    """Canonical step function at scale s of the atoms of a scalar ->
-    mask map `groups` and of an atom -> scalar map `values`: atoms
-    grouped by complex(scalar), zeros dropped, one set per scalar, cells
-    ordered by sort_key.  `known` maps the masks of sets at hand to the
-    sets; a cell equal to one of them is that set, since canonical forms
-    are unique, so it is shared instead of built again."""
+def _sf_masks(spec, s, items, known):
+    """Canonical step function at scale s of a list of (scalar, mask)
+    items: an atom under one item takes its scalar, and an atom under
+    several sums their scalars in item order.  Atoms are grouped by
+    complex(scalar), zeros dropped, one set per scalar, cells ordered by
+    sort_key.  `known` maps the masks of sets at hand to the sets; a
+    cell equal to one of them is that set, since canonical forms are
+    unique, so it is shared instead of built again."""
+    covered = shared = 0
+    for _, mask in items:
+        shared |= mask & covered
+        covered |= mask
+    groups = {}
+    values = {}
+    for c, mask in items:
+        alone = mask & ~shared
+        if alone and c != 0:
+            groups[complex(c)] = groups.get(complex(c), 0) | alone
+        if mask & shared:
+            for x in atom_indices(mask & shared):
+                values[x] = values[x] + c if x in values else c
     cells = {}
     for x, c in values.items():
         if c != 0:
@@ -63,7 +82,8 @@ def _sf_from_atoms(spec, s, groups, values, known):
         if E is None:
             E = ClopenSet(spec, spec.from_atoms(mask, s))
         out.append((c, E))
-    out.sort(key=lambda ce: sort_key(ce[1]))
+    if len(out) > 1:
+        out.sort(key=lambda ce: sort_key(ce[1]))
     return tuple(out)
 
 
@@ -71,25 +91,17 @@ def _sf_canon(spec, pieces):
     """Canonical step function of a list of (scalar, set) pieces: an
     atom under one piece takes its scalar, and an atom under several
     sums their scalars in piece order."""
+    if len(pieces) == 1:
+        c, E = pieces[0]
+        return () if c == 0 or spec.is_empty(E.data) else ((complex(c), E),)
     s = spec.atom_scale([E.data for _, E in pieces])
-    masks = []
+    items = []
     known = {}
-    covered = shared = 0
     for c, E in pieces:
         mask = spec.atoms(E.data, s)
         known.setdefault(mask, E)
-        shared |= mask & covered
-        covered |= mask
-        masks.append((c, mask))
-    groups = {}
-    values = {}
-    for c, mask in masks:
-        alone = mask & ~shared
-        if alone and c != 0:
-            groups[complex(c)] = groups.get(complex(c), 0) | alone
-        for x in atom_indices(mask & shared):
-            values[x] = values[x] + c if x in values else c
-    return _sf_from_atoms(spec, s, groups, values, known)
+        items.append((c, mask))
+    return _sf_masks(spec, s, items, known)
 
 
 class CPElement(space.Record):
@@ -160,13 +172,26 @@ def multiply(a, b):
     """The product, by (f u^n)(g u^m) = f (g composed with h^-n) u^(n+m).
 
     All sets of a and the images h^n(F) of the sets of b are unions of
-    atoms at one common scale.  For each term f u^n of a, f becomes an
-    atom -> scalar map; each piece d chi_F of each term of b then walks
-    the atoms of h^n(F) inside the support of f and adds c d into the
-    map of term n+m.  The cells of f and of g are disjoint, so within one
-    (n, m) pair at most one product reaches an atom, and the products of
-    an atom arrive in increasing n, the order in which the all-pairs
-    loop over n, m, the cells of f and the cells of g listed them."""
+    atoms at one common scale.  Each term f u^n of a is kept as its
+    (c, mask) cells and their union, the support.  Each piece d chi_F of
+    each term of b meets the support in hit = support & mask(h^n F), and
+    adds items to term n+m:
+    - if hit has fewer atoms than f has cells, one (c d, atom) item per
+      atom of hit, c read off an atom -> scalar map of f that is built
+      on first use;
+    - otherwise one (c d, mE & hit) item per cell (c, mE) that meets hit.
+    So a piece costs at most about min(|hit|, cells) steps: many small
+    cells against a small piece go atom by atom, and a few wide cells,
+    such as cofinite sets, go as whole masks.  The rule reads only the
+    input.  The items of each term then go through _sf_masks.
+
+    Either branch gives each atom of hit the same product c d, with c
+    the scalar of the atom's cell.  The cells of f and of g are
+    disjoint, so within one (n, m) pair at most one item reaches an
+    atom, and since term n+m fixes m by n, the items of an atom arrive
+    in increasing n, the order in which the all-pairs loop over n, m,
+    the cells of f and the cells of g listed them: each atom sums the
+    same floats in the same order."""
     _check(a, b)
     spec = a.spec
     shifted = {
@@ -177,27 +202,39 @@ def multiply(a, b):
         [E.data for _, sf in a.terms for _, E in sf]
         + [F.data for ts in shifted.values() for _, sf in ts for _, F in sf]
     )
-    values = {}
+    items = {}
     known = {}
     for n, sf_a in a.terms:
-        f = {}
+        cells = []
         support = 0
         for c, E in sf_a:
             mask = spec.atoms(E.data, s)
             known.setdefault(mask, E)
             support |= mask
-            f.update(dict.fromkeys(atom_indices(mask), c))
+            cells.append((c, mask))
+        f = None
         for m, sf_b in shifted.pop(n):
-            out = values.setdefault(n + m, {})
+            out = items.setdefault(n + m, [])
             for d, F in sf_b:
                 mask = spec.atoms(F.data, s)
                 known.setdefault(mask, F)
-                for x in atom_indices(support & mask):
-                    p = f[x] * d
-                    out[x] = out[x] + p if x in out else p
+                hit = support & mask
+                if not hit:
+                    continue
+                if hit.bit_count() < len(cells):
+                    if f is None:
+                        f = {}
+                        for c, mE in cells:
+                            f.update(dict.fromkeys(atom_indices(mE), c))
+                    for x in atom_indices(hit):
+                        out.append((f[x] * d, 1 << x))
+                else:
+                    for c, mE in cells:
+                        if mE & hit:
+                            out.append((c * d, mE & hit))
     terms = []
-    for k in sorted(values):
-        sf = _sf_from_atoms(spec, s, {}, values.pop(k), known)
+    for k in sorted(items):
+        sf = _sf_masks(spec, s, items.pop(k), known)
         if sf:
             terms.append((k, sf))
     return CPElement(spec, tuple(terms))
@@ -229,8 +266,9 @@ def has_exact_scalars(a):
 
 
 def is_unitary(a, tol=1e-12):
-    p = multiply(a, adjoint(a))
-    q = multiply(adjoint(a), a)
+    star = adjoint(a)
+    p = multiply(a, star)
+    q = multiply(star, a)
     e = one(a.spec)
     if has_exact_scalars(a):
         return equals(p, e) and equals(q, e)
@@ -274,20 +312,24 @@ def from_dict(spec, d):
 # ---------------------------------------------------------------------------
 
 
+def _unit(spec, c, i, j):
+    """The matrix unit e_ij of the tower c: chi_{h^i(Y)} u^(i-j)
+    restricted to land on chi_{h^j(Y)}, which collapses to
+    chi_{h^i(Y)} times u^(i-j)."""
+    return cp_element(spec, {i - j: [(1, apply_h(c.Y, i))]})
+
+
 def matrix_units(S):
-    """The tower matrix units: e[(t, k, i, j)] = chi_{h^i(Y)} u^{i-j}
-    restricted to land on chi_{h^j(Y)}, which collapses to chi_{h^i(Y)}
-    times u^{i-j}."""
-    units = {}
-    for t, towers in enumerate(S.towers):
-        for k, c in enumerate(towers):
-            for i in range(c.J):
-                Ei = apply_h(c.Y, i)
-                for j in range(c.J):
-                    units[(t, k, i, j)] = cp_element(
-                        S.spec, {i - j: [(1, Ei)]}
-                    )
-    return units
+    """All the tower matrix units, e[(t, k, i, j)] = e_ij of tower k over
+    base t.  The identity suite reads them only for the witness of a
+    failing uhat_commutes_with_units."""
+    return {
+        (t, k, i, j): _unit(S.spec, c, i, j)
+        for t, towers in enumerate(S.towers)
+        for k, c in enumerate(towers)
+        for i in range(c.J)
+        for j in range(c.J)
+    }
 
 
 def matrix_unit_relations(S):
@@ -414,6 +456,29 @@ def _entry(name, pairs):
     return name, wit is None, wit
 
 
+def _uhat_commutes_with_units(S, uhat):
+    """The suite entry for uhat against every unit of every leading
+    tower, read off the generators of those units (see identity_suite);
+    on a failure the loop over all the units finds the witness."""
+    spec = S.spec
+    gens = []
+    for towers in S.towers:
+        c = towers[0]
+        if c.J == 1:
+            gens.append(_unit(spec, c, 0, 0))
+        for j in range(c.J - 1):
+            gens.append(_unit(spec, c, j + 1, j))
+            gens.append(_unit(spec, c, j, j + 1))
+    name = "uhat_commutes_with_units"
+    if all(equals(multiply(uhat, e), multiply(e, uhat)) for e in gens):
+        return name, True, None
+    return _entry(name, (
+        (multiply(uhat, e), multiply(e, uhat))
+        for (_, k, _, _), e in matrix_units(S).items()
+        if k == 0
+    ))
+
+
 def identity_suite(S, S2):
     """Exact symbolic checks of the defining identities of the pair.
 
@@ -424,23 +489,41 @@ def identity_suite(S, S2):
     h^j Y cap h^k Y' is empty, h being a bijection.  So the relations
     hold iff the levels h^j Y_{t,k}, 0 <= j < J, are pairwise disjoint
     (empty levels allowed): one running union over sum J levels instead
-    of (sum J^2)^2 products."""
+    of (sum J^2)^2 products.
+
+    uhat_commutes_with_units is read off generators.  Since
+    u^n chi_E u^-n = chi_{h^n E}, e_ik e_kj = chi_{h^i Y} u^(i-j) = e_ij
+    for any k, so every unit of a tower is a product of e_(j+1)j and
+    e_j(j+1) for j < J-1 (e_ii = e_i(i+1) e_(i+1)i, or e_i(i-1) e_(i-1)i
+    at the top), plus e_00 when J = 1.  The elements that commute with
+    uhat form an algebra, and the scalars of uhat and of the units are
+    integers, so the products are exact: uhat commutes with every unit
+    of the leading towers iff it commutes with these at most 2(J-1)+1
+    generators per tower, O(sum J) products instead of O(sum J^2).  The
+    witness is the difference of the last unequal pair over all the
+    units, so a failing generator sends the entry through the loop over
+    matrix_units.  The other entries read only the units e_jj,
+    e_(J-1)0 and e_0(J-1), so a passing suite builds no other unit."""
     spec = S.spec
     pe = proof_unitaries(S, S2)
     u = shift_unitary(spec)
-    units = matrix_units(S)
-    w = multiply(pe.v2, adjoint(pe.v1))
+    v1_star = adjoint(pe.v1)
+    w = multiply(pe.v2, v1_star)
+    w_star = adjoint(w)
     slices = [c for towers in S.towers for c in towers]
     leads = [towers[0] for towers in S.towers]
 
-    def conj(a, x):
-        return multiply(multiply(a, x), adjoint(a))
+    def conj(a, a_star, x):
+        return multiply(multiply(a, x), a_star)
 
-    diag = _sum(spec, (e for (_, _, i, j), e in units.items() if i == j))
+    diagonals = [
+        [[_unit(spec, c, j, j) for j in range(c.J)] for c in towers]
+        for towers in S.towers
+    ]
+    diag = _sum(spec, (e for ts in diagonals for es in ts for e in es))
     cores = [char(intersect(c.Y, apply_h(c.Y, c.J))) for c in leads]
-    tops = [(t, c.J - 1) for t, c in enumerate(leads)]
-    left = _sum(spec, (units[(t, 0, top, 0)] for t, top in tops))
-    right = _sum(spec, (units[(t, 0, 0, top)] for t, top in tops))
+    left = _sum(spec, (_unit(spec, c, c.J - 1, 0) for c in leads))
+    right = _sum(spec, (_unit(spec, c, 0, c.J - 1) for c in leads))
     top_levels = empty_set(spec)
     for c in leads:
         top_levels = union(top_levels, apply_h(c.Y, c.J - 1))
@@ -448,10 +531,7 @@ def identity_suite(S, S2):
         multiply(multiply(left, pe.uhat), right),
         char(complement(top_levels)),
     )
-    projections = [
-        _sum(spec, (units[(t, 0, j, j)] for j in range(c.J)))
-        for t, c in enumerate(leads)
-    ]
+    projections = [_sum(spec, ts[0]) for ts in diagonals]
     saturations = []
     for towers in S2.towers:
         sat = empty_set(spec)
@@ -464,25 +544,22 @@ def identity_suite(S, S2):
         ("matrix_unit_relations", matrix_unit_relations(S), None),
         _entry("diagonal_units_sum_to_one", [(diag, one(spec))]),
         _entry("v1_moves", (
-            (conj(pe.v1, char(apply_h(c.Y, j))), char(apply_h(c.Y, j + 1)))
+            (conj(pe.v1, v1_star, char(apply_h(c.Y, j))),
+             char(apply_h(c.Y, j + 1)))
             for c in slices
             for j in range(c.J - 1)
         )),
         _entry("v1_wrap", (
-            (conj(pe.v1, char(apply_h(c.Y, c.J - 1))), char(c.Y))
+            (conj(pe.v1, v1_star, char(apply_h(c.Y, c.J - 1))), char(c.Y))
             for c in slices
         )),
         _entry("v2v1_conjugates_base", (
-            (conj(w, char(X)), char(X)) for X in S.bases
+            (conj(w, w_star, char(X)), char(X)) for X in S.bases
         )),
         _entry("v2v1_fixes_core", ((multiply(w, x), x) for x in cores)),
         # proof_unitaries has raised InvalidSystem unless uhat is unitary
         ("uhat_unitary", True, None),
-        _entry("uhat_commutes_with_units", (
-            (multiply(pe.uhat, e), multiply(e, pe.uhat))
-            for (_, k, _, _), e in units.items()
-            if k == 0
-        )),
+        _uhat_commutes_with_units(S, pe.uhat),
         _entry("u2_recovery", [(recovered, pe.u2)]),
         _entry("pt_commutes", (
             (multiply(p, x), multiply(x, p))

@@ -867,13 +867,17 @@ class QuotientProduct(SystemSpec):
     def window(self, d):
         return sorted(k for k, _ in d[1])
 
+    # complement and h^n act slice by slice.  Each is a bijection of the
+    # fiber's sets that fixes the empty set and the whole fiber (h^n) or
+    # swaps them (complement), so a slice differs from the old tail
+    # default iff its image differs from the new one: the stored keys
+    # stay the same and in order, and the data is canonical as built.
+
     def complement(self, d):
-        slices = {k: complement(s) for k, s in d[1]}
-        return self._canon(slices, not d[0])
+        return (not d[0], tuple((k, complement(s)) for k, s in d[1]))
 
     def apply_h(self, d, n):
-        slices = {k: apply_h(s, n) for k, s in d[1]}
-        return self._canon(slices, d[0])
+        return (d[0], tuple((k, apply_h(s, n)) for k, s in d[1]))
 
     def point_apply_h(self, p, n):
         if p == INF:
@@ -946,10 +950,11 @@ class QuotientProduct(SystemSpec):
         # from i times the fiber atom count, and above them one atom for
         # the rest of X: the other slices and inf; full is the mask of
         # the whole fiber at sf, and its width is the fiber atom count
+        fiber = self.fiber
         slices = [kv for d in ds for kv in d[1]]
         ks = tuple(sorted({k for k, _ in slices}))
-        sf = self.fiber.atom_scale([fs.data for _, fs in slices])
-        return (ks, sf, self.fiber.atoms(whole_space(self.fiber).data, sf))
+        sf = fiber.atom_scale([fs.data for _, fs in slices])
+        return (ks, sf, fiber.atoms(fiber.complement(fiber.empty_data), sf))
 
     def atoms(self, d, s):
         ks, sf, full = s

@@ -78,6 +78,74 @@ def test_step_functions_match_accumulator_oracle(spec):
             )
 
 
+def _multiply_branches(x, y):
+    """The branches multiply(x, y) takes, re-derived from the atom masks:
+    "atom" for a piece of y that meets fewer atoms of its term of x than
+    that term has cells, "cell" for any other piece that meets it."""
+    spec = x.spec
+    shifted = [
+        (n, [space.apply_h(F, n) for _, sf in y.terms for _, F in sf])
+        for n, _ in x.terms
+    ]
+    s = spec.atom_scale(
+        [E.data for _, sf in x.terms for _, E in sf]
+        + [F.data for _, Fs in shifted for F in Fs]
+    )
+    out = set()
+    for (_, sf_a), (_, Fs) in zip(x.terms, shifted):
+        support = 0
+        for _, E in sf_a:
+            support |= spec.atoms(E.data, s)
+        for F in Fs:
+            hit = support & spec.atoms(F.data, s)
+            if hit:
+                out.add("atom" if hit.bit_count() < len(sf_a) else "cell")
+    return out
+
+
+@pytest.mark.parametrize("spec", genutil.all_specs())
+def test_products_on_cells_match_accumulator_oracle(spec):
+    """Both branches of multiply agree with the all-pairs accumulator,
+    floats equal with ==: small cells times a wide set and times small
+    sets, one cell times many, and the 1-0j scalars of adjoint."""
+    rng = random.Random(79)
+    cells = space.generating_partition(spec, 3)
+
+    def scalar():
+        return rng.choice(
+            [1, -1, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))]
+        )
+
+    taken = set()
+    for _ in range(6):
+        # two terms of small cells, so that their products meet on atoms
+        many = cp.cp_element(
+            spec, {n: [(scalar(), E) for E in cells] for n in (0, 1)}
+        )
+        small = genutil.random_set(spec, rng)
+        wide = space.complement(small)
+        few = cp.cp_element(spec, {
+            0: [(scalar(), wide)],
+            -1: [(scalar(), E) for E in rng.sample(cells, 3)],
+        })
+        one = cp.cp_element(spec, {rng.randint(-1, 1): [(1, wide)]})
+        for x, y in (
+            (many, few),
+            (few, many),
+            (one, many),
+            (many, one),
+            (cp.adjoint(many), few),
+            (cp.adjoint(one), cp.adjoint(many)),
+            (many, cp.adjoint(many)),
+        ):
+            taken |= _multiply_branches(x, y)
+            product = oracles.all_pairs_product(x.terms, y.terms, space)
+            assert cp.multiply(x, y).terms == oracles.canonical_terms(
+                product, space
+            )
+    assert taken == {"atom", "cell"}
+
+
 def test_covariance_relation():
     u = cp.shift_unitary(SHIFT)
     chi0 = cp.char(space.shift_set(SHIFT, [0]))
@@ -300,6 +368,84 @@ def test_failing_suite_reports():
         rep = cp.identity_suite(S, S2)
         assert not rep.ok
         assert rep.to_dict() == case["report"]
+
+
+def _uhat_entry_over_all_units(S, uhat):
+    """The uhat_commutes_with_units entry over every unit of every
+    leading tower: the form the generators stand in for."""
+    return cp._entry("uhat_commutes_with_units", (
+        (cp.multiply(uhat, e), cp.multiply(e, uhat))
+        for (_, k, _, _), e in cp.matrix_units(S).items()
+        if k == 0
+    ))
+
+
+def _entry_json(entry):
+    name, passed, wit = entry
+    return json.dumps([name, passed, None if wit is None else cp.to_dict(wit)])
+
+
+def _random_pairs(rng):
+    """Adapted pairs of every family with a valid construction, from
+    random partitions and lengths, and hand-built cycle pairs."""
+    pairs = []
+    for spec in genutil.system_specs():
+        for _ in range(3):
+            P = genutil.random_partition(spec, rng)
+            try:
+                pair = towers.adapted_system_pair(spec, P, rng.randint(1, 3))
+            except InvalidSystem:
+                continue
+            pairs.append(pair)
+    pairs += [random_cycle_pair(rng) for _ in range(20)]
+    return pairs
+
+
+def test_uhat_generators_match_all_units(monkeypatch):
+    """The generator form of uhat_commutes_with_units gives the entry of
+    the loop over all units, witness included: for the uhat of each pair
+    it passes without building all the units, and for a random element
+    in its place the generators mostly fail and the loop gives the
+    witness.  The corner units e_(J-1)0 and e_0(J-1) of a leading tower
+    commute with all of its lowering, resp. raising, generators, but for
+    J >= 2 not with all of its units."""
+    built = []
+    matrix_units = cp.matrix_units
+
+    def counted(S):
+        built.append(S)
+        return matrix_units(S)
+
+    monkeypatch.setattr(cp, "matrix_units", counted)
+    rng = random.Random(89)
+    outcomes = []
+    families = set()
+    for S, S2 in _random_pairs(rng):
+        try:
+            uhat = cp.proof_unitaries(S, S2).uhat
+        except InvalidSystem:
+            uhat = None
+        else:
+            families.add(S.spec)
+        lead = S.towers[0][0]
+        corners = [
+            cp._unit(S.spec, lead, lead.J - 1, 0),
+            cp._unit(S.spec, lead, 0, lead.J - 1),
+        ]
+        for el in [uhat, random_element(S.spec, rng)] + corners:
+            if el is None:
+                continue
+            built.clear()
+            entry = cp._uhat_commutes_with_units(S, el)
+            assert _entry_json(entry) == _entry_json(
+                _uhat_entry_over_all_units(S, el)
+            )
+            # the oracle above builds the units once; the entry only
+            # when a generator fails
+            assert len(built) == (1 if entry[1] else 2)
+            outcomes.append(entry[1])
+    assert families >= set(genutil.system_specs())
+    assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
 
 
 def test_matrix_units_products_closed():
