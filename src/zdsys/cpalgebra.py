@@ -265,14 +265,14 @@ def has_exact_scalars(a):
     return all(c in EXACT_SCALARS for _, sf in a.terms for c, _ in sf)
 
 
-def is_unitary(a, tol=1e-12):
+def is_unitary(a):
     star = adjoint(a)
     p = multiply(a, star)
     q = multiply(star, a)
     e = one(a.spec)
     if has_exact_scalars(a):
         return equals(p, e) and equals(q, e)
-    return equals_approx(p, e, tol) and equals_approx(q, e, tol)
+    return equals_approx(p, e) and equals_approx(q, e)
 
 
 def to_dict(a):

@@ -192,6 +192,15 @@ def _block_norm(block):
 
 _JACOBI_SWEEPS = 30
 
+# Tolerances: unitary_nth_root accepts a root W when W^N - V has
+# Frobenius norm at most _ROOT_TOL; berg_verify ignores coefficients of
+# z up to _Z_TOL; cutdown_check ignores pieces with |c| up to _COEFF_TOL
+# and allows the total norm _NORM_SLACK above the largest block norm.
+_ROOT_TOL = 1e-10
+_Z_TOL = 1e-10
+_COEFF_TOL = 1e-12
+_NORM_SLACK = 1e-9
+
 
 def _jacobi_norm(lines):
     """Largest singular value of the matrix whose rows are the given
@@ -329,7 +338,7 @@ def _power(W, m):
     return P
 
 
-def unitary_nth_root(V, N, tol=1e-10):
+def unitary_nth_root(V, N):
     """The N-th root of a unitary through the principal branch: each
     eigenvalue e^{i theta}, theta in (-pi, pi], becomes e^{i theta/N}.
     The result is a function of V and satisfies |W - 1| <= pi/N.
@@ -344,7 +353,7 @@ def unitary_nth_root(V, N, tol=1e-10):
     (-pi, pi].  So W[s_{t+d}, s_t] = (1/L) sum_k e^{i theta_k/N}
     e^{-2 pi i k d/L}, and theta_k = pi exactly for k = L/2.  W^N is
     checked against V in the Frobenius norm, which bounds the operator
-    norm from above; a miss beyond tol raises DegenerateEigenbasis."""
+    norm from above; a miss over _ROOT_TOL raises DegenerateEigenbasis."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if not isinstance(V, SparseMatrix) or V.shape[0] != V.shape[1]:
@@ -360,7 +369,8 @@ def unitary_nth_root(V, N, tol=1e-10):
             for t, s in enumerate(cycle):
                 entries[cycle[(t + d) % L], s] = c
     W = SparseMatrix((n, n), entries)
-    if math.hypot(*map(abs, (_power(W, N) - V).entries.values())) > tol:
+    miss = math.hypot(*map(abs, (_power(W, N) - V).entries.values()))
+    if miss > _ROOT_TOL:
         raise DegenerateEigenbasis("root verification failed")
     return W
 
@@ -390,7 +400,7 @@ def _cell_labels(cells, points):
     }
 
 
-def cutdown_check(a, blocks, tol=1e-9, coeff_tol=1e-12):
+def cutdown_check(a, blocks):
     """Verify that a is block-diagonal for the given (p, q) projection
     pairs and that its norm is at most the largest block norm.
 
@@ -401,7 +411,7 @@ def cutdown_check(a, blocks, tol=1e-9, coeff_tol=1e-12):
     A piece c chi_E u^n of a survives in chi_p a chi_q as the piece
     c chi_{E & p & h^n(q)} u^n, which is nonzero at x exactly when x is
     in E and p and h^-n(x) is in q.  So the offending pair, the least
-    (i, j), i != j, for which some piece with |c| > coeff_tol meets
+    (i, j), i != j, for which some piece with |c| > _COEFF_TOL meets
     p_i & h^n(q_j), is the least (row(x), column(h^-n(x))) off the
     diagonal over the points x of such pieces.  This is read off the
     pieces, not the entries of M: on a periodic orbit the terms n and
@@ -427,7 +437,7 @@ def cutdown_check(a, blocks, tol=1e-9, coeff_tol=1e-12):
         (row[x], col[point_apply_h(a.spec, x, -n)])
         for n, sf in a.terms
         for c, E in sf
-        if abs(c) > coeff_tol
+        if abs(c) > _COEFF_TOL
         for x in enumerate_points(E)
     }
     offending = min((ij for ij in pairs if ij[0] != ij[1]), default=None)
@@ -448,7 +458,7 @@ def cutdown_check(a, blocks, tol=1e-9, coeff_tol=1e-12):
         operator_norm(SparseMatrix(rep.matrix.shape, e)) for e in cutdowns
     ]
     total = operator_norm(rep)
-    bound = max(block_norms, default=0.0) + tol
+    bound = max(block_norms, default=0.0) + _NORM_SLACK
     return {
         "block_diagonal": True,
         "offending_pair": None,
@@ -525,17 +535,17 @@ def _interpolating_unitary(Y, y_points, W, N):
     return cp.cp_element(spec, terms)
 
 
-def _commutes_with_cells(z, P, tol=1e-10):
+def _commutes_with_cells(z, P):
     """z_commutes_ok of berg_verify, by the lemma there: False iff, for
     some term n != 0 of z and cell U of P, the union E of the term's
-    sets with |c| > tol meets the symmetric difference of U and h^n U,
+    sets with |c| > _Z_TOL meets the symmetric difference of U and h^n U,
     that is, iff E & U != E & h^n U."""
     spec = z.spec
     for n, sf in z.terms:
         if n == 0:
             continue
         # the sets of one term are disjoint
-        E = disjoint_union(spec, [F for c, F in sf if abs(c) > tol])[0]
+        E = disjoint_union(spec, [F for c, F in sf if abs(c) > _Z_TOL])[0]
         for U in P:
             if intersect(E, U) != intersect(E, apply_h(U, n)):
                 return False
@@ -568,7 +578,7 @@ def berg_verify(spec, P, N, epsilon, max_steps=None):
     columns, and one-sided Jacobi past that.
 
     z_commutes_ok asks whether z chi_U - chi_U z has no coefficient
-    above 1e-10 for any cell U of P.  It is read off the pieces of z,
+    above _Z_TOL for any cell U of P.  It is read off the pieces of z,
     without products.  Lemma: let z = sum_n f_n u^n with finite
     coefficients.  Since u^n chi_U = chi_{h^n U} u^n, term n of
     z chi_U - chi_U z is f_n (chi_{h^n U} - chi_U) u^n: f_n on
@@ -577,7 +587,7 @@ def berg_verify(spec, P, N, epsilon, max_steps=None):
     c * 1 and 1 * c, which equal c in modulus for finite c, and the
     difference adds c and -c to an exact 0 on U & h^n U and leaves c
     or -c on the symmetric difference.  So the check passes iff no
-    piece (c, E) of z with n != 0 and |c| > 1e-10 meets the symmetric
+    piece (c, E) of z with n != 0 and |c| > _Z_TOL meets the symmetric
     difference of U and h^n U.
     The coefficients of z are finite: they are 1 and the entries of
     powers of the closed-form cycle root."""
@@ -603,9 +613,9 @@ def berg_verify(spec, P, N, epsilon, max_steps=None):
 
         z = _interpolating_unitary(Y, y_points, W, N)
 
-    z_unitary_ok = cp.equals_approx(
-        cp.multiply(z, cp.adjoint(z)), cp.one(spec), 1e-10
-    ) and cp.equals_approx(cp.multiply(cp.adjoint(z), z), cp.one(spec), 1e-10)
+    zs, one = cp.adjoint(z), cp.one(spec)
+    z_unitary_ok = (cp.equals_approx(cp.multiply(z, zs), one, _Z_TOL)
+                    and cp.equals_approx(cp.multiply(zs, z), one, _Z_TOL))
     z_commutes_ok = _commutes_with_cells(z, P)
 
     u_prime = cp.multiply(

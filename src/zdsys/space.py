@@ -3,7 +3,8 @@
 Five space families are supported, one SystemSpec subclass each.  A
 clopen set is a ClopenSet(spec, data) whose data is in the family's
 unique canonical form, so equality is structural comparison and all
-Boolean operations are exact.  Only the family's class reads the data.
+Boolean operations are exact.  Only the family's class reads the data,
+with the window helpers that the two shift families share.
 Union and intersection are defined once, on SystemSpec, through the
 family's atom masks; the partition primitives take one pass over the
 same masks.  The module-level functions check the specs of their
@@ -173,13 +174,15 @@ class SystemSpec(Record):
     """Description of the space X and homeomorphism h.
 
     Each family is a subclass that holds the family's parameters and is
-    the only code that reads the data of its clopen sets.  Methods whose
-    set arguments are named d, da or db take the data of sets over the
-    spec and return data or plain values; the other methods take and
-    return ClopenSets.  Every family defines make, complement, apply_h,
-    point_apply_h, contains_point, generating_partition, sort_key,
-    sample_points, set_to_dict, set_from_dict, scale, enumerate_points,
-    canonical_bases, base_witness and the atom triple:
+    the only code that reads the data of its clopen sets, with the
+    _window helpers for the finite sets of the two shift families.
+    Methods whose set arguments are named d, da or db take the data of
+    sets over the spec and return data or plain values; the other
+    methods take and return ClopenSets.  Every family defines make,
+    complement, apply_h, point_apply_h, contains_point,
+    generating_partition, sort_key, sample_points, set_to_dict,
+    set_from_dict, scale, enumerate_points, canonical_bases,
+    base_witness and the atom triple:
 
     - atom_scale(ds): the least scale s at which every set of the list
       ds is a union of the family's atoms;
@@ -568,17 +571,55 @@ class Odometer(SystemSpec):
         return [self.make([(0,) * L])]
 
 
+# The two shift families store a finite set F of integers as its window
+# (lo, bits): bit i of bits is the point lo + i and lo = min F, or (0, 0)
+# for the empty F.  It leads the family's data, where the helpers below
+# read it: an operation is a few big-int operations, not a point walk.
+
+
+def _window(points):
+    """The window of the integers in points."""
+    fs = {int(p) for p in points}
+    lo = min(fs, default=0)
+    return lo, atom_mask(p - lo for p in fs)
+
+
+def _window_points(d):
+    """The sorted points of the window of the data d."""
+    return [d[0] + i for i in atom_indices(d[1])]
+
+
+def _window_scale(ds):
+    """One more than the largest |p| over the windows of the data in
+    ds, and at least 1: the least s with every point inside |p| < s."""
+    s = 1
+    for d in ds:
+        if d[1]:
+            lo = d[0]
+            hi = lo + d[1].bit_length()
+            if hi > s:
+                s = hi
+            if 1 - lo > s:
+                s = 1 - lo
+    return s
+
+
+def _mask_window(mask, s):
+    """The window of the points p whose bit p + s is set in mask."""
+    if not mask:
+        return 0, 0
+    low = (mask & -mask).bit_length() - 1
+    return low - s, mask >> low
+
+
 class CompactifiedShift(SystemSpec):
     """Z with one point at infinity and the +1 shift.
 
-    The data of a set is (lo, bits, cofinite).  The finite set F, which
-    the set holds or, when cofinite, leaves out, is stored as its own
-    atom mask: bit i of bits is the point lo + i, and lo = min F, so bit
-    0 of a nonempty F is set; the empty F is (0, 0, cofinite).  The
-    cofinite form contains inf.  So apply_h adds n to lo, complement
-    flips the flag, and the atoms at a scale are one shift and one XOR
-    of bits: a Boolean operation is a few big-int operations over the
-    window width, not a pass over the points.
+    The data of a set is (lo, bits, cofinite): the window (lo, bits) of
+    a finite set F (see _window), which the set holds or, when
+    cofinite, leaves out.  The cofinite form contains inf.  So apply_h
+    adds n to lo, complement flips the flag, and the atoms at a scale
+    are one shift and one XOR of bits.
     """
 
     family = COMPACTIFIED_SHIFT
@@ -586,14 +627,7 @@ class CompactifiedShift(SystemSpec):
     empty_data = (0, 0, False)
 
     def make(self, points, cofinite=False):
-        fs = {int(p) for p in points}
-        lo = min(fs, default=0)
-        return ClopenSet(self, (lo, atom_mask(p - lo for p in fs), bool(cofinite)))
-
-    def _points(self, d):
-        """The sorted points of F."""
-        lo = d[0]
-        return [lo + i for i in atom_indices(d[1])]
+        return ClopenSet(self, (*_window(points), bool(cofinite)))
 
     def complement(self, d):
         lo, bits, c = d
@@ -621,42 +655,29 @@ class CompactifiedShift(SystemSpec):
         return tuple(cells)
 
     def sort_key(self, d):
-        return (d[2], d[1].bit_count(), tuple(self._points(d)))
+        return (d[2], d[1].bit_count(), tuple(_window_points(d)))
 
     def sample_points(self, d, count):
         lo, bits, c = d
         if not c:
-            return self._points(d)
+            return _window_points(d)
         # the integers just below min F and just above max F, or around
         # 0 when F is empty, lie outside F
         below, above = lo - 1, lo + max(bits.bit_length(), 1)
-        out = [INF]
-        for i in range(count):
-            out.append(below - i)
-            out.append(above + i)
-        return out
+        return [INF] + [q for i in range(count) for q in (below - i, above + i)]
 
     def set_to_dict(self, d):
-        return {"F": self._points(d), "cofinite": d[2]}
+        return {"F": _window_points(d), "cofinite": d[2]}
 
     def set_from_dict(self, d):
         return self.make(_json_ints(d["F"], "F"), _json_flag(d, "cofinite"))
 
     def scale(self, d):
-        lo, bits, _ = d
-        return max(1 - lo, lo + bits.bit_length()) if bits else 1
+        return _window_scale([d])
 
-    def atom_scale(self, ds):
-        # the atoms at scale s are the integers p with |p| < s, at bit
-        # p + s, and the rest of X, inf included, at bit 0
-        s = 1
-        for lo, bits, _ in ds:
-            if bits:
-                if 1 - lo > s:
-                    s = 1 - lo
-                if lo + bits.bit_length() > s:
-                    s = lo + bits.bit_length()
-        return s
+    # the atoms at scale s are the integers p with |p| < s, at bit
+    # p + s, and the rest of X, inf included, at bit 0
+    atom_scale = staticmethod(_window_scale)
 
     def atoms(self, d, s):
         lo, bits, c = d
@@ -667,15 +688,12 @@ class CompactifiedShift(SystemSpec):
         c = bool(mask & 1)
         if c:
             mask ^= (1 << 2 * s) - 1
-        if not mask:
-            return (0, 0, c)
-        low = (mask & -mask).bit_length() - 1
-        return (low - s, mask >> low, c)
+        return (*_mask_window(mask, s), c)
 
     def enumerate_points(self, d):
         if d[2]:
             raise NotCompactlySupported("set has a cofinite part")
-        return self._points(d)
+        return _window_points(d)
 
     def canonical_bases(self, n):
         return [self.make(range(-n, n), cofinite=True)]
@@ -686,12 +704,8 @@ class CompactifiedShift(SystemSpec):
     def adapted_bases(self, P, N):
         U = next(c for c in P if contains_point(c, INF))
         lo, bits, _ = U.data
-        if bits:
-            b = lo + bits.bit_length()
-            a = min(lo - N, b - (N + 2))
-        else:
-            b = 1
-            a = b - (N + 2)
+        b = lo + max(bits.bit_length(), 1)  # max F + 1, or 1 when F is empty
+        a = min(lo - N, b - (N + 2))
         return [self.make(range(a + 1, b), cofinite=True)]
 
     def minimal_witness_ok(self, X_t, Y):
@@ -705,34 +719,39 @@ class CompactifiedShift(SystemSpec):
 
 
 class TwoPointShift(SystemSpec):
-    """Z with fixed points -inf and +inf.  The data of a set is (finite
-    difference set F, tail_minus, tail_plus).  An integer n is in the set
-    when membership differs from the tail default of its side exactly for
-    n in F (default is tail_minus for n < 0 and tail_plus for n >= 0);
-    -inf is in the set iff tail_minus, +inf iff tail_plus."""
+    """Z with fixed points -inf and +inf.
+
+    The data of a set is (lo, bits, tail_minus, tail_plus): the window
+    (lo, bits) of a finite difference set F (see _window) and the tail
+    flags.  An integer q is in the set when its membership differs from
+    the default of its side, tail_minus for q < 0 and tail_plus for
+    q >= 0, exactly for q in F; -inf is in it iff tail_minus, +inf iff
+    tail_plus.
+    """
 
     family = TWO_POINT_SHIFT
     set_keys = (("F",), ("tail_minus", "tail_plus"))
-    empty_data = (frozenset(), False, False)
+    empty_data = (0, 0, False, False)
 
     def make(self, diff, tail_minus=False, tail_plus=False):
         """The set from the canonical difference-set form."""
-        diff = frozenset(int(p) for p in diff)
-        return ClopenSet(self, (diff, bool(tail_minus), bool(tail_plus)))
+        return ClopenSet(self, (*_window(diff), bool(tail_minus), bool(tail_plus)))
 
     def complement(self, d):
-        fs, tm, tp = d
-        return (fs, not tm, not tp)
+        lo, bits, tm, tp = d
+        return (lo, bits, not tm, not tp)
 
     def apply_h(self, d, n):
-        fs, tm, tp = d
-        lo, hi = (n, 0) if n < 0 else (0, n)
-        diff = set()
-        for x in {p + n for p in fs} | set(range(lo, hi)):
-            inside = ((x - n) in fs) != (tm if x - n < 0 else tp)
-            if inside != (tm if x < 0 else tp):
-                diff.add(x)
-        return (frozenset(diff), tm, tp)
+        lo, bits, tm, tp = d
+        if tm == tp:
+            return (lo + n, bits, tm, tp) if bits else d
+        # x is in h^n(E) iff x - n is in E, and the side default of x
+        # flips exactly when x and x - n lie on opposite sides of 0: F
+        # moves by n and the run of integers between 0 and n flips
+        low = min(lo + n, n, 0)
+        run = (1 << abs(n)) - 1  # the integers from min(0, n) on
+        mask = bits << lo + n - low ^ run << min(n, 0) - low
+        return (*_mask_window(mask, -low), tm, tp)
 
     def point_apply_h(self, p, n):
         if p in (MINUS_INF, PLUS_INF):
@@ -740,13 +759,13 @@ class TwoPointShift(SystemSpec):
         return int(p) + n
 
     def contains_point(self, d, p):
-        fs, tm, tp = d
+        lo, bits, tm, tp = d
         if p == MINUS_INF:
             return tm
         if p == PLUS_INF:
             return tp
         q = int(p)
-        return (q in fs) != (tm if q < 0 else tp)
+        return (q >= lo and bits >> q - lo & 1 == 1) != (tm if q < 0 else tp)
 
     def generating_partition(self, n):
         cells = [self.make([i]) for i in range(-n, n)]
@@ -755,26 +774,18 @@ class TwoPointShift(SystemSpec):
         return tuple(cells)
 
     def sort_key(self, d):
-        fs, tm, tp = d
-        return (tm, tp, len(fs), tuple(sorted(fs)))
+        return (d[2], d[3], d[1].bit_count(), tuple(_window_points(d)))
 
     def sample_points(self, d, count):
-        fs, tm, tp = d
-        lo = min(fs, default=0) - 1
-        hi = max(fs, default=0) + 1
-        out = []
-        for n in range(lo - count, hi + count + 1):
-            if self.contains_point(d, n):
-                out.append(n)
-        if tm:
-            out.append(MINUS_INF)
-        if tp:
-            out.append(PLUS_INF)
-        return out
+        lo, bits, tm, tp = d
+        # from below min F to above max F, or around 0 when F is empty
+        below, above = lo - 1, lo + max(bits.bit_length(), 1)
+        out = [q for q in range(below - count, above + count + 1)
+               if self.contains_point(d, q)]
+        return out + [MINUS_INF] * tm + [PLUS_INF] * tp
 
     def set_to_dict(self, d):
-        fs, tm, tp = d
-        return {"F": sorted(fs), "tail_minus": tm, "tail_plus": tp}
+        return {"F": _window_points(d), "tail_minus": d[2], "tail_plus": d[3]}
 
     def set_from_dict(self, d):
         return self.make(
@@ -784,13 +795,12 @@ class TwoPointShift(SystemSpec):
         )
 
     def scale(self, d):
-        return max((abs(p) for p in d[0]), default=0) + 1
+        return _window_scale([d])
 
-    def atom_scale(self, ds):
-        # the atoms at scale s are the integers p with |p| < s, at bit
-        # p + s, the minus tail, -inf included, at bit 0 and the plus
-        # tail, +inf included, at bit 2s
-        return _window_scale(ds)
+    # the atoms at scale s are the integers p with |p| < s, at bit
+    # p + s, the minus tail, -inf included, at bit 0 and the plus tail,
+    # +inf included, at bit 2s
+    atom_scale = staticmethod(_window_scale)
 
     def _tail_atoms(self, tm, tp, s):
         """The mask of the set with tails tm, tp and no differences."""
@@ -799,19 +809,17 @@ class TwoPointShift(SystemSpec):
         return minus | plus
 
     def atoms(self, d, s):
-        fs, tm, tp = d
-        return self._tail_atoms(tm, tp, s) ^ atom_mask(map(s.__add__, fs))
+        lo, bits, tm, tp = d
+        return self._tail_atoms(tm, tp, s) ^ bits << lo + s
 
     def from_atoms(self, mask, s):
         tm, tp = bool(mask & 1), bool(mask >> 2 * s & 1)
-        diff = mask ^ self._tail_atoms(tm, tp, s)
-        return (frozenset(map((-s).__add__, atom_indices(diff))), tm, tp)
+        return (*_mask_window(mask ^ self._tail_atoms(tm, tp, s), s), tm, tp)
 
     def enumerate_points(self, d):
-        pts, tm, tp = d
-        if tm or tp:
+        if d[2] or d[3]:
             raise NotCompactlySupported("set has a tail part")
-        return sorted(pts)
+        return _window_points(d)
 
     def canonical_bases(self, n):
         return [self.make(range(-n, 0), tail_minus=True)]
@@ -1058,14 +1066,6 @@ class QuotientProduct(SystemSpec):
 
 
 _SPEC_CLASSES = {cls.family: cls for cls in SystemSpec.__subclasses__()}
-
-
-def _window_scale(ds):
-    """One more than the largest |p| over the F of two-point shift data."""
-    fs = [d[0] for d in ds if d[0]]
-    hi = max(map(max, fs), default=0)
-    lo = min(map(min, fs), default=0)
-    return max(hi, -lo) + 1
 
 
 def _json_int(value, what):

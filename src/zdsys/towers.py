@@ -56,6 +56,10 @@ class ReturnSystem(Record):
     bases: tuple
     towers: tuple  # towers[t] is a tuple of Tower, sorted by (J, set order)
 
+    def __post_init__(self):
+        if len(self.towers) != len(self.bases):
+            raise ValueError("need one tuple of towers per base")
+
     @property
     def T(self):
         return len(self.bases)
@@ -169,58 +173,40 @@ def build_from_bases(bases, P, max_steps=None):
 def validate_system(S, P):
     """Check the defining conditions of a return system; per-condition
     pass/fail entries with a witness set for each failure."""
-    entries = []
 
-    entries.append(("a", S.T >= 1, None))
+    def entry(condition, witnesses):
+        # the first witness of a failure, if any; witnesses are sets
+        witness = next(witnesses, None)
+        return (condition, witness is None, witness)
 
-    ok_b, wit_b = True, None
-    for X_t in S.bases:
-        if common_refinement((X_t,), P) != (X_t,):
-            ok_b, wit_b = False, X_t
-            break
-    entries.append(("b", ok_b, wit_b))
+    def return_failures():
+        for X_t, towers in zip(S.bases, S.towers):
+            for c in towers:
+                top = apply_h(c.Y, c.J)
+                if c.J < 1 or not is_subset(top, X_t):
+                    yield top
+                for j in range(1, c.J):
+                    meet = intersect(apply_h(c.Y, j), X_t)
+                    if not is_empty(meet):
+                        yield meet
+            if not is_partition([apply_h(c.Y, c.J) for c in towers], X_t):
+                yield X_t
 
-    ok_c, wit_c = True, None
-    for t, towers in enumerate(S.towers):
-        if len(towers) < 1:
-            ok_c, wit_c = False, S.bases[t]
-            break
-    entries.append(("c", ok_c, wit_c))
+    def cover_failures():
+        levels = tower_levels(S)
+        if not is_partition(levels):
+            yield partition_witness(S.spec, levels)
 
-    ok_d, wit_d = True, None
-    for t, towers in enumerate(S.towers):
-        if not is_partition([c.Y for c in towers], S.bases[t]):
-            ok_d, wit_d = False, S.bases[t]
-            break
-    entries.append(("d", ok_d, wit_d))
-
-    ok_e, wit_e = True, None
-    for t, towers in enumerate(S.towers):
-        X_t = S.bases[t]
-        for c in towers:
-            if c.J < 1 or not is_subset(apply_h(c.Y, c.J), X_t):
-                ok_e, wit_e = False, apply_h(c.Y, c.J)
-                break
-            for j in range(1, c.J):
-                if not is_empty(intersect(apply_h(c.Y, j), X_t)):
-                    ok_e, wit_e = False, intersect(apply_h(c.Y, j), X_t)
-                    break
-            if not ok_e:
-                break
-        if ok_e and not is_partition(
-            [apply_h(c.Y, c.J) for c in towers], X_t
-        ):
-            ok_e, wit_e = False, X_t
-        if not ok_e:
-            break
-    entries.append(("e", ok_e, wit_e))
-
-    levels = tower_levels(S)
-    ok_f = is_partition(levels)
-    wit_f = None if ok_f else partition_witness(S.spec, levels)
-    entries.append(("f", ok_f, wit_f))
-
-    return ValidationReport(tuple(entries))
+    pairs = list(zip(S.bases, S.towers))
+    return ValidationReport((
+        ("a", S.T >= 1, None),
+        entry("b", (X for X in S.bases if common_refinement((X,), P) != (X,))),
+        entry("c", (X for X, towers in pairs if not towers)),
+        entry("d", (X for X, towers in pairs
+                    if not is_partition([c.Y for c in towers], X))),
+        entry("e", return_failures()),
+        entry("f", cover_failures()),
+    ))
 
 
 def tower_partitions(S):

@@ -570,6 +570,7 @@ class FrozensetShift:
     cofinite.  Each operation works on the points of F."""
 
     INF = "inf"
+    INFS = (INF,)
 
     @staticmethod
     def make(points, cofinite=False):
@@ -640,6 +641,100 @@ class FrozensetShift:
     @staticmethod
     def atom_scale(ds):
         return max((FrozensetShift.scale(d) for d in ds), default=1)
+
+
+class FrozensetTwoPoint:
+    """Sets of the two-point shift as (frozenset F, tail_minus,
+    tail_plus): an integer q is in the set when q in F differs from the
+    flag of its side, tail_minus for q < 0 and tail_plus for q >= 0;
+    "-inf" is in it iff tail_minus, "+inf" iff tail_plus.  Each
+    operation works on the points of F, and apply_h on the integers
+    between 0 and n as well."""
+
+    INFS = ("-inf", "+inf")
+
+    @staticmethod
+    def make(diff, tail_minus=False, tail_plus=False):
+        return (frozenset(diff), bool(tail_minus), bool(tail_plus))
+
+    @staticmethod
+    def contains_point(d, p):
+        fs, tm, tp = d
+        if p == "-inf":
+            return tm
+        if p == "+inf":
+            return tp
+        return (p in fs) != (tm if p < 0 else tp)
+
+    @staticmethod
+    def _combine(da, db, op):
+        tm, tp = op(da[1], db[1]), op(da[2], db[2])
+        # a point outside both F is in each set exactly when its side's
+        # flag is
+        inside = FrozensetTwoPoint.contains_point
+        return (
+            frozenset(
+                p for p in da[0] | db[0]
+                if op(inside(da, p), inside(db, p)) != (tm if p < 0 else tp)
+            ),
+            tm,
+            tp,
+        )
+
+    @staticmethod
+    def union(da, db):
+        return FrozensetTwoPoint._combine(da, db, lambda x, y: x or y)
+
+    @staticmethod
+    def intersect(da, db):
+        return FrozensetTwoPoint._combine(da, db, lambda x, y: x and y)
+
+    @staticmethod
+    def complement(d):
+        fs, tm, tp = d
+        return (fs, not tm, not tp)
+
+    @staticmethod
+    def apply_h(d, n):
+        fs, tm, tp = d
+        lo, hi = (n, 0) if n < 0 else (0, n)
+        diff = set()
+        for x in {p + n for p in fs} | set(range(lo, hi)):
+            inside = ((x - n) in fs) != (tm if x - n < 0 else tp)
+            if inside != (tm if x < 0 else tp):
+                diff.add(x)
+        return (frozenset(diff), tm, tp)
+
+    @staticmethod
+    def sort_key(d):
+        fs, tm, tp = d
+        return (tm, tp, len(fs), tuple(sorted(fs)))
+
+    @staticmethod
+    def set_to_dict(d):
+        fs, tm, tp = d
+        return {"F": sorted(fs), "tail_minus": tm, "tail_plus": tp}
+
+    @staticmethod
+    def sample_points(d, count):
+        fs, tm, tp = d
+        lo = min(fs, default=0) - 1
+        hi = max(fs, default=0) + 1
+        out = [n for n in range(lo - count, hi + count + 1)
+               if FrozensetTwoPoint.contains_point(d, n)]
+        if tm:
+            out.append("-inf")
+        if tp:
+            out.append("+inf")
+        return out
+
+    @staticmethod
+    def scale(d):
+        return max((abs(p) for p in d[0]), default=0) + 1
+
+    @staticmethod
+    def atom_scale(ds):
+        return max((FrozensetTwoPoint.scale(d) for d in ds), default=1)
 
 
 # ---------------------------------------------------------------------------

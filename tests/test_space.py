@@ -101,65 +101,83 @@ def test_shift_set_forms():
     assert not space.contains_point(a, space.INF)
 
 
-def _random_shift_points(rng):
+def _random_shift_points(rng, spread):
     """A finite F: empty, one point, or points near 0, below 0 or far
-    from 0 on either side."""
+    from 0 on either side, all within spread of 0 give or take 8."""
     kind = rng.randrange(5)
     if kind == 0:
         return []
     if kind == 1:
-        return [rng.randint(-10**6, 10**6)]
-    far = rng.randint(10**4, 10**6)
+        return [rng.randint(-spread, spread)]
+    far = rng.randint(spread // 100, spread)
     centre = rng.choice([0, -20, -far, far])
     return [centre + rng.randint(-8, 8) for _ in range(rng.randint(1, 6))]
 
 
 def test_shift_encoding_matches_frozenset_twin():
-    spec = space.compactified_shift()
-    twin = oracles.FrozensetShift
+    # (spec, twin, number of flags, spread of F and largest |n| of a move
+    # the twin makes): the two-point twin's apply_h walks the integers
+    # between 0 and n, and both its sample_points and the family's walk
+    # the integers from min F to max F
+    families = [
+        (space.compactified_shift(), oracles.FrozensetShift, 1, 10**6),
+        (space.two_point_shift(), oracles.FrozensetTwoPoint, 2, 3000),
+    ]
     rng = random.Random(16)
+    for spec, twin, nflags, far in families:
 
-    def pair():
-        F, c = _random_shift_points(rng), rng.random() < 0.5
-        return space.shift_set(spec, F, c), twin.make(F, c)
+        def pair():
+            F = _random_shift_points(rng, far)
+            flags = [rng.random() < 0.5 for _ in range(nflags)]
+            return spec.make(F, *flags), twin.make(F, *flags)
 
-    def same(a, t):
-        assert space.to_dict(a) == twin.set_to_dict(t)
-        assert space.sort_key(a) == twin.sort_key(t)
-        assert space.set_scale(a) == twin.scale(t)
-        for count in (1, 4):
-            assert spec.sample_points(a.data, count) == twin.sample_points(t, count)
-        if not t[1]:
-            assert space.enumerate_points(a) == sorted(t[0])
+        def same(a, t):
+            assert space.to_dict(a) == twin.set_to_dict(t)
+            assert space.sort_key(a) == twin.sort_key(t)
+            assert space.set_scale(a) == twin.scale(t)
+            for count in (0, 1, 2, 4, 9):
+                got = spec.sample_points(a.data, count)
+                assert got == twin.sample_points(t, count)
+            if not any(t[1:]):
+                assert space.enumerate_points(a) == sorted(t[0])
 
-    for _ in range(400):
-        (a, ta), (b, tb) = pair(), pair()
-        same(a, ta)
-        assert spec.atom_scale([a.data, b.data]) == twin.atom_scale([ta, tb])
-        assert spec.atom_scale([]) == twin.atom_scale([])
-        for op in ("union", "intersect"):
-            same(getattr(space, op)(a, b), getattr(twin, op)(ta, tb))
-        same(space.complement(a), twin.complement(ta))
-        n = rng.choice([0, 1, -3, rng.randint(-10**6, 10**6)])
-        same(space.apply_h(a, n), twin.apply_h(ta, n))
-        finite = sorted(ta[0] | tb[0])
-        points = [space.INF, 0] + finite
-        points += [p + e for p in finite[:2] + finite[-1:] for e in (-1, 1)]
-        points += twin.sample_points(twin.complement(ta), 3)
-        for p in points:
-            assert space.contains_point(a, p) == twin.contains_point(ta, p)
-        # equal sets have equal data, however they were built
-        assert (a.data == b.data) == (ta == tb)
-        for c in (
-            space.apply_h(space.apply_h(a, n), -n),
-            space.union(a, space.intersect(a, b)),
-            space.complement(space.complement(a)),
-            space.intersect(space.union(a, b), a),
-            space.from_dict(spec, space.to_dict(a)),
-        ):
-            assert c.data == a.data and hash(c) == hash(a)
-    empty = space.empty_set(spec)
-    assert space.union(empty, empty).data == space.apply_h(empty, 7).data
+        for _ in range(400):
+            (a, ta), (b, tb) = pair(), pair()
+            same(a, ta)
+            assert spec.atom_scale([a.data, b.data]) == twin.atom_scale([ta, tb])
+            assert spec.atom_scale([]) == twin.atom_scale([])
+            for op in ("union", "intersect"):
+                same(getattr(space, op)(a, b), getattr(twin, op)(ta, tb))
+            same(space.complement(a), twin.complement(ta))
+            n = rng.choice([0, 1, -3, rng.randint(-far, far)])
+            same(space.apply_h(a, n), twin.apply_h(ta, n))
+            finite = sorted(ta[0] | tb[0])
+            points = list(twin.INFS) + [0] + finite
+            points += [p + e for p in finite[:2] + finite[-1:] for e in (-1, 1)]
+            points += twin.sample_points(twin.complement(ta), 3)
+            for p in points:
+                assert space.contains_point(a, p) == twin.contains_point(ta, p)
+            # a move far beyond the twin's reach: x + m is in h^m(a) iff
+            # x is in a
+            m = rng.choice([-1, 1]) * rng.randint(10**5, 10**6)
+            far_image = space.apply_h(a, m)
+            for p in points:
+                q = p if p in twin.INFS else p + m
+                assert (space.contains_point(far_image, q)
+                        == twin.contains_point(ta, p))
+            # equal sets have equal data, however they were built
+            assert (a.data == b.data) == (ta == tb)
+            for c in (
+                space.apply_h(space.apply_h(a, n), -n),
+                space.apply_h(far_image, -m),
+                space.union(a, space.intersect(a, b)),
+                space.complement(space.complement(a)),
+                space.intersect(space.union(a, b), a),
+                space.from_dict(spec, space.to_dict(a)),
+            ):
+                assert c.data == a.data and hash(c) == hash(a)
+        empty = space.empty_set(spec)
+        assert space.union(empty, empty).data == space.apply_h(empty, 7).data
 
 
 def test_two_point_membership_and_tails():

@@ -501,6 +501,22 @@ def test_top_images_tile_base():
             assert union == S.bases[t]
 
 
+def test_return_system_needs_one_tower_tuple_per_base():
+    S, base, P = shift_window_system(0, 7)
+    d = towers.system_to_dict(S)
+    # a second base {5} without towers: it meets the first base's
+    # towers, which validate_system would not see; an extra tower tuple
+    # with no base
+    for bad in (
+        dict(d, bases=d["bases"] + [{"F": [5]}]),
+        dict(d, towers=d["towers"] * 2),
+    ):
+        with pytest.raises(ValueError, match="one tuple of towers per base"):
+            towers.system_from_dict(SHIFT, bad)
+    with pytest.raises(ValueError):
+        towers.ReturnSystem(SHIFT, S.bases, ())
+
+
 def test_system_serialization_round_trip():
     for spec in genutil.system_specs():
         S = genutil.valid_system(spec)
