@@ -4,7 +4,6 @@ and emit a deterministic machine-readable (or plain text) report."""
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -85,7 +84,7 @@ def cmd_tower(args):
             raise ValueError("--base is nested too deeply") from None
     else:
         bases = spec.canonical_bases(args.depth)
-    comp = space.complement(functools.reduce(space.union, bases))
+    comp = space.complement(space.union(*bases))
     P = bases + ([comp] if not space.is_empty(comp) else [])
     # no return system over these bases is a failed verification, with
     # its witness: the part of a base that does not come back, or the

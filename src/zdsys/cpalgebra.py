@@ -154,11 +154,16 @@ def _check(a, b):
         raise MixedSystems("elements over different system specs")
 
 
-def add(a, b):
-    _check(a, b)
+def add(a, *more):
+    """The sum of a and the elements in more, in one cp_element call.
+    Each atom of a canonical element lies under one cell, so a fold of
+    sums of two gives each atom the same scalars in the same order,
+    ((c1 + c2) + c3), up to the zero-sign rule of the module docstring."""
     terms = {}
-    for n, sf in list(a.terms) + list(b.terms):
-        terms.setdefault(n, []).extend(sf)
+    for b in (a, *more):
+        _check(a, b)
+        for n, sf in b.terms:
+            terms.setdefault(n, []).extend(sf)
     return cp_element(a.spec, terms)
 
 
@@ -374,7 +379,13 @@ def check_pair(S, S2):
 
 def proof_unitaries(S, S2):
     """The intertwining unitaries of an adapted pair and the correction
-    unitary uhat that commutes with the leading tower units."""
+    unitary uhat that commutes with the leading tower units.
+
+    Raises InvalidSystem at the first of v1, v2 and uhat that is not
+    unitary, which is where is_unitary on v1, u1, v2, u2, uhat in turn
+    fails first: u1 = v1* u has exact integer scalars, so once v1 is
+    unitary, u1 u1* = v1* u u* v1 = v1* v1 = 1 and
+    u1* u1 = u* v1 v1* u = u* u = 1; the same holds for u2 = v2* u."""
     check_pair(S, S2)
     spec = S.spec
     u = shift_unitary(spec)
@@ -383,32 +394,22 @@ def proof_unitaries(S, S2):
     v2 = _v_element(S2)
     u2 = multiply(adjoint(v2), u)
 
-    covered = empty_set(spec)
-    uhat = zero(spec)
-    for t, towers in enumerate(S.towers):
-        lead = towers[0]
-        top = apply_h(lead.Y, lead.J - 1)
-        for j in range(lead.J):
-            Ej = apply_h(lead.Y, j)
-            covered = union(covered, Ej)
-            # e_{j, J-1} u2 e_{J-1, j}
-            left = cp_element(spec, {j - (lead.J - 1): [(1, Ej)]})
-            right = cp_element(spec, {(lead.J - 1) - j: [(1, top)]})
-            uhat = add(uhat, multiply(multiply(left, u2), right))
-    uhat = add(uhat, char(complement(covered)))
+    leads = [towers[0] for towers in S.towers]
+    levels = [apply_h(c.Y, j) for c in leads for j in range(c.J)]
+    # the sum of e_{j, J-1} u2 e_{J-1, j} over the leading towers, 1 off them
+    uhat = add(
+        *(multiply(multiply(_unit(spec, c, j, c.J - 1), u2),
+                   _unit(spec, c, c.J - 1, j))
+          for c in leads for j in range(c.J)),
+        char(complement(union(empty_set(spec), *levels))),
+    )
+    hats = tuple(hat_base(S, t) for t in range(S.T))
+    Y = union(empty_set(spec), *hats)
 
-    Y = empty_set(spec)
-    hats = []
-    for t in range(S.T):
-        X = hat_base(S, t)
-        hats.append(X)
-        Y = union(Y, X)
-
-    for name, el in (("v1", v1), ("u1", u1), ("v2", v2), ("u2", u2),
-                     ("uhat", uhat)):
+    for name, el in (("v1", v1), ("v2", v2), ("uhat", uhat)):
         if not is_unitary(el):
             raise InvalidSystem("element %s is not unitary" % name)
-    return ProofElements(v1, u1, v2, u2, uhat, Y, tuple(hats))
+    return ProofElements(v1, u1, v2, u2, uhat, Y, hats)
 
 
 # ---------------------------------------------------------------------------
@@ -435,13 +436,6 @@ class SuiteReport(space.Record):
             ],
             "ok": self.ok,
         }
-
-
-def _sum(spec, elements):
-    out = zero(spec)
-    for a in elements:
-        out = add(out, a)
-    return out
 
 
 def _entry(name, pairs):
@@ -520,25 +514,20 @@ def identity_suite(S, S2):
         [[_unit(spec, c, j, j) for j in range(c.J)] for c in towers]
         for towers in S.towers
     ]
-    diag = _sum(spec, (e for ts in diagonals for es in ts for e in es))
+    diag = add(zero(spec), *(e for ts in diagonals for es in ts for e in es))
     cores = [char(intersect(c.Y, apply_h(c.Y, c.J))) for c in leads]
-    left = _sum(spec, (_unit(spec, c, c.J - 1, 0) for c in leads))
-    right = _sum(spec, (_unit(spec, c, 0, c.J - 1) for c in leads))
-    top_levels = empty_set(spec)
-    for c in leads:
-        top_levels = union(top_levels, apply_h(c.Y, c.J - 1))
-    recovered = add(
-        multiply(multiply(left, pe.uhat), right),
-        char(complement(top_levels)),
-    )
-    projections = [_sum(spec, ts[0]) for ts in diagonals]
-    saturations = []
-    for towers in S2.towers:
-        sat = empty_set(spec)
-        for c in towers:
-            for j in range(c.J):
-                sat = union(sat, apply_h(c.Y, j))
-        saturations.append(char(sat))
+    left = add(zero(spec), *(_unit(spec, c, c.J - 1, 0) for c in leads))
+    right = add(zero(spec), *(_unit(spec, c, 0, c.J - 1) for c in leads))
+    top_levels = union(empty_set(spec),
+                       *(apply_h(c.Y, c.J - 1) for c in leads))
+    recovered = add(multiply(multiply(left, pe.uhat), right),
+                    char(complement(top_levels)))
+    projections = [add(zero(spec), *ts[0]) for ts in diagonals]
+    saturations = [
+        char(union(empty_set(spec),
+                   *(apply_h(c.Y, j) for c in towers for j in range(c.J))))
+        for towers in S2.towers
+    ]
 
     return SuiteReport((
         ("matrix_unit_relations", matrix_unit_relations(S), None),

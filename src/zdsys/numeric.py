@@ -519,9 +519,7 @@ def _interpolating_unitary(Y, y_points, W, N):
         powers.append(powers[-1] @ W)
     singletons = [spec.singleton(x) for x in y_points]
     terms = {}
-    covered = space.empty_set(spec)
     for j in range(N):
-        covered = space.union(covered, apply_h(Y, j))
         for (r, s), c in sorted(powers[N - j].entries.items()):
             if abs(c) <= 1e-15:
                 continue
@@ -531,6 +529,8 @@ def _interpolating_unitary(Y, y_points, W, N):
                     "matrix couples points of different fibers"
                 )
             terms.setdefault(n, []).append((c, apply_h(singletons[r], j)))
+    covered = space.union(space.empty_set(spec),
+                          *(apply_h(Y, j) for j in range(N)))
     terms.setdefault(0, []).append((1, space.complement(covered)))
     return cp.cp_element(spec, terms)
 
@@ -558,9 +558,7 @@ def _berg_blocks(Y, N):
     blocks = [(apply_h(Y, n), apply_h(Y, n - 1)) for n in range(1, N + 1)]
     blocks.append((Y, apply_h(Y, N)))
     blocks.append((apply_h(Y, -1), apply_h(Y, -1)))
-    lo = space.empty_set(Y.spec)
-    for j in range(-1, N + 1):
-        lo = space.union(lo, apply_h(Y, j))
+    lo = space.union(*(apply_h(Y, j) for j in range(-1, N + 1)))
     rest = space.complement(lo)
     blocks.append((rest, rest))
     return blocks

@@ -6,14 +6,15 @@ unique canonical form, so equality is structural comparison and all
 Boolean operations are exact.  Only the family's class reads the data,
 with the window helpers that the two shift families share.
 Union and intersection are defined once, on SystemSpec, through the
-family's atom masks; the partition primitives take one pass over the
-same masks.  The module-level functions check the specs of their
-operands, call the spec's method and build the resulting ClopenSet.
+family's atom masks; unions of many sets and the partition primitives
+take one pass over them.  The module-level functions check the specs
+of their operands, call the spec's method and build the ClopenSet.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import islice
 
 from .errors import (
     InvalidFiberPoint,
@@ -199,12 +200,12 @@ class SystemSpec(Record):
     Lemma: union and intersect below return exactly the data of the
     union and the intersection.  atoms(., s) is a bijection from the
     sets that are unions of atoms at scale s onto the masks, and it
-    maps union to | and intersection to &, so the mask
-    atoms(da, s) | atoms(db, s) is the mask of the union, and
-    from_atoms turns it into the union's data in canonical form.  That
-    form is unique, so this data is the data any other exact union
-    would return.  tests/test_space.py holds every family's triple to
-    this contract.
+    maps union to | and intersection to &, so the | of the masks of k
+    sets is the mask of their union, and from_atoms turns it into the
+    union's data in canonical form.  That form is unique, so this data
+    is the data any other exact union, a fold of unions of two sets
+    among them, would return.  tests/test_space.py holds every
+    family's triple to this contract.
     """
 
     # Each family sets these plain class attributes, which are not
@@ -216,9 +217,12 @@ class SystemSpec(Record):
         # the canonical form of the empty set is unique
         return d == self.empty_data
 
-    def union(self, da, db):
-        s = self.atom_scale([da, db])
-        return self.from_atoms(self.atoms(da, s) | self.atoms(db, s), s)
+    def union(self, ds):
+        s = self.atom_scale(ds)
+        mask = 0
+        for d in ds:
+            mask |= self.atoms(d, s)
+        return self.from_atoms(mask, s)
 
     def intersect(self, da, db):
         s = self.atom_scale([da, db])
@@ -418,6 +422,8 @@ class Odometer(SystemSpec):
     def _lift(self, L, mask, level):
         """The mask at `level` >= L of the set with mask `mask` at level L:
         the b^L-bit mask repeated b^(level-L) times."""
+        if level == L:
+            return mask
         width = self.base**L
         copies = self.base ** (level - L)
         return mask * (((1 << (width * copies)) - 1) // ((1 << width) - 1))
@@ -778,11 +784,19 @@ class TwoPointShift(SystemSpec):
 
     def sample_points(self, d, count):
         lo, bits, tm, tp = d
-        # from below min F to above max F, or around 0 when F is empty
-        below, above = lo - 1, lo + max(bits.bit_length(), 1)
-        out = [q for q in range(below - count, above + count + 1)
-               if self.contains_point(d, q)]
-        return out + [MINUS_INF] * tm + [PLUS_INF] * tp
+        # the first members from count + 1 below min F to count + 1
+        # above max F, or around 0 when F is empty, then the infinities;
+        # at least one, which space.sample_points keeps at count 0
+        keep, F = max(count, 1), set(_window_points(d))
+        first, end = lo - 1 - count, lo + max(bits.bit_length(), 1) + count + 1
+        out = []
+        for a, b, default in ((first, min(end, 0), tm),
+                              (max(first, 0), end, tp)):
+            if default:  # keep + |F| steps at most, not the window
+                out += islice((q for q in range(a, b) if q not in F), keep)
+            else:
+                out += sorted(q for q in F if a <= q < b)
+        return out[:keep] + [MINUS_INF] * tm + [PLUS_INF] * tp
 
     def set_to_dict(self, d):
         return {"F": _window_points(d), "tail_minus": d[2], "tail_plus": d[3]}
@@ -1132,9 +1146,11 @@ def _check_same(a, b):
         raise MixedSystems("operands over different system specs")
 
 
-def union(a, b):
-    _check_same(a, b)
-    return ClopenSet(a.spec, a.spec.union(a.data, b.data))
+def union(a, *more):
+    """The union of a and the sets in more, in one pass over their masks."""
+    for b in more:
+        _check_same(a, b)
+    return ClopenSet(a.spec, a.spec.union([a.data] + [b.data for b in more]))
 
 
 def intersect(a, b):

@@ -65,10 +65,7 @@ class ReturnSystem(Record):
         return len(self.bases)
 
     def base_union(self):
-        out = empty_set(self.spec)
-        for b in self.bases:
-            out = union(out, b)
-        return out
+        return union(empty_set(self.spec), *self.bases)
 
 
 class ValidationReport(Record):

@@ -78,6 +78,32 @@ def test_step_functions_match_accumulator_oracle(spec):
             )
 
 
+@pytest.mark.parametrize("spec", genutil.all_specs())
+def test_sum_of_many_elements_is_the_fold_of_sums(spec):
+    """add over many operands gives the fold of sums of two, compared
+    with ==, so scalars that differ only in the sign of a zero part are
+    equal (see the module docstring of cpalgebra); an element over
+    another spec raises MixedSystems wherever it stands."""
+    rng = random.Random(101)
+    zero = cp.zero(spec)
+    other = cp.one(space.finite_cycle(5))
+    for _ in range(20):
+        els = [random_element(spec, rng) for _ in range(rng.randint(1, 4))]
+        els.append(cp.cp_element(spec, random_float_terms(spec, rng)))
+        els += rng.sample(els, rng.randint(0, 2))
+        els += [cp.scale(els[0], -1), zero]
+        rng.shuffle(els)
+        fold = els[0]
+        for e in els[1:]:
+            fold = cp.add(fold, e)
+        assert cp.add(*els) == fold
+        assert cp.add(zero, *els) == fold
+        mixed = list(els)
+        mixed.insert(rng.randint(0, len(els)), other)
+        with pytest.raises(MixedSystems):
+            cp.add(*mixed)
+
+
 def _multiply_branches(x, y):
     """The branches multiply(x, y) takes, re-derived from the atom masks:
     "atom" for a piece of y that meets fewer atoms of its term of x than
@@ -480,6 +506,44 @@ def test_proof_unitaries_shift():
     assert len(pe.Xhat) == 1
     assert not space.to_dict(pe.Y)["cofinite"]
     assert len(space.enumerate_points(pe.Y)) == 2
+
+
+def test_u1_and_u2_are_unitary_when_v1_and_v2_are():
+    """proof_unitaries checks v1, v2 and uhat (see its docstring).
+    is_unitary on u1 and u2 stays on as the oracle: on the adapted pair
+    of every family with one, and on random pairs, it passes, or the
+    first of v1, u1, v2, u2 and uhat that it fails is the element that
+    proof_unitaries names."""
+    pairs = [
+        towers.adapted_system_pair(spec, space.generating_partition(spec, 2), 2)
+        for spec in genutil.system_specs()
+    ]
+    adapted = len(pairs)
+    pairs += _random_pairs(random.Random(103))
+    raised = 0
+    for i, (S, S2) in enumerate(pairs):
+        u = cp.shift_unitary(S.spec)
+        v1, v2 = cp._v_element(S), cp._v_element(S2)
+        elements = {
+            "v1": v1,
+            "u1": cp.multiply(cp.adjoint(v1), u),
+            "v2": v2,
+            "u2": cp.multiply(cp.adjoint(v2), u),
+        }
+        try:
+            pe = cp.proof_unitaries(S, S2)
+        except InvalidSystem as e:
+            assert i >= adapted
+            raised += 1
+            first = next(
+                (k for k, el in elements.items() if not cp.is_unitary(el)),
+                "uhat",
+            )
+            assert str(e) == "element %s is not unitary" % first
+        else:
+            assert (pe.u1, pe.u2) == (elements["u1"], elements["u2"])
+            assert cp.is_unitary(pe.u1) and cp.is_unitary(pe.u2)
+    assert 0 < raised < len(pairs) - adapted
 
 
 def test_proof_unitaries_odometer_trivial():

@@ -117,8 +117,8 @@ def _random_shift_points(rng, spread):
 def test_shift_encoding_matches_frozenset_twin():
     # (spec, twin, number of flags, spread of F and largest |n| of a move
     # the twin makes): the two-point twin's apply_h walks the integers
-    # between 0 and n, and both its sample_points and the family's walk
-    # the integers from min F to max F
+    # between 0 and n, and its sample_points the integers from min F to
+    # max F
     families = [
         (space.compactified_shift(), oracles.FrozensetShift, 1, 10**6),
         (space.two_point_shift(), oracles.FrozensetTwoPoint, 2, 3000),
@@ -135,9 +135,11 @@ def test_shift_encoding_matches_frozenset_twin():
             assert space.to_dict(a) == twin.set_to_dict(t)
             assert space.sort_key(a) == twin.sort_key(t)
             assert space.set_scale(a) == twin.scale(t)
+            # the twin's points are distinct, and space.sample_points
+            # keeps the first count of them, one at count 0
             for count in (0, 1, 2, 4, 9):
-                got = spec.sample_points(a.data, count)
-                assert got == twin.sample_points(t, count)
+                want = twin.sample_points(t, count)[:max(count, 1)]
+                assert space.sample_points(a, count) == want
             if not any(t[1:]):
                 assert space.enumerate_points(a) == sorted(t[0])
 
@@ -178,6 +180,26 @@ def test_shift_encoding_matches_frozenset_twin():
                 assert c.data == a.data and hash(c) == hash(a)
         empty = space.empty_set(spec)
         assert space.union(empty, empty).data == space.apply_h(empty, 7).data
+
+
+def test_two_point_samples_do_not_walk_the_window():
+    # the family method returns at most count integers, then the
+    # infinities, however far apart the points of F lie
+    spec = space.two_point_shift()
+    for F in ([-3000, 3000], [-10**6, 10**6]):
+        for tails in ((False, False), (True, False), (False, True), (True, True)):
+            a = space.two_point_set(spec, F, *tails)
+            for count in (1, 2, 4, 9):
+                assert len(spec.sample_points(a.data, count)) <= count + 2
+    wide = {
+        (False, False): [-10**6, 10**6],
+        (True, False): [-1000005, -1000004, -1000003, -1000002],
+        (False, True): [-10**6, 0, 1, 2],
+        (True, True): [-1000005, -1000004, -1000003, -1000002],
+    }
+    for tails, want in wide.items():
+        a = space.two_point_set(spec, [-10**6, 10**6], *tails)
+        assert space.sample_points(a, 4) == want
 
 
 def test_two_point_membership_and_tails():
@@ -298,6 +320,32 @@ def test_union_and_intersect_agree_with_membership(spec):
                 in_b = space.contains_point(b, p)
                 assert space.contains_point(u, p) == (in_a or in_b)
                 assert space.contains_point(i, p) == (in_a and in_b)
+
+
+@pytest.mark.parametrize("spec", genutil.all_specs())
+def test_union_of_many_sets_is_the_fold_of_unions(spec):
+    # lists with repeated, overlapping and empty sets; a set over another
+    # spec raises MixedSystems wherever it stands
+    rng = random.Random(113)
+    empty = space.empty_set(spec)
+    other = space.whole_space(space.finite_cycle(5))
+    for _ in range(100):
+        sets = [genutil.random_set(spec, rng) for _ in range(rng.randint(1, 5))]
+        sets += rng.sample(sets, rng.randint(0, len(sets)))
+        sets += [space.union(sets[0], s) for s in sets[1:2]]
+        sets += [empty] * rng.randint(0, 2)
+        rng.shuffle(sets)
+        fold = sets[0]
+        for s in sets[1:]:
+            fold = space.union(fold, s)
+        got = space.union(*sets)
+        assert got == fold and got.data == fold.data
+        assert space.union(empty, *sets) == fold
+        mixed = list(sets)
+        mixed.insert(rng.randint(0, len(sets)), other)
+        with pytest.raises(MixedSystems):
+            space.union(*mixed)
+    assert space.union(empty) == empty
 
 
 @pytest.mark.parametrize("spec", genutil.all_specs())
