@@ -338,7 +338,12 @@ class FiniteCycle(SystemSpec):
         return {"points": sorted(d)}
 
     def set_from_dict(self, d):
-        return self.make(_json_ints(d["points"], "points"))
+        # make reduces mod the period for internal callers; JSON input
+        # names points of the cycle only
+        points = _json_ints(d["points"], "points")
+        if any(not 0 <= p < self.period for p in points):
+            raise ValueError("point outside the cycle")
+        return self.make(points)
 
     def scale(self, d):
         return self.period
@@ -785,18 +790,17 @@ class TwoPointShift(SystemSpec):
     def sample_points(self, d, count):
         lo, bits, tm, tp = d
         # the first members from count + 1 below min F to count + 1
-        # above max F, or around 0 when F is empty, then the infinities;
-        # at least one, which space.sample_points keeps at count 0
-        keep, F = max(count, 1), set(_window_points(d))
+        # above max F, or around 0 when F is empty, then the infinities
+        F = set(_window_points(d))
         first, end = lo - 1 - count, lo + max(bits.bit_length(), 1) + count + 1
         out = []
         for a, b, default in ((first, min(end, 0), tm),
                               (max(first, 0), end, tp)):
-            if default:  # keep + |F| steps at most, not the window
-                out += islice((q for q in range(a, b) if q not in F), keep)
+            if default:  # count + |F| steps at most, not the window
+                out += islice((q for q in range(a, b) if q not in F), count)
             else:
                 out += sorted(q for q in F if a <= q < b)
-        return out[:keep] + [MINUS_INF] * tm + [PLUS_INF] * tp
+        return out[:count] + [MINUS_INF] * tm + [PLUS_INF] * tp
 
     def set_to_dict(self, d):
         return {"F": _window_points(d), "tail_minus": d[2], "tail_plus": d[3]}
@@ -1301,13 +1305,14 @@ def sort_key(a):
 
 
 def sample_points(a, count=8):
-    """Deterministic sample of distinct points of a nonempty set."""
+    """Deterministic sample of at most count distinct points of a
+    nonempty set."""
     seen = []
     for p in a.spec.sample_points(a.data, count):
-        if p not in seen:
-            seen.append(p)
         if len(seen) >= count:
             break
+        if p not in seen:
+            seen.append(p)
     return seen
 
 

@@ -141,7 +141,26 @@ def tower_levels(S):
 
 def build_from_bases(bases, P, max_steps=None):
     """Return system with the given bases; towers by first return.  The
-    cells of P must be pairwise disjoint."""
+    cells of P must be pairwise disjoint.
+
+    Lemma: a system S returned here meets conditions a-f of
+    validate_system, so validate_system(S, P).ok holds.
+    a: bases is nonempty, else this raises.
+    b: common_refinement(nonempty, P) is tuple(nonempty) iff every
+    nonempty base lies in one cell of P, the test b makes on each base;
+    an empty base raises in first_return_decomposition.
+    c, d: the classes of a nonempty base are nonempty and pairwise
+    disjoint, as each is cut from the remainder A, and they cover the
+    base, as A is empty at the end.
+    e: in first_return_decomposition(U) with U = X_t, a point of Y_J
+    lies in h^-J(U) and left A at step J only, so h^J(Y) lies in X_t
+    and the levels 1..J-1 miss X_t.  The levels tile X by f, so their
+    images under h tile X too.  h sends level j < J-1 to level j+1 and
+    the top level to h^J(Y), so the tops tile the complement of the
+    levels 1..J-1, which is the union of the bases.  Each top lies in
+    its own base and the bases are disjoint, so the tops over X_t tile
+    X_t.
+    f: the is_partition test below."""
     if not bases:
         raise ValueError("need at least one base")
     spec = bases[0].spec
@@ -169,7 +188,9 @@ def build_from_bases(bases, P, max_steps=None):
 
 def validate_system(S, P):
     """Check the defining conditions of a return system; per-condition
-    pass/fail entries with a witness set for each failure."""
+    pass/fail entries with a witness set for each failure.  A system
+    that build_from_bases returns meets them all (the lemma in its
+    docstring); this checks systems built any other way."""
 
     def entry(condition, witnesses):
         # the first witness of a failure, if any; witnesses are sets

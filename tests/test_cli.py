@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zdsys import cli, space
+import genutil
+from zdsys import cli, space, towers
 
 
 @pytest.fixture
@@ -269,6 +270,8 @@ def test_bad_spec_is_usage_error(spec, tmp_path, capsys):
 
 SHIFT = space.compactified_shift()
 ODOMETER = space.odometer(2)
+CYCLE = space.finite_cycle(3)
+QCYCLE = space.quotient_product(CYCLE)
 
 
 @pytest.mark.parametrize(
@@ -295,6 +298,11 @@ ODOMETER = space.odometer(2)
         (ODOMETER, ("bogus",)),
         (SHIFT, ("tower", "--max-steps", "0")),
         (SHIFT, ("berg", "--max-steps", "-1")),
+        (CYCLE, ("tower", "--base", '{"points": [5]}')),
+        (CYCLE, ("tower", "--base", '{"points": [0, 3]}')),
+        (CYCLE, ("tower", "--base", '{"points": [-1]}')),
+        (QCYCLE, ("tower", "--base",
+                  '{"slices": [{"k": 0, "set": {"points": [3]}}]}')),
     ],
 )
 def test_bad_arguments_are_usage_errors(spec, argv, spec_file, capsys):
@@ -303,6 +311,38 @@ def test_bad_arguments_are_usage_errors(spec, argv, spec_file, capsys):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("spec", genutil.system_specs())
+def test_tower_reads_its_conditions_from_the_construction(
+    spec, spec_file, capsys, monkeypatch
+):
+    # conditions a-f hold by the lemma of build_from_bases, so tower
+    # makes no second pass over its system; validate_system is the
+    # oracle its report is held to
+    oracle = towers.validate_system
+
+    def second_pass(S, P):
+        raise AssertionError("tower validated its system again")
+
+    monkeypatch.setattr(towers, "validate_system", second_pass)
+    path = spec_file(spec)
+    for depth in (1, 2, 3):
+        code, out, err = run(
+            capsys, "tower", "--spec", path, "--depth", str(depth)
+        )
+        assert code == 0
+        assert err == ""
+        body = json.loads(out)
+        assert body["validation"]["entries"] == [
+            {"condition": c, "pass": True, "witness": None} for c in "abcdef"
+        ]
+        bases = spec.canonical_bases(depth)
+        rest = space.complement(space.union(*bases))
+        P = bases + ([rest] if not space.is_empty(rest) else [])
+        S = towers.system_from_dict(spec, body["system"])
+        assert S.bases == tuple(bases)
+        assert oracle(S, P).to_dict() == body["validation"]
 
 
 @pytest.mark.parametrize("depth", ["1", "2"])

@@ -287,6 +287,8 @@ PUBLIC_API = {
     "towers.finer_system_criterion",
     # the inverse of system_to_dict, which the tower report writes
     "towers.system_from_dict",
+    # checks systems that build_from_bases did not build
+    "towers.validate_system",
 }
 
 

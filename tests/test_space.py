@@ -136,9 +136,9 @@ def test_shift_encoding_matches_frozenset_twin():
             assert space.sort_key(a) == twin.sort_key(t)
             assert space.set_scale(a) == twin.scale(t)
             # the twin's points are distinct, and space.sample_points
-            # keeps the first count of them, one at count 0
+            # keeps the first count of them
             for count in (0, 1, 2, 4, 9):
-                want = twin.sample_points(t, count)[:max(count, 1)]
+                want = twin.sample_points(t, count)[:count]
                 assert space.sample_points(a, count) == want
             if not any(t[1:]):
                 assert space.enumerate_points(a) == sorted(t[0])
@@ -403,6 +403,22 @@ def test_mixed_specs_rejected():
         space.union(a, b)
 
 
+def test_cycle_points_outside_the_cycle_rejected():
+    # JSON names points of the cycle only; make still reduces mod M
+    spec = space.finite_cycle(3)
+    for points in ([5], [0, 3], [-1]):
+        with pytest.raises(ValueError, match="point outside the cycle"):
+            space.from_dict(spec, {"points": points})
+    qspec = space.quotient_product(spec)
+    with pytest.raises(ValueError, match="point outside the cycle"):
+        space.from_dict(
+            qspec, {"slices": [{"k": 0, "set": {"points": [3]}}]}
+        )
+    assert space.from_dict(spec, {"points": [2, 0]}) == space.finite_cycle_set(
+        spec, [5, 3]
+    )
+
+
 def test_invalid_points_rejected():
     spec = space.finite_cycle(3)
     with pytest.raises(InvalidPoint):
@@ -524,6 +540,15 @@ def test_serialization_round_trip(spec):
     assert repr(back) == repr(spec)
     others = [o for o in genutil.all_specs() if o.family != spec.family]
     assert all(o != spec for o in others)
+
+
+def test_sample_points_at_count_zero_is_empty():
+    rng = random.Random(22)
+    for spec in genutil.all_specs() + genutil.system_specs():
+        sets = [space.whole_space(spec)]
+        sets += [genutil.random_set(spec, rng) for _ in range(20)]
+        for a in sets:
+            assert space.sample_points(a, 0) == []
 
 
 def test_sample_points_lie_in_set():

@@ -158,6 +158,41 @@ def test_validate_passes_on_examples():
         assert rep.ok, (spec.family, rep.entries)
 
 
+def _random_disjoint_bases(spec, rng):
+    """One to three random sets, each minus those before it, so that
+    some come out empty."""
+    out = []
+    for _ in range(rng.randint(1, 3)):
+        a = genutil.random_set(spec, rng)
+        out.append(space.difference(a, space.union(*out)) if out else a)
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec", list(dict.fromkeys(genutil.all_specs() + genutil.system_specs()))
+)
+def test_built_systems_pass_validation(spec):
+    # the lemma of build_from_bases, with validate_system as its oracle:
+    # every system it returns meets conditions a-f, over the partition
+    # that the tower command builds from the bases
+    rng = random.Random(22)
+    draws = [spec.canonical_bases(n) for n in (1, 2, 3)]
+    draws += [_random_disjoint_bases(spec, rng) for _ in range(150)]
+    built = 0
+    for bases in draws:
+        rest = space.complement(space.union(*bases))
+        P = bases + ([rest] if not space.is_empty(rest) else [])
+        try:
+            S = towers.build_from_bases(bases, P, max_steps=400)
+        except (ValueError, NotSubordinate, MaxStepsExceeded,
+                SaturationFailure):
+            continue
+        rep = towers.validate_system(S, P)
+        assert rep.ok, (spec.family, rep.entries)
+        built += 1
+    assert built >= 5
+
+
 def test_validate_flags_wrong_return_time():
     S, base, P = shift_window_system(0, 7)
     bad = towers.ReturnSystem(
