@@ -13,7 +13,6 @@ from . import space
 from .errors import (
     BaseMismatch,
     ConstructionFailed,
-    InvalidSystem,
     MaxStepsExceeded,
     NotSubordinate,
     SaturationFailure,
@@ -160,7 +159,9 @@ def build_from_bases(bases, P, max_steps=None):
     levels 1..J-1, which is the union of the bases.  Each top lies in
     its own base and the bases are disjoint, so the tops over X_t tile
     X_t.
-    f: the is_partition test below."""
+    f: every level is nonempty, as the classes are and h is a bijection,
+    so the levels tile X iff partition_witness finds no overlap and
+    misses nothing, the one walk below."""
     if not bases:
         raise ValueError("need at least one base")
     spec = bases[0].spec
@@ -177,11 +178,10 @@ def build_from_bases(bases, P, max_steps=None):
         for a in bases
     )
     S = ReturnSystem(spec, tuple(bases), towers)
-    levels = tower_levels(S)
-    if not is_partition(levels):
+    witness = partition_witness(spec, tower_levels(S))
+    if not is_empty(witness):
         raise SaturationFailure(
-            "tower levels do not partition the space",
-            witness=partition_witness(spec, levels),
+            "tower levels do not partition the space", witness=witness
         )
     return S
 
@@ -227,36 +227,25 @@ def validate_system(S, P):
     ))
 
 
-def tower_partitions(S):
-    """(P1, P2): the level partitions with j in 0..J-1 and 1..J, so
-    P2 = h(P1), element by element."""
-    P1 = tower_levels(S)
-    if not is_partition(list(P1)):
-        raise InvalidSystem("tower levels do not partition the space")
-    return P1, tuple(apply_h(L, 1) for L in P1)
-
-
-def refine_system(S, P_target, include_upper=True):
+def refine_system(S, P_target):
     """Split every tower slice Y into the nonempty sets
     Y & h^0(U_0) & ... & h^-J(U_J) with each U_j in the partition
     P_target, so that all its levels h^j(Y), j = 0..J, land inside single
-    elements of P_target.  Bases and return times are unchanged.  With
-    include_upper false, only the levels j = 0..J-1 are constrained.
+    elements of P_target.  Bases and return times are unchanged.
     The pieces are carried up each tower: the cells of Y by P_target,
-    then of h(W) for each piece W, up to the top constrained level.
+    then of h(W) for each piece W, up to level J.
     Lemma: h(h^j(V)) & U = h^(j+1)(V & h^-(j+1)(U)), so by induction
-    the top pieces are h^top of the sets above; canonical forms are
+    the top pieces are h^J of the sets above; canonical forms are
     unique and _sorted_towers fixes the order."""
     if not is_partition(list(P_target)):
         raise ValueError("P_target must be a partition")
 
     def split(c):
-        top = c.J if include_upper else c.J - 1
         pieces = common_refinement((c.Y,), P_target)
-        for _ in range(top):
+        for _ in range(c.J):
             pieces = common_refinement([apply_h(W, 1) for W in pieces],
                                        P_target)
-        return [Tower(apply_h(W, -top), c.J) for W in pieces]
+        return [Tower(apply_h(W, -c.J), c.J) for W in pieces]
 
     new_towers = tuple(
         _sorted_towers(piece for c in towers for piece in split(c))
@@ -319,12 +308,23 @@ def adapted_system_pair(spec, P, N, max_steps=None):
     is based on the images h^{J_{t,1}}(Y_{t,1}) with levels refining both
     level partitions of S.
 
-    Postconditions a, b and d are checked.  c (P1 and P2 refine P) and
-    e (the lower levels of S2 refine P1 and P2) hold by construction:
-    refine_system(., Q) puts each constrained level in one cell of Q.
-    S is refined by P for j = 0..J, which gives c.  P2 = h(P1) is a
-    partition, so is R = common_refinement(P1, P2), and S2 is refined
-    by R for j < J, which gives e."""
+    Postconditions a, b and d are checked.  c and e hold by construction,
+    with P1 = tower_levels(S) and P2 = h(P1) the level partitions of S:
+    refine_system(., Q) puts each level j = 0..J in one cell of Q.  S is
+    refined by P, so P1 and P2 refine P (c).  S2 is refined by P2, so
+    its lower levels refine P1 and P2 (e), by the lemma with Q = P1.
+
+    Lemma: for a partition Q and a set W, h^j(W) lies in one cell of
+    Q & h(Q) for j = 0..J-1 iff h^i(W) lies in one cell of h(Q) for
+    i = 0..J.  Q and h(Q) are partitions, so a set lies in one cell of
+    Q & h(Q) iff it lies in one cell of each.  h^j(W) lies in U in Q iff
+    h^(j+1)(W) lies in h(U) in h(Q).  So the constraints on the left are
+    h^(j+1)(W) and h^j(W) in h(Q) for j = 0..J-1: those on the right.
+    The pieces of refine_system are the atoms of the join of the
+    constraints pulled back to Y; canonical forms are unique and
+    _sorted_towers fixes the order.  So S2 is, element for element, the
+    system that refining by common_refinement(P1, P2) over the levels
+    0..J-1 gives."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if not is_partition(list(P)):
@@ -335,12 +335,8 @@ def adapted_system_pair(spec, P, N, max_steps=None):
     S = refine_system(build_from_bases(bases, P, max_steps), P)
 
     bases2 = [apply_h(towers[0].Y, towers[0].J) for towers in S.towers]
-    P1, P2 = tower_partitions(S)
-    S2 = refine_system(
-        build_from_bases(bases2, P, max_steps),
-        common_refinement(P1, P2),
-        include_upper=False,
-    )
+    P2 = [apply_h(L, 1) for L in tower_levels(S)]
+    S2 = refine_system(build_from_bases(bases2, P, max_steps), P2)
 
     for t, towers in enumerate(S.towers):
         if not spec.minimal_witness_ok(S.bases[t], towers[0].Y):

@@ -188,6 +188,13 @@ def mutants(S):
             )
 
 
+def level_partitions(S):
+    """(P1, P2): the tower levels of S, j in 0..J-1, and their images
+    under h, j in 1..J, so P2 = h(P1) element by element."""
+    P1 = towers.tower_levels(S)
+    return P1, tuple(space.apply_h(L, 1) for L in P1)
+
+
 def subordinating_partition(S):
     """A partition that S is subordinate to: bases plus the rest split
     into the tower levels not inside any base."""

@@ -48,7 +48,7 @@ def test_window_tower_reproduction():
     js = {c.J: c.Y for c in S.towers[0]}
     assert js[7] == space.shift_set(SHIFT, [0])
     assert js[1] == space.difference(base, js[7])
-    P1, P2 = towers.tower_partitions(S)
+    P1, P2 = genutil.level_partitions(S)
     assert len(P1) == 8
     levels = {space.shift_set(SHIFT, [j]) for j in range(7)}
     levels.add(space.shift_set(SHIFT, range(7), cofinite=True))
@@ -231,14 +231,14 @@ def test_refinement_postconditions(spec):
     rng = random.Random(515)
     S = genutil.valid_system(spec)
     P = genutil.subordinating_partition(S)
-    P1, P2 = towers.tower_partitions(S)
+    P1, P2 = genutil.level_partitions(S)
     for _ in range(50):
         target = genutil.random_partition(spec, rng)
         S2 = towers.refine_system(S, target)
         assert S2.bases == S.bases
         assert towers.validate_system(S2, P).ok
         assert towers.finer_system_criterion(S, S2)
-        Q1, Q2 = towers.tower_partitions(S2)
+        Q1, Q2 = genutil.level_partitions(S2)
         assert oracles.is_finer(Q1, target, space)
         assert oracles.is_finer(Q2, target, space)
         assert oracles.is_finer(Q1, P1, space)

@@ -617,7 +617,7 @@ def test_corrupted_v1_fails_unitarity():
 def test_diagonal_span_contains_partition_algebra():
     # every P-constant step function is a sum of diagonal matrix units
     S, S2 = shift_pair()
-    P1, _ = towers.tower_partitions(S)
+    P1, _ = genutil.level_partitions(S)
     e = cp.matrix_units(S)
     diag_sets = {el.terms[0][1][0][1] for (t, k, i, j), el in e.items()
                  if i == j}

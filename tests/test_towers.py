@@ -208,7 +208,7 @@ def test_validate_flags_wrong_return_time():
 
 def test_tower_partitions_example():
     S, base, P = shift_window_system(0, 7)
-    P1, P2 = towers.tower_partitions(S)
+    P1, P2 = genutil.level_partitions(S)
     assert len(P1) == 8 and len(P2) == 8
     assert space.is_partition(list(P1))
     assert space.is_partition(list(P2))
@@ -234,7 +234,7 @@ def test_refine_system_example():
     assert sorted(c.J for c in S2.towers[0]) == [1, 1, 7]
     slices = [c.Y for c in S2.towers[0] if c.J == 1]
     assert space.shift_set(SHIFT, [7]) in slices
-    P1, P2 = towers.tower_partitions(S2)
+    P1, P2 = genutil.level_partitions(S2)
     assert oracles.is_finer(P1, target, space)
     assert oracles.is_finer(P2, target, space)
 
@@ -242,7 +242,7 @@ def test_refine_system_example():
 def test_refine_no_op_when_already_finer():
     U = space.cylinder(ODO, (0, 0))
     S = towers.build_from_bases([U], [space.whole_space(ODO)])
-    P1, _ = towers.tower_partitions(S)
+    P1, _ = genutil.level_partitions(S)
     S2 = towers.refine_system(S, P1)
     assert S2 == S
 
@@ -263,7 +263,7 @@ def test_refine_odometer_cylinder_split():
 def test_refinement_postconditions_randomized(spec):
     S = genutil.valid_system(spec)
     P = genutil.subordinating_partition(S)
-    P1, P2 = towers.tower_partitions(S)
+    P1, P2 = genutil.level_partitions(S)
     rng = random.Random(17)
     for _ in range(50):
         target = genutil.random_partition(spec, rng)
@@ -272,7 +272,7 @@ def test_refinement_postconditions_randomized(spec):
         assert S2.bases == S.bases
         assert towers.validate_system(S2, P).ok
         assert towers.finer_system_criterion(S, S2)
-        Q1, Q2 = towers.tower_partitions(S2)
+        Q1, Q2 = genutil.level_partitions(S2)
         assert oracles.is_finer(Q1, target, space)
         assert oracles.is_finer(Q2, target, space)
         # level refinement holds on both sides at once
@@ -280,15 +280,17 @@ def test_refinement_postconditions_randomized(spec):
         assert oracles.is_finer(Q2, P2, space)
 
 
-def refine_by_oracle(S, target, include_upper):
-    """The towers of refine_system, with every slice split along each
-    h^-j(U) in turn by the all-pairs oracle."""
+def refine_by_oracle(S, target, top=0):
+    """The towers of refining S by target over the levels 0..J+top of
+    each tower, with every slice split along each h^-j(U) in turn by the
+    all-pairs oracle.  top 0 gives refine_system; top -1 gives the
+    levels 0..J-1 of the left side of adapted_system_pair's lemma."""
     out = []
     for tws in S.towers:
         classes = []
         for c in tws:
-            top = c.J + 1 if include_upper else c.J
-            pieces = [space.apply_h(U, -j) for j in range(top) for U in target]
+            levels = range(c.J + top + 1)
+            pieces = [space.apply_h(U, -j) for j in levels for U in target]
             for Y in oracles.refine_by([c.Y], pieces, space):
                 classes.append(towers.Tower(Y, c.J))
         classes.sort(key=lambda c: (c.J, space.sort_key(c.Y)))
@@ -300,13 +302,29 @@ def refine_by_oracle(S, target, include_upper):
 def test_refine_system_matches_refine_by_oracle(spec):
     rng = random.Random(29)
     S = genutil.valid_system(spec)
-    P1, P2 = towers.tower_partitions(S)
+    P1, P2 = genutil.level_partitions(S)
     targets = [P1, space.common_refinement(P1, P2)]
     targets += [genutil.random_partition(spec, rng) for _ in range(10)]
     for target in targets:
-        for include_upper in (True, False):
-            S2 = towers.refine_system(S, target, include_upper)
-            assert S2.towers == refine_by_oracle(S, target, include_upper)
+        S2 = towers.refine_system(S, target)
+        assert S2.towers == refine_by_oracle(S, target)
+
+
+def test_refining_by_h_of_q_is_refining_by_q_and_h_of_q_below_the_top():
+    # the lemma of adapted_system_pair: refining by h(Q) over the levels
+    # 0..J gives the system that refining by Q & h(Q) over 0..J-1 gives;
+    # Q alone over 0..J-1 differs at times, so the h(Q) half matters
+    rng = random.Random(41)
+    differs = 0
+    for spec in genutil.system_specs():
+        S = genutil.valid_system(spec)
+        for _ in range(30):
+            Q = genutil.random_partition(spec, rng)
+            hQ = [space.apply_h(U, 1) for U in Q]
+            both = refine_by_oracle(S, space.common_refinement(Q, hQ), -1)
+            assert towers.refine_system(S, hQ).towers == both
+            differs += refine_by_oracle(S, Q, -1) != both
+    assert differs > 0
 
 
 def test_refine_system_rejects_non_partition_target():
@@ -484,7 +502,7 @@ def test_adapted_pair_postconditions_asserted():
             cases.append((spec, space.generating_partition(spec, 2), N))
     for spec, P, N in cases:
         S, S2 = towers.adapted_system_pair(spec, P, N)
-        P1, P2 = towers.tower_partitions(S)
+        P1, P2 = genutil.level_partitions(S)
         assert oracles.is_finer(P1, P, space)
         assert oracles.is_finer(P2, P, space)
         hats = [towers.hat_base(S, t) for t in range(S.T)]
@@ -497,9 +515,30 @@ def test_adapted_pair_postconditions_asserted():
         for i, A in enumerate(pieces):
             for B in pieces[i + 1 :]:
                 assert space.is_empty(space.intersect(A, B))
-        Q1, _ = towers.tower_partitions(S2)
+        Q1, _ = genutil.level_partitions(S2)
         assert oracles.is_finer(Q1, P1, space)
         assert oracles.is_finer(Q1, P2, space)
+
+
+def test_adapted_pair_matches_the_common_refinement_construction():
+    # S2, refined by P2 over the levels 0..J, is the system that
+    # refining by common_refinement(P1, P2) over the levels 0..J-1 gives,
+    # by the oracle
+    for spec in genutil.system_specs():
+        for depth in (1, 2, 3):
+            P = space.generating_partition(spec, depth)
+            for N in (1, 2, 3, 8):
+                S, S2 = towers.adapted_system_pair(spec, P, N)
+                P1, P2 = genutil.level_partitions(S)
+                bases2 = [
+                    space.apply_h(tws[0].Y, tws[0].J) for tws in S.towers
+                ]
+                assert S2.bases == tuple(bases2)
+                steps = towers.default_max_steps(list(S.bases) + list(P))
+                built = towers.build_from_bases(bases2, P, steps + 20 * N)
+                R = space.common_refinement(P1, P2)
+                assert S2.towers == refine_by_oracle(built, R, -1), (
+                    spec, depth, N)
 
 
 def test_orbit_saturation_covers_samples():
