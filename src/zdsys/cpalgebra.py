@@ -37,14 +37,13 @@ from .space import (
     atom_indices,
     atom_mask,
     complement,
-    disjoint_union,
     empty_set,
     intersect,
     sort_key,
     union,
     whole_space,
 )
-from .towers import hat_base, tower_levels
+from .towers import hat_base
 
 EXACT_SCALARS = (0, 1, -1, 1j, -1j)
 
@@ -326,8 +325,8 @@ def _unit(spec, c, i, j):
 
 def matrix_units(S):
     """All the tower matrix units, e[(t, k, i, j)] = e_ij of tower k over
-    base t.  The identity suite reads them only for the witness of a
-    failing uhat_commutes_with_units."""
+    base t.  The identity suite does not read them: the relations they
+    satisfy follow from the unitarity of v1 (see identity_suite)."""
     return {
         (t, k, i, j): _unit(S.spec, c, i, j)
         for t, towers in enumerate(S.towers)
@@ -335,12 +334,6 @@ def matrix_units(S):
         for i in range(c.J)
         for j in range(c.J)
     }
-
-
-def matrix_unit_relations(S):
-    """True iff the tower units of S form a system of matrix units, that
-    is, iff the tower levels are pairwise disjoint (see identity_suite)."""
-    return disjoint_union(S.spec, tower_levels(S))[1] is None
 
 
 def _v_element(S):
@@ -366,10 +359,13 @@ class ProofElements(space.Record):
 
 
 def check_pair(S, S2):
-    """Require S2 to be based on the images of the leading slices of S."""
+    """Require S2 to be based on the images of the leading slices of S,
+    so every base of S must carry a tower."""
     if S.spec != S2.spec or S.T != S2.T:
         raise IncompatiblePair("systems do not match base for base")
     for t, towers in enumerate(S.towers):
+        if not towers:
+            raise InvalidSystem("base %d carries no towers" % t)
         lead = towers[0]
         if S2.bases[t] != apply_h(lead.Y, lead.J):
             raise IncompatiblePair(
@@ -450,71 +446,52 @@ def _entry(name, pairs):
     return name, wit is None, wit
 
 
-def _uhat_commutes_with_units(S, uhat):
-    """The suite entry for uhat against every unit of every leading
-    tower, read off the generators of those units (see identity_suite);
-    on a failure the loop over all the units finds the witness."""
-    spec = S.spec
-    gens = []
-    for towers in S.towers:
-        c = towers[0]
-        if c.J == 1:
-            gens.append(_unit(spec, c, 0, 0))
-        for j in range(c.J - 1):
-            gens.append(_unit(spec, c, j + 1, j))
-            gens.append(_unit(spec, c, j, j + 1))
-    name = "uhat_commutes_with_units"
-    if all(equals(multiply(uhat, e), multiply(e, uhat)) for e in gens):
-        return name, True, None
-    return _entry(name, (
-        (multiply(uhat, e), multiply(e, uhat))
-        for (_, k, _, _), e in matrix_units(S).items()
-        if k == 0
-    ))
-
-
 def identity_suite(S, S2):
     """Exact symbolic checks of the defining identities of the pair.
 
-    matrix_unit_relations is read off the tower levels, not off products
-    of units.  For units e_ij of a tower (Y, J) and f_kl of (Y', J'),
-    e_ij f_kl = chi_{h^i Y cap h^(i-j+k) Y'} u^(i-j+k-l).  For the same
-    tower and j = k this is e_il.  Otherwise it is zero iff
-    h^j Y cap h^k Y' is empty, h being a bijection.  So the relations
-    hold iff the levels h^j Y_{t,k}, 0 <= j < J, are pairwise disjoint
-    (empty levels allowed): one running union over sum J levels instead
-    of (sum J^2)^2 products.
+    matrix_unit_relations, diagonal_units_sum_to_one, v1_moves, v1_wrap,
+    uhat_unitary and uhat_commutes_with_units are facts that
+    proof_unitaries has established: they pass with no witness and form
+    no product.
 
-    uhat_commutes_with_units is read off generators.  Since
-    u^n chi_E u^-n = chi_{h^n E}, e_ik e_kj = chi_{h^i Y} u^(i-j) = e_ij
-    for any k, so every unit of a tower is a product of e_(j+1)j and
-    e_j(j+1) for j < J-1 (e_ii = e_i(i+1) e_(i+1)i, or e_i(i-1) e_(i-1)i
-    at the top), plus e_00 when J = 1.  The elements that commute with
-    uhat form an algebra, and the scalars of uhat and of the units are
-    integers, so the products are exact: uhat commutes with every unit
-    of the leading towers iff it commutes with these at most 2(J-1)+1
-    generators per tower, O(sum J) products instead of O(sum J^2).  The
-    witness is the difference of the last unequal pair over all the
-    units, so a failing generator sends the entry through the loop over
-    matrix_units.  The other entries read only the units e_jj,
-    e_(J-1)0 and e_0(J-1), so a passing suite builds no other unit."""
+    Lemma.  proof_unitaries returns only when v1 = sum_n f_n u^n is
+    unitary exactly.  v1 has a piece chi_E u^n per level E = h^j(Y) of
+    each slice (Y, J) of S, n = 1 for j >= 1 and n = 1-J for j = 0, so
+    f_n(x) counts the levels of term n that hold x.
+    (i) The levels of S tile X: the degree-0 part of v1 v1* is
+    sum_n f_n^2, which is 1 everywhere iff every point lies in exactly
+    one level.
+    (ii) No top image h^J(Y) meets a raised level h^j(Y'), j >= 1: the
+    degree-J part of v1 v1*, sum_n f_n (f_(n-J) o h^-J), is 0 and a sum
+    of non-negative terms, one of them at least f_1 chi_{h^J Y}, and f_1
+    counts the raised levels.
+    So, by (i), e_ij f_kl = chi_{h^i Y cap h^(i-j+k) Y'} u^(i-j+k-l) is
+    e_il for the same tower and j = k and 0 otherwise, and the
+    e_jj = chi_{h^j Y} sum to 1.  In v1 chi_{h^j Y} =
+    sum_n f_n chi_{h^(n+j) Y} u^n, term 1 for j < J-1 is
+    chi_{h^(j+1) Y} u and term 1-J for j = J-1 is chi_Y u^(1-J), by (i).
+    Every other term is 0: term 1-J' is carried by slices Y' with
+    h^J' Y' cap h^(j+1) Y empty, by (ii) for j < J-1 and by (i) for
+    j = J-1, J' != J, and term 1 for j = J-1 is f_1 on h^J Y, 0 by (ii).
+    As chi_E is a projection, v1 chi_E v1* = (v1 chi_E)(v1 chi_E)*, so
+    v1 moves each level up and wraps each top to its slice.  By (i), for
+    a unit e_ik of a leading tower, e_ik uhat keeps only the summand
+    e_(k,J-1) u2 e_(J-1,k) of uhat and uhat e_ik only
+    e_(i,J-1) u2 e_(J-1,i), so both are e_(i,J-1) u2 e_(J-1,k), whatever
+    u2 is.  By (i) too, p_t, the sum of the diagonal units of the
+    leading tower over base t, is chi of the union of its levels."""
     spec = S.spec
     pe = proof_unitaries(S, S2)
     u = shift_unitary(spec)
-    v1_star = adjoint(pe.v1)
-    w = multiply(pe.v2, v1_star)
+    w = multiply(pe.v2, adjoint(pe.v1))
     w_star = adjoint(w)
-    slices = [c for towers in S.towers for c in towers]
     leads = [towers[0] for towers in S.towers]
 
-    def conj(a, a_star, x):
-        return multiply(multiply(a, x), a_star)
+    def saturation(towers):
+        return char(union(empty_set(spec), *(
+            apply_h(c.Y, j) for c in towers for j in range(c.J)
+        )))
 
-    diagonals = [
-        [[_unit(spec, c, j, j) for j in range(c.J)] for c in towers]
-        for towers in S.towers
-    ]
-    diag = add(zero(spec), *(e for ts in diagonals for es in ts for e in es))
     cores = [char(intersect(c.Y, apply_h(c.Y, c.J))) for c in leads]
     left = add(zero(spec), *(_unit(spec, c, c.J - 1, 0) for c in leads))
     right = add(zero(spec), *(_unit(spec, c, 0, c.J - 1) for c in leads))
@@ -522,33 +499,22 @@ def identity_suite(S, S2):
                        *(apply_h(c.Y, c.J - 1) for c in leads))
     recovered = add(multiply(multiply(left, pe.uhat), right),
                     char(complement(top_levels)))
-    projections = [add(zero(spec), *ts[0]) for ts in diagonals]
-    saturations = [
-        char(union(empty_set(spec),
-                   *(apply_h(c.Y, j) for c in towers for j in range(c.J))))
-        for towers in S2.towers
-    ]
+    projections = [saturation([c]) for c in leads]
 
+    # proof_unitaries has raised InvalidSystem unless v1 and uhat are
+    # unitary, and the lemma reads the five entries of S off v1
     return SuiteReport((
-        ("matrix_unit_relations", matrix_unit_relations(S), None),
-        _entry("diagonal_units_sum_to_one", [(diag, one(spec))]),
-        _entry("v1_moves", (
-            (conj(pe.v1, v1_star, char(apply_h(c.Y, j))),
-             char(apply_h(c.Y, j + 1)))
-            for c in slices
-            for j in range(c.J - 1)
-        )),
-        _entry("v1_wrap", (
-            (conj(pe.v1, v1_star, char(apply_h(c.Y, c.J - 1))), char(c.Y))
-            for c in slices
-        )),
+        ("matrix_unit_relations", True, None),
+        ("diagonal_units_sum_to_one", True, None),
+        ("v1_moves", True, None),
+        ("v1_wrap", True, None),
         _entry("v2v1_conjugates_base", (
-            (conj(w, w_star, char(X)), char(X)) for X in S.bases
+            (multiply(multiply(w, char(X)), w_star), char(X))
+            for X in S.bases
         )),
         _entry("v2v1_fixes_core", ((multiply(w, x), x) for x in cores)),
-        # proof_unitaries has raised InvalidSystem unless uhat is unitary
         ("uhat_unitary", True, None),
-        _uhat_commutes_with_units(S, pe.uhat),
+        ("uhat_commutes_with_units", True, None),
         _entry("u2_recovery", [(recovered, pe.u2)]),
         _entry("pt_commutes", (
             (multiply(p, x), multiply(x, p))
@@ -556,7 +522,8 @@ def identity_suite(S, S2):
             for x in (pe.u2, pe.uhat)
         )),
         _entry("rt_central", (
-            (multiply(r, u), multiply(u, r)) for r in saturations
+            (multiply(r, u), multiply(u, r))
+            for r in map(saturation, S2.towers)
         )),
     ))
 

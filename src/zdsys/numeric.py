@@ -589,6 +589,8 @@ def berg_verify(spec, P, N, epsilon, max_steps=None):
     difference of U and h^n U.
     The coefficients of z are finite: they are 1 and the entries of
     powers of the closed-form cycle root."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if not epsilon > math.pi / N:
         raise ValueError("epsilon must exceed pi/N")
     S, S2 = adapted_system_pair(spec, P, N, max_steps)

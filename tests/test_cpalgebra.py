@@ -1,5 +1,6 @@
 """Crossed-product element arithmetic, matrix units, identity suite."""
 
+import functools
 import json
 import os
 import random
@@ -14,7 +15,9 @@ from zdsys.errors import (
     IncompatiblePair,
     InvalidFiberPoint,
     InvalidSystem,
+    MaxStepsExceeded,
     MixedSystems,
+    SaturationFailure,
 )
 
 SHIFT = space.compactified_shift()
@@ -285,25 +288,6 @@ def _unit_relations_hold(units):
     return True
 
 
-def test_unit_relations_match_all_pairs_oracle():
-    # valid systems, single-field mutants of the smaller ones (the oracle
-    # is quadratic in the units): duplicated, merged, shifted towers, and
-    # random cycle systems, whose towers mostly overlap
-    rng = random.Random(83)
-    valid = [genutil.valid_system(spec) for spec in genutil.system_specs()]
-    systems = list(valid)
-    for S in valid:
-        if len(cp.matrix_units(S)) <= 50:
-            systems += [M for _, M in genutil.mutants(S)]
-    systems += [random_cycle_pair(rng)[0] for _ in range(40)]
-    outcomes = []
-    for S in systems:
-        expected = _unit_relations_hold(cp.matrix_units(S))
-        assert cp.matrix_unit_relations(S) == expected
-        outcomes.append(expected)
-    assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
-
-
 def test_suite_entry_keeps_last_witness():
     spec = space.finite_cycle(3)
     a, b, c = (cp.char(space.finite_cycle_set(spec, [i])) for i in range(3))
@@ -398,17 +382,12 @@ def test_failing_suite_reports():
 
 def _uhat_entry_over_all_units(S, uhat):
     """The uhat_commutes_with_units entry over every unit of every
-    leading tower: the form the generators stand in for."""
+    leading tower: the form that identity_suite's lemma stands in for."""
     return cp._entry("uhat_commutes_with_units", (
         (cp.multiply(uhat, e), cp.multiply(e, uhat))
         for (_, k, _, _), e in cp.matrix_units(S).items()
         if k == 0
     ))
-
-
-def _entry_json(entry):
-    name, passed, wit = entry
-    return json.dumps([name, passed, None if wit is None else cp.to_dict(wit)])
 
 
 def _random_pairs(rng):
@@ -427,51 +406,120 @@ def _random_pairs(rng):
     return pairs
 
 
-def test_uhat_generators_match_all_units(monkeypatch):
-    """The generator form of uhat_commutes_with_units gives the entry of
-    the loop over all units, witness included: for the uhat of each pair
-    it passes without building all the units, and for a random element
-    in its place the generators mostly fail and the loop gives the
-    witness.  The corner units e_(J-1)0 and e_0(J-1) of a leading tower
-    commute with all of its lowering, resp. raising, generators, but for
-    J >= 2 not with all of its units."""
-    built = []
-    matrix_units = cp.matrix_units
+def _second_system(S):
+    """A system that passes check_pair with S: the first-return towers
+    over the images h^J(Y) of the leading slices of S, or, where those
+    do not form a system, one tower of height 1 over each image.  A base
+    of S with no towers stands in for its image."""
+    images = [
+        space.apply_h(ts[0].Y, ts[0].J) if ts else X
+        for X, ts in zip(S.bases, S.towers)
+    ]
+    try:
+        return towers.build_from_bases(images, [space.whole_space(S.spec)])
+    except (ValueError, MaxStepsExceeded, SaturationFailure):
+        return towers.ReturnSystem(
+            S.spec, tuple(images), tuple((towers.Tower(B, 1),) for B in images)
+        )
 
-    def counted(S):
-        built.append(S)
-        return matrix_units(S)
 
-    monkeypatch.setattr(cp, "matrix_units", counted)
-    rng = random.Random(89)
-    outcomes = []
-    families = set()
-    for S, S2 in _random_pairs(rng):
+@functools.lru_cache(maxsize=None)
+def _lemma_cases():
+    """The pairs on which identity_suite's lemma is checked against the
+    all-products forms of the entries it reads off v1, each as
+    (S, units, related, pe): the matrix units of S, whether they satisfy
+    the all-pairs relations (None where that oracle is not run) and the
+    proof_unitaries of the pair (None where it raises InvalidSystem).
+    The pairs: valid systems and their single-field mutants, each with
+    _second_system, adapted pairs from random partitions, random cycle
+    pairs and the pairs of failing_suites.json.  The all-pairs oracle is
+    quadratic in the units, so past the valid systems it runs on those
+    of at most 50 units."""
+    rng = random.Random(83)
+    valid = [genutil.valid_system(spec) for spec in genutil.system_specs()]
+    pairs = [
+        (M, _second_system(M))
+        for S in valid
+        for M in [S] + [M for _, M in genutil.mutants(S)]
+    ]
+    pairs += _random_pairs(rng)
+    pairs += [random_cycle_pair(rng) for _ in range(40)]
+    with open(FAILING_SUITES) as f:
+        for case in json.load(f):
+            spec = space.finite_cycle(case["period"])
+            pairs.append(tuple(
+                towers.system_from_dict(spec, case[k]) for k in ("S", "S2")
+            ))
+    cases = []
+    for S, S2 in pairs:
+        units = cp.matrix_units(S)
+        related = None
+        if S in valid or len(units) <= 50:
+            related = _unit_relations_hold(units)
         try:
-            uhat = cp.proof_unitaries(S, S2).uhat
+            pe = cp.proof_unitaries(S, S2)
         except InvalidSystem:
-            uhat = None
-        else:
-            families.add(S.spec)
-        lead = S.towers[0][0]
-        corners = [
-            cp._unit(S.spec, lead, lead.J - 1, 0),
-            cp._unit(S.spec, lead, 0, lead.J - 1),
-        ]
-        for el in [uhat, random_element(S.spec, rng)] + corners:
-            if el is None:
-                continue
-            built.clear()
-            entry = cp._uhat_commutes_with_units(S, el)
-            assert _entry_json(entry) == _entry_json(
-                _uhat_entry_over_all_units(S, el)
-            )
-            # the oracle above builds the units once; the entry only
-            # when a generator fails
-            assert len(built) == (1 if entry[1] else 2)
-            outcomes.append(entry[1])
+            pe = None
+        cases.append((S, units, related, pe))
+    return tuple(cases)
+
+
+def test_unit_relations_match_all_pairs_oracle():
+    """The lemma of identity_suite against the all-products forms of the
+    entries about S alone: the all-pairs unit relations, the sum of the
+    diagonal units and v1 conjugating every level.  Whenever
+    proof_unitaries returns, all of them pass; whenever the relations
+    fail, v1 is not unitary and proof_unitaries raises InvalidSystem."""
+    returned = failed = 0
+    for S, units, related, pe in _lemma_cases():
+        spec = S.spec
+        if related is False:
+            failed += 1
+            assert pe is None and not cp.is_unitary(cp._v_element(S))
+        if pe is None:
+            continue
+        returned += 1
+        diag = cp.add(cp.zero(spec), *(
+            e for (_, _, i, j), e in units.items() if i == j
+        ))
+        assert cp.equals(diag, cp.one(spec))
+        v1_star = cp.adjoint(pe.v1)
+        for c in (c for ts in S.towers for c in ts):
+            for j in range(c.J):
+                chi = cp.char(space.apply_h(c.Y, j))
+                moved = cp.char(space.apply_h(c.Y, (j + 1) % c.J))
+                assert cp.equals(
+                    cp.multiply(cp.multiply(pe.v1, chi), v1_star), moved
+                )
+    assert returned >= 10 and failed >= 10
+
+
+def test_uhat_generators_match_all_units():
+    """The lemma of identity_suite against the all-units form of the
+    uhat_commutes_with_units entry: whenever proof_unitaries returns,
+    uhat commutes with every unit of the leading towers of S, whatever
+    u2 is.  Every family of genutil.system_specs() has a pair where
+    proof_unitaries returns."""
+    returned = 0
+    families = set()
+    for S, _, _, pe in _lemma_cases():
+        if pe is None:
+            continue
+        returned += 1
+        families.add(S.spec)
+        assert _uhat_entry_over_all_units(S, pe.uhat)[1]
     assert families >= set(genutil.system_specs())
-    assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
+    assert returned >= 10
+
+
+@pytest.mark.parametrize(
+    "name", ["identity_suite", "proof_unitaries", "approximant"]
+)
+def test_base_without_towers_is_invalid(name):
+    S, S2 = odo_pair()
+    M = dict(genutil.mutants(S))["drop tower (0,0)"]
+    with pytest.raises(InvalidSystem, match="base 0 carries no towers"):
+        getattr(cp, name)(M, S2)
 
 
 def test_matrix_units_products_closed():

@@ -281,6 +281,9 @@ PUBLIC_API = {
     "cpalgebra.from_dict",
     # the restriction of an element to one fiber, a *-homomorphism
     "cpalgebra.fiber_restrict",
+    # the paper's tower matrix units, on which the test of
+    # identity_suite's lemma checks the unit relations pair by pair
+    "cpalgebra.matrix_units",
     # the odometer cylinder of a word, the basic odometer set
     "space.cylinder",
     # the paper's finer-system relation between two return systems

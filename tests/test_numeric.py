@@ -840,6 +840,13 @@ def test_berg_precondition():
         numeric.berg_verify(SHIFT, shift_partition(0, 8), 1, 0.1)
 
 
+def test_berg_rejects_N_below_one():
+    # N is checked before the precondition epsilon > pi/N divides by it
+    for N in (0, -1):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            numeric.berg_verify(SHIFT, shift_partition(0, 8), N, 0.1)
+
+
 def test_berg_trivial_when_towers_agree():
     odo = space.odometer(2)
     P = list(space.generating_partition(odo, 2))
