@@ -3,8 +3,8 @@ operator norms, unitary N-th roots, block cutdown estimates, and the
 end-to-end verification that the approximant unitary z v1 u2 z* is
 epsilon-close to the implementing unitary u.
 
-An element's matrix is built once, from the points of its pieces: each
-piece places its scalar at the entries it covers.  The block cutdowns
+An element's matrix is built once, on the points its entries sit on:
+each piece places its scalar at the entries it covers.  The block cutdowns
 of the Berg check are then slices of that one matrix, with rows and
 columns labelled by the blocks that hold their points, and no cutdown
 is formed as a symbolic element.
@@ -103,34 +103,36 @@ def represent(a, points=None):
     whose preimage is in the window as well, the terms taken in
     increasing n.  The pieces of one term are disjoint, so an entry
     takes at most one addition per term, and every entry is a complex
-    sum started at 0j.  The window is the union of all piece supports,
-    widened by up to the largest shift either way, unless explicit
-    points are given.  Either way every piece must be a finite point
-    set; a cofinite one raises NotCompactlySupported.
+    sum started at 0j.  Unless explicit points are given, the window is
+    the points the entries sit on, each x and its h^-n(x), found in the
+    walk that places the entries and sorted by _point_key.  Either way
+    every piece must be a finite point set; a cofinite one raises
+    NotCompactlySupported.
+
+    The piece supports widened by the largest |n| either way contain
+    this window and sort the same way.  Every entry has both ends in
+    both windows and is summed in the same order, and the points outside
+    this one carry only zero rows and columns.  operator_norm reads
+    blocks in window order, so its floats, and cutdown_check's labels,
+    offending pair and norms, are the same on both.
     """
     spec = a.spec
-    pieces = [
-        (n, c, enumerate_points(E)) for n, sf in a.terms for c, E in sf
+    moves = [
+        (x, point_apply_h(spec, x, -n), c)
+        for n, sf in a.terms
+        for c, E in sf
+        for x in enumerate_points(E)
     ]
     if points is None:
-        support = {x for _, _, xs in pieces for x in xs}
-        reach = max((abs(n) for n, _ in a.terms), default=0)
-        window = {
-            point_apply_h(spec, x, m)
-            for x in support
-            for m in range(-reach, reach + 1)
-        }
-        points = sorted(window, key=_point_key)
+        points = sorted({p for m in moves for p in m[:2]}, key=_point_key)
     else:
         points = list(points)
     index = {p: i for i, p in enumerate(points)}
     entries = {}
-    for n, c, xs in pieces:
-        for x in xs:
-            i = index.get(x)
-            j = index.get(point_apply_h(spec, x, -n))
-            if i is not None and j is not None:
-                entries[i, j] = entries.get((i, j), 0j) + c
+    for x, y, c in moves:
+        i, j = index.get(x), index.get(y)
+        if i is not None and j is not None:
+            entries[i, j] = entries.get((i, j), 0j) + c
     n = len(points)
     return CompactMatrixRep(spec, tuple(points), SparseMatrix((n, n), entries))
 
@@ -588,7 +590,11 @@ def berg_verify(spec, P, N, epsilon, max_steps=None):
     piece (c, E) of z with n != 0 and |c| > _Z_TOL meets the symmetric
     difference of U and h^n U.
     The coefficients of z are finite: they are 1 and the entries of
-    powers of the closed-form cycle root."""
+    powers of the closed-form cycle root.
+
+    An empty Y takes the same path: V and W are 0 x 0, _cycles gives
+    [], the root's miss is hypot() = 0.0, the norm of W - 1 is 0.0, and
+    _interpolating_unitary returns cp_element({0: [(1, X)]}) = cp.one."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if not epsilon > math.pi / N:
@@ -598,29 +604,22 @@ def berg_verify(spec, P, N, epsilon, max_steps=None):
     u = cp.shift_unitary(spec)
     Y = pe.Y
 
-    if is_empty(Y):
-        z = cp.one(spec)
-        norm_w = 0.0
-    else:
-        y_points = sorted(enumerate_points(Y), key=_point_key)
-        v_el = cp.multiply(
-            cp.multiply(cp.char(Y), cp.multiply(pe.v2, cp.adjoint(pe.v1))),
-            cp.char(Y),
-        )
-        V = represent(v_el, points=y_points).matrix
-        W = unitary_nth_root(V, N)
-        norm_w = operator_norm(W - SparseMatrix.identity(len(y_points)))
-
-        z = _interpolating_unitary(Y, y_points, W, N)
+    y_points = sorted(enumerate_points(Y), key=_point_key)
+    v_el = cp.multiply(
+        cp.multiply(cp.char(Y), cp.multiply(pe.v2, cp.adjoint(pe.v1))),
+        cp.char(Y),
+    )
+    V = represent(v_el, points=y_points).matrix
+    W = unitary_nth_root(V, N)
+    norm_w = operator_norm(W - SparseMatrix.identity(len(y_points)))
+    z = _interpolating_unitary(Y, y_points, W, N)
 
     zs, one = cp.adjoint(z), cp.one(spec)
     z_unitary_ok = (cp.equals_approx(cp.multiply(z, zs), one, _Z_TOL)
                     and cp.equals_approx(cp.multiply(zs, z), one, _Z_TOL))
     z_commutes_ok = _commutes_with_cells(z, P)
 
-    u_prime = cp.multiply(
-        cp.multiply(z, cp.multiply(pe.v1, pe.u2)), cp.adjoint(z)
-    )
+    u_prime = cp.multiply(cp.multiply(z, cp.multiply(pe.v1, pe.u2)), zs)
     d = u_prime - u
 
     if not d.terms:

@@ -324,7 +324,15 @@ def adapted_system_pair(spec, P, N, max_steps=None):
     constraints pulled back to Y; canonical forms are unique and
     _sorted_towers fixes the order.  So S2 is, element for element, the
     system that refining by common_refinement(P1, P2) over the levels
-    0..J-1 gives."""
+    0..J-1 gives.
+
+    Lemma: S2 is also the system that refining by P1 alone over the
+    levels 0..J-1 gives.  A slice Y2 of S2 lies in S2's base
+    h^{J_{t,1}}(Y_{t,1}), so h^-1(Y2) lies in one cell of P1, the top
+    level h^{J_{t,1}-1}(Y_{t,1}) of S's leading tower.  Every part of Y2
+    then lies in one cell of h(P1), so level 0 constrains nothing, and
+    h^i(W) lies in h(U) iff h^(i-1)(W) lies in U.  So refining by h(P1)
+    over the levels 0..J is refining by P1 over the levels 0..J-1."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if not is_partition(list(P)):

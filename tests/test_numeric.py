@@ -31,8 +31,9 @@ def sparse(A):
 def test_represent_examples():
     a = cp.multiply(cp.char(space.shift_set(SHIFT, [0])), cp.shift_unitary(SHIFT))
     rep = numeric.represent(a)
-    # window is {-1, 0, 1}; the only entry sends -1 to 0
-    assert rep.points == (-1, 0, 1)
+    # the window is the two points the only entry sits on: it sends -1
+    # to 0
+    assert rep.points == (-1, 0)
     M = oracles.dense(rep.matrix)
     assert M[1, 0] == 1
     assert np.count_nonzero(M) == 1
@@ -191,7 +192,7 @@ def test_operator_norm_ignores_zero_rows_and_columns():
         assert abs(numeric.operator_norm(sparse(P)) - expected) <= 1e-12 * max(
             1.0, expected
         )
-    # represent windows: the support widened by the largest shift
+    # represent windows: the points the entries sit on
     rng = random.Random(49)
     for _ in range(60):
         M = numeric.represent(random_compact_element(rng)).matrix
@@ -349,6 +350,10 @@ def test_unitary_root_swap_matches_oracle():
 def test_unitary_root_identity_and_phase():
     W = numeric.unitary_nth_root(numeric.SparseMatrix.identity(3), 7)
     assert np.allclose(oracles.dense(W), np.eye(3))
+    # the corner over an empty Y
+    for N in (1, 7):
+        W = numeric.unitary_nth_root(numeric.SparseMatrix((0, 0), {}), N)
+        assert W.shape == (0, 0) and W.entries == {}
     # -1 goes through the upper branch: angle pi, root e^{i pi / 3}; the
     # swap has the eigenvalues 1 and -1
     W = oracles.eigenbasis_root(np.array([[-1.0 + 0j]]), 3)
@@ -648,9 +653,26 @@ def test_represent_matches_move_oracle(spec):
     for _ in range(40):
         a = random_element(spec, rng)
         rep = numeric.represent(a)
+        # the window is the points the entries sit on, x and h^-n(x)
+        ends = {
+            p
+            for n, sf in a.terms
+            for _, E in sf
+            for x in space.enumerate_points(E)
+            for p in (x, space.point_apply_h(spec, x, -n))
+        }
+        assert rep.points == tuple(sorted(ends, key=numeric._point_key))
+        # inside the oracle's wider window, the oracle's matrix is this
+        # one on these points and zero elsewhere, with the same norm
         points, M = _oracle_matrix(a)
-        assert rep.points == tuple(points)
-        assert np.array_equal(oracles.dense(rep.matrix), M)
+        assert set(rep.points) <= set(points)
+        keep = [points.index(p) for p in rep.points]
+        assert np.array_equal(M[np.ix_(keep, keep)], oracles.dense(rep.matrix))
+        M[np.ix_(keep, keep)] = 0
+        assert not M.any()
+        assert numeric.operator_norm(rep) == numeric.operator_norm(
+            numeric.represent(a, points=points)
+        )
         # explicit points: part of the window and points outside it, in
         # any order
         extra = space.enumerate_points(random_finite_set(spec, rng))
@@ -667,8 +689,9 @@ def test_represent_matches_move_oracle(spec):
     # must run over the terms in increasing n
     E = random_finite_set(spec, rng)
     a = cp.cp_element(spec, {-3: [(0.1, E)], 0: [(0.2, E)], 3: [(0.3, E)]})
+    rep = numeric.represent(a)
     assert np.array_equal(
-        oracles.dense(numeric.represent(a).matrix), _oracle_matrix(a)[1]
+        oracles.dense(rep.matrix), _oracle_matrix(a, rep.points)[1]
     )
 
 
@@ -848,12 +871,28 @@ def test_berg_rejects_N_below_one():
 
 
 def test_berg_trivial_when_towers_agree():
-    odo = space.odometer(2)
-    P = list(space.generating_partition(odo, 2))
-    rep = numeric.berg_verify(odo, P, 4, math.pi / 4 + 0.01)
-    assert rep.passed
-    assert rep.norm_w_minus_1 == 0.0
-    assert rep.norm_u_prime_minus_u <= 1e-12
+    # Y is empty, and the general path gives z = 1, W - 1 of norm 0 and
+    # u' = u
+    for spec in (space.finite_cycle(5), space.odometer(2), QCYCLE):
+        for depth in (1, 2):
+            P = list(space.generating_partition(spec, depth))
+            for N in (1, 4):
+                S, S2 = towers.adapted_system_pair(spec, P, N)
+                assert space.is_empty(cp.proof_unitaries(S, S2).Y)
+                rep = numeric.berg_verify(spec, P, N, math.pi / N + 0.01)
+                assert rep.passed
+                assert rep.norm_w_minus_1 == 0.0
+                assert rep.norm_u_prime_minus_u <= 1e-12
+                assert rep.block_norms == ()
+
+
+@pytest.mark.parametrize("spec", genutil.system_specs())
+def test_interpolating_unitary_over_empty_y_is_one(spec):
+    Y = space.empty_set(spec)
+    W = numeric.SparseMatrix((0, 0), {})
+    for N in (1, 4):
+        z = numeric._interpolating_unitary(Y, [], W, N)
+        assert cp.equals(z, cp.one(spec))
 
 
 def test_berg_error_shrinks_with_n():

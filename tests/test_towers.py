@@ -520,25 +520,48 @@ def test_adapted_pair_postconditions_asserted():
         assert oracles.is_finer(Q1, P2, space)
 
 
-def test_adapted_pair_matches_the_common_refinement_construction():
-    # S2, refined by P2 over the levels 0..J, is the system that
-    # refining by common_refinement(P1, P2) over the levels 0..J-1 gives,
-    # by the oracle
+def _adapted_pairs():
+    """(S, S2, built) over every system spec, depths 1-3 and N in
+    {1, 2, 3, 8}: built is S2 before its refinement, the system on the
+    top images of S's leading towers."""
     for spec in genutil.system_specs():
         for depth in (1, 2, 3):
             P = space.generating_partition(spec, depth)
             for N in (1, 2, 3, 8):
                 S, S2 = towers.adapted_system_pair(spec, P, N)
-                P1, P2 = genutil.level_partitions(S)
                 bases2 = [
                     space.apply_h(tws[0].Y, tws[0].J) for tws in S.towers
                 ]
                 assert S2.bases == tuple(bases2)
                 steps = towers.default_max_steps(list(S.bases) + list(P))
                 built = towers.build_from_bases(bases2, P, steps + 20 * N)
-                R = space.common_refinement(P1, P2)
-                assert S2.towers == refine_by_oracle(built, R, -1), (
-                    spec, depth, N)
+                yield S, S2, built
+
+
+def test_adapted_pair_matches_the_common_refinement_construction():
+    # S2, refined by P2 over the levels 0..J, is the system that
+    # refining by common_refinement(P1, P2) over the levels 0..J-1 gives,
+    # by the oracle
+    for S, S2, built in _adapted_pairs():
+        R = space.common_refinement(*genutil.level_partitions(S))
+        assert S2.towers == refine_by_oracle(built, R, -1), S.spec
+
+
+def test_adapted_pair_is_refined_by_p1_below_the_top():
+    # the second lemma of adapted_system_pair: h^-1 of each slice of S2
+    # lies in one level of S, the top of a leading tower, so refining
+    # by P1 over the levels 0..J-1 gives S2 as well
+    for S, S2, built in _adapted_pairs():
+        P1, _ = genutil.level_partitions(S)
+        for tws in S2.towers:
+            for c in tws:
+                pre = space.apply_h(c.Y, -1)
+                met = [
+                    L for L in P1
+                    if not space.is_empty(space.intersect(pre, L))
+                ]
+                assert len(met) == 1
+        assert S2.towers == refine_by_oracle(built, P1, -1), S.spec
 
 
 def test_orbit_saturation_covers_samples():
