@@ -298,19 +298,6 @@ def to_dict(a):
     }
 
 
-def from_dict(spec, d):
-    terms = {}
-    for t in d["terms"]:
-        terms[int(t["n"])] = [
-            (
-                complex(item["re"], item.get("im", 0.0)),
-                space.from_dict(spec, item["set"]),
-            )
-            for item in t["coeff"]
-        ]
-    return cp_element(spec, terms)
-
-
 # ---------------------------------------------------------------------------
 # matrix units and proof unitaries
 # ---------------------------------------------------------------------------
@@ -321,19 +308,6 @@ def _unit(spec, c, i, j):
     restricted to land on chi_{h^j(Y)}, which collapses to
     chi_{h^i(Y)} times u^(i-j)."""
     return cp_element(spec, {i - j: [(1, apply_h(c.Y, i))]})
-
-
-def matrix_units(S):
-    """All the tower matrix units, e[(t, k, i, j)] = e_ij of tower k over
-    base t.  The identity suite does not read them: the relations they
-    satisfy follow from the unitarity of v1 (see identity_suite)."""
-    return {
-        (t, k, i, j): _unit(S.spec, c, i, j)
-        for t, towers in enumerate(S.towers)
-        for k, c in enumerate(towers)
-        for i in range(c.J)
-        for j in range(c.J)
-    }
 
 
 def _v_element(S):
@@ -350,12 +324,10 @@ def _v_element(S):
 
 class ProofElements(space.Record):
     v1: CPElement
-    u1: CPElement
     v2: CPElement
     u2: CPElement
     uhat: CPElement
     Y: space.ClopenSet
-    Xhat: tuple
 
 
 def check_pair(S, S2):
@@ -379,14 +351,13 @@ def proof_unitaries(S, S2):
 
     Raises InvalidSystem at the first of v1, v2 and uhat that is not
     unitary, which is where is_unitary on v1, u1, v2, u2, uhat in turn
-    fails first: u1 = v1* u has exact integer scalars, so once v1 is
-    unitary, u1 u1* = v1* u u* v1 = v1* v1 = 1 and
+    fails first, with u1 = v1* u and u2 = v2* u: u1 has exact integer
+    scalars, so once v1 is unitary, u1 u1* = v1* u u* v1 = v1* v1 = 1 and
     u1* u1 = u* v1 v1* u = u* u = 1; the same holds for u2 = v2* u."""
     check_pair(S, S2)
     spec = S.spec
     u = shift_unitary(spec)
     v1 = _v_element(S)
-    u1 = multiply(adjoint(v1), u)
     v2 = _v_element(S2)
     u2 = multiply(adjoint(v2), u)
 
@@ -399,13 +370,12 @@ def proof_unitaries(S, S2):
           for c in leads for j in range(c.J)),
         char(complement(union(empty_set(spec), *levels))),
     )
-    hats = tuple(hat_base(S, t) for t in range(S.T))
-    Y = union(empty_set(spec), *hats)
+    Y = union(empty_set(spec), *(hat_base(S, t) for t in range(S.T)))
 
     for name, el in (("v1", v1), ("v2", v2), ("uhat", uhat)):
         if not is_unitary(el):
             raise InvalidSystem("element %s is not unitary" % name)
-    return ProofElements(v1, u1, v2, u2, uhat, Y, hats)
+    return ProofElements(v1, v2, u2, uhat, Y)
 
 
 # ---------------------------------------------------------------------------
@@ -555,16 +525,3 @@ def approximant(S, S2):
             (towers[0].J, tuple(c.J for c in towers[1:]))
         )
     return ATDescriptor(tuple(blocks))
-
-
-# ---------------------------------------------------------------------------
-# fiber restriction
-# ---------------------------------------------------------------------------
-
-
-def fiber_restrict(a, z):
-    """Restrict an element of a quotient-product system to the fiber over
-    z, an integer or inf; a system with a single fiber takes only z = 0."""
-    fiber, restrict = a.spec.fiber_restriction(z)
-    terms = {n: [(c, restrict(E)) for c, E in sf] for n, sf in a.terms}
-    return cp_element(fiber, terms)

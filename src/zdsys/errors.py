@@ -42,10 +42,6 @@ class InvalidSystem(ZdsysError):
     """A return system failed validation where a valid one is required."""
 
 
-class BaseMismatch(ZdsysError):
-    """Two systems do not have the same union of bases."""
-
-
 class ConstructionFailed(ZdsysError):
     """An adapted-pair construction violated one of its postconditions."""
 
@@ -56,10 +52,6 @@ class ConstructionFailed(ZdsysError):
 
 class IncompatiblePair(ZdsysError):
     """The second system's bases are not the images of the first towers."""
-
-
-class InvalidFiberPoint(ZdsysError):
-    """The requested point is not in the quotient base space."""
 
 
 class NeedsRefinement(ZdsysError):

@@ -17,7 +17,6 @@ from bisect import bisect_left
 from itertools import islice
 
 from .errors import (
-    InvalidFiberPoint,
     InvalidPoint,
     InvalidSystem,
     MixedSystems,
@@ -285,12 +284,6 @@ class SystemSpec(Record):
     def displacement(self, x, y):
         """The n with h^n(y) = x, for shift-type points."""
         return x - y
-
-    def fiber_restriction(self, z):
-        """(fiber spec, map from a set to its part in the fiber over z)."""
-        if z != 0:
-            raise InvalidFiberPoint("system has a single fiber, use z = 0")
-        return self, lambda E: E
 
 
 class FiniteCycle(SystemSpec):
@@ -1073,15 +1066,6 @@ class QuotientProduct(SystemSpec):
             return None
         return self.fiber.displacement(x[1], y[1])
 
-    def fiber_restriction(self, z):
-        if z == INF:
-            point = finite_cycle(1)
-            whole, empty = whole_space(point), empty_set(point)
-            return point, lambda E: whole if contains_point(E, INF) else empty
-        if not isinstance(z, int):
-            raise InvalidFiberPoint("fiber index must be an integer or inf")
-        return self.fiber, lambda E: self.slice(E.data, z)
-
 
 _SPEC_CLASSES = {cls.family: cls for cls in SystemSpec.__subclasses__()}
 
@@ -1133,11 +1117,6 @@ odometer_set = Odometer.make
 shift_set = CompactifiedShift.make
 two_point_set = TwoPointShift.make
 quotient_set = QuotientProduct.make
-
-
-def cylinder(spec, word):
-    """The odometer cylinder of all strings starting with `word`."""
-    return odometer_set(spec, [word])
 
 
 # ---------------------------------------------------------------------------

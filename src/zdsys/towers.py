@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from . import space
 from .errors import (
-    BaseMismatch,
     ConstructionFailed,
     MaxStepsExceeded,
     NotSubordinate,
@@ -23,6 +22,7 @@ from .space import (
     SystemSpec,
     apply_h,
     common_refinement,
+    complement,
     difference,
     disjoint_union,
     empty_set,
@@ -30,7 +30,6 @@ from .space import (
     intersect,
     is_empty,
     is_partition,
-    is_subset,
     partition_witness,
     set_scale,
     sort_key,
@@ -143,7 +142,8 @@ def build_from_bases(bases, P, max_steps=None):
     cells of P must be pairwise disjoint.
 
     Lemma: a system S returned here meets conditions a-f of
-    validate_system, so validate_system(S, P).ok holds.
+    validate_system, the tests' oracle in tests/oracles.py, so
+    validate_system(S, P).ok holds.
     a: bases is nonempty, else this raises.
     b: common_refinement(nonempty, P) is tuple(nonempty) iff every
     nonempty base lies in one cell of P, the test b makes on each base;
@@ -186,47 +186,6 @@ def build_from_bases(bases, P, max_steps=None):
     return S
 
 
-def validate_system(S, P):
-    """Check the defining conditions of a return system; per-condition
-    pass/fail entries with a witness set for each failure.  A system
-    that build_from_bases returns meets them all (the lemma in its
-    docstring); this checks systems built any other way."""
-
-    def entry(condition, witnesses):
-        # the first witness of a failure, if any; witnesses are sets
-        witness = next(witnesses, None)
-        return (condition, witness is None, witness)
-
-    def return_failures():
-        for X_t, towers in zip(S.bases, S.towers):
-            for c in towers:
-                top = apply_h(c.Y, c.J)
-                if c.J < 1 or not is_subset(top, X_t):
-                    yield top
-                for j in range(1, c.J):
-                    meet = intersect(apply_h(c.Y, j), X_t)
-                    if not is_empty(meet):
-                        yield meet
-            if not is_partition([apply_h(c.Y, c.J) for c in towers], X_t):
-                yield X_t
-
-    def cover_failures():
-        levels = tower_levels(S)
-        if not is_partition(levels):
-            yield partition_witness(S.spec, levels)
-
-    pairs = list(zip(S.bases, S.towers))
-    return ValidationReport((
-        ("a", S.T >= 1, None),
-        entry("b", (X for X in S.bases if common_refinement((X,), P) != (X,))),
-        entry("c", (X for X, towers in pairs if not towers)),
-        entry("d", (X for X, towers in pairs
-                    if not is_partition([c.Y for c in towers], X))),
-        entry("e", return_failures()),
-        entry("f", cover_failures()),
-    ))
-
-
 def refine_system(S, P_target):
     """Split every tower slice Y into the nonempty sets
     Y & h^0(U_0) & ... & h^-J(U_J) with each U_j in the partition
@@ -252,17 +211,6 @@ def refine_system(S, P_target):
         for towers in S.towers
     )
     return ReturnSystem(S.spec, S.bases, new_towers)
-
-
-def finer_system_criterion(S, S2):
-    """True iff every tower slice of S2 is contained in a tower slice of S.
-    Requires the two systems to have the same union of bases.  The slices
-    of S are pairwise disjoint, as the bases are and slices tile each base."""
-    if S.base_union() != S2.base_union():
-        raise BaseMismatch("systems have different base unions")
-    slices = [c.Y for towers in S.towers for c in towers]
-    pieces = [c.Y for towers in S2.towers for c in towers]
-    return common_refinement(pieces, slices) == tuple(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +259,10 @@ def adapted_system_pair(spec, P, N, max_steps=None):
     Postconditions a, b and d are checked.  c and e hold by construction,
     with P1 = tower_levels(S) and P2 = h(P1) the level partitions of S:
     refine_system(., Q) puts each level j = 0..J in one cell of Q.  S is
-    refined by P, so P1 and P2 refine P (c).  S2 is refined by P2, so
-    its lower levels refine P1 and P2 (e), by the lemma with Q = P1.
+    refined by P, so P1 and P2 refine P (c).  S2 is refined by h(R), R
+    the slices of S plus X - bases; by the third lemma that gives the
+    system that refining by P2 gives, whose lower levels refine P1 and P2
+    (e), by the first lemma with Q = P1.
 
     Lemma: for a partition Q and a set W, h^j(W) lies in one cell of
     Q & h(Q) for j = 0..J-1 iff h^i(W) lies in one cell of h(Q) for
@@ -322,17 +272,30 @@ def adapted_system_pair(spec, P, N, max_steps=None):
     h^(j+1)(W) and h^j(W) in h(Q) for j = 0..J-1: those on the right.
     The pieces of refine_system are the atoms of the join of the
     constraints pulled back to Y; canonical forms are unique and
-    _sorted_towers fixes the order.  So S2 is, element for element, the
-    system that refining by common_refinement(P1, P2) over the levels
-    0..J-1 gives.
+    _sorted_towers fixes the order.  So refining by P2 over the levels
+    0..J gives, element for element, the system that refining by
+    common_refinement(P1, P2) over the levels 0..J-1 gives.
 
-    Lemma: S2 is also the system that refining by P1 alone over the
-    levels 0..J-1 gives.  A slice Y2 of S2 lies in S2's base
+    Lemma: that system is also the one that refining by P1 alone over
+    the levels 0..J-1 gives.  A slice Y2 of S2 lies in S2's base
     h^{J_{t,1}}(Y_{t,1}), so h^-1(Y2) lies in one cell of P1, the top
     level h^{J_{t,1}-1}(Y_{t,1}) of S's leading tower.  Every part of Y2
     then lies in one cell of h(P1), so level 0 constrains nothing, and
     h^i(W) lies in h(U) iff h^(i-1)(W) lies in U.  So refining by h(P1)
-    over the levels 0..J is refining by P1 over the levels 0..J-1."""
+    over the levels 0..J is refining by P1 over the levels 0..J-1.
+
+    Lemma: refining by h(R) over the levels 0..J gives that system too,
+    where R is the slices of S plus X - bases when that is nonempty.  R
+    is a partition whose cells are unions of levels of S: a slice is a
+    level 0, and by condition e the levels 1..J-1 make up X - bases.
+    Let a part W of Y2 have h^i(W) in one level of S.  If that level is
+    not a top, h^(i+1)(W) lies in the next level, inside one cell of P1
+    and one of R, so neither splits it.  If it is the top of a tower
+    over X_t, h^(i+1)(W) lies in X_t, whose cells in P1 and in R are
+    the same: its slices.  So P1 and R split the parts alike at each
+    step, from h^-1(Y2), which lies in one level by the lemma above, up
+    to h^(J-1); by h, that is refining by h(P1) and by h(R) over the
+    levels 0..J."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if not is_partition(list(P)):
@@ -343,8 +306,12 @@ def adapted_system_pair(spec, P, N, max_steps=None):
     S = refine_system(build_from_bases(bases, P, max_steps), P)
 
     bases2 = [apply_h(towers[0].Y, towers[0].J) for towers in S.towers]
-    P2 = [apply_h(L, 1) for L in tower_levels(S)]
-    S2 = refine_system(build_from_bases(bases2, P, max_steps), P2)
+    R = [c.Y for towers in S.towers for c in towers]
+    rest = complement(S.base_union())
+    if not is_empty(rest):
+        R.append(rest)
+    S2 = refine_system(build_from_bases(bases2, P, max_steps),
+                       [apply_h(U, 1) for U in R])
 
     for t, towers in enumerate(S.towers):
         if not spec.minimal_witness_ok(S.bases[t], towers[0].Y):
@@ -388,14 +355,3 @@ def system_to_dict(S):
             for towers in S.towers
         ],
     }
-
-
-def system_from_dict(spec, d):
-    bases = tuple(space.from_dict(spec, b) for b in d["bases"])
-    towers = tuple(
-        _sorted_towers(
-            Tower(space.from_dict(spec, c["Y"]), int(c["J"])) for c in ts
-        )
-        for ts in d["towers"]
-    )
-    return ReturnSystem(spec, bases, towers)

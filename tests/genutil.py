@@ -33,6 +33,11 @@ def system_specs():
     ]
 
 
+def cylinder(spec, word):
+    """The odometer cylinder of all strings starting with `word`."""
+    return space.odometer_set(spec, [word])
+
+
 def random_set(spec, rng, depth=3):
     f = spec.family
     if f == space.FINITE_CYCLE:
@@ -93,7 +98,7 @@ def valid_system(spec, rng=None, max_steps=None):
         base = space.finite_cycle_set(spec, [0, 1])
         P = [space.whole_space(spec)]
     elif f == space.ODOMETER:
-        base = space.cylinder(spec, (0, 0))
+        base = cylinder(spec, (0, 0))
         P = [space.whole_space(spec)]
     elif f == space.COMPACTIFIED_SHIFT:
         base = space.shift_set(spec, range(1, 7), cofinite=True)

@@ -7,6 +7,12 @@ to the same value.  Functions that need the dynamics take it as
 callables.  The dense-matrix helpers (dense, sparse and
 eigenbasis_root) import numpy, a test dependency, in their bodies, so
 that this module imports without it.
+
+The last section is the exception: the checkers and round trips of
+return systems and crossed-product elements that only the tests call
+(validate_system, finer_system_criterion, system_from_dict, from_dict,
+matrix_units and fiber_restrict).  They are built on the package's set
+operations, so they check structure, not the set algebra.
 """
 
 from __future__ import annotations
@@ -16,6 +22,9 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
+
+from zdsys import cpalgebra as cp
+from zdsys import errors, space, towers
 
 
 def rank_over_Q(rows):
@@ -824,12 +833,10 @@ class CPElement:
 @dataclass(frozen=True)
 class ProofElements:
     v1: object
-    u1: object
     v2: object
     u2: object
     uhat: object
     Y: object
-    Xhat: tuple
 
 
 @dataclass(frozen=True)
@@ -877,3 +884,134 @@ def value_twin(obj):
     """The twin of a value object, built from its field values."""
     twin = VALUE_TWINS[type(obj).__name__]
     return twin(*(getattr(obj, f.name) for f in fields(twin)))
+
+
+# ---------------------------------------------------------------------------
+# checkers and round trips over the package's set operations
+# ---------------------------------------------------------------------------
+
+
+class BaseMismatch(errors.ZdsysError):
+    """Two systems do not have the same union of bases."""
+
+
+class InvalidFiberPoint(errors.ZdsysError):
+    """The requested point is not in the quotient base space."""
+
+
+def validate_system(S, P):
+    """Check the defining conditions of a return system; per-condition
+    pass/fail entries with a witness set for each failure.  A system
+    that build_from_bases returns meets them all (the lemma in its
+    docstring); this checks systems built any other way."""
+
+    def entry(condition, witnesses):
+        # the first witness of a failure, if any; witnesses are sets
+        witness = next(witnesses, None)
+        return (condition, witness is None, witness)
+
+    def return_failures():
+        for X_t, tws in zip(S.bases, S.towers):
+            for c in tws:
+                top = space.apply_h(c.Y, c.J)
+                if c.J < 1 or not space.is_subset(top, X_t):
+                    yield top
+                for j in range(1, c.J):
+                    meet = space.intersect(space.apply_h(c.Y, j), X_t)
+                    if not space.is_empty(meet):
+                        yield meet
+            tops = [space.apply_h(c.Y, c.J) for c in tws]
+            if not space.is_partition(tops, X_t):
+                yield X_t
+
+    def cover_failures():
+        levels = towers.tower_levels(S)
+        if not space.is_partition(levels):
+            yield space.partition_witness(S.spec, levels)
+
+    pairs = list(zip(S.bases, S.towers))
+    return towers.ValidationReport((
+        ("a", S.T >= 1, None),
+        entry("b", (X for X in S.bases
+                    if space.common_refinement((X,), P) != (X,))),
+        entry("c", (X for X, tws in pairs if not tws)),
+        entry("d", (X for X, tws in pairs
+                    if not space.is_partition([c.Y for c in tws], X))),
+        entry("e", return_failures()),
+        entry("f", cover_failures()),
+    ))
+
+
+def finer_system_criterion(S, S2):
+    """True iff every tower slice of S2 is contained in a tower slice of S.
+    Requires the two systems to have the same union of bases.  The slices
+    of S are pairwise disjoint, as the bases are and slices tile each base."""
+    if S.base_union() != S2.base_union():
+        raise BaseMismatch("systems have different base unions")
+    slices = [c.Y for tws in S.towers for c in tws]
+    pieces = [c.Y for tws in S2.towers for c in tws]
+    return space.common_refinement(pieces, slices) == tuple(pieces)
+
+
+def system_from_dict(spec, d):
+    """The inverse of towers.system_to_dict, which the tower report
+    writes."""
+    bases = tuple(space.from_dict(spec, b) for b in d["bases"])
+    tws = tuple(
+        towers._sorted_towers(
+            towers.Tower(space.from_dict(spec, c["Y"]), int(c["J"]))
+            for c in ts
+        )
+        for ts in d["towers"]
+    )
+    return towers.ReturnSystem(spec, bases, tws)
+
+
+def from_dict(spec, d):
+    """The inverse of cpalgebra.to_dict, which identity-suite reports
+    use."""
+    terms = {}
+    for t in d["terms"]:
+        terms[int(t["n"])] = [
+            (
+                complex(item["re"], item.get("im", 0.0)),
+                space.from_dict(spec, item["set"]),
+            )
+            for item in t["coeff"]
+        ]
+    return cp.cp_element(spec, terms)
+
+
+def matrix_units(S):
+    """All the tower matrix units, e[(t, k, i, j)] = e_ij of tower k over
+    base t.  The identity suite does not read them: the relations they
+    satisfy follow from the unitarity of v1 (see identity_suite)."""
+    return {
+        (t, k, i, j): cp._unit(S.spec, c, i, j)
+        for t, tws in enumerate(S.towers)
+        for k, c in enumerate(tws)
+        for i in range(c.J)
+        for j in range(c.J)
+    }
+
+
+def fiber_restrict(a, z):
+    """Restrict an element of a quotient-product system to the fiber over
+    z, an integer or inf; a system with a single fiber takes only z = 0."""
+    spec = a.spec
+    if spec.family != space.QUOTIENT_PRODUCT:
+        if z != 0:
+            raise InvalidFiberPoint("system has a single fiber, use z = 0")
+        fiber, restrict = spec, lambda E: E
+    elif z == space.INF:
+        fiber = space.finite_cycle(1)
+        whole, empty = space.whole_space(fiber), space.empty_set(fiber)
+
+        def restrict(E):
+            return whole if space.contains_point(E, space.INF) else empty
+    elif not isinstance(z, int):
+        raise InvalidFiberPoint("fiber index must be an integer or inf")
+    else:
+        fiber, restrict = spec.fiber, lambda E: spec.slice(E.data, z)
+    terms = {n: [(c, restrict(E)) for c, E in sf] for n, sf in a.terms}
+    return cp.cp_element(fiber, terms)

@@ -1,8 +1,8 @@
 """Every module-level import of the package is read in its module,
 no module imports numpy or scipy, at module level or inside a
 function, no CLI job loads either, every error class of the package is
-raised somewhere in it, every module-level function is used in it or
-is public API, the annotations of every value class resolve, and
+raised somewhere in it, every module-level function is used in it,
+the annotations of every value class resolve, and
 importing the CLI loads neither dataclasses, inspect nor typing."""
 
 import ast
@@ -274,27 +274,6 @@ def test_every_error_class_is_raised():
     assert [name for name in subclasses if name not in raised] == []
 
 
-# Module-level functions that nothing in the package calls, kept as
-# documented, tested API for library users.
-PUBLIC_API = {
-    # the inverse of cpalgebra.to_dict, which identity-suite reports use
-    "cpalgebra.from_dict",
-    # the restriction of an element to one fiber, a *-homomorphism
-    "cpalgebra.fiber_restrict",
-    # the paper's tower matrix units, on which the test of
-    # identity_suite's lemma checks the unit relations pair by pair
-    "cpalgebra.matrix_units",
-    # the odometer cylinder of a word, the basic odometer set
-    "space.cylinder",
-    # the paper's finer-system relation between two return systems
-    "towers.finer_system_criterion",
-    # the inverse of system_to_dict, which the tower report writes
-    "towers.system_from_dict",
-    # checks systems that build_from_bases did not build
-    "towers.validate_system",
-}
-
-
 def unreferenced_functions(sources):
     """"module.name" of the module-level functions of sources, a dict
     {module: source} of the modules of one package, that no code of the
@@ -352,19 +331,13 @@ def test_unreferenced_functions_scanner():
 
 
 def test_every_function_is_used_or_public():
+    # no exemption: a function that only the tests call lives in the
+    # tests (oracles, genutil), not in the package
     sources = {}
     for path in glob.glob(os.path.join(SRC, "*.py")):
         with open(path) as f:
             sources[os.path.basename(path)[:-3]] = f.read()
-    assert sorted(set(unreferenced_functions(sources)) - PUBLIC_API) == []
-    # the list names only functions that exist
-    defined = {
-        "%s.%s" % (module, top.name)
-        for module, source in sources.items()
-        for top in ast.parse(source).body
-        if isinstance(top, ast.FunctionDef)
-    }
-    assert sorted(PUBLIC_API - defined) == []
+    assert unreferenced_functions(sources) == []
 
 
 def test_value_class_annotations_resolve():

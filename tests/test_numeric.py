@@ -51,7 +51,7 @@ def test_represent_rejects_infinite_supports():
         numeric.represent(cp.one(SHIFT))
     odo = space.odometer(2)
     with pytest.raises(NotCompactlySupported):
-        numeric.represent(cp.char(space.cylinder(odo, (0,))))
+        numeric.represent(cp.char(genutil.cylinder(odo, (0,))))
     # explicit points need finite pieces as well, even where the
     # window's entries would be defined
     cofinite = [
@@ -965,7 +965,7 @@ def _random_cp_element(spec, rng):
 def test_z_commutation_lemma_matches_products_on_failing_elements(spec, depth):
     rng = random.Random(71)
     S, _ = towers.adapted_system_pair(spec, space.generating_partition(spec, depth), 4)
-    units = list(cp.matrix_units(S).values())
+    units = list(oracles.matrix_units(S).values())
     u = cp.shift_unitary(spec)
     elements = [u]
     for c in (1e-11, 3e-11, 1e-9, 0.5):

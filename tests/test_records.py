@@ -49,8 +49,9 @@ def sample_values():
         S = genutil.valid_system(spec)
         out += [S, *S.towers[0]]
         out.append(towers.first_return_decomposition(S.bases[0]))
-        out.append(towers.validate_system(S, [space.whole_space(spec)]))
-        out.append(towers.validate_system(S, space.generating_partition(spec, 3)))
+        out.append(oracles.validate_system(S, [space.whole_space(spec)]))
+        P = space.generating_partition(spec, 3)
+        out.append(oracles.validate_system(S, P))
     out.append(towers.check_fiberwise(SHIFT, 2))
     out.append(towers.check_fiberwise(space.two_point_shift(), 1))
     P = list(space.generating_partition(ODO, 2))
@@ -62,7 +63,7 @@ def sample_values():
         proof = cp.proof_unitaries(S, S2)
         out += [S2, proof, proof.v1, proof.uhat]
         out += [cp.identity_suite(S, S2), cp.approximant(S, S2)]
-        out += list(cp.matrix_units(S).values())[:3]
+        out += list(oracles.matrix_units(S).values())[:3]
     element = cp.cp_element(SHIFT, {1: [(2, space.shift_set(SHIFT, [0, 1]))]})
     out += [element, cp.one(SHIFT), cp.zero(ODO)]
     # a NaN field equals itself only as the same object, as in a tuple
@@ -160,7 +161,7 @@ def test_defaults_and_checks():
 
 
 def test_keyword_and_positional_construction_agree():
-    Y = space.cylinder(ODO, (0, 1))
+    Y = genutil.cylinder(ODO, (0, 1))
     assert towers.Tower(Y, 4) == towers.Tower(J=4, Y=Y) == towers.Tower(Y, J=4)
     assert space.ClopenSet(ODO, Y.data) == space.ClopenSet(data=Y.data, spec=ODO)
     assert space.finite_cycle(5) == space.FiniteCycle(period=5)

@@ -13,7 +13,7 @@ from zdsys.errors import InvalidPoint, MixedSystems
 def test_canonical_odometer_merges_siblings():
     spec = space.odometer(2)
     a = space.odometer_set(spec, [(0, 0), (0, 1)])
-    assert a == space.cylinder(spec, (0,))
+    assert a == genutil.cylinder(spec, (0,))
     b = space.odometer_set(spec, [(0,), (1,)])
     assert b == space.whole_space(spec)
 
@@ -21,7 +21,7 @@ def test_canonical_odometer_merges_siblings():
 def test_canonical_odometer_drops_covered_words():
     spec = space.odometer(2)
     a = space.odometer_set(spec, [(0,), (0, 1, 1)])
-    assert a == space.cylinder(spec, (0,))
+    assert a == genutil.cylinder(spec, (0,))
 
 
 def _residues(base, words, level):
@@ -86,7 +86,7 @@ def test_odometer_digits_out_of_range_rejected():
         with pytest.raises(ValueError):
             space.odometer_set(spec, words)
     with pytest.raises(ValueError):
-        space.cylinder(space.odometer(3), (0, 3))
+        genutil.cylinder(space.odometer(3), (0, 3))
     with pytest.raises(ValueError):
         space.from_dict(spec, {"words": [[1, 2]]})
 
@@ -217,7 +217,7 @@ def test_quotient_canonical_drops_default_slices():
     fiber = space.odometer(2)
     spec = space.quotient_product(fiber)
     a = space.quotient_set(
-        spec, {0: space.whole_space(fiber), 1: space.cylinder(fiber, (0,))},
+        spec, {0: space.whole_space(fiber), 1: genutil.cylinder(fiber, (0,))},
         tail=True,
     )
     # slice 0 equals the tail default and must not be stored
@@ -377,23 +377,23 @@ def test_odometer_point_shift_carries():
     # 1 + (1,1,0,1,1,...) carries twice then stops
     p = ((1, 1, 0), (1,))
     q = space.point_apply_h(spec, p, 1)
-    assert space.contains_point(space.cylinder(spec, (0, 0, 1, 1)), q)
+    assert space.contains_point(genutil.cylinder(spec, (0, 0, 1, 1)), q)
     # adding 1 to the all-ones point carries forever, giving all zeros
     ones = ((), (1,))
     z = space.point_apply_h(spec, ones, 1)
     for L in range(1, 8):
-        assert space.contains_point(space.cylinder(spec, (0,) * L), z)
+        assert space.contains_point(genutil.cylinder(spec, (0,) * L), z)
     # and the inverse undoes it
     back = space.point_apply_h(spec, z, -1)
     for L in range(1, 8):
-        assert space.contains_point(space.cylinder(spec, (1,) * L), back)
+        assert space.contains_point(genutil.cylinder(spec, (1,) * L), back)
 
 
 def test_odometer_cylinder_image():
     spec = space.odometer(2)
-    a = space.cylinder(spec, (1, 1, 0, 1, 1))
+    a = genutil.cylinder(spec, (1, 1, 0, 1, 1))
     img = space.apply_h(a, 1)
-    assert img == space.cylinder(spec, (0, 0, 1, 1, 1))
+    assert img == genutil.cylinder(spec, (0, 0, 1, 1, 1))
 
 
 def test_mixed_specs_rejected():
@@ -523,7 +523,7 @@ def test_partition_primitives_match_oracles(spec):
 
 def test_common_refinement_takes_equal_specs_that_are_not_one_object():
     whole = space.whole_space(space.odometer(2))
-    half = space.cylinder(space.odometer(2), (0,))
+    half = genutil.cylinder(space.odometer(2), (0,))
     assert whole.spec is not half.spec
     assert space.common_refinement((whole,), (half,)) == (half,)
     assert space.common_refinement((half,), (whole,)) == (half,)

@@ -8,7 +8,6 @@ import genutil
 import oracles
 from zdsys import space, towers
 from zdsys.errors import (
-    BaseMismatch,
     ConstructionFailed,
     MaxStepsExceeded,
     NotSubordinate,
@@ -38,7 +37,7 @@ def test_shift_decomposition_example():
 
 def test_odometer_decomposition_single_class():
     for L in (1, 2, 3):
-        U = space.cylinder(ODO, (0,) * L)
+        U = genutil.cylinder(ODO, (0,) * L)
         dec = towers.first_return_decomposition(U)
         assert len(dec.classes) == 1
         assert dec.classes[0].J == 2**L
@@ -72,7 +71,7 @@ def test_return_time_matches_orbit_simulation():
     systems.append(shift_window_system(-3, 4)[0])
     systems.append(
         towers.build_from_bases(
-            [space.cylinder(ODO, (0, 0, 0))], [space.whole_space(ODO)]
+            [genutil.cylinder(ODO, (0, 0, 0))], [space.whole_space(ODO)]
         )
     )
     cyc12 = space.finite_cycle(12)
@@ -154,7 +153,7 @@ def test_validate_passes_on_examples():
     for spec in genutil.system_specs():
         S = genutil.valid_system(spec)
         P = genutil.subordinating_partition(S)
-        rep = towers.validate_system(S, P)
+        rep = oracles.validate_system(S, P)
         assert rep.ok, (spec.family, rep.entries)
 
 
@@ -187,7 +186,7 @@ def test_built_systems_pass_validation(spec):
         except (ValueError, NotSubordinate, MaxStepsExceeded,
                 SaturationFailure):
             continue
-        rep = towers.validate_system(S, P)
+        rep = oracles.validate_system(S, P)
         assert rep.ok, (spec.family, rep.entries)
         built += 1
     assert built >= 5
@@ -200,7 +199,7 @@ def test_validate_flags_wrong_return_time():
         S.bases,
         ((S.towers[0][0], towers.Tower(S.towers[0][1].Y, 6)),),
     )
-    rep = towers.validate_system(bad, P)
+    rep = oracles.validate_system(bad, P)
     entries = dict((c, (p, w)) for c, p, w in rep.entries)
     assert not entries["e"][0]
     assert entries["e"][1] is not None
@@ -240,7 +239,7 @@ def test_refine_system_example():
 
 
 def test_refine_no_op_when_already_finer():
-    U = space.cylinder(ODO, (0, 0))
+    U = genutil.cylinder(ODO, (0, 0))
     S = towers.build_from_bases([U], [space.whole_space(ODO)])
     P1, _ = genutil.level_partitions(S)
     S2 = towers.refine_system(S, P1)
@@ -248,14 +247,14 @@ def test_refine_no_op_when_already_finer():
 
 
 def test_refine_odometer_cylinder_split():
-    U = space.cylinder(ODO, (0, 0))
+    U = genutil.cylinder(ODO, (0, 0))
     S = towers.build_from_bases([U], [space.whole_space(ODO)])
     target = space.generating_partition(ODO, 3)
     S2 = towers.refine_system(S, list(target))
     assert [c.J for c in S2.towers[0]] == [4, 4]
     assert {c.Y for c in S2.towers[0]} == {
-        space.cylinder(ODO, (0, 0, 0)),
-        space.cylinder(ODO, (0, 0, 1)),
+        genutil.cylinder(ODO, (0, 0, 0)),
+        genutil.cylinder(ODO, (0, 0, 1)),
     }
 
 
@@ -270,8 +269,8 @@ def test_refinement_postconditions_randomized(spec):
         S2 = towers.refine_system(S, target)
         # same bases, valid, slices refine the original slices
         assert S2.bases == S.bases
-        assert towers.validate_system(S2, P).ok
-        assert towers.finer_system_criterion(S, S2)
+        assert oracles.validate_system(S2, P).ok
+        assert oracles.finer_system_criterion(S, S2)
         Q1, Q2 = genutil.level_partitions(S2)
         assert oracles.is_finer(Q1, target, space)
         assert oracles.is_finer(Q2, target, space)
@@ -353,8 +352,8 @@ def test_finer_system_criterion_matches_oracle(spec):
         target = genutil.random_partition(spec, rng, depth=3)
         S2 = towers.refine_system(S, target)
         assert S2.bases == S.bases
-        assert towers.finer_system_criterion(S, S2)
-        finer = towers.finer_system_criterion(S2, S)
+        assert oracles.finer_system_criterion(S, S2)
+        finer = oracles.finer_system_criterion(S2, S)
         assert finer == inside_one_cell_oracle(slices_of(S), slices_of(S2))
         verdicts.add(finer)
     # the cycle's slices are single points, which nothing splits
@@ -398,8 +397,8 @@ def test_finer_system_criterion_base_mismatch():
     S2 = towers.build_from_bases(
         [space.finite_cycle_set(spec, [0])], [space.whole_space(spec)]
     )
-    with pytest.raises(BaseMismatch):
-        towers.finer_system_criterion(S1, S2)
+    with pytest.raises(oracles.BaseMismatch):
+        oracles.finer_system_criterion(S1, S2)
 
 
 def test_is_finer_trivial_cases():
@@ -564,6 +563,16 @@ def test_adapted_pair_is_refined_by_p1_below_the_top():
         assert S2.towers == refine_by_oracle(built, P1, -1), S.spec
 
 
+def test_adapted_pair_target_is_h_of_the_slices_and_the_rest():
+    # the third lemma of adapted_system_pair: refining by h of S's slices
+    # and of X - bases gives the S2 that refining by h(P1) gives; the
+    # pairs include the quotient over the shift at depth 2, N 8, whose
+    # target shrinks most
+    for S, S2, built in _adapted_pairs():
+        P2 = [space.apply_h(L, 1) for L in towers.tower_levels(S)]
+        assert S2 == towers.refine_system(built, P2), S.spec
+
+
 def test_orbit_saturation_covers_samples():
     # forward orbit of each base sweeps every sampled point
     for spec in genutil.system_specs():
@@ -609,7 +618,7 @@ def test_return_system_needs_one_tower_tuple_per_base():
         dict(d, towers=d["towers"] * 2),
     ):
         with pytest.raises(ValueError, match="one tuple of towers per base"):
-            towers.system_from_dict(SHIFT, bad)
+            oracles.system_from_dict(SHIFT, bad)
     with pytest.raises(ValueError):
         towers.ReturnSystem(SHIFT, S.bases, ())
 
@@ -618,7 +627,7 @@ def test_system_serialization_round_trip():
     for spec in genutil.system_specs():
         S = genutil.valid_system(spec)
         d = towers.system_to_dict(S)
-        assert towers.system_from_dict(spec, d) == S
+        assert oracles.system_from_dict(spec, d) == S
 
 
 def test_mutants_all_caught_smoke():
@@ -626,6 +635,6 @@ def test_mutants_all_caught_smoke():
     P = genutil.subordinating_partition(S)
     count = 0
     for desc, M in genutil.mutants(S):
-        assert not towers.validate_system(M, P).ok, desc
+        assert not oracles.validate_system(M, P).ok, desc
         count += 1
     assert count >= 10
