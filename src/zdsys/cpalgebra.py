@@ -39,13 +39,13 @@ from .space import (
     complement,
     empty_set,
     intersect,
+    is_empty,
+    partition_witness,
     sort_key,
     union,
     whole_space,
 )
-from .towers import hat_base
-
-EXACT_SCALARS = (0, 1, -1, 1j, -1j)
+from .towers import hat_base, tower_levels
 
 
 def _sf_masks(spec, s, items, known):
@@ -252,31 +252,12 @@ def adjoint(a):
     return cp_element(a.spec, terms)
 
 
-def equals(a, b):
-    _check(a, b)
-    return a.terms == b.terms
-
-
 def max_coefficient(a):
     return max((abs(c) for _, sf in a.terms for c, _ in sf), default=0.0)
 
 
 def equals_approx(a, b, tol=1e-12):
     return max_coefficient(a - b) <= tol
-
-
-def has_exact_scalars(a):
-    return all(c in EXACT_SCALARS for _, sf in a.terms for c, _ in sf)
-
-
-def is_unitary(a):
-    star = adjoint(a)
-    p = multiply(a, star)
-    q = multiply(star, a)
-    e = one(a.spec)
-    if has_exact_scalars(a):
-        return equals(p, e) and equals(q, e)
-    return equals_approx(p, e) and equals_approx(q, e)
 
 
 def to_dict(a):
@@ -326,7 +307,6 @@ class ProofElements(space.Record):
     v1: CPElement
     v2: CPElement
     u2: CPElement
-    uhat: CPElement
     Y: space.ClopenSet
 
 
@@ -345,37 +325,75 @@ def check_pair(S, S2):
             )
 
 
-def proof_unitaries(S, S2):
-    """The intertwining unitaries of an adapted pair and the correction
-    unitary uhat that commutes with the leading tower units.
-
-    Raises InvalidSystem at the first of v1, v2 and uhat that is not
-    unitary, which is where is_unitary on v1, u1, v2, u2, uhat in turn
-    fails first, with u1 = v1* u and u2 = v2* u: u1 has exact integer
-    scalars, so once v1 is unitary, u1 u1* = v1* u u* v1 = v1* v1 = 1 and
-    u1* u1 = u* v1 v1* u = u* u = 1; the same holds for u2 = v2* u."""
-    check_pair(S, S2)
+def _uhat(S, u2):
+    """The correction unitary that commutes with the leading tower
+    units: the sum of e_(j,J-1) u2 e_(J-1,j) over the levels j of the
+    leading towers of S, and 1 off them."""
     spec = S.spec
-    u = shift_unitary(spec)
-    v1 = _v_element(S)
-    v2 = _v_element(S2)
-    u2 = multiply(adjoint(v2), u)
-
     leads = [towers[0] for towers in S.towers]
     levels = [apply_h(c.Y, j) for c in leads for j in range(c.J)]
-    # the sum of e_{j, J-1} u2 e_{J-1, j} over the leading towers, 1 off them
-    uhat = add(
+    return add(
         *(multiply(multiply(_unit(spec, c, j, c.J - 1), u2),
                    _unit(spec, c, c.J - 1, j))
           for c in leads for j in range(c.J)),
         char(complement(union(empty_set(spec), *levels))),
     )
-    Y = union(empty_set(spec), *(hat_base(S, t) for t in range(S.T)))
 
-    for name, el in (("v1", v1), ("v2", v2), ("uhat", uhat)):
-        if not is_unitary(el):
+
+def proof_unitaries(S, S2):
+    """The intertwining unitaries v1 and v2 of an adapted pair, u2 = v2* u
+    and the union Y of the hat bases.
+
+    Raises InvalidSystem at the first of v1, v2 and uhat = _uhat(S, u2)
+    that is not unitary.  Two set checks stand in for forming v v* and
+    v* v (tests/oracles.py keeps that as is_unitary), and uhat is not
+    built.  Return times are at least 1, as first_return_decomposition
+    makes them.
+
+    Lemma 1.  _v_element(R) is unitary iff the levels of R tile X.  Its
+    pieces chi_(h^(j+1) Y) u, j < J-1, and chi_Y u^(1-J) have
+    coefficient 1.  The first is the partial isometry of h from h^j(Y)
+    onto h^(j+1)(Y), the second that of h^(1-J) from the top
+    h^(J-1)(Y) onto Y, so the ranges are the levels and so are the
+    sources, each level once.  If the levels tile X, then p q* = 0 and
+    p* q = 0 for distinct pieces p, q, as their sources and their ranges
+    are disjoint, and v v* and v* v are the sums of the p p* and the
+    p* p, the chi of the ranges and of the sources, 1.  Conversely, with
+    v = sum_n f_n u^n, f_n counts the levels of term n over each point,
+    and the degree-0 part of v v* is sum_n f_n^2, a sum of non-negative
+    terms at least sum_n f_n, the number of levels over the point, with
+    equality iff each f_n is 0 or 1: it is 1 at a point iff exactly one
+    level holds it.
+
+    Lemma 2.  Let v1 and v2 be unitary.  Then uhat is unitary iff
+    g(T) = T for the top T = h^(J-1)(Y) of the leading tower over every
+    base of S, where g(T) is the union of h^n(T) & E_n over the terms
+    chi_(E_n) u^n of u2.  By Lemma 1, v2 permutes the levels of S2, so
+    u2 = v2* u is the unitary of a bijection g of X, which sends x in
+    h^-n(E_n) to h^n(x), with coefficient 1; the image of T is as
+    above.  By Lemma 1 for v1, the leading levels of S are disjoint, so
+    uhat is 1 off them and, on each, the block
+    e_(j,J-1) (chi_T u2 chi_T) e_(J-1,j): chi_T u2 chi_T carried from T
+    to the level.  So uhat is unitary iff every chi_T u2 chi_T is
+    unitary in the corner of chi_T.  It is the partial isometry of g
+    from T & g^-1(T) onto T & g(T), so that holds iff both are T, that
+    is iff g(T) = T."""
+    check_pair(S, S2)
+    spec = S.spec
+    for name, R in (("v1", S), ("v2", S2)):
+        if not is_empty(partition_witness(spec, tower_levels(R))):
             raise InvalidSystem("element %s is not unitary" % name)
-    return ProofElements(v1, v2, u2, uhat, Y)
+    v2 = _v_element(S2)
+    u2 = multiply(adjoint(v2), shift_unitary(spec))
+    for towers in S.towers:
+        T = apply_h(towers[0].Y, towers[0].J - 1)
+        image = union(empty_set(spec), *(
+            intersect(apply_h(T, n), E) for n, sf in u2.terms for _, E in sf
+        ))
+        if image != T:
+            raise InvalidSystem("element uhat is not unitary")
+    Y = union(empty_set(spec), *(hat_base(S, t) for t in range(S.T)))
+    return ProofElements(_v_element(S), v2, u2, Y)
 
 
 # ---------------------------------------------------------------------------
@@ -424,17 +442,15 @@ def identity_suite(S, S2):
     proof_unitaries has established: they pass with no witness and form
     no product.
 
-    Lemma.  proof_unitaries returns only when v1 = sum_n f_n u^n is
-    unitary exactly.  v1 has a piece chi_E u^n per level E = h^j(Y) of
-    each slice (Y, J) of S, n = 1 for j >= 1 and n = 1-J for j = 0, so
-    f_n(x) counts the levels of term n that hold x.
-    (i) The levels of S tile X: the degree-0 part of v1 v1* is
-    sum_n f_n^2, which is 1 everywhere iff every point lies in exactly
-    one level.
-    (ii) No top image h^J(Y) meets a raised level h^j(Y'), j >= 1: the
-    degree-J part of v1 v1*, sum_n f_n (f_(n-J) o h^-J), is 0 and a sum
-    of non-negative terms, one of them at least f_1 chi_{h^J Y}, and f_1
-    counts the raised levels.
+    Lemma.  proof_unitaries returns only when v1 and uhat are unitary
+    (its Lemmas 1 and 2).  v1 has a piece chi_E u^n per level E = h^j(Y)
+    of each slice (Y, J) of S, n = 1 for j >= 1 and n = 1-J for j = 0,
+    so f_n(x), with v1 = sum_n f_n u^n, counts the levels of term n that
+    hold x.
+    (i) The levels of S tile X, as proof_unitaries checks.
+    (ii) No top image h^J(Y) meets a raised level h^j(Y'), j >= 1: h^-1
+    would carry the meet into the levels h^(J-1)(Y) and h^(j-1)(Y'),
+    distinct as the second is not a top, against (i).
     So, by (i), e_ij f_kl = chi_{h^i Y cap h^(i-j+k) Y'} u^(i-j+k-l) is
     e_il for the same tower and j = k and 0 otherwise, and the
     e_jj = chi_{h^j Y} sum to 1.  In v1 chi_{h^j Y} =
@@ -467,12 +483,13 @@ def identity_suite(S, S2):
     right = add(zero(spec), *(_unit(spec, c, 0, c.J - 1) for c in leads))
     top_levels = union(empty_set(spec),
                        *(apply_h(c.Y, c.J - 1) for c in leads))
-    recovered = add(multiply(multiply(left, pe.uhat), right),
+    uhat = _uhat(S, pe.u2)
+    recovered = add(multiply(multiply(left, uhat), right),
                     char(complement(top_levels)))
     projections = [saturation([c]) for c in leads]
 
     # proof_unitaries has raised InvalidSystem unless v1 and uhat are
-    # unitary, and the lemma reads the five entries of S off v1
+    # unitary, and the lemma reads the five entries of S off the tiling
     return SuiteReport((
         ("matrix_unit_relations", True, None),
         ("diagonal_units_sum_to_one", True, None),
@@ -489,7 +506,7 @@ def identity_suite(S, S2):
         _entry("pt_commutes", (
             (multiply(p, x), multiply(x, p))
             for p in projections
-            for x in (pe.u2, pe.uhat)
+            for x in (pe.u2, uhat)
         )),
         _entry("rt_central", (
             (multiply(r, u), multiply(u, r))

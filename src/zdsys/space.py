@@ -14,7 +14,6 @@ of their operands, call the spec's method and build the ClopenSet.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import islice
 
 from .errors import (
     InvalidPoint,
@@ -180,7 +179,7 @@ class SystemSpec(Record):
     sets over the spec and return data or plain values; the other
     methods take and return ClopenSets.  Every family defines make,
     complement, apply_h, point_apply_h, contains_point,
-    generating_partition, sort_key, sample_points, set_to_dict,
+    generating_partition, sort_key, set_to_dict,
     set_from_dict, scale, enumerate_points, canonical_bases,
     base_witness and the atom triple:
 
@@ -323,9 +322,6 @@ class FiniteCycle(SystemSpec):
 
     def sort_key(self, d):
         return (len(d), tuple(sorted(d)))
-
-    def sample_points(self, d, count):
-        return sorted(d)
 
     def set_to_dict(self, d):
         return {"points": sorted(d)}
@@ -525,17 +521,6 @@ class Odometer(SystemSpec):
         words = self._words(d)
         return (len(words), words)
 
-    def sample_points(self, d, count):
-        base = self.base
-        words = self._words(d)
-        out = []
-        for w in words:
-            for i in range(max(1, count // max(1, len(words)))):
-                head = w + _value_word(base, i, 4)
-                out.append((head, (0,)))
-                out.append((head, (base - 1,)))
-        return out
-
     def set_to_dict(self, d):
         return {"words": [list(w) for w in self._words(d)]}
 
@@ -661,15 +646,6 @@ class CompactifiedShift(SystemSpec):
     def sort_key(self, d):
         return (d[2], d[1].bit_count(), tuple(_window_points(d)))
 
-    def sample_points(self, d, count):
-        lo, bits, c = d
-        if not c:
-            return _window_points(d)
-        # the integers just below min F and just above max F, or around
-        # 0 when F is empty, lie outside F
-        below, above = lo - 1, lo + max(bits.bit_length(), 1)
-        return [INF] + [q for i in range(count) for q in (below - i, above + i)]
-
     def set_to_dict(self, d):
         return {"F": _window_points(d), "cofinite": d[2]}
 
@@ -779,21 +755,6 @@ class TwoPointShift(SystemSpec):
 
     def sort_key(self, d):
         return (d[2], d[3], d[1].bit_count(), tuple(_window_points(d)))
-
-    def sample_points(self, d, count):
-        lo, bits, tm, tp = d
-        # the first members from count + 1 below min F to count + 1
-        # above max F, or around 0 when F is empty, then the infinities
-        F = set(_window_points(d))
-        first, end = lo - 1 - count, lo + max(bits.bit_length(), 1) + count + 1
-        out = []
-        for a, b, default in ((first, min(end, 0), tm),
-                              (max(first, 0), end, tp)):
-            if default:  # count + |F| steps at most, not the window
-                out += islice((q for q in range(a, b) if q not in F), count)
-            else:
-                out += sorted(q for q in F if a <= q < b)
-        return out[:count] + [MINUS_INF] * tm + [PLUS_INF] * tp
 
     def set_to_dict(self, d):
         return {"F": _window_points(d), "tail_minus": d[2], "tail_plus": d[3]}
@@ -921,21 +882,6 @@ class QuotientProduct(SystemSpec):
     def sort_key(self, d):
         tail, slices = d
         return (tail, tuple((k, sort_key(s)) for k, s in slices))
-
-    def sample_points(self, d, count):
-        tail, slices = d
-        out = []
-        for k, s in slices:
-            if not is_empty(s):
-                out.extend((k, fp) for fp in sample_points(s, max(2, count // 4)))
-        if tail:
-            out.append(INF)
-            edge = max((abs(k) for k, _ in slices), default=0) + 1
-            for k in (edge, -edge):
-                out.extend(
-                    (k, fp) for fp in sample_points(whole_space(self.fiber), 2)
-                )
-        return out
 
     def set_to_dict(self, d):
         tail, slices = d
@@ -1274,25 +1220,13 @@ def generating_partition(spec, n):
 
 
 # ---------------------------------------------------------------------------
-# deterministic ordering, sampling, sizes, serialization
+# deterministic ordering, sizes, serialization
 # ---------------------------------------------------------------------------
 
 
 def sort_key(a):
     """A deterministic total order on canonical clopen sets."""
     return a.spec.sort_key(a.data)
-
-
-def sample_points(a, count=8):
-    """Deterministic sample of at most count distinct points of a
-    nonempty set."""
-    seen = []
-    for p in a.spec.sample_points(a.data, count):
-        if len(seen) >= count:
-            break
-        if p not in seen:
-            seen.append(p)
-    return seen
 
 
 def set_scale(a):

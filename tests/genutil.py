@@ -6,7 +6,7 @@ deterministic.
 
 from __future__ import annotations
 
-import random
+from itertools import islice
 
 from zdsys import space, towers
 
@@ -67,10 +67,64 @@ def random_set(spec, rng, depth=3):
 
 def random_point(spec, rng):
     a = random_set(spec, rng)
-    pts = space.sample_points(a, 4) or space.sample_points(
-        space.whole_space(spec), 4
-    )
+    pts = sample_points(a, 4) or sample_points(space.whole_space(spec), 4)
     return rng.choice(pts)
+
+
+def sample_points(a, count=8):
+    """Deterministic sample of at most count distinct points of a
+    nonempty set, read off its to_dict form.  On the shifts, a set that
+    holds the outside of its window yields at most count integers
+    there, so a wide window of F is never walked."""
+    spec, d, f = a.spec, space.to_dict(a), a.spec.family
+    if f == space.FINITE_CYCLE:
+        out = d["points"]
+    elif f == space.ODOMETER:
+        base, words = spec.base, [tuple(w) for w in d["words"]]
+        out = []
+        for w in words:
+            for i in range(max(1, count // max(1, len(words)))):
+                head = w + tuple((i // base**k) % base for k in range(4))
+                out += [(head, (0,)), (head, (base - 1,))]
+    elif f == space.QUOTIENT_PRODUCT:
+        slices = [(s["k"], space.from_dict(spec.fiber, s["set"]))
+                  for s in d["slices"]]
+        out = [(k, fp) for k, s in slices if not space.is_empty(s)
+               for fp in sample_points(s, max(2, count // 4))]
+        if d["tail"]:
+            out.append(space.INF)
+            edge = max((abs(k) for k, _ in slices), default=0) + 1
+            whole = sample_points(space.whole_space(spec.fiber), 2)
+            out += [(k, fp) for k in (edge, -edge) for fp in whole]
+    else:
+        # the shifts: the integers just outside the window [lo, hi) of
+        # F, or around 0 when F is empty
+        F = d["F"]
+        lo, hi = (F[0], F[-1] + 1) if F else (0, 1)
+        if f == space.COMPACTIFIED_SHIFT:
+            out = F if not d["cofinite"] else [space.INF] + [
+                q for i in range(count) for q in (lo - 1 - i, hi + i)
+            ]
+        else:
+            tm, tp, members = d["tail_minus"], d["tail_plus"], set(F)
+            first, end = lo - 1 - count, hi + count + 1
+            out = []
+            for lo_, hi_, default in ((first, min(end, 0), tm),
+                                      (max(first, 0), end, tp)):
+                if default:  # count + |F| steps at most, not the window
+                    out += islice(
+                        (q for q in range(lo_, hi_) if q not in members), count
+                    )
+                else:
+                    out += [q for q in F if lo_ <= q < hi_]
+            out = out[:count] + [space.MINUS_INF] * tm + [space.PLUS_INF] * tp
+    seen = []
+    for p in out:
+        if len(seen) >= count:
+            break
+        if p not in seen:
+            seen.append(p)
+    return seen
 
 
 def random_partition(spec, rng, depth=2, max_parts=4):

@@ -11,7 +11,7 @@ that this module imports without it.
 The last section is the exception: the checkers and round trips of
 return systems and crossed-product elements that only the tests call
 (validate_system, finer_system_criterion, system_from_dict, from_dict,
-matrix_units and fiber_restrict).  They are built on the package's set
+matrix_units, fiber_restrict, has_exact_scalars and is_unitary).  They are built on the package's set
 operations, so they check structure, not the set algebra.
 """
 
@@ -835,7 +835,6 @@ class ProofElements:
     v1: object
     v2: object
     u2: object
-    uhat: object
     Y: object
 
 
@@ -1015,3 +1014,22 @@ def fiber_restrict(a, z):
         fiber, restrict = spec.fiber, lambda E: spec.slice(E.data, z)
     terms = {n: [(c, restrict(E)) for c, E in sf] for n, sf in a.terms}
     return cp.cp_element(fiber, terms)
+
+
+EXACT_SCALARS = (0, 1, -1, 1j, -1j)
+
+
+def has_exact_scalars(a):
+    return all(c in EXACT_SCALARS for _, sf in a.terms for c, _ in sf)
+
+
+def is_unitary(a):
+    """a a* = a* a = 1 by brute force, two products: exactly when the
+    scalars of a are exact, else to 1e-12.  proof_unitaries checks its
+    unitaries by the set tests of its lemmas instead."""
+    star = cp.adjoint(a)
+    e = cp.one(a.spec)
+    products = (cp.multiply(a, star), cp.multiply(star, a))
+    if has_exact_scalars(a):
+        return all(p == e for p in products)
+    return all(cp.equals_approx(p, e) for p in products)

@@ -178,7 +178,7 @@ def test_covariance_relation():
     u = cp.shift_unitary(SHIFT)
     chi0 = cp.char(space.shift_set(SHIFT, [0]))
     chi1 = cp.char(space.shift_set(SHIFT, [1]))
-    assert cp.equals(cp.multiply(u, chi0), cp.multiply(chi1, u))
+    assert cp.multiply(u, chi0) == cp.multiply(chi1, u)
 
 
 @pytest.mark.parametrize("spec", genutil.all_specs())
@@ -190,7 +190,7 @@ def test_covariance_randomized(spec):
         un = cp.shift_unitary(spec, n)
         lhs = cp.multiply(un, cp.char(E))
         rhs = cp.multiply(cp.char(space.apply_h(E, n)), un)
-        assert cp.equals(lhs, rhs)
+        assert lhs == rhs
 
 
 def test_adjoint_of_char_times_u():
@@ -199,7 +199,7 @@ def test_adjoint_of_char_times_u():
     expected = cp.multiply(
         cp.char(space.apply_h(E, -2)), cp.shift_unitary(SHIFT, -2)
     )
-    assert cp.equals(cp.adjoint(a), expected)
+    assert cp.adjoint(a) == expected
 
 
 @pytest.mark.parametrize("spec", genutil.all_specs())
@@ -209,20 +209,14 @@ def test_star_algebra_axioms(spec):
         a = random_element(spec, rng)
         b = random_element(spec, rng)
         c = random_element(spec, rng)
-        assert cp.equals(
-            cp.multiply(cp.multiply(a, b), c),
-            cp.multiply(a, cp.multiply(b, c)),
-        )
-        assert cp.equals(
-            cp.multiply(a, cp.add(b, c)),
-            cp.add(cp.multiply(a, b), cp.multiply(a, c)),
-        )
-        assert cp.equals(
-            cp.adjoint(cp.multiply(a, b)),
-            cp.multiply(cp.adjoint(b), cp.adjoint(a)),
-        )
-        assert cp.equals(cp.adjoint(cp.adjoint(a)), a)
-        assert cp.equals(cp.add(a, b), cp.add(b, a))
+        assert (cp.multiply(cp.multiply(a, b), c)
+                == cp.multiply(a, cp.multiply(b, c)))
+        assert (cp.multiply(a, cp.add(b, c))
+                == cp.add(cp.multiply(a, b), cp.multiply(a, c)))
+        assert (cp.adjoint(cp.multiply(a, b))
+                == cp.multiply(cp.adjoint(b), cp.adjoint(a)))
+        assert cp.adjoint(cp.adjoint(a)) == a
+        assert cp.add(a, b) == cp.add(b, a)
 
 
 def test_diagonal_subalgebra_commutes():
@@ -231,7 +225,7 @@ def test_diagonal_subalgebra_commutes():
         for _ in range(20):
             a = cp.char(genutil.random_set(spec, rng))
             b = cp.char(genutil.random_set(spec, rng))
-            assert cp.equals(cp.multiply(a, b), cp.multiply(b, a))
+            assert cp.multiply(a, b) == cp.multiply(b, a)
 
 
 def test_mixed_specs_rejected():
@@ -242,9 +236,9 @@ def test_mixed_specs_rejected():
 
 
 def test_unitaries():
-    assert cp.is_unitary(cp.shift_unitary(SHIFT))
-    assert cp.is_unitary(cp.one(ODO))
-    assert not cp.is_unitary(cp.char(space.shift_set(SHIFT, [0])))
+    assert oracles.is_unitary(cp.shift_unitary(SHIFT))
+    assert oracles.is_unitary(cp.one(ODO))
+    assert not oracles.is_unitary(cp.char(space.shift_set(SHIFT, [0])))
 
 
 def test_matrix_units_cycle_relation():
@@ -254,12 +248,10 @@ def test_matrix_units_cycle_relation():
     )
     e = oracles.matrix_units(S)
     prod = cp.multiply(e[(0, 0, 0, 1)], e[(0, 0, 1, 0)])
-    assert cp.equals(prod, e[(0, 0, 0, 0)])
-    assert cp.equals(
-        e[(0, 0, 0, 0)], cp.char(space.finite_cycle_set(spec, [0]))
-    )
+    assert prod == e[(0, 0, 0, 0)]
+    assert e[(0, 0, 0, 0)] == cp.char(space.finite_cycle_set(spec, [0]))
     # adjoint swaps the indices
-    assert cp.equals(cp.adjoint(e[(0, 0, 0, 1)]), e[(0, 0, 1, 0)])
+    assert cp.adjoint(e[(0, 0, 0, 1)]) == e[(0, 0, 1, 0)]
 
 
 def test_matrix_units_diagonal_sums_to_one():
@@ -270,7 +262,7 @@ def test_matrix_units_diagonal_sums_to_one():
         for (t, k, i, j), el in e.items():
             if i == j:
                 diag = cp.add(diag, el)
-        assert cp.equals(diag, cp.one(spec))
+        assert diag == cp.one(spec)
 
 
 def _unit_relations_hold(units):
@@ -280,7 +272,7 @@ def _unit_relations_hold(units):
         for (t2, k2, i2, j2), f in units.items():
             prod = cp.multiply(e, f)
             if (t, k) == (t2, k2) and j == i2:
-                if not cp.equals(prod, units[(t, k, i, j2)]):
+                if prod != units[(t, k, i, j2)]:
                     return False
             elif prod.terms:
                 return False
@@ -292,7 +284,7 @@ def test_suite_entry_keeps_last_witness():
     a, b, c = (cp.char(space.finite_cycle_set(spec, [i])) for i in range(3))
     pairs = iter([(a, b), (a, a), (c, b), (b, b)])
     name, passed, wit = cp._entry("x", pairs)
-    assert (name, passed) == ("x", False) and cp.equals(wit, c - b)
+    assert (name, passed) == ("x", False) and wit == c - b
     assert next(pairs, None) is None
     assert cp._entry("y", [(a, a), (b, b)]) == ("y", True, None)
 
@@ -405,6 +397,22 @@ def _random_pairs(rng):
     return pairs
 
 
+def uhat_only_pair():
+    """A pair on finite_cycle(5) that passes check_pair, whose levels
+    tile X in both systems, and on which uhat alone is not unitary: the
+    first tower of S2 sends its top image {4} into the other base, so u2
+    moves the leading top {4} of S to {3}."""
+    spec = space.finite_cycle(5)
+    a, b = (space.finite_cycle_set(spec, [p]) for p in (4, 0))
+    S = towers.ReturnSystem(
+        spec, (a, b), ((towers.Tower(a, 1),), (towers.Tower(b, 4),))
+    )
+    S2 = towers.ReturnSystem(
+        spec, (b, a), ((towers.Tower(b, 4),), (towers.Tower(a, 1),))
+    )
+    return S, S2
+
+
 def _second_system(S):
     """A system that passes check_pair with S: the first-return towers
     over the images h^J(Y) of the leading slices of S, or, where those
@@ -426,12 +434,13 @@ def _second_system(S):
 def _lemma_cases():
     """The pairs on which identity_suite's lemma is checked against the
     all-products forms of the entries it reads off v1, each as
-    (S, units, related, pe): the matrix units of S, whether they satisfy
-    the all-pairs relations (None where that oracle is not run) and the
-    proof_unitaries of the pair (None where it raises InvalidSystem).
-    The pairs: valid systems and their single-field mutants, each with
-    _second_system, adapted pairs from random partitions, random cycle
-    pairs and the pairs of failing_suites.json.  The all-pairs oracle is
+    (S, S2, units, related, pe): the matrix units of S, whether they
+    satisfy the all-pairs relations (None where that oracle is not run)
+    and the proof_unitaries of the pair (None where it raises
+    InvalidSystem).  The pairs: valid systems and their single-field
+    mutants, each with _second_system, adapted pairs from random
+    partitions, random cycle pairs, the pairs of failing_suites.json and
+    uhat_only_pair.  The all-pairs oracle is
     quadratic in the units, so past the valid systems it runs on those
     of at most 50 units."""
     rng = random.Random(83)
@@ -449,6 +458,7 @@ def _lemma_cases():
             pairs.append(tuple(
                 oracles.system_from_dict(spec, case[k]) for k in ("S", "S2")
             ))
+    pairs.append(uhat_only_pair())
     cases = []
     for S, S2 in pairs:
         units = oracles.matrix_units(S)
@@ -459,7 +469,7 @@ def _lemma_cases():
             pe = cp.proof_unitaries(S, S2)
         except InvalidSystem:
             pe = None
-        cases.append((S, units, related, pe))
+        cases.append((S, S2, units, related, pe))
     return tuple(cases)
 
 
@@ -470,26 +480,24 @@ def test_unit_relations_match_all_pairs_oracle():
     proof_unitaries returns, all of them pass; whenever the relations
     fail, v1 is not unitary and proof_unitaries raises InvalidSystem."""
     returned = failed = 0
-    for S, units, related, pe in _lemma_cases():
+    for S, _, units, related, pe in _lemma_cases():
         spec = S.spec
         if related is False:
             failed += 1
-            assert pe is None and not cp.is_unitary(cp._v_element(S))
+            assert pe is None and not oracles.is_unitary(cp._v_element(S))
         if pe is None:
             continue
         returned += 1
         diag = cp.add(cp.zero(spec), *(
             e for (_, _, i, j), e in units.items() if i == j
         ))
-        assert cp.equals(diag, cp.one(spec))
+        assert diag == cp.one(spec)
         v1_star = cp.adjoint(pe.v1)
         for c in (c for ts in S.towers for c in ts):
             for j in range(c.J):
                 chi = cp.char(space.apply_h(c.Y, j))
                 moved = cp.char(space.apply_h(c.Y, (j + 1) % c.J))
-                assert cp.equals(
-                    cp.multiply(cp.multiply(pe.v1, chi), v1_star), moved
-                )
+                assert cp.multiply(cp.multiply(pe.v1, chi), v1_star) == moved
     assert returned >= 10 and failed >= 10
 
 
@@ -501,14 +509,83 @@ def test_uhat_generators_match_all_units():
     proof_unitaries returns."""
     returned = 0
     families = set()
-    for S, _, _, pe in _lemma_cases():
+    for S, _, _, _, pe in _lemma_cases():
         if pe is None:
             continue
         returned += 1
         families.add(S.spec)
-        assert _uhat_entry_over_all_units(S, pe.uhat)[1]
+        assert _uhat_entry_over_all_units(S, cp._uhat(S, pe.u2))[1]
     assert families >= set(genutil.system_specs())
     assert returned >= 10
+
+
+def _first_not_unitary(S, S2):
+    """The first of v1, v2 and uhat that is_unitary rejects, or None."""
+    v2 = cp._v_element(S2)
+    if not oracles.is_unitary(cp._v_element(S)):
+        return "v1"
+    if not oracles.is_unitary(v2):
+        return "v2"
+    u2 = cp.multiply(cp.adjoint(v2), cp.shift_unitary(S.spec))
+    if not oracles.is_unitary(cp._uhat(S, u2)):
+        return "uhat"
+    return None
+
+
+def test_proof_unitaries_lemmas_match_oracle():
+    """Lemmas 1 and 2 of proof_unitaries against is_unitary, on both
+    systems of every pair of _lemma_cases, which holds the valid systems
+    of genutil.system_specs() and their mutants, and of each valid
+    system with every mutant of its _second_system: _v_element is
+    unitary iff the levels tile X, and on a pair that passes check_pair
+    proof_unitaries returns iff v1, v2 and uhat are unitary, else names
+    the first that is not.  Every outcome occurs."""
+    valid = [genutil.valid_system(spec) for spec in genutil.system_specs()]
+    pairs = [(S, S2) for S, S2, *_ in _lemma_cases()]
+    pairs += [
+        (S, M) for S in valid for _, M in genutil.mutants(_second_system(S))
+    ]
+    tiles = set()
+    outcomes = set()
+    for S, S2 in pairs:
+        for R in (S, S2):
+            levels = [
+                L for L in towers.tower_levels(R) if not space.is_empty(L)
+            ]
+            tiled = space.is_partition(levels)
+            assert oracles.is_unitary(cp._v_element(R)) == tiled
+            tiles.add(tiled)
+        try:
+            cp.check_pair(S, S2)
+        except (InvalidSystem, IncompatiblePair):
+            continue
+        first = _first_not_unitary(S, S2)
+        outcomes.add(first)
+        if first is None:
+            cp.proof_unitaries(S, S2)
+        else:
+            with pytest.raises(InvalidSystem) as e:
+                cp.proof_unitaries(S, S2)
+            assert str(e.value) == "element %s is not unitary" % first
+    assert tiles == {True, False}
+    assert outcomes == {None, "v1", "v2", "uhat"}
+
+
+def test_proof_unitaries_forms_one_product_and_one_adjoint(monkeypatch):
+    """On every pair of _lemma_cases where it returns, proof_unitaries
+    forms u2 = v2* u and no other product or adjoint."""
+    cases = [(S, S2) for S, S2, _, _, pe in _lemma_cases() if pe is not None]
+    calls = []
+    for name in ("multiply", "adjoint"):
+        def counted(*args, name=name, f=getattr(cp, name)):
+            calls.append(name)
+            return f(*args)
+        monkeypatch.setattr(cp, name, counted)
+    for S, S2 in cases:
+        calls.clear()
+        cp.proof_unitaries(S, S2)
+        assert sorted(calls) == ["adjoint", "multiply"]
+    assert len(cases) >= 10
 
 
 @pytest.mark.parametrize(
@@ -529,7 +606,7 @@ def test_matrix_units_products_closed():
         for b in vals:
             prod = cp.multiply(a, b)
             assert prod.terms == () or any(
-                cp.equals(prod, c) for c in vals
+                prod == c for c in vals
             )
 
 
@@ -548,8 +625,8 @@ def test_proof_unitaries_shift():
     S, S2 = shift_pair()
     pe = cp.proof_unitaries(S, S2)
     u1 = cp.multiply(cp.adjoint(pe.v1), cp.shift_unitary(SHIFT))
-    for el in (pe.v1, u1, pe.v2, pe.u2, pe.uhat):
-        assert cp.is_unitary(el)
+    for el in (pe.v1, u1, pe.v2, pe.u2, cp._uhat(S, pe.u2)):
+        assert oracles.is_unitary(el)
     # Y is the union of the two endpoints of the window
     assert S.T == 1
     assert not space.to_dict(pe.Y)["cofinite"]
@@ -558,25 +635,29 @@ def test_proof_unitaries_shift():
 
 def test_u1_and_u2_are_unitary_when_v1_and_v2_are():
     """proof_unitaries checks v1, v2 and uhat (see its docstring).
-    is_unitary on u1 and u2 stays on as the oracle: on the adapted pair
-    of every family with one, and on random pairs, it passes, or the
-    first of v1, u1, v2, u2 and uhat that it fails is the element that
-    proof_unitaries names."""
+    is_unitary on u1, u2 and uhat stays on as the oracle: on the adapted
+    pair of every family with one, on random pairs and on
+    uhat_only_pair, it passes, or the first of v1, u1, v2, u2 and uhat
+    that it fails is the element that proof_unitaries names."""
     pairs = [
         towers.adapted_system_pair(spec, space.generating_partition(spec, 2), 2)
         for spec in genutil.system_specs()
     ]
     adapted = len(pairs)
     pairs += _random_pairs(random.Random(103))
+    pairs.append(uhat_only_pair())
     raised = 0
+    names = set()
     for i, (S, S2) in enumerate(pairs):
         u = cp.shift_unitary(S.spec)
         v1, v2 = cp._v_element(S), cp._v_element(S2)
+        u2 = cp.multiply(cp.adjoint(v2), u)
         elements = {
             "v1": v1,
             "u1": cp.multiply(cp.adjoint(v1), u),
             "v2": v2,
-            "u2": cp.multiply(cp.adjoint(v2), u),
+            "u2": u2,
+            "uhat": cp._uhat(S, u2),
         }
         try:
             pe = cp.proof_unitaries(S, S2)
@@ -584,24 +665,23 @@ def test_u1_and_u2_are_unitary_when_v1_and_v2_are():
             assert i >= adapted
             raised += 1
             first = next(
-                (k for k, el in elements.items() if not cp.is_unitary(el)),
-                "uhat",
+                k for k, el in elements.items() if not oracles.is_unitary(el)
             )
             assert str(e) == "element %s is not unitary" % first
+            names.add(first)
         else:
             u1 = cp.multiply(cp.adjoint(pe.v1), u)
             assert (u1, pe.u2) == (elements["u1"], elements["u2"])
-            assert cp.is_unitary(u1) and cp.is_unitary(pe.u2)
+            assert all(map(oracles.is_unitary, (u1, pe.u2, elements["uhat"])))
     assert 0 < raised < len(pairs) - adapted
+    assert "uhat" in names
 
 
 def test_proof_unitaries_odometer_trivial():
     S, S2 = odo_pair()
     pe = cp.proof_unitaries(S, S2)
-    assert cp.equals(pe.v1, pe.v2)
-    assert cp.equals(
-        cp.multiply(pe.v2, cp.adjoint(pe.v1)), cp.one(ODO)
-    )
+    assert pe.v1 == pe.v2
+    assert cp.multiply(pe.v2, cp.adjoint(pe.v1)) == cp.one(ODO)
     assert space.is_empty(pe.Y)
 
 
@@ -615,9 +695,7 @@ def test_u1_fixes_lower_levels():
     lead = S.towers[0][0]
     for j in range(lead.J - 1):
         chi = cp.char(space.apply_h(lead.Y, j))
-        assert cp.equals(
-            cp.multiply(cp.multiply(u1, chi), cp.adjoint(u1)), chi
-        )
+        assert cp.multiply(cp.multiply(u1, chi), cp.adjoint(u1)) == chi
 
 
 def test_incompatible_pair_rejected():
@@ -659,7 +737,7 @@ def test_corrupted_v1_fails_unitarity():
     n0, sf0 = pe.v1.terms[0]
     c0, E0 = sf0[0]
     corrupted = pe.v1 - cp.cp_element(SHIFT, {n0: [(c0, E0)]})
-    assert not cp.is_unitary(corrupted)
+    assert not oracles.is_unitary(corrupted)
     d = cp.multiply(corrupted, cp.adjoint(corrupted)) - cp.one(SHIFT)
     assert d.terms
 
@@ -696,15 +774,15 @@ def test_fiber_restrict():
     fiber = space.compactified_shift()
     spec = space.quotient_product(fiber)
     one = cp.one(spec)
-    assert cp.equals(oracles.fiber_restrict(one, 5), cp.one(fiber))
+    assert oracles.fiber_restrict(one, 5) == cp.one(fiber)
     blk = cp.char(
         space.quotient_set(spec, {2: space.whole_space(fiber)})
     )
-    assert cp.equals(oracles.fiber_restrict(blk, 2), cp.one(fiber))
+    assert oracles.fiber_restrict(blk, 2) == cp.one(fiber)
     assert oracles.fiber_restrict(blk, 3).terms == ()
     # restriction at the collapsed point
     at_inf = oracles.fiber_restrict(one, space.INF)
-    assert cp.equals(at_inf, cp.one(space.finite_cycle(1)))
+    assert at_inf == cp.one(space.finite_cycle(1))
     with pytest.raises(oracles.InvalidFiberPoint):
         oracles.fiber_restrict(cp.one(ODO), 1)
 
@@ -717,18 +795,11 @@ def test_fiber_restrict_is_homomorphism():
         a = random_element(spec, rng, max_terms=2, max_shift=2)
         b = random_element(spec, rng, max_terms=2, max_shift=2)
         for z in (-1, 0, 2):
-            assert cp.equals(
-                oracles.fiber_restrict(cp.multiply(a, b), z),
-                cp.multiply(
-                    oracles.fiber_restrict(a, z), oracles.fiber_restrict(b, z)
-                ),
+            fa, fb = oracles.fiber_restrict(a, z), oracles.fiber_restrict(b, z)
+            assert oracles.fiber_restrict(cp.multiply(a, b), z) == cp.multiply(
+                fa, fb
             )
-            assert cp.equals(
-                oracles.fiber_restrict(cp.add(a, b), z),
-                cp.add(
-                    oracles.fiber_restrict(a, z), oracles.fiber_restrict(b, z)
-                ),
-            )
+            assert oracles.fiber_restrict(cp.add(a, b), z) == cp.add(fa, fb)
 
 
 def test_element_serialization_round_trip():
@@ -736,4 +807,4 @@ def test_element_serialization_round_trip():
     for spec in genutil.all_specs():
         for _ in range(20):
             a = random_element(spec, rng)
-            assert cp.equals(oracles.from_dict(spec, cp.to_dict(a)), a)
+            assert oracles.from_dict(spec, cp.to_dict(a)) == a

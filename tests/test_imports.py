@@ -1,9 +1,10 @@
-"""Every module-level import of the package is read in its module,
-no module imports numpy or scipy, at module level or inside a
-function, no CLI job loads either, every error class of the package is
-raised somewhere in it, every module-level function is used in it,
-the annotations of every value class resolve, and
-importing the CLI loads neither dataclasses, inspect nor typing."""
+"""Every module-level import of the package and of the tests is read
+in its module, no module imports numpy or scipy, at module level or
+inside a function, no CLI job loads either, every error class of the
+package is raised somewhere in it, every function and method of the
+package is reached from its module code or the CLI, the annotations of
+every value class resolve, and importing the CLI loads neither
+dataclasses, inspect nor typing."""
 
 import ast
 import glob
@@ -24,6 +25,8 @@ MODULES = sorted(
     for p in glob.glob(os.path.join(SRC, "*.py"))
     if os.path.basename(p) != "__init__.py"
 )
+TESTS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "*.py")))
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def unread_imports(source):
@@ -51,7 +54,8 @@ def test_unread_imports_scanner():
     assert unread_imports("from __future__ import annotations\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+# the basenames of the package's modules and of the tests' differ
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=os.path.basename)
 def test_module_imports_are_read(path):
     with open(path) as f:
         assert unread_imports(f.read()) == []
@@ -73,18 +77,20 @@ def imported_packages(source):
     return _packages(ast.walk(ast.parse(source)))
 
 
+def _outside_functions(node):
+    """The nodes under node that run when it runs as module code: all
+    but function definitions and what they hold."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, FUNCTIONS):
+            yield child
+            yield from _outside_functions(child)
+
+
 def import_time_packages(source):
     """Top-level packages named by the absolute imports that run when
     source is imported: those outside every function body, in class
     bodies and in `if` and `try` blocks too."""
-
-    def outside_functions(node):
-        for child in ast.iter_child_nodes(node):
-            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield child
-                yield from outside_functions(child)
-
-    return _packages(outside_functions(ast.parse(source)))
+    return _packages(_outside_functions(ast.parse(source)))
 
 
 def test_imported_packages_scanner():
@@ -275,18 +281,25 @@ def test_every_error_class_is_raised():
 
 
 def unreferenced_functions(sources):
-    """"module.name" of the module-level functions of sources, a dict
-    {module: source} of the modules of one package, that no code of the
-    package reads outside the function's own body.  A read is a bare
-    name in the function's module, or in a module that imports it with
-    `from .module import name`, or an attribute of the module bound by
-    `from . import module`."""
-    defs = []
-    used = set()
+    """"module.name" of the module-level functions and
+    "module.Class.name" of the methods of sources, a dict {module:
+    source} of the modules of one package, that no code reached from
+    the package's roots reads.  The roots are every module's code
+    outside functions and cli.main.  Reached code reaches what it reads:
+    a bare name, or an attribute of a module bound by `from . import
+    module`, reaches that module's function or class, through
+    `from .module import name` too; any other attribute `.x` reaches the
+    method x of every reached class.  The dunder methods of a reached
+    class are reached with it, and so are all the methods of one with a
+    base outside the package, which that base may call."""
+    defs = {}  # (module, name) or (module, class, name) -> (module, node)
+    methods = {}  # (module, class) -> {name: key of the method}
+    scopes = {}  # module -> (names, modules) bound by relative imports
+    bases = []  # (module, class key, base expression)
+    todo = []  # (module, nodes to read)
     for module, source in sources.items():
         tree = ast.parse(source)
-        names = {}  # bare name -> (module, name) imported under it
-        modules = {}  # name -> module bound by `from . import module`
+        names, modules = {}, {}
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for alias in node.names:
@@ -295,25 +308,58 @@ def unreferenced_functions(sources):
                         modules[bound] = alias.name
                     else:
                         names[bound] = (node.module, alias.name)
+        scopes[module] = names, modules
         for top in tree.body:
-            owner = None
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner = (module, top.name)
-                defs.append(owner)
-            for n in ast.walk(top):
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                    ref = names.get(n.id, (module, n.id))
-                elif (
-                    isinstance(n, ast.Attribute)
-                    and isinstance(n.value, ast.Name)
-                    and n.value.id in modules
-                ):
-                    ref = (modules[n.value.id], n.attr)
-                else:
-                    continue
-                if ref != owner:
-                    used.add(ref)
-    return ["%s.%s" % d for d in defs if d not in used]
+            if isinstance(top, FUNCTIONS):
+                defs[(module, top.name)] = module, top
+            elif isinstance(top, ast.ClassDef):
+                cls = methods[(module, top.name)] = {}
+                for node in top.body:
+                    if isinstance(node, FUNCTIONS):
+                        cls[node.name] = (module, top.name, node.name)
+                        defs[cls[node.name]] = module, node
+                bases += [(module, (module, top.name), b) for b in top.bases]
+        todo.append((module, _outside_functions(tree)))
+
+    def read(module, node):
+        """(key of a module-level name, None) or (None, attribute)."""
+        names, modules = scopes[module]
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            return names.get(node.id, (module, node.id)), None
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if isinstance(node.value, ast.Name) and node.value.id in modules:
+                return (modules[node.value.id], node.attr), None
+            return None, node.attr
+        return None, None
+
+    outside = {key for module, key, b in bases
+               if read(module, b)[0] not in methods}
+    reached, attrs = set(), set()
+
+    def reach(key):
+        if key in reached:
+            return
+        reached.add(key)
+        if key in defs:
+            todo.append((defs[key][0], ast.walk(defs[key][1])))
+        for name, method in methods.get(key, {}).items():
+            dunder = name.startswith("__") and name.endswith("__")
+            if dunder or key in outside or name in attrs:
+                reach(method)
+
+    reach(("cli", "main"))
+    while todo:
+        module, nodes = todo.pop()
+        for node in nodes:
+            key, attr = read(module, node)
+            if key is not None:
+                reach(key)
+            elif attr is not None and attr not in attrs:
+                attrs.add(attr)
+                for cls, own in methods.items():
+                    if cls in reached and attr in own:
+                        reach(own[attr])
+    return [".".join(key) for key in defs if key not in reached]
 
 
 def test_unreferenced_functions_scanner():
@@ -324,10 +370,32 @@ def test_unreferenced_functions_scanner():
         "def h():\n    pass\n"
         "TABLE = {'h': h}\n"
         "def run():\n    return b.k() + gee()\n"
+        "def unrun():\n    return b.k()\n"
     )
-    # b.h shares its name with the used a.h
+    # b.h shares its name with the reached a.h
     b = "def g():\n    pass\ndef k():\n    pass\ndef h():\n    pass\n"
-    assert unreferenced_functions({"a": a, "b": b}) == ["a.f", "a.run", "b.h"]
+    cli = "from . import a\ndef main():\n    return a.run()\n"
+    sources = {"a": a, "b": b, "cli": cli}
+    assert unreferenced_functions(sources) == ["a.f", "a.unrun", "b.h"]
+    # a function and a method that read only each other, and a method
+    # of a reached class that no reached code names; the dunder method
+    # and the method read as an attribute are reached, and so are the
+    # methods of the class with a base outside the package
+    c = (
+        "import argparse\n"
+        "def p(x):\n    return x.q()\n"
+        "class C:\n"
+        "    def q(self):\n        return p(self)\n"
+        "    def __repr__(self):\n        return self.r()\n"
+        "    def r(self):\n        pass\n"
+        "    def unused(self):\n        pass\n"
+        "class Parser(argparse.ArgumentParser):\n"
+        "    def error(self, message):\n        pass\n"
+        "def main():\n    return C(), Parser\n"
+    )
+    assert unreferenced_functions({"cli": c}) == [
+        "cli.p", "cli.C.q", "cli.C.unused"
+    ]
 
 
 def test_every_function_is_used_or_public():

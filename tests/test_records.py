@@ -61,7 +61,7 @@ def sample_values():
         towers.adapted_system_pair(SHIFT, [U, space.complement(U)], 2),
     ):
         proof = cp.proof_unitaries(S, S2)
-        out += [S2, proof, proof.v1, proof.uhat]
+        out += [S2, proof, proof.v1, cp._uhat(S, proof.u2)]
         out += [cp.identity_suite(S, S2), cp.approximant(S, S2)]
         out += list(oracles.matrix_units(S).values())[:3]
     element = cp.cp_element(SHIFT, {1: [(2, space.shift_set(SHIFT, [0, 1]))]})

@@ -8,7 +8,6 @@ import genutil
 import oracles
 from zdsys import space, towers
 from zdsys.errors import (
-    ConstructionFailed,
     MaxStepsExceeded,
     NotSubordinate,
     SaturationFailure,
@@ -86,7 +85,7 @@ def test_return_time_matches_orbit_simulation():
         for t, tws in enumerate(S.towers):
             base = S.bases[t]
             for c in tws:
-                for p in space.sample_points(c.Y, 12):
+                for p in genutil.sample_points(c.Y, 12):
                     n = oracles.first_return_time(
                         lambda q: space.point_apply_h(spec, q, 1),
                         lambda q: space.contains_point(base, q),
@@ -579,7 +578,7 @@ def test_orbit_saturation_covers_samples():
         S = genutil.valid_system(spec)
         whole = space.whole_space(spec)
         bound = 2 * max(c.J for tws in S.towers for c in tws) + 2
-        for p in space.sample_points(whole, 10):
+        for p in genutil.sample_points(whole, 10):
             hit = False
             for t in range(S.T):
                 base = S.bases[t]
