@@ -130,10 +130,6 @@ def cp_element(spec, terms):
     return CPElement(spec, tuple(out))
 
 
-def zero(spec):
-    return CPElement(spec, ())
-
-
 def one(spec):
     return char(whole_space(spec))
 
@@ -280,15 +276,8 @@ def to_dict(a):
 
 
 # ---------------------------------------------------------------------------
-# matrix units and proof unitaries
+# proof unitaries
 # ---------------------------------------------------------------------------
-
-
-def _unit(spec, c, i, j):
-    """The matrix unit e_ij of the tower c: chi_{h^i(Y)} u^(i-j)
-    restricted to land on chi_{h^j(Y)}, which collapses to
-    chi_{h^i(Y)} times u^(i-j)."""
-    return cp_element(spec, {i - j: [(1, apply_h(c.Y, i))]})
 
 
 def _v_element(S):
@@ -325,30 +314,17 @@ def check_pair(S, S2):
             )
 
 
-def _uhat(S, u2):
-    """The correction unitary that commutes with the leading tower
-    units: the sum of e_(j,J-1) u2 e_(J-1,j) over the levels j of the
-    leading towers of S, and 1 off them."""
-    spec = S.spec
-    leads = [towers[0] for towers in S.towers]
-    levels = [apply_h(c.Y, j) for c in leads for j in range(c.J)]
-    return add(
-        *(multiply(multiply(_unit(spec, c, j, c.J - 1), u2),
-                   _unit(spec, c, c.J - 1, j))
-          for c in leads for j in range(c.J)),
-        char(complement(union(empty_set(spec), *levels))),
-    )
-
-
 def proof_unitaries(S, S2):
     """The intertwining unitaries v1 and v2 of an adapted pair, u2 = v2* u
     and the union Y of the hat bases.
 
-    Raises InvalidSystem at the first of v1, v2 and uhat = _uhat(S, u2)
-    that is not unitary.  Two set checks stand in for forming v v* and
-    v* v (tests/oracles.py keeps that as is_unitary), and uhat is not
-    built.  Return times are at least 1, as first_return_decomposition
-    makes them.
+    Raises InvalidSystem at the first of v1, v2 and uhat that is not
+    unitary.  uhat is the sum of e_(j,J-1) u2 e_(J-1,j) over the levels
+    j of the leading tower (Y, J) over each base of S, and 1 off those
+    levels, where e_ij = chi_(h^i Y) u^(i-j) is a matrix unit of the
+    tower.  Two set checks stand in for forming v v* and v* v, and uhat
+    is not built (tests/oracles.py keeps is_unitary and uhat as the
+    oracles).  Return times are at least 1, as Tower requires.
 
     Lemma 1.  _v_element(R) is unitary iff the levels of R tile X.  Its
     pieces chi_(h^(j+1) Y) u, j < J-1, and chi_Y u^(1-J) have
@@ -465,7 +441,24 @@ def identity_suite(S, S2):
     e_(k,J-1) u2 e_(J-1,k) of uhat and uhat e_ik only
     e_(i,J-1) u2 e_(J-1,i), so both are e_(i,J-1) u2 e_(J-1,k), whatever
     u2 is.  By (i) too, p_t, the sum of the diagonal units of the
-    leading tower over base t, is chi of the union of its levels."""
+    leading tower over base t, is chi of the union of its levels.
+
+    The two entries that read uhat reduce to u2, so uhat is not built.
+    Let T_t = h^(J-1)(Y) be the top of the leading tower (Y, J) over
+    base t, and Tops the union of the T_t.
+    - pt_commutes.  By (i), p_t e_(j,J-1) = e_(j,J-1) and
+      e_(J-1,j) p_t = e_(J-1,j) for the units of the leading tower over
+      t, both products are 0 for the units of any other leading tower,
+      and p_t chi(X - leading levels) = 0.  So p_t uhat = uhat p_t for
+      every u2, and as _entry keeps the last unequal pair, the
+      (p_t u2, u2 p_t) pairs alone give the same pass value and witness.
+    - u2_recovery.  The recovered element is left uhat right + chi of
+      X - Tops, with left the sum of the e_(J-1,0) and right the sum of
+      the e_(0,J-1) of the leading towers.  By (i), left uhat right is
+      the sum of the chi_(T_t) u2 chi_(T_t).  By Lemma 2 of
+      proof_unitaries g(T_t) = T_t, so u2 chi_(T_t) = chi_(T_t) u2, and
+      as the tops are disjoint by (i), the sum is chi_Tops u2, one
+      product."""
     spec = S.spec
     pe = proof_unitaries(S, S2)
     u = shift_unitary(spec)
@@ -479,12 +472,9 @@ def identity_suite(S, S2):
         )))
 
     cores = [char(intersect(c.Y, apply_h(c.Y, c.J))) for c in leads]
-    left = add(zero(spec), *(_unit(spec, c, c.J - 1, 0) for c in leads))
-    right = add(zero(spec), *(_unit(spec, c, 0, c.J - 1) for c in leads))
     top_levels = union(empty_set(spec),
                        *(apply_h(c.Y, c.J - 1) for c in leads))
-    uhat = _uhat(S, pe.u2)
-    recovered = add(multiply(multiply(left, uhat), right),
+    recovered = add(multiply(char(top_levels), pe.u2),
                     char(complement(top_levels)))
     projections = [saturation([c]) for c in leads]
 
@@ -504,9 +494,7 @@ def identity_suite(S, S2):
         ("uhat_commutes_with_units", True, None),
         _entry("u2_recovery", [(recovered, pe.u2)]),
         _entry("pt_commutes", (
-            (multiply(p, x), multiply(x, p))
-            for p in projections
-            for x in (pe.u2, uhat)
+            (multiply(p, pe.u2), multiply(pe.u2, p)) for p in projections
         )),
         _entry("rt_central", (
             (multiply(r, u), multiply(u, r))

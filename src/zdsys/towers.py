@@ -43,6 +43,10 @@ class Tower(Record):
     Y: ClopenSet
     J: int
 
+    def __post_init__(self):
+        if self.J < 1:
+            raise ValueError("return time must be at least 1")
+
 
 class ReturnDecomposition(Record):
     base: ClopenSet

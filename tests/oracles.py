@@ -11,8 +11,9 @@ that this module imports without it.
 The last section is the exception: the checkers and round trips of
 return systems and crossed-product elements that only the tests call
 (validate_system, finer_system_criterion, system_from_dict, from_dict,
-matrix_units, fiber_restrict, has_exact_scalars and is_unitary).  They are built on the package's set
-operations, so they check structure, not the set algebra.
+zero, unit, matrix_units, uhat, fiber_restrict, has_exact_scalars and
+is_unitary).  They are built on the package's set operations, so they
+check structure, not the set algebra.
 """
 
 from __future__ import annotations
@@ -981,17 +982,46 @@ def from_dict(spec, d):
     return cp.cp_element(spec, terms)
 
 
+def zero(spec):
+    return cp.CPElement(spec, ())
+
+
+def unit(spec, c, i, j):
+    """The matrix unit e_ij of the tower c: chi_{h^i(Y)} u^(i-j)
+    restricted to land on chi_{h^j(Y)}, which collapses to
+    chi_{h^i(Y)} times u^(i-j)."""
+    return cp.cp_element(spec, {i - j: [(1, space.apply_h(c.Y, i))]})
+
+
 def matrix_units(S):
     """All the tower matrix units, e[(t, k, i, j)] = e_ij of tower k over
     base t.  The identity suite does not read them: the relations they
     satisfy follow from the unitarity of v1 (see identity_suite)."""
     return {
-        (t, k, i, j): cp._unit(S.spec, c, i, j)
+        (t, k, i, j): unit(S.spec, c, i, j)
         for t, tws in enumerate(S.towers)
         for k, c in enumerate(tws)
         for i in range(c.J)
         for j in range(c.J)
     }
+
+
+def uhat(S, u2):
+    """The correction unitary that commutes with the leading tower
+    units, built over all the levels: the sum of e_(j,J-1) u2 e_(J-1,j)
+    over the levels j of the leading towers of S, and 1 off them, with
+    2 sum J products.  proof_unitaries and identity_suite read what they
+    need of it off u2, by the lemmas in their docstrings."""
+    spec = S.spec
+    leads = [tws[0] for tws in S.towers]
+    levels = [space.apply_h(c.Y, j) for c in leads for j in range(c.J)]
+    off = space.complement(space.union(space.empty_set(spec), *levels))
+    return cp.add(
+        *(cp.multiply(cp.multiply(unit(spec, c, j, c.J - 1), u2),
+                      unit(spec, c, c.J - 1, j))
+          for c in leads for j in range(c.J)),
+        cp.char(off),
+    )
 
 
 def fiber_restrict(a, z):

@@ -112,7 +112,7 @@ def test_identity_suite_exact():
         # exact scalar arithmetic throughout
         pe = cp.proof_unitaries(S, S2)
         u1 = cp.multiply(cp.adjoint(pe.v1), cp.shift_unitary(S.spec))
-        for el in (pe.v1, u1, pe.v2, pe.u2, cp._uhat(S, pe.u2)):
+        for el in (pe.v1, u1, pe.v2, pe.u2, oracles.uhat(S, pe.u2)):
             assert oracles.has_exact_scalars(el)
 
 

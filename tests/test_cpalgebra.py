@@ -87,7 +87,7 @@ def test_sum_of_many_elements_is_the_fold_of_sums(spec):
     equal (see the module docstring of cpalgebra); an element over
     another spec raises MixedSystems wherever it stands."""
     rng = random.Random(101)
-    zero = cp.zero(spec)
+    zero = oracles.zero(spec)
     other = cp.one(space.finite_cycle(5))
     for _ in range(20):
         els = [random_element(spec, rng) for _ in range(rng.randint(1, 4))]
@@ -258,7 +258,7 @@ def test_matrix_units_diagonal_sums_to_one():
     for spec in genutil.system_specs():
         S = genutil.valid_system(spec)
         e = oracles.matrix_units(S)
-        diag = cp.zero(spec)
+        diag = oracles.zero(spec)
         for (t, k, i, j), el in e.items():
             if i == j:
                 diag = cp.add(diag, el)
@@ -413,6 +413,57 @@ def uhat_only_pair():
     return S, S2
 
 
+def crossed_pair():
+    """A pair on finite_cycle(4) on which proof_unitaries returns and the
+    suite fails pt_commutes and rt_central: S has the towers ({0}, 2)
+    and ({2}, 2), and S2, based on their top images {2} and {0}, the
+    towers ({1}, 2) and ({3}, 2), so u2 = v2* u swaps the leading towers
+    of S."""
+    spec = space.finite_cycle(4)
+    p = [space.finite_cycle_set(spec, [i]) for i in range(4)]
+    S = towers.ReturnSystem(spec, (p[0], p[2]), (
+        (towers.Tower(p[0], 2),), (towers.Tower(p[2], 2),)
+    ))
+    S2 = towers.ReturnSystem(spec, (p[2], p[0]), (
+        (towers.Tower(p[1], 2),), (towers.Tower(p[3], 2),)
+    ))
+    return S, S2
+
+
+# the report of crossed_pair, as json.dumps(..., sort_keys=True) writes it
+CROSSED_REPORT = (
+    '{"entries": [{"name": "matrix_unit_relations", "pass": true, '
+    '"witness": null}, {"name": "diagonal_units_sum_to_one", "pass": true, '
+    '"witness": null}, {"name": "v1_moves", "pass": true, "witness": null}, '
+    '{"name": "v1_wrap", "pass": true, "witness": null}, '
+    '{"name": "v2v1_conjugates_base", "pass": false, "witness": {"terms": '
+    '[{"coeff": [{"im": 0.0, "re": 1.0, "set": {"points": [0]}}, '
+    '{"im": 0.0, "re": -1.0, "set": {"points": [2]}}], "n": 0}]}}, '
+    '{"name": "v2v1_fixes_core", "pass": true, "witness": null}, '
+    '{"name": "uhat_unitary", "pass": true, "witness": null}, '
+    '{"name": "uhat_commutes_with_units", "pass": true, "witness": null}, '
+    '{"name": "u2_recovery", "pass": false, "witness": {"terms": '
+    '[{"coeff": [{"im": 0.0, "re": 1.0, "set": {"points": [0, 2]}}], '
+    '"n": 0}, {"coeff": [{"im": 0.0, "re": -1.0, "set": {"points": '
+    '[0, 2]}}], "n": 2}]}}, {"name": "pt_commutes", "pass": false, '
+    '"witness": {"terms": [{"coeff": [{"im": 0.0, "re": -1.0, "set": '
+    '{"points": [0]}}, {"im": 0.0, "re": 1.0, "set": {"points": [2]}}], '
+    '"n": 2}]}}, {"name": "rt_central", "pass": false, "witness": '
+    '{"terms": [{"coeff": [{"im": 0.0, "re": -1.0, "set": {"points": '
+    '[1]}}, {"im": 0.0, "re": 1.0, "set": {"points": [3]}}], "n": 1}]}}], '
+    '"ok": false}'
+)
+
+
+def test_crossed_pair_report():
+    S, S2 = crossed_pair()
+    rep = cp.identity_suite(S, S2)
+    assert [n for n, p, _ in rep.entries if not p] == [
+        "v2v1_conjugates_base", "u2_recovery", "pt_commutes", "rt_central"
+    ]
+    assert json.dumps(rep.to_dict(), sort_keys=True) == CROSSED_REPORT
+
+
 def _second_system(S):
     """A system that passes check_pair with S: the first-return towers
     over the images h^J(Y) of the leading slices of S, or, where those
@@ -439,8 +490,8 @@ def _lemma_cases():
     and the proof_unitaries of the pair (None where it raises
     InvalidSystem).  The pairs: valid systems and their single-field
     mutants, each with _second_system, adapted pairs from random
-    partitions, random cycle pairs, the pairs of failing_suites.json and
-    uhat_only_pair.  The all-pairs oracle is
+    partitions, random cycle pairs, the pairs of failing_suites.json,
+    uhat_only_pair and crossed_pair.  The all-pairs oracle is
     quadratic in the units, so past the valid systems it runs on those
     of at most 50 units."""
     rng = random.Random(83)
@@ -458,7 +509,7 @@ def _lemma_cases():
             pairs.append(tuple(
                 oracles.system_from_dict(spec, case[k]) for k in ("S", "S2")
             ))
-    pairs.append(uhat_only_pair())
+    pairs += [uhat_only_pair(), crossed_pair()]
     cases = []
     for S, S2 in pairs:
         units = oracles.matrix_units(S)
@@ -488,7 +539,7 @@ def test_unit_relations_match_all_pairs_oracle():
         if pe is None:
             continue
         returned += 1
-        diag = cp.add(cp.zero(spec), *(
+        diag = cp.add(oracles.zero(spec), *(
             e for (_, _, i, j), e in units.items() if i == j
         ))
         assert diag == cp.one(spec)
@@ -514,9 +565,96 @@ def test_uhat_generators_match_all_units():
             continue
         returned += 1
         families.add(S.spec)
-        assert _uhat_entry_over_all_units(S, cp._uhat(S, pe.u2))[1]
+        assert _uhat_entry_over_all_units(S, oracles.uhat(S, pe.u2))[1]
     assert families >= set(genutil.system_specs())
     assert returned >= 10
+
+
+def _uhat_entries(S, u2):
+    """u2_recovery and pt_commutes formed through oracles.uhat: the
+    recovered element is left uhat right plus chi of X minus the
+    leading tops, with left and right the sums of the e_(J-1,0) and of
+    the e_(0,J-1) of the leading towers, and pt_commutes runs over both
+    u2 and uhat.  identity_suite's lemma reads both off u2 alone."""
+    spec = S.spec
+    leads = [ts[0] for ts in S.towers]
+    uhat = oracles.uhat(S, u2)
+    left = cp.add(oracles.zero(spec), *(
+        oracles.unit(spec, c, c.J - 1, 0) for c in leads
+    ))
+    right = cp.add(oracles.zero(spec), *(
+        oracles.unit(spec, c, 0, c.J - 1) for c in leads
+    ))
+    tops = space.union(space.empty_set(spec), *(
+        space.apply_h(c.Y, c.J - 1) for c in leads
+    ))
+    recovered = cp.add(cp.multiply(cp.multiply(left, uhat), right),
+                       cp.char(space.complement(tops)))
+    projections = [
+        cp.char(space.union(space.empty_set(spec), *(
+            space.apply_h(c.Y, j) for j in range(c.J)
+        )))
+        for c in leads
+    ]
+    return [
+        cp._entry("u2_recovery", [(recovered, u2)]),
+        cp._entry("pt_commutes", (
+            (cp.multiply(p, x), cp.multiply(x, p))
+            for p in projections
+            for x in (u2, uhat)
+        )),
+    ]
+
+
+def test_uhat_entries_match_oracle():
+    """On every pair of _lemma_cases where proof_unitaries returns, the
+    suite's u2_recovery and pt_commutes, read off u2, have the JSON text
+    of the entries formed through uhat (JSON, unlike ==, tells 1-0j from
+    1+0j in a witness).  Both entries fail on some pair."""
+    failed = set()
+    returned = 0
+    for S, S2, _, _, pe in _lemma_cases():
+        if pe is None:
+            continue
+        returned += 1
+        entries = {e[0]: e for e in cp.identity_suite(S, S2).entries}
+        for want in _uhat_entries(S, pe.u2):
+            got = entries[want[0]]
+            assert json.dumps(cp.SuiteReport((got,)).to_dict()) == json.dumps(
+                cp.SuiteReport((want,)).to_dict()
+            )
+            if not got[1]:
+                failed.add(got[0])
+    assert failed == {"u2_recovery", "pt_commutes"}
+    assert returned >= 10
+
+
+def test_identity_suite_products_do_not_grow_with_height(monkeypatch):
+    """identity_suite forms as many products on the base-2 odometer's
+    adapted pair at depth 9, N 3, as at depth 6: one base whose leading
+    tower has height 512 and 64.  The 10 are u2 in proof_unitaries,
+    w = v2 v1*, two for the base, one for the core, one for the
+    recovery, two for p_t and two for r_t."""
+    pairs = [
+        towers.adapted_system_pair(
+            ODO, list(space.generating_partition(ODO, depth)), 3
+        )
+        for depth in (6, 9)
+    ]
+    assert [[c.J for c in S.towers[0]] for S, _ in pairs] == [[64], [512]]
+    calls = []
+
+    def counted(*args, f=cp.multiply):
+        calls.append(args)
+        return f(*args)
+
+    monkeypatch.setattr(cp, "multiply", counted)
+    counts = []
+    for S, S2 in pairs:
+        calls.clear()
+        assert cp.identity_suite(S, S2).ok
+        counts.append(len(calls))
+    assert counts == [10, 10]
 
 
 def _first_not_unitary(S, S2):
@@ -527,7 +665,7 @@ def _first_not_unitary(S, S2):
     if not oracles.is_unitary(v2):
         return "v2"
     u2 = cp.multiply(cp.adjoint(v2), cp.shift_unitary(S.spec))
-    if not oracles.is_unitary(cp._uhat(S, u2)):
+    if not oracles.is_unitary(oracles.uhat(S, u2)):
         return "uhat"
     return None
 
@@ -625,7 +763,7 @@ def test_proof_unitaries_shift():
     S, S2 = shift_pair()
     pe = cp.proof_unitaries(S, S2)
     u1 = cp.multiply(cp.adjoint(pe.v1), cp.shift_unitary(SHIFT))
-    for el in (pe.v1, u1, pe.v2, pe.u2, cp._uhat(S, pe.u2)):
+    for el in (pe.v1, u1, pe.v2, pe.u2, oracles.uhat(S, pe.u2)):
         assert oracles.is_unitary(el)
     # Y is the union of the two endpoints of the window
     assert S.T == 1
@@ -657,7 +795,7 @@ def test_u1_and_u2_are_unitary_when_v1_and_v2_are():
             "u1": cp.multiply(cp.adjoint(v1), u),
             "v2": v2,
             "u2": u2,
-            "uhat": cp._uhat(S, u2),
+            "uhat": oracles.uhat(S, u2),
         }
         try:
             pe = cp.proof_unitaries(S, S2)

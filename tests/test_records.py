@@ -61,11 +61,11 @@ def sample_values():
         towers.adapted_system_pair(SHIFT, [U, space.complement(U)], 2),
     ):
         proof = cp.proof_unitaries(S, S2)
-        out += [S2, proof, proof.v1, cp._uhat(S, proof.u2)]
+        out += [S2, proof, proof.v1, oracles.uhat(S, proof.u2)]
         out += [cp.identity_suite(S, S2), cp.approximant(S, S2)]
         out += list(oracles.matrix_units(S).values())[:3]
     element = cp.cp_element(SHIFT, {1: [(2, space.shift_set(SHIFT, [0, 1]))]})
-    out += [element, cp.one(SHIFT), cp.zero(ODO)]
+    out += [element, cp.one(SHIFT), oracles.zero(ODO)]
     # a NaN field equals itself only as the same object, as in a tuple
     nan = math.nan
     for norm in (nan, nan, float("nan")):
@@ -158,6 +158,11 @@ def test_defaults_and_checks():
         space.finite_cycle(3, size=3)
     with pytest.raises(TypeError):
         towers.Tower(space.empty_set(ODO), 1, 2)
+    # Lemma 1 of proof_unitaries assumes J >= 1: the tower (X, 0) of
+    # finite_cycle(1) has no levels
+    for J in (0, -1):
+        with pytest.raises(ValueError, match="return time must be at least 1"):
+            towers.Tower(space.whole_space(space.finite_cycle(1)), J)
 
 
 def test_keyword_and_positional_construction_agree():
