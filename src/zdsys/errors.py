@@ -42,14 +42,6 @@ class InvalidSystem(ZdsysError):
     """A return system failed validation where a valid one is required."""
 
 
-class ConstructionFailed(ZdsysError):
-    """An adapted-pair construction violated one of its postconditions."""
-
-    def __init__(self, message, postcondition=None):
-        super().__init__(message)
-        self.postcondition = postcondition
-
-
 class IncompatiblePair(ZdsysError):
     """The second system's bases are not the images of the first towers."""
 

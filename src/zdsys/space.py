@@ -268,13 +268,14 @@ class SystemSpec(Record):
 
     def adapted_bases(self, P, N):
         """Disjoint bases of an adapted pair for the partition P and
-        length N, meeting the known minimal set of every fiber."""
+        length N.  Each family's docstring proves its part of the lemma
+        of towers.adapted_system_pair: with S built on these bases and
+        S2 on the top images of its leading slices, (i) every level of
+        S lies in one cell of P, (ii) every level of S2 lies in one cell
+        of h(R), R the slices of S plus X - bases, and (iii) a, b and d
+        hold.  The known minimal set of a fiber, which a reads, is the
+        whole fiber unless the family says otherwise."""
         raise InvalidSystem("family has no adapted construction")
-
-    def minimal_witness_ok(self, X_t, Y):
-        """Does Y meet the known minimal set of every fiber that X_t
-        meets?  Here the minimal set is the whole space."""
-        return not is_empty(Y)
 
     def singleton(self, p):
         """The set {p}."""
@@ -357,6 +358,10 @@ class FiniteCycle(SystemSpec):
         return 0
 
     def adapted_bases(self, P, N):
+        """The base {0}.  Its one tower is ({0}, M), so every level is a
+        point, inside one cell of P (i) and of h(R) (ii), and S2 = S, as
+        h^M fixes 0.  a: the slice is not empty.  b: h^n({0}) is a
+        point.  d: the hat base is empty."""
         return [self.make([0])]
 
     def singleton(self, p):
@@ -554,6 +559,13 @@ class Odometer(SystemSpec):
         return ((), (0,))
 
     def adapted_bases(self, P, N):
+        """The cylinder 0^L, where L is at least the level of every cell
+        of P and b^L > N.  Its one tower has height b^L, and its levels
+        are the level-L cylinders.  Every cell of P is a union of those,
+        so each level lies in one cell (i).  h^(b^L) fixes 0^L, so
+        S2 = S, and the cells of h(R) are unions of level-L cylinders
+        too (ii).  a: the slice is not empty.  b: h^n(0^L) is a level
+        for n < N < b^L.  d: the hat base is empty."""
         L = max([1] + [c.data[0] for c in P])
         while self.base**L <= N:
             L += 1
@@ -682,17 +694,22 @@ class CompactifiedShift(SystemSpec):
         return INF
 
     def adapted_bases(self, P, N):
+        """Let U = X - F_U be the cell of P that holds inf, lo = min F_U
+        and b = max F_U + 1 (0 and 1 when F_U is empty).  The base is
+        X - [a+1, b-1] with a = min(lo - N, b - N - 2).  Its towers are
+        (X - [a, b-1], 1) and ({a}, b - a); their levels that are not
+        points lie in U, as F_U lies in [a+1, b-1] (i).  S2 has the
+        towers (X - [a, b], 1) and ({a}, b - a + 1); their levels that
+        are not points lie in X - [a+1, b], a cell of h(R) (ii).  a: the
+        known minimal set is {inf}, which the leading slice holds.  b:
+        h^n(base) = X - [a+1+n, b-1+n] lies in U for n < N, as
+        a + N <= lo.  d: the hat base is {a, b}, and b - a >= N + 2, so
+        its iterates 0..N are disjoint."""
         U = next(c for c in P if contains_point(c, INF))
         lo, bits, _ = U.data
         b = lo + max(bits.bit_length(), 1)  # max F + 1, or 1 when F is empty
         a = min(lo - N, b - (N + 2))
         return [self.make(range(a + 1, b), cofinite=True)]
-
-    def minimal_witness_ok(self, X_t, Y):
-        """The minimal set is {inf}."""
-        if contains_point(X_t, INF):
-            return contains_point(Y, INF)
-        return not is_empty(Y)
 
     def singleton(self, p):
         return self.make([p])
@@ -844,9 +861,6 @@ class QuotientProduct(SystemSpec):
             return sl[k]
         return whole_space(self.fiber) if d[0] else empty_set(self.fiber)
 
-    def window(self, d):
-        return sorted(k for k, _ in d[1])
-
     # complement and h^n act slice by slice.  Each is a bijection of the
     # fiber's sets that fixes the empty set and the whole fiber (h^n) or
     # swaps them (complement), so a slice differs from the old tail
@@ -980,6 +994,17 @@ class QuotientProduct(SystemSpec):
         return (k, self.fiber.base_witness(s))
 
     def adapted_bases(self, P, N):
+        """The tail base, the fibers off the window of P plus inf, then
+        over each window slice k its fiber's construction for P_k, the
+        nonempty slices at k of the cells of P.  h keeps every point in
+        its slice and fixes inf, so each part below holds slice by
+        slice.  The tail base lies in the one cell of P with the tail
+        flag, and its one tower is (tail base, 1): that level lies in
+        the cell (i) and is a cell of h(R) (ii); its leading slice is the
+        whole base (a); h fixes it (b); its hat base is empty (d).  Over
+        k, the cells of P and of h(R) cut the slice into those of P_k
+        and of the fiber's h(R), so the fiber's (i), (ii), a, b and d
+        give the quotient's."""
         window = sorted({k for c in P for k, _ in c.data[1]})
 
         def fiber_bases(k):
@@ -987,21 +1012,6 @@ class QuotientProduct(SystemSpec):
             return self.fiber.adapted_bases(Pk, N)
 
         return self._bases_over(window, fiber_bases)
-
-    def minimal_witness_ok(self, X_t, Y):
-        """The minimal sets are {inf} and those of the fibers."""
-        if contains_point(X_t, INF) and not contains_point(Y, INF):
-            return False
-        keys = set(self.window(X_t.data)) | set(self.window(Y.data))
-        if X_t.data[0]:
-            keys.add(max((abs(k) for k in keys), default=0) + 1)
-        for k in keys:
-            Xk = self.slice(X_t.data, k)
-            if is_empty(Xk):
-                continue
-            if not self.fiber.minimal_witness_ok(Xk, self.slice(Y.data, k)):
-                return False
-        return True
 
     def singleton(self, p):
         k, fp = p

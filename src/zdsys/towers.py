@@ -10,22 +10,15 @@ after exactly J_{t,k} steps.  The tower levels h^j(Y_{t,k}) for
 from __future__ import annotations
 
 from . import space
-from .errors import (
-    ConstructionFailed,
-    MaxStepsExceeded,
-    NotSubordinate,
-    SaturationFailure,
-)
+from .errors import MaxStepsExceeded, NotSubordinate, SaturationFailure
 from .space import (
     ClopenSet,
     Record,
     SystemSpec,
     apply_h,
     common_refinement,
-    complement,
     difference,
     disjoint_union,
-    empty_set,
     generating_partition,
     intersect,
     is_empty,
@@ -33,7 +26,6 @@ from .space import (
     partition_witness,
     set_scale,
     sort_key,
-    union,
 )
 
 
@@ -65,9 +57,6 @@ class ReturnSystem(Record):
     @property
     def T(self):
         return len(self.bases)
-
-    def base_union(self):
-        return union(empty_set(self.spec), *self.bases)
 
 
 class ValidationReport(Record):
@@ -190,33 +179,6 @@ def build_from_bases(bases, P, max_steps=None):
     return S
 
 
-def refine_system(S, P_target):
-    """Split every tower slice Y into the nonempty sets
-    Y & h^0(U_0) & ... & h^-J(U_J) with each U_j in the partition
-    P_target, so that all its levels h^j(Y), j = 0..J, land inside single
-    elements of P_target.  Bases and return times are unchanged.
-    The pieces are carried up each tower: the cells of Y by P_target,
-    then of h(W) for each piece W, up to level J.
-    Lemma: h(h^j(V)) & U = h^(j+1)(V & h^-(j+1)(U)), so by induction
-    the top pieces are h^J of the sets above; canonical forms are
-    unique and _sorted_towers fixes the order."""
-    if not is_partition(list(P_target)):
-        raise ValueError("P_target must be a partition")
-
-    def split(c):
-        pieces = common_refinement((c.Y,), P_target)
-        for _ in range(c.J):
-            pieces = common_refinement([apply_h(W, 1) for W in pieces],
-                                       P_target)
-        return [Tower(apply_h(W, -c.J), c.J) for W in pieces]
-
-    new_towers = tuple(
-        _sorted_towers(piece for c in towers for piece in split(c))
-        for towers in S.towers
-    )
-    return ReturnSystem(S.spec, S.bases, new_towers)
-
-
 # ---------------------------------------------------------------------------
 # fiberwise check
 # ---------------------------------------------------------------------------
@@ -255,51 +217,35 @@ def check_fiberwise(spec, depth, max_steps=None):
 
 def adapted_system_pair(spec, P, N, max_steps=None):
     """A pair (S, S2) of return systems subordinate to P, suitable for
-    length-N approximation: the levels of both refine P, the first N
-    iterates of X_t minus its fixed core stay pairwise disjoint, and S2
-    is based on the images h^{J_{t,1}}(Y_{t,1}) with levels refining both
-    level partitions of S.
+    length-N approximation: S is built on spec.adapted_bases(P, N), and
+    S2 on the images h^{J_{t,1}}(Y_{t,1}) of the leading slices of S.
 
-    Postconditions a, b and d are checked.  c and e hold by construction,
-    with P1 = tower_levels(S) and P2 = h(P1) the level partitions of S:
-    refine_system(., Q) puts each level j = 0..J in one cell of Q.  S is
-    refined by P, so P1 and P2 refine P (c).  S2 is refined by h(R), R
-    the slices of S plus X - bases; by the third lemma that gives the
-    system that refining by P2 gives, whose lower levels refine P1 and P2
-    (e), by the first lemma with Q = P1.
-
-    Lemma: for a partition Q and a set W, h^j(W) lies in one cell of
-    Q & h(Q) for j = 0..J-1 iff h^i(W) lies in one cell of h(Q) for
-    i = 0..J.  Q and h(Q) are partitions, so a set lies in one cell of
-    Q & h(Q) iff it lies in one cell of each.  h^j(W) lies in U in Q iff
-    h^(j+1)(W) lies in h(U) in h(Q).  So the constraints on the left are
-    h^(j+1)(W) and h^j(W) in h(Q) for j = 0..J-1: those on the right.
-    The pieces of refine_system are the atoms of the join of the
-    constraints pulled back to Y; canonical forms are unique and
-    _sorted_towers fixes the order.  So refining by P2 over the levels
-    0..J gives, element for element, the system that refining by
-    common_refinement(P1, P2) over the levels 0..J-1 gives.
-
-    Lemma: that system is also the one that refining by P1 alone over
-    the levels 0..J-1 gives.  A slice Y2 of S2 lies in S2's base
-    h^{J_{t,1}}(Y_{t,1}), so h^-1(Y2) lies in one cell of P1, the top
-    level h^{J_{t,1}-1}(Y_{t,1}) of S's leading tower.  Every part of Y2
-    then lies in one cell of h(P1), so level 0 constrains nothing, and
-    h^i(W) lies in h(U) iff h^(i-1)(W) lies in U.  So refining by h(P1)
-    over the levels 0..J is refining by P1 over the levels 0..J-1.
-
-    Lemma: refining by h(R) over the levels 0..J gives that system too,
-    where R is the slices of S plus X - bases when that is nonempty.  R
-    is a partition whose cells are unions of levels of S: a slice is a
-    level 0, and by condition e the levels 1..J-1 make up X - bases.
-    Let a part W of Y2 have h^i(W) in one level of S.  If that level is
-    not a top, h^(i+1)(W) lies in the next level, inside one cell of P1
-    and one of R, so neither splits it.  If it is the top of a tower
-    over X_t, h^(i+1)(W) lies in X_t, whose cells in P1 and in R are
-    the same: its slices.  So P1 and R split the parts alike at each
-    step, from h^-1(Y2), which lies in one level by the lemma above, up
-    to h^(J-1); by h, that is refining by h(P1) and by h(R) over the
-    levels 0..J."""
+    Lemma: for every partition P and N >= 1,
+    (i) every level of S lies in one cell of P;
+    (ii) every level of S2 lies in one cell of h(R), where R is the
+    slices of S plus X - bases when that is nonempty;
+    (iii) postconditions a, b and d hold:
+    a: each leading slice Y_{t,1} meets the known minimal set of every
+    fiber that X_t meets;
+    b: h^n(X_t) lies in one cell of P for n = 0..N-1;
+    d: the nonempty sets h^i(hat_base(S, t)), i = 0..N, over all t, are
+    pairwise disjoint.
+    Each family proves its part in its adapted_bases docstring.  Level J
+    of a tower, h^J(Y), lies in its base.  The bases of S lie in cells of
+    P, as build_from_bases checks.  The base of S2 over t is h of the top
+    level of the leading tower of S over t, and that level is its slice
+    (J = 1) or lies in X - bases, one cell of R.  So every level
+    j = 0..J of S (of S2) lies in one cell of P (of h(R)), and refining
+    S by P and S2 by h(R) changes neither.
+    Conditions c and e follow.  c: the levels P1 of S refine P by (i),
+    and so do P2 = h(P1), as h sends a level to the next one or, from a
+    top, into a base, which lies in one cell of P.  e: let Y2 be a slice
+    of S2 over t, so h^-1(Y2) lies in the top level of the leading tower
+    of S over t.  If h^(i-1)(Y2) lies in a level L of S, h^i(Y2) lies in
+    the level after L, or, when L is a top, in a base X_s and, by (ii)
+    at level i+1, in one cell of R, which inside X_s is a slice.  So
+    h^i(Y2) lies in one level of S for i = -1..J-1, and the levels
+    0..J-1 of S2 refine P1 and, by h, P2."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if not is_partition(list(P)):
@@ -307,35 +253,9 @@ def adapted_system_pair(spec, P, N, max_steps=None):
     bases = spec.adapted_bases(P, N)
     if max_steps is None:
         max_steps = default_max_steps(list(bases) + list(P)) + 20 * N
-    S = refine_system(build_from_bases(bases, P, max_steps), P)
-
+    S = build_from_bases(bases, P, max_steps)
     bases2 = [apply_h(towers[0].Y, towers[0].J) for towers in S.towers]
-    R = [c.Y for towers in S.towers for c in towers]
-    rest = complement(S.base_union())
-    if not is_empty(rest):
-        R.append(rest)
-    S2 = refine_system(build_from_bases(bases2, P, max_steps),
-                       [apply_h(U, 1) for U in R])
-
-    for t, towers in enumerate(S.towers):
-        if not spec.minimal_witness_ok(S.bases[t], towers[0].Y):
-            raise ConstructionFailed(
-                "leading slice misses a fiber minimal set", postcondition="a"
-            )
-    images = [apply_h(X_t, n) for X_t in S.bases for n in range(N)]
-    if common_refinement(images, P) != tuple(images):
-        raise ConstructionFailed(
-            "iterate of a base straddles the partition", postcondition="b"
-        )
-    hats = [hat_base(S, t) for t in range(S.T)]
-    iters = [
-        apply_h(X, i) for X in hats for i in range(N + 1) if not is_empty(X)
-    ]
-    if disjoint_union(S.spec, iters)[1] is not None:
-        raise ConstructionFailed(
-            "iterates of the reduced bases overlap", postcondition="d"
-        )
-    return S, S2
+    return S, build_from_bases(bases2, P, max_steps)
 
 
 def hat_base(S, t):

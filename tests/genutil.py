@@ -257,7 +257,7 @@ def level_partitions(S):
 def subordinating_partition(S):
     """A partition that S is subordinate to: bases plus the rest split
     into the tower levels not inside any base."""
-    rest = space.complement(S.base_union())
+    rest = space.complement(space.union(space.empty_set(S.spec), *S.bases))
     out = list(S.bases)
     if not space.is_empty(rest):
         out.append(rest)

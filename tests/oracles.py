@@ -10,7 +10,8 @@ that this module imports without it.
 
 The last section is the exception: the checkers and round trips of
 return systems and crossed-product elements that only the tests call
-(validate_system, finer_system_criterion, system_from_dict, from_dict,
+(validate_system, finer_system_criterion, refine_system,
+meets_minimal_sets, adapted_pair_failures, system_from_dict, from_dict,
 zero, unit, matrix_units, uhat, fiber_restrict, has_exact_scalars and
 is_unitary).  They are built on the package's set operations, so they
 check structure, not the set algebra.
@@ -946,11 +947,90 @@ def finer_system_criterion(S, S2):
     """True iff every tower slice of S2 is contained in a tower slice of S.
     Requires the two systems to have the same union of bases.  The slices
     of S are pairwise disjoint, as the bases are and slices tile each base."""
-    if S.base_union() != S2.base_union():
+    empty = space.empty_set(S.spec)
+    if space.union(empty, *S.bases) != space.union(empty, *S2.bases):
         raise BaseMismatch("systems have different base unions")
     slices = [c.Y for tws in S.towers for c in tws]
     pieces = [c.Y for tws in S2.towers for c in tws]
     return space.common_refinement(pieces, slices) == tuple(pieces)
+
+
+def refine_system(S, P_target):
+    """Split every tower slice Y into the nonempty sets
+    Y & h^0(U_0) & ... & h^-J(U_J) with each U_j in the partition
+    P_target, so that all its levels h^j(Y), j = 0..J, land inside single
+    elements of P_target.  Bases and return times are unchanged.
+    The pieces are carried up each tower: the cells of Y by P_target,
+    then of h(W) for each piece W, up to level J.
+    Lemma: h(h^j(V)) & U = h^(j+1)(V & h^-(j+1)(U)), so by induction
+    the top pieces are h^J of the sets above; canonical forms are
+    unique and _sorted_towers fixes the order.  The lemma of
+    towers.adapted_system_pair says that refining its S by P and its S2
+    by h(R) changes neither."""
+    if not space.is_partition(list(P_target)):
+        raise ValueError("P_target must be a partition")
+
+    def split(c):
+        pieces = space.common_refinement((c.Y,), P_target)
+        for _ in range(c.J):
+            pieces = space.common_refinement(
+                [space.apply_h(W, 1) for W in pieces], P_target
+            )
+        return [towers.Tower(space.apply_h(W, -c.J), c.J) for W in pieces]
+
+    new_towers = tuple(
+        towers._sorted_towers(piece for c in tws for piece in split(c))
+        for tws in S.towers
+    )
+    return towers.ReturnSystem(S.spec, S.bases, new_towers)
+
+
+def meets_minimal_sets(X_t, Y):
+    """Does Y meet the known minimal set of every fiber that X_t meets?
+    That set is {inf} on the compactified shift, {inf} and the fibers'
+    own on a quotient, and the whole space elsewhere."""
+    spec = X_t.spec
+    if spec.family == space.COMPACTIFIED_SHIFT and space.contains_point(
+        X_t, space.INF
+    ):
+        return space.contains_point(Y, space.INF)
+    if spec.family != space.QUOTIENT_PRODUCT:
+        return not space.is_empty(Y)
+    if space.contains_point(X_t, space.INF) and not space.contains_point(
+        Y, space.INF
+    ):
+        return False
+    keys = {k for k, _ in X_t.data[1]} | {k for k, _ in Y.data[1]}
+    if X_t.data[0]:  # one fiber off the stored slices
+        keys.add(max((abs(k) for k in keys), default=0) + 1)
+    return all(
+        meets_minimal_sets(spec.slice(X_t.data, k), spec.slice(Y.data, k))
+        for k in keys
+        if not space.is_empty(spec.slice(X_t.data, k))
+    )
+
+
+def adapted_pair_failures(S, P, N):
+    """The postconditions among a, b and d of towers.adapted_system_pair
+    that its first system S fails for the partition P and length N, by
+    brute force.  a: every leading slice meets the known minimal set of
+    every fiber that its base meets.  b: h^n(X_t) lies in one cell of P
+    for n = 0..N-1.  d: the nonempty iterates h^i of the hat bases,
+    i = 0..N, are pairwise disjoint."""
+    failed = []
+    if not all(meets_minimal_sets(X_t, tws[0].Y)
+               for X_t, tws in zip(S.bases, S.towers)):
+        failed.append("a")
+    images = [space.apply_h(X_t, n) for X_t in S.bases for n in range(N)]
+    if not is_finer(images, P, space):
+        failed.append("b")
+    hats = [towers.hat_base(S, t) for t in range(S.T)]
+    iters = [space.apply_h(X, i) for X in hats if not space.is_empty(X)
+             for i in range(N + 1)]
+    if any(not space.is_empty(space.intersect(A, B))
+           for A, B in combinations(iters, 2)):
+        failed.append("d")
+    return failed
 
 
 def system_from_dict(spec, d):

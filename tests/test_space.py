@@ -221,7 +221,7 @@ def test_quotient_canonical_drops_default_slices():
         tail=True,
     )
     # slice 0 equals the tail default and must not be stored
-    assert spec.window(a.data) == [1]
+    assert [k for k, _ in a.data[1]] == [1]
     assert space.contains_point(a, (0, ((), (0,))))
     assert space.contains_point(a, space.INF)
 

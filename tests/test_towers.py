@@ -227,7 +227,7 @@ def test_refine_system_example():
         space.shift_set(SHIFT, [7]),
         space.complement(space.shift_set(SHIFT, [7])),
     ]
-    S2 = towers.refine_system(S, target)
+    S2 = oracles.refine_system(S, target)
     assert S2.bases == S.bases
     assert sorted(c.J for c in S2.towers[0]) == [1, 1, 7]
     slices = [c.Y for c in S2.towers[0] if c.J == 1]
@@ -241,7 +241,7 @@ def test_refine_no_op_when_already_finer():
     U = genutil.cylinder(ODO, (0, 0))
     S = towers.build_from_bases([U], [space.whole_space(ODO)])
     P1, _ = genutil.level_partitions(S)
-    S2 = towers.refine_system(S, P1)
+    S2 = oracles.refine_system(S, P1)
     assert S2 == S
 
 
@@ -249,7 +249,7 @@ def test_refine_odometer_cylinder_split():
     U = genutil.cylinder(ODO, (0, 0))
     S = towers.build_from_bases([U], [space.whole_space(ODO)])
     target = space.generating_partition(ODO, 3)
-    S2 = towers.refine_system(S, list(target))
+    S2 = oracles.refine_system(S, list(target))
     assert [c.J for c in S2.towers[0]] == [4, 4]
     assert {c.Y for c in S2.towers[0]} == {
         genutil.cylinder(ODO, (0, 0, 0)),
@@ -265,7 +265,7 @@ def test_refinement_postconditions_randomized(spec):
     rng = random.Random(17)
     for _ in range(50):
         target = genutil.random_partition(spec, rng)
-        S2 = towers.refine_system(S, target)
+        S2 = oracles.refine_system(S, target)
         # same bases, valid, slices refine the original slices
         assert S2.bases == S.bases
         assert oracles.validate_system(S2, P).ok
@@ -281,8 +281,8 @@ def test_refinement_postconditions_randomized(spec):
 def refine_by_oracle(S, target, top=0):
     """The towers of refining S by target over the levels 0..J+top of
     each tower, with every slice split along each h^-j(U) in turn by the
-    all-pairs oracle.  top 0 gives refine_system; top -1 gives the
-    levels 0..J-1 of the left side of adapted_system_pair's lemma."""
+    all-pairs oracle.  top 0 gives refine_system; top -1 constrains
+    the levels 0..J-1 only."""
     out = []
     for tws in S.towers:
         classes = []
@@ -304,13 +304,13 @@ def test_refine_system_matches_refine_by_oracle(spec):
     targets = [P1, space.common_refinement(P1, P2)]
     targets += [genutil.random_partition(spec, rng) for _ in range(10)]
     for target in targets:
-        S2 = towers.refine_system(S, target)
+        S2 = oracles.refine_system(S, target)
         assert S2.towers == refine_by_oracle(S, target)
 
 
 def test_refining_by_h_of_q_is_refining_by_q_and_h_of_q_below_the_top():
-    # the lemma of adapted_system_pair: refining by h(Q) over the levels
-    # 0..J gives the system that refining by Q & h(Q) over 0..J-1 gives;
+    # refining by h(Q) over the levels 0..J gives the system that
+    # refining by Q & h(Q) over 0..J-1 gives;
     # Q alone over 0..J-1 differs at times, so the h(Q) half matters
     rng = random.Random(41)
     differs = 0
@@ -320,7 +320,7 @@ def test_refining_by_h_of_q_is_refining_by_q_and_h_of_q_below_the_top():
             Q = genutil.random_partition(spec, rng)
             hQ = [space.apply_h(U, 1) for U in Q]
             both = refine_by_oracle(S, space.common_refinement(Q, hQ), -1)
-            assert towers.refine_system(S, hQ).towers == both
+            assert oracles.refine_system(S, hQ).towers == both
             differs += refine_by_oracle(S, Q, -1) != both
     assert differs > 0
 
@@ -330,7 +330,7 @@ def test_refine_system_rejects_non_partition_target():
     seven = space.shift_set(SHIFT, [7])
     for target in ([seven], [seven, space.whole_space(SHIFT)], []):
         with pytest.raises(ValueError):
-            towers.refine_system(S, target)
+            oracles.refine_system(S, target)
 
 
 def inside_one_cell_oracle(sets, cells):
@@ -349,7 +349,7 @@ def test_finer_system_criterion_matches_oracle(spec):
     verdicts = set()
     for _ in range(12):
         target = genutil.random_partition(spec, rng, depth=3)
-        S2 = towers.refine_system(S, target)
+        S2 = oracles.refine_system(S, target)
         assert S2.bases == S.bases
         assert oracles.finer_system_criterion(S, S2)
         finer = oracles.finer_system_criterion(S2, S)
@@ -489,39 +489,63 @@ def test_adapted_pair_quotient():
     assert js == [1, 4, 4, 4, 4]
 
 
+def _lemma_partitions(spec, rng):
+    """Partitions for the lemma of adapted_system_pair: generating
+    partitions and random coarsenings, each also cut by a random set."""
+    out = [space.generating_partition(spec, depth) for depth in (1, 2, 3)]
+    out += [genutil.random_partition(spec, rng) for _ in range(2)]
+    for P in list(out):
+        A = genutil.random_set(spec, rng)
+        out.append(space.common_refinement(P, [A, space.complement(A)]))
+    return out
+
+
 def test_adapted_pair_postconditions_asserted():
-    # c and e hold by construction; check them, and d, by brute force,
-    # on every family with an adapted construction
+    # the lemma of adapted_system_pair, with the brute force as oracle:
+    # refining S by P and S2 by h(R) changes neither, a, b and d hold,
+    # and so do c and e; each P is also refined by the levels of its S,
+    # as approximant does from one depth to the next
+    rng = random.Random(23)
+    specs = genutil.system_specs() + [
+        space.odometer(3),
+        space.finite_cycle(1),
+        space.quotient_product(space.odometer(3)),
+    ]
     U = space.shift_set(SHIFT, range(1, 8), cofinite=True)
     P = [U] + [space.shift_set(SHIFT, [i]) for i in range(1, 8)]
     cases = [(SHIFT, P, N) for N in (1, 2, 4, 8)]
-    for spec in genutil.system_specs():
-        for N in (1, 3):
-            cases.append((spec, space.generating_partition(spec, 2), N))
+    for spec in specs:
+        for i, P in enumerate(_lemma_partitions(spec, rng)):
+            for N in (1, 3) if i % 2 else (2, 5):
+                cases.append((spec, P, N))
+    pairs = 0
     for spec, P, N in cases:
-        S, S2 = towers.adapted_system_pair(spec, P, N)
-        P1, P2 = genutil.level_partitions(S)
-        assert oracles.is_finer(P1, P, space)
-        assert oracles.is_finer(P2, P, space)
-        hats = [towers.hat_base(S, t) for t in range(S.T)]
-        pieces = [
-            space.apply_h(X, i)
-            for X in hats
-            for i in range(N + 1)
-            if not space.is_empty(X)
-        ]
-        for i, A in enumerate(pieces):
-            for B in pieces[i + 1 :]:
-                assert space.is_empty(space.intersect(A, B))
-        Q1, _ = genutil.level_partitions(S2)
-        assert oracles.is_finer(Q1, P1, space)
-        assert oracles.is_finer(Q1, P2, space)
+        for _ in range(2):
+            S, S2 = towers.adapted_system_pair(spec, P, N)
+            pairs += 1
+            rest = space.complement(
+                space.union(space.empty_set(spec), *S.bases)
+            )
+            R = [c.Y for tws in S.towers for c in tws]
+            if not space.is_empty(rest):
+                R.append(rest)
+            hR = [space.apply_h(X, 1) for X in R]
+            assert oracles.refine_system(S, P) == S, (spec, P, N)
+            assert oracles.refine_system(S2, hR) == S2, (spec, P, N)
+            assert oracles.adapted_pair_failures(S, P, N) == [], (spec, P, N)
+            # c follows from the first refinement; e, by one
+            # common_refinement per level partition
+            P1, P2 = genutil.level_partitions(S)
+            Q1, _ = genutil.level_partitions(S2)
+            assert space.common_refinement(Q1, P1) == Q1
+            assert space.common_refinement(Q1, P2) == Q1
+            P = space.common_refinement(P, P1)
+    assert pairs >= 300
 
 
 def _adapted_pairs():
-    """(S, S2, built) over every system spec, depths 1-3 and N in
-    {1, 2, 3, 8}: built is S2 before its refinement, the system on the
-    top images of S's leading towers."""
+    """(S, S2) over every system spec, depths 1-3 and N in
+    {1, 2, 3, 8}."""
     for spec in genutil.system_specs():
         for depth in (1, 2, 3):
             P = space.generating_partition(spec, depth)
@@ -531,25 +555,23 @@ def _adapted_pairs():
                     space.apply_h(tws[0].Y, tws[0].J) for tws in S.towers
                 ]
                 assert S2.bases == tuple(bases2)
-                steps = towers.default_max_steps(list(S.bases) + list(P))
-                built = towers.build_from_bases(bases2, P, steps + 20 * N)
-                yield S, S2, built
+                yield S, S2
 
 
 def test_adapted_pair_matches_the_common_refinement_construction():
-    # S2, refined by P2 over the levels 0..J, is the system that
-    # refining by common_refinement(P1, P2) over the levels 0..J-1 gives,
+    # e of the lemma of adapted_system_pair: refining S2 by
+    # common_refinement(P1, P2) over the levels 0..J-1 changes nothing,
     # by the oracle
-    for S, S2, built in _adapted_pairs():
+    for S, S2 in _adapted_pairs():
         R = space.common_refinement(*genutil.level_partitions(S))
-        assert S2.towers == refine_by_oracle(built, R, -1), S.spec
+        assert S2.towers == refine_by_oracle(S2, R, -1), S.spec
 
 
 def test_adapted_pair_is_refined_by_p1_below_the_top():
-    # the second lemma of adapted_system_pair: h^-1 of each slice of S2
-    # lies in one level of S, the top of a leading tower, so refining
-    # by P1 over the levels 0..J-1 gives S2 as well
-    for S, S2, built in _adapted_pairs():
+    # h^-1 of each slice of S2 lies in one level of S, the top of a
+    # leading tower, and refining S2 by P1 over the levels 0..J-1
+    # changes nothing
+    for S, S2 in _adapted_pairs():
         P1, _ = genutil.level_partitions(S)
         for tws in S2.towers:
             for c in tws:
@@ -559,17 +581,15 @@ def test_adapted_pair_is_refined_by_p1_below_the_top():
                     if not space.is_empty(space.intersect(pre, L))
                 ]
                 assert len(met) == 1
-        assert S2.towers == refine_by_oracle(built, P1, -1), S.spec
+        assert S2.towers == refine_by_oracle(S2, P1, -1), S.spec
 
 
 def test_adapted_pair_target_is_h_of_the_slices_and_the_rest():
-    # the third lemma of adapted_system_pair: refining by h of S's slices
-    # and of X - bases gives the S2 that refining by h(P1) gives; the
-    # pairs include the quotient over the shift at depth 2, N 8, whose
-    # target shrinks most
-    for S, S2, built in _adapted_pairs():
+    # refining S2 by h(P1) over the levels 0..J changes nothing either;
+    # the pairs include the quotient over the shift at depth 2, N 8
+    for S, S2 in _adapted_pairs():
         P2 = [space.apply_h(L, 1) for L in towers.tower_levels(S)]
-        assert S2 == towers.refine_system(built, P2), S.spec
+        assert S2 == oracles.refine_system(S2, P2), S.spec
 
 
 def test_orbit_saturation_covers_samples():
