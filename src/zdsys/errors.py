@@ -62,8 +62,7 @@ class DegenerateEigenbasis(ZdsysError):
 
 class NoConvergence(ZdsysError):
     """A numeric routine could not produce its result: the matrix has a
-    NaN or infinite entry, or one-sided Jacobi did not converge within
-    its sweep cap."""
+    NaN or infinite entry."""
 
 
 class PartitionFailure(ZdsysError):

@@ -14,8 +14,8 @@ everything here is computed in pure Python.  The corner unitary that
 `berg` takes a root of permutes the points of Y, and the root of a
 permutation is explicit on each of its cycles; no other unitary is
 accepted.  The matrices that it takes norms of split into independent
-blocks.  A block with at most two rows or two columns has a closed-form
-norm, and a larger one goes through one-sided Jacobi.
+blocks of at most two rows and two columns (Lemma 2 of
+operator_norm), and each block has a closed-form norm.
 """
 
 from __future__ import annotations
@@ -171,28 +171,25 @@ def _block_norm(block):
     cols = {j for (_, j), _ in block}
     if len(rows) == 1 or len(cols) == 1:
         return math.hypot(*[x for _, c in block for x in (c.real, c.imag)])
-    # the lines of the block's shorter side, its rows or its columns; the
-    # entries are scaled by a power of two, exactly, so no square
+    if len(rows) > 2 and len(cols) > 2:
+        raise ValueError("block has more than two rows and two columns")
+    # the two lines of the block's shorter side, its rows or its columns;
+    # the entries are scaled by a power of two, exactly, so no square
     # overflows
-    side = 0 if len(rows) <= len(cols) else 1
+    side = 0 if len(rows) == 2 else 1
     e = math.frexp(max(max(abs(c.real), abs(c.imag)) for _, c in block))[1]
     lines = {}
     for ij, c in block:
         lines.setdefault(ij[side], {})[ij[1 - side]] = complex(
             math.ldexp(c.real, -e), math.ldexp(c.imag, -e)
         )
-    lines = [lines[k] for k in sorted(lines)]
-    if len(lines) > 2:
-        return math.ldexp(_jacobi_norm(lines), e)
-    x, y = lines
+    x, y = (lines[k] for k in sorted(lines))
     g11 = sum(c.real * c.real + c.imag * c.imag for c in x.values())
     g22 = sum(c.real * c.real + c.imag * c.imag for c in y.values())
     g12 = abs(sum(c * y[k].conjugate() for k, c in x.items() if k in y))
     top = (g11 + g22) / 2 + math.hypot((g11 - g22) / 2, g12)
     return math.ldexp(math.sqrt(top), e)
 
-
-_JACOBI_SWEEPS = 30
 
 # Tolerances: unitary_nth_root accepts a root W when W^N - V has
 # Frobenius norm at most _ROOT_TOL; berg_verify ignores coefficients of
@@ -204,49 +201,10 @@ _COEFF_TOL = 1e-12
 _NORM_SLACK = 1e-9
 
 
-def _jacobi_norm(lines):
-    """Largest singular value of the matrix whose rows are the given
-    lines, dicts {index: value}, by one-sided Jacobi: rotate pairs of
-    rows until every pair is orthogonal to working precision; the norm
-    of the longest row is then the largest singular value."""
-    keys = sorted({k for line in lines for k in line})
-    vs = [[line.get(k, 0j) for k in keys] for line in lines]
-    tol = len(keys) * math.ulp(1.0)
-    for _ in range(_JACOBI_SWEEPS):
-        done = True
-        for p in range(len(vs)):
-            for q in range(p + 1, len(vs)):
-                x, y = vs[p], vs[q]
-                a = sum(c.real * c.real + c.imag * c.imag for c in x)
-                b = sum(c.real * c.real + c.imag * c.imag for c in y)
-                g = sum(c.conjugate() * d for c, d in zip(x, y))
-                if abs(g) <= tol * math.sqrt(a) * math.sqrt(b):
-                    continue
-                # x' = cos x - sin w* y and y' = sin w x + cos y, with
-                # w = g/|g| and tan the smaller root t of
-                # t^2 + 2 zeta t - 1, are orthogonal
-                done = False
-                zeta = (b - a) / (2 * abs(g))
-                t = math.copysign(1.0, zeta) / (
-                    abs(zeta) + math.hypot(1.0, zeta)
-                )
-                cos = 1 / math.hypot(1.0, t)
-                sin_w = cos * t * g / abs(g)
-                vs[p] = [cos * c - sin_w.conjugate() * d for c, d in zip(x, y)]
-                vs[q] = [sin_w * c + cos * d for c, d in zip(x, y)]
-        if done:
-            return math.sqrt(max(
-                sum(c.real * c.real + c.imag * c.imag for c in v) for v in vs
-            ))
-    raise NoConvergence(
-        "one-sided Jacobi did not converge in %d sweeps" % _JACOBI_SWEEPS
-    )
-
-
 def operator_norm(M):
     """Largest singular value of a SparseMatrix or a CompactMatrixRep.
 
-    Lemma: link row i and column j when entry [i, j] is nonzero, and
+    Lemma 1: link row i and column j when entry [i, j] is nonzero, and
     call the rows and columns of one connected component a block.  Up
     to a permutation of the rows and of the columns, M is the direct
     sum of its blocks and of a zero matrix, so M*M is the direct sum of
@@ -260,21 +218,43 @@ def operator_norm(M):
       (g11 + g22)/2 + hypot((g11 - g22)/2, |g12|).  Both terms are
       non-negative, so nothing cancels, also where the two singular
       values agree.
-    - Any larger block goes through the one-sided Jacobi method of
-      Hestenes, "Inversion of matrices by biorthogonalization and
-      related results", J. SIAM 6 (1958), on the lines of its shorter
-      side.  Plane rotations make every pair of lines orthogonal, and
-      then the line norms are the singular values.  A pair counts as
-      orthogonal once |<x, y>| <= n eps |x| |y|, n the line length, and
-      at most _JACOBI_SWEEPS sweeps over all pairs are made.
+    - A block with three or more rows and three or more columns raises
+      ValueError, as berg_verify forms none, by Lemma 2.
 
     Past one line, the entries are scaled by a power of two, exactly,
     so no square overflows.  Each block's entries are read in window
     order, so a block's norm is a function of its values alone: a slice
     of a matrix and a matrix with the same nonzero block give the same
-    float.  A matrix with a NaN or infinite entry, or a block that
-    Jacobi leaves unconverged after the last sweep, raises
-    NoConvergence."""
+    float.  A matrix with a NaN or infinite entry raises NoConvergence.
+
+    Lemma 2: every block of the matrices whose norms berg_verify takes,
+    W - 1, d = u' - u and the cutdowns of d, has at most two rows and
+    two columns.  A fiber is the points (k, p) with one k, or inf, on a
+    quotient product, and X on the other families.  Every element here
+    is a sum of pieces c chi_E u^n, and h keeps each fiber, so no entry
+    couples two fibers.  By the adapted_bases docstrings, Y has at most
+    two points in each fiber, and Q = v1 v2* permutes the points of Y
+    and is 1 off Y.  By postcondition d of towers.adapted_system_pair,
+    the sets p_m = h^m(Y), 0 <= m <= N, are pairwise disjoint, and so
+    are p_-1, ..., p_(N-1).
+    - W - 1.  V = chi_Y Q* chi_Y permutes the points of Y in each fiber,
+      so its cycles have at most two points, and W and W - 1 have no
+      entry outside the squares of the cycles.
+    - d.  u' = z (v1 u2) z* = z Q u z*, as u2 = v2* u.  Q u sends p_m
+      onto p_(m+1) for -1 <= m < N, as Q permutes p_0 and is 1 on
+      p_1, ..., p_N.  z sends each p_j, j < N, into itself and is 1 off
+      their union L (_interpolating_unitary), and so does z*.  So for y
+      in p_m, -1 <= m < N, column y of u' has its entries in the rows
+      p_(m+1), as column y of u has.  For y off p_-1 and L, z* is 1 at
+      y, Q u sends y to h(y), which is off p_0 and L, and z is 1 at
+      h(y): column y of u' is the single product 1 * 1 * 1 = 1 at row
+      h(y), as in u, so column y of d is 0.  So every entry of d lies in
+      a rectangle p_(m+1) x p_m, -1 <= m < N, no two of which share a
+      row or a column: each block of d lies in one rectangle and one
+      fiber.  d has no entry on the rest of X, whose pair comes last in
+      _berg_blocks.
+    - A cutdown keeps some of the entries of d, so each of its blocks
+      lies in a block of d."""
     if isinstance(M, CompactMatrixRep):
         M = M.matrix
     entries = [(ij, c) for ij, c in M.entries.items() if c != 0]
@@ -573,9 +553,9 @@ def berg_verify(spec, P, N, epsilon, max_steps=None):
     v1 and v2 are sums of matrix units with coefficient 1, so the corner
     V = chi_Y v2 v1* chi_Y permutes the points of Y, which is what
     unitary_nth_root asks of it: the root is taken cycle by cycle.  The
-    matrices whose norms are taken here split into small blocks, which
-    take the closed forms of operator_norm up to two rows or two
-    columns, and one-sided Jacobi past that.
+    matrices whose norms are taken here split into blocks of at most two
+    rows and two columns, which take the closed forms of operator_norm
+    (its Lemma 2).
 
     z_commutes_ok asks whether z chi_U - chi_U z has no coefficient
     above _Z_TOL for any cell U of P.  It is read off the pieces of z,

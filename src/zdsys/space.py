@@ -274,7 +274,11 @@ class SystemSpec(Record):
         S lies in one cell of P, (ii) every level of S2 lies in one cell
         of h(R), R the slices of S plus X - bases, and (iii) a, b and d
         hold.  The known minimal set of a fiber, which a reads, is the
-        whole fiber unless the family says otherwise."""
+        whole fiber unless the family says otherwise.  Each also gives
+        the points of Y, the union of the hat bases, which the second
+        lemma of numeric.operator_norm reads: at most two in each fiber,
+        with v1 v2* permuting them and 1 off them (v1 = v2 where
+        S2 = S)."""
         raise InvalidSystem("family has no adapted construction")
 
     def singleton(self, p):
@@ -704,7 +708,9 @@ class CompactifiedShift(SystemSpec):
         known minimal set is {inf}, which the leading slice holds.  b:
         h^n(base) = X - [a+1+n, b-1+n] lies in U for n < N, as
         a + N <= lo.  d: the hat base is {a, b}, and b - a >= N + 2, so
-        its iterates 0..N are disjoint."""
+        its iterates 0..N are disjoint.  So Y = {a, b}; v1 cycles
+        a, ..., b - 1, v2 cycles a, ..., b, both are 1 elsewhere, and
+        v1 v2* swaps a and b and is 1 off them."""
         U = next(c for c in P if contains_point(c, INF))
         lo, bits, _ = U.data
         b = lo + max(bits.bit_length(), 1)  # max F + 1, or 1 when F is empty
@@ -1004,7 +1010,9 @@ class QuotientProduct(SystemSpec):
         whole base (a); h fixes it (b); its hat base is empty (d).  Over
         k, the cells of P and of h(R) cut the slice into those of P_k
         and of the fiber's h(R), so the fiber's (i), (ii), a, b and d
-        give the quotient's."""
+        give the quotient's.  So Y has no point in the tail base, and in
+        each window slice k it has the fiber's Y for P_k, with v1 v2*
+        the fiber's there."""
         window = sorted({k for c in P for k, _ in c.data[1]})
 
         def fiber_bases(k):

@@ -15,7 +15,12 @@ import genutil
 import oracles
 from zdsys import cpalgebra as cp
 from zdsys import numeric, space, towers
-from zdsys.errors import NoConvergence, NotCompactlySupported, PartitionFailure
+from zdsys.errors import (
+    DegenerateEigenbasis,
+    NoConvergence,
+    NotCompactlySupported,
+    PartitionFailure,
+)
 
 SHIFT = space.compactified_shift()
 TWO_POINT = space.two_point_shift()
@@ -115,12 +120,44 @@ def test_operator_norm_matches_2x2_oracle():
         assert abs(numeric.operator_norm(M) - expected) < 1e-9
 
 
-def _top_singular_value(M):
-    return np.linalg.svd(M, compute_uv=False)[0]
+def _widest_short_side(M):
+    """The most lines on the shorter side of a block of the dense M, 0
+    for M = 0: a block is the rows and columns that chains of nonzero
+    entries link, grown here from one row at a time."""
+    B = M != 0
+    left = B.any(axis=1)
+    widest = 0
+    while left.any():
+        rows = np.zeros_like(left)
+        rows[np.argmax(left)] = True
+        while True:
+            cols = B[rows].any(axis=0)
+            grown = B[:, cols].any(axis=1)
+            if (grown == rows).all():
+                break
+            rows = grown
+        left &= ~rows
+        widest = max(widest, min(rows.sum(), cols.sum()))
+    return widest
+
+
+def _assert_norm_matches_lapack(M, expected=None):
+    """operator_norm of the dense M is LAPACK's norm, or the given one,
+    when every block has at most two lines on one side, and raises
+    ValueError otherwise.  Returns whether the norm was taken."""
+    if _widest_short_side(M) > 2:
+        with pytest.raises(ValueError):
+            numeric.operator_norm(sparse(M))
+        return False
+    if expected is None:
+        expected = np.linalg.norm(M, 2) if M.size else 0.0
+    assert abs(numeric.operator_norm(sparse(M)) - expected) <= 1e-12 * expected
+    return True
 
 
 def test_operator_norm_matches_singular_values():
     rng = np.random.default_rng(47)
+    taken = []
     for _ in range(60):
         m, n = (int(k) for k in rng.integers(1, 9, size=2))
         M = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
@@ -128,21 +165,19 @@ def test_operator_norm_matches_singular_values():
         if r < min(m, n):
             # rank r: a product through an r-dimensional space
             M = M[:, :r] @ (rng.standard_normal((r, n)) + 0j)
-        expected = _top_singular_value(M)
-        assert abs(numeric.operator_norm(sparse(M)) - expected) <= 1e-12 * max(
-            1.0, expected
-        )
+        taken.append(_assert_norm_matches_lapack(M))
     for n in (1, 3, 6):
         # a scaled unitary and a scaled isometry: every singular value
         # is the top one
         Q, _ = np.linalg.qr(
             rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         )
-        assert abs(numeric.operator_norm(sparse(2.5 * Q)) - 2.5) < 1e-12
+        taken.append(_assert_norm_matches_lapack(2.5 * Q, 2.5))
         isometry = Q[:, : max(1, n - 1)]
-        assert abs(numeric.operator_norm(sparse(3 * isometry)) - 3) < 1e-12
+        taken.append(_assert_norm_matches_lapack(3 * isometry, 3.0))
         D = np.diag([2.0, -2.0, 2j, 1.0][:n] + [0.5] * max(0, n - 4))
-        assert abs(numeric.operator_norm(sparse(D)) - 2.0) < 1e-12
+        taken.append(_assert_norm_matches_lapack(D, 2.0))
+    assert taken.count(True) >= 20 and taken.count(False) >= 20
 
 
 def test_operator_norm_empty_and_zero():
@@ -183,24 +218,20 @@ def _pad_with_zeros(M, rng, rows, cols):
 
 def test_operator_norm_ignores_zero_rows_and_columns():
     rng = np.random.default_rng(48)
+    taken = []
     for _ in range(300):
         m, n = (int(k) for k in rng.integers(1, 9, size=2))
         M = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         # sparse entries leave some rows and columns of M zero as well
         M *= rng.random((m, n)) < rng.choice([0.3, 1.0])
         P = _pad_with_zeros(M, rng, *(int(k) for k in rng.integers(0, 12, 2)))
-        expected = np.linalg.norm(P, 2)
-        assert abs(numeric.operator_norm(sparse(P)) - expected) <= 1e-12 * max(
-            1.0, expected
-        )
+        taken.append(_assert_norm_matches_lapack(P))
     # represent windows: the points the entries sit on
     rng = random.Random(49)
     for _ in range(60):
         M = numeric.represent(random_compact_element(rng)).matrix
-        expected = np.linalg.norm(oracles.dense(M), 2) if M.entries else 0.0
-        assert abs(numeric.operator_norm(M) - expected) <= 1e-12 * max(
-            1.0, expected
-        )
+        taken.append(_assert_norm_matches_lapack(oracles.dense(M)))
+    assert taken.count(True) >= 100 and taken.count(False) >= 50
 
 
 def _random_block_matrix(rng, shapes, scale):
@@ -231,18 +262,18 @@ def _block_shape(rng, kind):
 @pytest.mark.parametrize("kinds", [("line",), ("two",), ("large",),
                                    ("line", "two", "large")])
 def test_operator_norm_of_blocks_matches_lapack(kinds):
-    # blocks with one row or column, with two, and with at least three
-    # rows and three columns; scaled far from 1 as well, where squared
-    # entries would overflow or underflow
+    # blocks with one row or column and with two take LAPACK's norm, and
+    # a matrix with a block of at least three rows and three columns
+    # raises; scaled far from 1 as well, where squared entries would
+    # overflow or underflow
     rng = np.random.default_rng(81)
     for _ in range(150):
         shapes = [_block_shape(rng, rng.choice(kinds))
                   for _ in range(int(rng.integers(1, 5)))]
         scale = rng.choice([1.0, 1e-200, 1e200])
         M = _random_block_matrix(rng, shapes, scale)
-        expected = np.linalg.norm(M, 2)
-        got = numeric.operator_norm(sparse(M))
-        assert abs(got - expected) <= 1e-12 * expected
+        wide = any(min(shape) > 2 for shape in shapes)
+        assert _assert_norm_matches_lapack(M) is not wide
 
 
 def test_operator_norm_two_line_block_with_equal_singular_values():
@@ -257,27 +288,30 @@ def test_operator_norm_two_line_block_with_equal_singular_values():
         assert abs(numeric.operator_norm(sparse(3 * U.T)) - 3) <= 1e-12 * 3
 
 
-def test_operator_norm_raises_past_the_sweep_cap(monkeypatch):
-    # a dense 4 x 4 block needs more than one Jacobi sweep; a block with
-    # two rows takes the closed form and no sweep at all
+def _direct_sum(A, B):
+    M = np.zeros((A.shape[0] + B.shape[0], A.shape[1] + B.shape[1]), complex)
+    M[:A.shape[0], :A.shape[1]] = A
+    M[A.shape[0]:, A.shape[1]:] = B
+    return M
+
+
+def test_operator_norm_raises_on_three_by_three_block():
+    # a dense 3 x 3 block, alone and beside a block of two rows that
+    # takes the closed form; dropping one of its rows gives two lines
     rng = np.random.default_rng(86)
-    M = sparse(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    two = sparse(
-        rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
-    )
-    expected = numeric.operator_norm(two)
-    lapack = np.linalg.norm(oracles.dense(M), 2)
-    assert abs(numeric.operator_norm(M) - lapack) <= 1e-12 * lapack
-    monkeypatch.setattr(numeric, "_JACOBI_SWEEPS", 1)
-    with pytest.raises(NoConvergence):
-        numeric.operator_norm(M)
-    monkeypatch.setattr(numeric, "_JACOBI_SWEEPS", 0)
-    assert numeric.operator_norm(two) == expected
+    B = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    two = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
+    for M in (B, _direct_sum(B, two), _direct_sum(two, 1e200 * B)):
+        with pytest.raises(ValueError, match="more than two rows"):
+            numeric.operator_norm(sparse(M))
+    for M in (B[:2], B[:, 1:], _direct_sum(B[1:], two)):
+        assert _assert_norm_matches_lapack(M)
 
 
 # Norms and permutation roots in a fresh process with `import numpy`
-# made to fail: the package needs no numpy for either, on blocks of any
-# shape and permutations with cycles of any length.
+# made to fail: the package needs no numpy for either, on blocks of one
+# or two lines, where a wider block raises ValueError, and permutations
+# with cycles of any length.
 _NORMS_AND_ROOTS_BLOCKED = """
 import json, sys
 sys.modules["numpy"] = None
@@ -288,7 +322,10 @@ for shape, entries in norms:
     M = numeric.SparseMatrix(
         tuple(shape), {(i, j): complex(a, b) for i, j, a, b in entries}
     )
-    out[0].append(numeric.operator_norm(M))
+    try:
+        out[0].append(numeric.operator_norm(M))
+    except ValueError:
+        out[0].append(None)
 for n, entries, N in perms:
     V = numeric.SparseMatrix((n, n), {(i, j): 1 + 0j for i, j in entries})
     W = numeric.unitary_nth_root(V, N)
@@ -302,9 +339,10 @@ def test_norms_and_permutation_roots_run_with_numpy_blocked():
     dense = [
         _random_block_matrix(
             rng, [_block_shape(rng, rng.choice(["line", "two", "large"]))
-                  for _ in range(4)], rng.choice([1.0, 1e-200, 1e200]))
+                  for _ in range(2)], rng.choice([1.0, 1e-200, 1e200]))
         for _ in range(20)
     ]
+    dense.append(np.arange(1, 10).reshape(3, 3) + 0j)
     norms = [
         [M.shape, [[i, j, M[i, j].real, M[i, j].imag]
                    for i, j in zip(*np.nonzero(M))]]
@@ -324,8 +362,13 @@ def test_norms_and_permutation_roots_run_with_numpy_blocked():
     assert proc.returncode == 0, proc.stderr
     got_norms, got_roots = json.loads(proc.stdout)
     for M, got in zip(dense, got_norms):
-        expected = np.linalg.norm(M, 2)
-        assert abs(got - expected) <= 1e-12 * expected
+        if _widest_short_side(M) > 2:
+            assert got is None
+        else:
+            expected = np.linalg.norm(M, 2)
+            assert abs(got - expected) <= 1e-12 * expected
+    assert got_norms[-1] is None
+    assert sum(got is not None for got in got_norms) >= 5
     for (n, entries, N), root in zip(perms, got_roots):
         V = np.zeros((n, n))
         V[tuple(zip(*entries))] = 1
@@ -509,8 +552,7 @@ def test_unitary_root_rejects_near_permutations():
 
 
 def test_unitary_root_random_unitaries():
-    # the eigenbasis oracle, with its bounds measured by operator_norm,
-    # whose dense blocks go through Jacobi
+    # the eigenbasis oracle, with its bounds measured by LAPACK
     rng = np.random.default_rng(77)
     for _ in range(30):
         n = int(rng.integers(1, 7))
@@ -522,12 +564,8 @@ def test_unitary_root_random_unitaries():
             v = v / np.linalg.norm(v)
             V = (np.eye(n) - 2 * np.outer(v, v.conj())) @ V
         W = oracles.eigenbasis_root(V, N)
-        assert (
-            numeric.operator_norm(sparse(np.linalg.matrix_power(W, N) - V))
-            < 1e-10
-        )
-        norm = numeric.operator_norm(sparse(W - np.eye(n)))
-        assert norm <= math.pi / N + 1e-9
+        assert np.linalg.norm(np.linalg.matrix_power(W, N) - V, 2) < 1e-10
+        assert np.linalg.norm(W - np.eye(n), 2) <= math.pi / N + 1e-9
 
 
 def test_cutdown_check_block_diagonal():
@@ -648,9 +686,18 @@ def _oracle_matrix(a, points=None):
     return points, np.array(rows, dtype=complex).reshape(n, n)
 
 
+def _norm_or_raises(M):
+    """operator_norm of M, or ValueError when a block is too wide."""
+    try:
+        return numeric.operator_norm(M)
+    except ValueError:
+        return ValueError
+
+
 @pytest.mark.parametrize("spec", FINITE_SPECS, ids=FINITE_IDS)
 def test_represent_matches_move_oracle(spec):
     rng = random.Random(61)
+    norms = []
     for _ in range(40):
         a = random_element(spec, rng)
         rep = numeric.represent(a)
@@ -664,16 +711,16 @@ def test_represent_matches_move_oracle(spec):
         }
         assert rep.points == tuple(sorted(ends, key=numeric._point_key))
         # inside the oracle's wider window, the oracle's matrix is this
-        # one on these points and zero elsewhere, with the same norm
+        # one on these points and zero elsewhere, with the same norm, or
+        # a block too wide for one on both
         points, M = _oracle_matrix(a)
         assert set(rep.points) <= set(points)
         keep = [points.index(p) for p in rep.points]
         assert np.array_equal(M[np.ix_(keep, keep)], oracles.dense(rep.matrix))
         M[np.ix_(keep, keep)] = 0
         assert not M.any()
-        assert numeric.operator_norm(rep) == numeric.operator_norm(
-            numeric.represent(a, points=points)
-        )
+        norms.append(_norm_or_raises(rep))
+        assert norms[-1] == _norm_or_raises(numeric.represent(a, points=points))
         # explicit points: part of the window and points outside it, in
         # any order
         extra = space.enumerate_points(random_finite_set(spec, rng))
@@ -685,6 +732,7 @@ def test_represent_matches_move_oracle(spec):
         assert np.array_equal(
             oracles.dense(rep.matrix), _oracle_matrix(a, points)[1]
         )
+    assert ValueError in norms and any(type(x) is float for x in norms)
     # on a cycle of period 3 the three terms add up in one entry, and
     # 0.1 + 0.2 + 0.3 rounds differently from 0.3 + 0.2 + 0.1: the sum
     # must run over the terms in increasing n
@@ -894,6 +942,95 @@ def test_interpolating_unitary_over_empty_y_is_one(spec):
     for N in (1, 4):
         z = numeric._interpolating_unitary(Y, [], W, N)
         assert z == cp.one(spec)
+
+
+def test_interpolating_unitary_rejects_coupled_fibers():
+    # Y has one point in each of two quotient slices; a W that swaps
+    # them has no element, and one that keeps them has z = 1
+    Y = space.quotient_set(
+        QSHIFT, {k: space.shift_set(SHIFT, [0]) for k in (0, 1)}
+    )
+    y_points = sorted(numeric.enumerate_points(Y), key=numeric._point_key)
+    assert y_points == [(0, 0), (1, 0)]
+    for N in (1, 3):
+        with pytest.raises(DegenerateEigenbasis, match="different fibers"):
+            numeric._interpolating_unitary(
+                Y, y_points, sparse([[0, 1], [1, 0]]), N
+            )
+        identity = numeric.SparseMatrix.identity(2)
+        z = numeric._interpolating_unitary(Y, y_points, identity, N)
+        assert z == cp.one(QSHIFT)
+
+
+LEMMA_SPECS = [
+    space.odometer(2),
+    space.finite_cycle(5),
+    SHIFT,
+    QSHIFT,
+    space.quotient_product(space.finite_cycle(5)),
+    space.quotient_product(space.odometer(2)),
+]
+LEMMA_IDS = ["odometer", "cycle5", "shift", "quotient-shift",
+             "quotient-cycle5", "quotient-odometer"]
+
+
+def _two_by_two_blocks_only(monkeypatch):
+    """Make every block that operator_norm reads assert Lemma 2's bound
+    of two rows and two columns."""
+    block_norm = numeric._block_norm
+
+    def checked(block):
+        assert len({i for (i, _), _ in block}) <= 2
+        assert len({j for (_, j), _ in block}) <= 2
+        return block_norm(block)
+
+    monkeypatch.setattr(numeric, "_block_norm", checked)
+
+
+@pytest.mark.parametrize("spec", LEMMA_SPECS, ids=LEMMA_IDS)
+def test_berg_norm_blocks_have_at_most_two_lines(spec, monkeypatch):
+    # Lemma 2 of operator_norm over depths 1-3 and a range of N
+    _two_by_two_blocks_only(monkeypatch)
+    for depth in (1, 2, 3):
+        P = space.generating_partition(spec, depth)
+        for N in (1, 2, 3, 5, 8):
+            assert numeric.berg_verify(spec, P, N, math.pi / N + 0.01).passed
+
+
+def test_berg_norm_blocks_have_at_most_two_lines_at_large_n(monkeypatch):
+    # the most two-line blocks of any job in CI
+    _two_by_two_blocks_only(monkeypatch)
+    P = space.generating_partition(QSHIFT, 3)
+    assert numeric.berg_verify(QSHIFT, P, 256, math.pi / 256 + 0.01).passed
+
+
+@pytest.mark.parametrize("spec", LEMMA_SPECS, ids=LEMMA_IDS)
+def test_berg_difference_lies_in_level_rectangles(spec):
+    # the steps of Lemma 2: v1 v2* is 1 off Y, and every entry of
+    # d = u' - u sits at [x, y] with x in h^(m+1)(Y) and y in h^m(Y)
+    for depth in (1, 2):
+        P = space.generating_partition(spec, depth)
+        for N in (1, 3, 8):
+            S, S2 = towers.adapted_system_pair(spec, P, N)
+            pe = cp.proof_unitaries(S, S2)
+            ys = set(numeric.enumerate_points(pe.Y))
+            off_y = cp.multiply(pe.v1, cp.adjoint(pe.v2)) - cp.one(spec)
+            assert all(
+                set(numeric.enumerate_points(E)) <= ys
+                for _, sf in off_y.terms for _, E in sf
+            )
+            z = _berg_z(spec, P, N)
+            d = z * pe.v1 * pe.u2 * cp.adjoint(z) - cp.shift_unitary(spec)
+            if not d.terms:
+                continue
+            level = {}
+            for m in range(-1, N + 1):
+                Ym = space.apply_h(pe.Y, m)
+                level.update(dict.fromkeys(numeric.enumerate_points(Ym), m))
+            rep = numeric.represent(d)
+            for i, j in rep.matrix.entries:
+                x, y = rep.points[i], rep.points[j]
+                assert y in level and level.get(x) == level[y] + 1
 
 
 def test_berg_error_shrinks_with_n():
