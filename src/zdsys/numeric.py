@@ -11,11 +11,12 @@ is formed as a symbolic element.
 
 Matrices are sparse: a shape and a dict of the stored entries, and
 everything here is computed in pure Python.  The corner unitary that
-`berg` takes a root of permutes the points of Y, and the root of a
-permutation is explicit on each of its cycles; no other unitary is
-accepted.  The matrices that it takes norms of split into independent
-blocks of at most two rows and two columns (Lemma 2 of
-operator_norm), and each block has a closed-form norm.
+`berg` takes a root of permutes the points of Y in cycles of at most
+two points, and the k-th power of the root is (1 + e^{i pi k/N})/2 on
+the diagonal of a transposition and (1 - e^{i pi k/N})/2 off it; no
+other unitary is accepted.  The matrices that it takes norms of split
+into independent blocks of at most two rows and two columns (Lemma 2
+of operator_norm), and each block has a closed-form norm.
 """
 
 from __future__ import annotations
@@ -71,16 +72,6 @@ class SparseMatrix:
         for ij, c in other.entries.items():
             entries[ij] = entries.get(ij, 0j) - c
         return SparseMatrix(self.shape, entries)
-
-    def __matmul__(self, other):
-        by_row = {}
-        for (k, j), b in other.entries.items():
-            by_row.setdefault(k, []).append((j, b))
-        entries = {}
-        for (i, k), a in self.entries.items():
-            for j, b in by_row.get(k, ()):
-                entries[i, j] = entries.get((i, j), 0j) + a * b
-        return SparseMatrix((self.shape[0], other.shape[1]), entries)
 
 
 def _point_key(p):
@@ -192,10 +183,12 @@ def _block_norm(block):
 
 
 # Tolerances: unitary_nth_root accepts a root W when W^N - V has
-# Frobenius norm at most _ROOT_TOL; berg_verify ignores coefficients of
-# z up to _Z_TOL; cutdown_check ignores pieces with |c| up to _COEFF_TOL
-# and allows the total norm _NORM_SLACK above the largest block norm.
+# Frobenius norm at most _ROOT_TOL; z drops entries of W^k up to
+# _DROP_TOL; berg_verify ignores coefficients of z up to _Z_TOL;
+# cutdown_check ignores pieces with |c| up to _COEFF_TOL and allows the
+# total norm _NORM_SLACK above the largest block norm.
 _ROOT_TOL = 1e-10
+_DROP_TOL = 1e-15
 _Z_TOL = 1e-10
 _COEFF_TOL = 1e-12
 _NORM_SLACK = 1e-9
@@ -293,31 +286,21 @@ def _cycles(V):
     return cycles
 
 
-def _cycle_root(L, N):
-    """[c_0, ..., c_{L-1}], c_d = W[s_{t+d}, s_t] for the principal N-th
-    root W of the cyclic shift on L points."""
-    # theta_k = 2 pi k/L wrapped into (-pi, pi]; at 2k = L the quotient
-    # below is 1.0 exactly, so theta_k is pi
-    roots = [
-        cmath.exp(1j * math.pi * (2 * (k if 2 * k <= L else k - L) / L) / N)
-        for k in range(L)
-    ]
-    return [
-        sum(roots[k] * cmath.exp(-2j * math.pi * (k * d % L) / L)
-            for k in range(L)) / L
-        for d in range(L)
-    ]
-
-
-def _power(W, m):
-    """W^m for m >= 0, by repeated squaring."""
-    P = SparseMatrix.identity(W.shape[0])
-    while m:
-        if m & 1:
-            P = P @ W
-        W = W @ W
-        m >>= 1
-    return P
+def _root_power(cycles, N, k):
+    """The entries of W^k for W = unitary_nth_root(V, N) and the cycles
+    of V: 1 on a fixed point, and on a transposition (1 + w)/2 on the
+    diagonal and (1 - w)/2 off it, w = e^{i pi k/N} (e^{i pi} at k = N)."""
+    w = cmath.exp(1j * math.pi * (k / N))
+    same, other = (1 + w) / 2, (1 - w) / 2
+    entries = {}
+    for cycle in cycles:
+        if len(cycle) == 1:
+            entries[cycle[0], cycle[0]] = 1 + 0j
+        else:
+            s, t = cycle
+            entries[s, s] = entries[t, t] = same
+            entries[s, t] = entries[t, s] = other
+    return entries
 
 
 def unitary_nth_root(V, N):
@@ -325,36 +308,28 @@ def unitary_nth_root(V, N):
     eigenvalue e^{i theta}, theta in (-pi, pi], becomes e^{i theta/N}.
     The result is a function of V and satisfies |W - 1| <= pi/N.
 
-    V must be a SparseMatrix that permutes its basis: exactly one
-    nonzero entry in each row and each column, and that entry 1.  Any
-    other V raises ValueError.  Such a V is unitary exactly, and its
-    root is explicit on each cycle s_0 -> s_1 -> ... -> s_{L-1} -> s_0:
-    on the span of e_{s_0}, ..., e_{s_{L-1}}, V is the cyclic shift,
-    with the eigenvectors sum_t e^{-2 pi i k t/L} e_{s_t} for the
-    eigenvalues e^{i theta_k}, theta_k = 2 pi k/L wrapped into
-    (-pi, pi].  So W[s_{t+d}, s_t] = (1/L) sum_k e^{i theta_k/N}
-    e^{-2 pi i k d/L}, and theta_k = pi exactly for k = L/2.  W^N is
-    checked against V in the Frobenius norm, which bounds the operator
-    norm from above; a miss over _ROOT_TOL raises DegenerateEigenbasis."""
+    V must be a SparseMatrix that permutes its basis in cycles of at
+    most two points: exactly one nonzero entry in each row and each
+    column, and that entry 1.  Any other V, a 3-cycle among them, raises
+    ValueError.  On a transposition, V has the eigenvalues 1 and
+    -1 = e^{i pi}, so W^k = (1 + V)/2 + e^{i pi k/N} (1 - V)/2 there
+    (_root_power); on a fixed point W^k = 1.  W^N, from the same closed
+    form, is checked against V in the Frobenius norm, which bounds the
+    operator norm from above; a miss over _ROOT_TOL raises
+    DegenerateEigenbasis."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if not isinstance(V, SparseMatrix) or V.shape[0] != V.shape[1]:
         raise ValueError("V must be a square SparseMatrix")
-    n = V.shape[0]
     cycles = _cycles(V)
     if cycles is None:
         raise ValueError("V must be a permutation matrix")
-    entries = {}
-    for cycle in cycles:
-        L = len(cycle)
-        for d, c in enumerate(_cycle_root(L, N)):
-            for t, s in enumerate(cycle):
-                entries[cycle[(t + d) % L], s] = c
-    W = SparseMatrix((n, n), entries)
-    miss = math.hypot(*map(abs, (_power(W, N) - V).entries.values()))
-    if miss > _ROOT_TOL:
+    if any(len(cycle) > 2 for cycle in cycles):
+        raise ValueError("V has a cycle of three or more points")
+    W_N = SparseMatrix(V.shape, _root_power(cycles, N, N))
+    if math.hypot(*map(abs, (W_N - V).entries.values())) > _ROOT_TOL:
         raise DegenerateEigenbasis("root verification failed")
-    return W
+    return SparseMatrix(V.shape, _root_power(cycles, N, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -487,23 +462,21 @@ class BergReport(space.Record):
         }
 
 
-def _interpolating_unitary(Y, y_points, W, N):
+def _interpolating_unitary(Y, y_points, V, N):
     """z = sum over j < N of chi_{h^j Y} u^j W^{N-j} u^{-j} chi_{h^j Y},
-    plus 1 off those levels, for W a SparseMatrix on the points of Y.
+    plus 1 off those levels, for W = unitary_nth_root(V, N).
 
     For x, y in Y the entry (W^{N-j})_{xy} chi_x u^{x-y} conjugates to
     (W^{N-j})_{xy} chi_{h^j x} u^{x-y}, so z is built in one step from
-    the entries, taken in row-major order.  The powers are sparse
-    products.  Entries of modulus at most 1e-15 are dropped."""
+    the entries of _root_power, taken in row-major order.  Entries of
+    modulus at most _DROP_TOL are dropped."""
     spec = Y.spec
-    powers = [SparseMatrix.identity(len(y_points))]
-    for _ in range(N):
-        powers.append(powers[-1] @ W)
+    cycles = _cycles(V)
     singletons = [spec.singleton(x) for x in y_points]
     terms = {}
     for j in range(N):
-        for (r, s), c in sorted(powers[N - j].entries.items()):
-            if abs(c) <= 1e-15:
+        for (r, s), c in sorted(_root_power(cycles, N, N - j).items()):
+            if abs(c) <= _DROP_TOL:
                 continue
             n = spec.displacement(y_points[r], y_points[s])
             if n is None:
@@ -552,10 +525,10 @@ def berg_verify(spec, P, N, epsilon, max_steps=None):
 
     v1 and v2 are sums of matrix units with coefficient 1, so the corner
     V = chi_Y v2 v1* chi_Y permutes the points of Y, which is what
-    unitary_nth_root asks of it: the root is taken cycle by cycle.  The
-    matrices whose norms are taken here split into blocks of at most two
-    rows and two columns, which take the closed forms of operator_norm
-    (its Lemma 2).
+    unitary_nth_root asks of it: its cycles have at most two points, and
+    the matrices whose norms are taken here split into blocks of at most
+    two rows and two columns, which take the closed forms of
+    operator_norm (its Lemma 2).
 
     z_commutes_ok asks whether z chi_U - chi_U z has no coefficient
     above _Z_TOL for any cell U of P.  It is read off the pieces of z,
@@ -569,8 +542,8 @@ def berg_verify(spec, P, N, epsilon, max_steps=None):
     or -c on the symmetric difference.  So the check passes iff no
     piece (c, E) of z with n != 0 and |c| > _Z_TOL meets the symmetric
     difference of U and h^n U.
-    The coefficients of z are finite: they are 1 and the entries of
-    powers of the closed-form cycle root.
+    The coefficients of z are finite: they are 1, (1 + w)/2 and
+    (1 - w)/2 for w = e^{i pi k/N} (_root_power).
 
     An empty Y takes the same path: V and W are 0 x 0, _cycles gives
     [], the root's miss is hypot() = 0.0, the norm of W - 1 is 0.0, and
@@ -592,7 +565,7 @@ def berg_verify(spec, P, N, epsilon, max_steps=None):
     V = represent(v_el, points=y_points).matrix
     W = unitary_nth_root(V, N)
     norm_w = operator_norm(W - SparseMatrix.identity(len(y_points)))
-    z = _interpolating_unitary(Y, y_points, W, N)
+    z = _interpolating_unitary(Y, y_points, V, N)
 
     zs, one = cp.adjoint(z), cp.one(spec)
     z_unitary_ok = (cp.equals_approx(cp.multiply(z, zs), one, _Z_TOL)

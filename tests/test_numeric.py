@@ -311,7 +311,8 @@ def test_operator_norm_raises_on_three_by_three_block():
 # Norms and permutation roots in a fresh process with `import numpy`
 # made to fail: the package needs no numpy for either, on blocks of one
 # or two lines, where a wider block raises ValueError, and permutations
-# with cycles of any length.
+# with cycles of one or two points, where a longer cycle raises
+# ValueError.
 _NORMS_AND_ROOTS_BLOCKED = """
 import json, sys
 sys.modules["numpy"] = None
@@ -328,7 +329,11 @@ for shape, entries in norms:
         out[0].append(None)
 for n, entries, N in perms:
     V = numeric.SparseMatrix((n, n), {(i, j): 1 + 0j for i, j in entries})
-    W = numeric.unitary_nth_root(V, N)
+    try:
+        W = numeric.unitary_nth_root(V, N)
+    except ValueError:
+        out[1].append(None)
+        continue
     out[1].append([[i, j, c.real, c.imag] for (i, j), c in W.entries.items()])
 print(json.dumps(out))
 """
@@ -350,8 +355,11 @@ def test_norms_and_permutation_roots_run_with_numpy_blocked():
     ]
     perms = []
     for N in (1, 2, 5):
-        V = _random_permutation_matrix(rng, [1, 2, 3, 4, 7])
+        lengths = rng.integers(1, 3, size=6).tolist()
+        V = _random_permutation_matrix(rng, lengths)
         perms.append([V.shape[0], sorted(V.entries), N])
+    V = _random_permutation_matrix(rng, [2, 3, 1])
+    perms.append([V.shape[0], sorted(V.entries), 4])
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run(
@@ -369,7 +377,8 @@ def test_norms_and_permutation_roots_run_with_numpy_blocked():
             assert abs(got - expected) <= 1e-12 * expected
     assert got_norms[-1] is None
     assert sum(got is not None for got in got_norms) >= 5
-    for (n, entries, N), root in zip(perms, got_roots):
+    assert got_roots[-1] is None
+    for (n, entries, N), root in zip(perms[:-1], got_roots):
         V = np.zeros((n, n))
         V[tuple(zip(*entries))] = 1
         W = np.zeros((n, n), dtype=complex)
@@ -383,8 +392,9 @@ def test_unitary_root_swap_matches_oracle():
     for N in (2, 3, 5, 8):
         W = numeric.unitary_nth_root(V, N)
         expected = np.array(oracles.swap_root(N))
-        assert np.max(np.abs(oracles.dense(W) - expected)) < 1e-10
-        assert numeric.operator_norm(numeric._power(W, N) - V) < 1e-10
+        assert np.max(np.abs(oracles.dense(W) - expected)) < 1e-12
+        W_N = np.linalg.matrix_power(oracles.dense(W), N)
+        assert np.linalg.norm(W_N - oracles.dense(V), 2) < 1e-10
         assert (
             numeric.operator_norm(W - numeric.SparseMatrix.identity(2))
             <= math.pi / N + 1e-9
@@ -409,25 +419,35 @@ def test_unitary_root_identity_and_phase():
 
 
 def test_unitary_root_takes_pi_at_minus_one():
-    # -1 as an eigenvalue of multiplicity two, and as the eigenvalue of a
-    # 4-cycle, is e^{i pi}: its root is e^{i pi/N}, never e^{-i pi/N}
+    # -1 as an eigenvalue of multiplicity two, and as the eigenvalue of
+    # each of two transpositions, is e^{i pi}: its root is e^{i pi/N},
+    # never e^{-i pi/N}; a 4-cycle raises
     W = oracles.eigenbasis_root(-np.eye(2, dtype=complex), 3)
     expected = cmath.exp(1j * math.pi / 3) * np.eye(2)
     assert np.max(np.abs(W - expected)) < 1e-12
-    V = sparse(np.eye(6, dtype=complex)[[3, 2, 4, 1, 5, 0]])
+    V = sparse(np.eye(6, dtype=complex)[[3, 2, 1, 0, 4, 5]])
     W = oracles.dense(numeric.unitary_nth_root(V, 4))
     eigenvalues = np.linalg.eigvals(W)
     assert np.angle(eigenvalues).min() > -math.pi / 4 + 1e-9
-    assert np.min(np.abs(eigenvalues - cmath.exp(1j * math.pi / 4))) < 1e-12
-    # every eigenvalue of the root of a permutation, and of the oracle's
-    # root of a signed permutation, lies on the arc (-pi/N, pi/N]
+    at_pi = np.abs(eigenvalues - cmath.exp(1j * math.pi / 4)) < 1e-12
+    assert at_pi.sum() == 2
+    with pytest.raises(ValueError, match="three or more"):
+        numeric.unitary_nth_root(
+            sparse(np.eye(6, dtype=complex)[[3, 2, 4, 1, 5, 0]]), 4
+        )
+    # every eigenvalue of the root of a permutation in transpositions and
+    # fixed points, and of the oracle's root of a signed permutation,
+    # lies on the arc (-pi/N, pi/N]
     rng = np.random.default_rng(78)
     for _ in range(200):
-        n = int(rng.integers(1, 9))
         N = int(rng.integers(1, 65))
-        V = np.eye(n)[rng.permutation(n)]
-        W = oracles.dense(numeric.unitary_nth_root(sparse(V), N))
+        V = _random_permutation_matrix(
+            rng, rng.integers(1, 3, size=int(rng.integers(1, 6))).tolist()
+        )
+        n = V.shape[0]
+        W = oracles.dense(numeric.unitary_nth_root(V, N))
         assert np.angle(np.linalg.eigvals(W)).min() > -math.pi / N + 1e-9
+        V = np.eye(n)[rng.permutation(n)]
         W = oracles.eigenbasis_root(V * rng.choice([-1, 1], size=n), N)
         assert np.angle(np.linalg.eigvals(W)).min() > -math.pi / N + 1e-9
 
@@ -459,6 +479,9 @@ def _root_cases(rng):
         perm = np.eye(n)[rng.permutation(n)]
         yield _random_unitary(rng, n)
         yield perm + 0j
+        # transpositions and fixed points only
+        lengths = rng.integers(1, 3, size=int(rng.integers(1, 6))).tolist()
+        yield oracles.dense(_random_permutation_matrix(rng, lengths))
         yield perm * rng.choice([-1, 1], size=n) + 0j
         # a few eigenvalues, -1 among them, repeated in a random basis
         U = _random_unitary(rng, n)
@@ -467,19 +490,26 @@ def _root_cases(rng):
 
 
 def test_unitary_root_matches_schur_oracle():
-    # the eigenbasis oracle on every case, and the cycle root on the
-    # permutations among them
+    # the eigenbasis oracle on every case, and the closed-form root on
+    # the permutations among them whose cycles have at most two points;
+    # the other permutations raise
     rng = np.random.default_rng(79)
-    permutations = 0
+    permutations = longer = 0
     for V in _root_cases(rng):
         N = int(rng.integers(1, 65))
         expected = _schur_root(V, N)
         assert np.max(np.abs(oracles.eigenbasis_root(V, N) - expected)) < 1e-12
-        if np.isin(V, (0, 1)).all():
+        if not np.isin(V, (0, 1)).all():
+            continue
+        if max(map(len, numeric._cycles(sparse(V)))) > 2:
+            with pytest.raises(ValueError, match="three or more"):
+                numeric.unitary_nth_root(sparse(V), N)
+            longer += 1
+        else:
             W = oracles.dense(numeric.unitary_nth_root(sparse(V), N))
             assert np.max(np.abs(W - expected)) < 1e-12
             permutations += 1
-    assert permutations >= 150
+    assert permutations >= 150 and longer >= 50
 
 
 def test_unitary_root_rejects_non_unitary():
@@ -505,24 +535,37 @@ def _random_permutation_matrix(rng, lengths):
 
 
 def test_permutation_root_matches_eigenbasis_root():
-    # cycles of every length from 1 to 7, even ones included, where the
-    # eigenvalue -1 must take theta = pi
+    # fixed points and transpositions, where the eigenvalue -1 must take
+    # theta = pi; every power W^m, m <= N, of the closed form matches
+    # numpy's; a cycle of 3 to 7 points raises
     rng = np.random.default_rng(84)
     for L in range(1, 8):
         for N in range(1, 10):
-            extra = rng.integers(1, 8, size=int(rng.integers(0, 3)))
+            extra = rng.integers(1, 3, size=int(rng.integers(0, 4)))
             V = _random_permutation_matrix(rng, [L] + extra.tolist())
+            if L > 2:
+                with pytest.raises(ValueError, match="three or more"):
+                    numeric.unitary_nth_root(V, N)
+                continue
             W = numeric.unitary_nth_root(V, N)
             assert isinstance(W, numeric.SparseMatrix)
             expected = oracles.eigenbasis_root(oracles.dense(V), N)
             assert np.max(np.abs(oracles.dense(W) - expected)) < 1e-12
+            cycles = numeric._cycles(V)
+            for m in range(1, N + 1):
+                power = numeric.SparseMatrix(
+                    V.shape, numeric._root_power(cycles, N, m)
+                )
+                expected = np.linalg.matrix_power(oracles.dense(W), m)
+                assert np.max(np.abs(oracles.dense(power) - expected)) < 1e-12
 
 
 def test_unitary_root_rejects_other_unitaries():
     # only permutations are taken, as SparseMatrix; a unitary that is
     # not one, and a dense array, raise ValueError
     rng = np.random.default_rng(85)
-    P = np.eye(4)[[1, 2, 3, 0]]
+    P = np.eye(4)[[1, 0, 3, 2]]
+    assert numeric.unitary_nth_root(sparse(P), 3).shape == (4, 4)
     cases = [
         P * np.array([1, 1, -1, 1]),  # a signed permutation
         P * np.array([1, 1j, 1, 1]),  # a phase on one entry
@@ -537,7 +580,8 @@ def test_unitary_root_rejects_other_unitaries():
 
 
 def test_unitary_root_rejects_near_permutations():
-    P = np.eye(3, dtype=complex)[[1, 2, 0]]
+    P = np.eye(4, dtype=complex)[[1, 0, 3, 2]]
+    assert numeric.unitary_nth_root(sparse(P), 2).shape == (4, 4)
     bad = []
     for value in (2, 0.5, 1 + 1e-6):  # an entry of 2, and scaled ones
         V = P.copy()
@@ -817,20 +861,21 @@ def _point_singleton(spec, x):
     return space.shift_set(spec, [x])
 
 
-def product_z(Y, y_points, W, N):
+def product_z(Y, y_points, V, N):
     """The interpolating unitary built as symbolic products:
     sum over j < N of chi_{h^j Y} u^j w_{N-j} u^{-j} chi_{h^j Y}, plus 1
-    off those levels, where w_m is the element of the matrix W^m.  W is
-    a SparseMatrix, and its powers are its sparse products, as in
-    _interpolating_unitary, so that both sides hold the same floats."""
+    off those levels, where w_m is the element of the matrix W^m for the
+    N-th root W of the permutation V.  W^m is read off
+    numeric._root_power, as in _interpolating_unitary, so that both
+    sides hold the same floats."""
     spec = Y.spec
-    powers = [numeric.SparseMatrix.identity(len(y_points))]
-    for _ in range(N):
-        powers.append(powers[-1] @ W)
+    cycles = numeric._cycles(V)
     z = oracles.zero(spec)
     covered = space.empty_set(spec)
     for j in range(N):
-        M = oracles.dense(powers[N - j])
+        M = oracles.dense(numeric.SparseMatrix(
+            V.shape, numeric._root_power(cycles, N, N - j)
+        ))
         terms = {}
         for r, x in enumerate(y_points):
             for s, y in enumerate(y_points):
@@ -851,15 +896,15 @@ def product_z(Y, y_points, W, N):
     return z + cp.char(space.complement(covered))
 
 
-def _berg_root(spec, P, N):
-    """Y, its points and the N-th root W that berg_verify interpolates."""
+def _berg_corner(spec, P, N):
+    """Y, its points and the corner V whose N-th root berg_verify
+    interpolates."""
     S, S2 = towers.adapted_system_pair(spec, P, N)
     pe = cp.proof_unitaries(S, S2)
     Y = pe.Y
     y_points = sorted(numeric.enumerate_points(Y), key=numeric._point_key)
     v_el = cp.char(Y) * pe.v2 * cp.adjoint(pe.v1) * cp.char(Y)
-    V = numeric.represent(v_el, points=y_points).matrix
-    return Y, y_points, numeric.unitary_nth_root(V, N)
+    return Y, y_points, numeric.represent(v_el, points=y_points).matrix
 
 
 @pytest.mark.parametrize(
@@ -873,23 +918,27 @@ def _berg_root(spec, P, N):
 )
 def test_interpolating_unitary_matches_products(spec, P):
     for N in range(1, 7):
-        Y, y_points, W = _berg_root(spec, P, N)
+        Y, y_points, V = _berg_corner(spec, P, N)
         assert y_points
-        z = numeric._interpolating_unitary(Y, y_points, W, N)
-        assert z == product_z(Y, y_points, W, N)
+        z = numeric._interpolating_unitary(Y, y_points, V, N)
+        assert z == product_z(Y, y_points, V, N)
 
 
-def test_interpolating_unitary_matches_products_for_any_matrix():
+def test_interpolating_unitary_matches_products_for_random_involutions():
+    # random transpositions and fixed points on spread-out points of the
+    # shift; at k = N the diagonal of a transposition is below the 1e-15
+    # drop, and every other entry is above it
     rng = np.random.default_rng(59)
-    Y, y_points, _ = _berg_root(SHIFT, shift_partition(0, 8), 4)
-    k = len(y_points)
-    for N in range(1, 7):
-        W = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        # zero entries, and entries on either side of the 1e-15 drop
-        W *= rng.choice([0, 1e-16, 1e-14, 1], size=(k, k))
-        W = sparse(W)
-        z = numeric._interpolating_unitary(Y, y_points, W, N)
-        assert z == product_z(Y, y_points, W, N)
+    for N in range(1, 9):
+        lengths = rng.integers(1, 3, size=int(rng.integers(1, 6))).tolist()
+        V = _random_permutation_matrix(rng, lengths)
+        spread = np.arange(-60, 60, 10)
+        y_points = sorted(
+            rng.choice(spread, V.shape[0], replace=False).tolist()
+        )
+        Y = space.shift_set(SHIFT, y_points)
+        z = numeric._interpolating_unitary(Y, y_points, V, N)
+        assert z == product_z(Y, y_points, V, N)
 
 
 def test_berg_two_by_two_example():
@@ -938,15 +987,15 @@ def test_berg_trivial_when_towers_agree():
 @pytest.mark.parametrize("spec", genutil.system_specs())
 def test_interpolating_unitary_over_empty_y_is_one(spec):
     Y = space.empty_set(spec)
-    W = numeric.SparseMatrix((0, 0), {})
+    V = numeric.SparseMatrix((0, 0), {})
     for N in (1, 4):
-        z = numeric._interpolating_unitary(Y, [], W, N)
+        z = numeric._interpolating_unitary(Y, [], V, N)
         assert z == cp.one(spec)
 
 
 def test_interpolating_unitary_rejects_coupled_fibers():
-    # Y has one point in each of two quotient slices; a W that swaps
-    # them has no element, and one that keeps them has z = 1
+    # Y has one point in each of two quotient slices; the root of a V
+    # that swaps them has no element, and a V that keeps them has z = 1
     Y = space.quotient_set(
         QSHIFT, {k: space.shift_set(SHIFT, [0]) for k in (0, 1)}
     )
@@ -976,32 +1025,76 @@ LEMMA_IDS = ["odometer", "cycle5", "shift", "quotient-shift",
 
 def _two_by_two_blocks_only(monkeypatch):
     """Make every block that operator_norm reads assert Lemma 2's bound
-    of two rows and two columns."""
-    block_norm = numeric._block_norm
+    of two rows and two columns, and every cycle of a corner V that
+    _cycles reads assert its bound of two points.  Returns the list of
+    the corners' cycle lists."""
+    block_norm, cycles_of = numeric._block_norm, numeric._cycles
+    seen = []
 
     def checked(block):
         assert len({i for (i, _), _ in block}) <= 2
         assert len({j for (_, j), _ in block}) <= 2
         return block_norm(block)
 
+    def checked_cycles(V):
+        cycles = cycles_of(V)
+        assert all(len(cycle) <= 2 for cycle in cycles)
+        seen.append(cycles)
+        return cycles
+
     monkeypatch.setattr(numeric, "_block_norm", checked)
+    monkeypatch.setattr(numeric, "_cycles", checked_cycles)
+    return seen
 
 
 @pytest.mark.parametrize("spec", LEMMA_SPECS, ids=LEMMA_IDS)
 def test_berg_norm_blocks_have_at_most_two_lines(spec, monkeypatch):
     # Lemma 2 of operator_norm over depths 1-3 and a range of N
-    _two_by_two_blocks_only(monkeypatch)
+    seen = _two_by_two_blocks_only(monkeypatch)
     for depth in (1, 2, 3):
         P = space.generating_partition(spec, depth)
         for N in (1, 2, 3, 5, 8):
             assert numeric.berg_verify(spec, P, N, math.pi / N + 0.01).passed
+    assert len(seen) >= 15
 
 
 def test_berg_norm_blocks_have_at_most_two_lines_at_large_n(monkeypatch):
     # the most two-line blocks of any job in CI
-    _two_by_two_blocks_only(monkeypatch)
+    seen = _two_by_two_blocks_only(monkeypatch)
     P = space.generating_partition(QSHIFT, 3)
     assert numeric.berg_verify(QSHIFT, P, 256, math.pi / 256 + 0.01).passed
+    assert any(len(cycle) == 2 for cycle in seen[0])
+
+
+@pytest.mark.parametrize("N", [8, 1024])
+def test_berg_difference_has_no_residue_below_y(N, monkeypatch):
+    # d = u' - u is 0 on Y x h^-1(Y) in exact arithmetic; its float
+    # residue there stays at the rounding of one entry of W^N, not the
+    # rounding accumulated over N products, which passed 1e-12 near
+    # N 16384 and made blocks_ok false
+    cutdown_check, got = numeric.cutdown_check, []
+
+    def capture(d, blocks):
+        got.append(d)
+        return cutdown_check(d, blocks)
+
+    monkeypatch.setattr(numeric, "cutdown_check", capture)
+    P = space.generating_partition(SHIFT, 3)
+    rep = numeric.berg_verify(SHIFT, P, N, math.pi / N + 0.01)
+    assert rep.passed and rep.blocks_ok
+    (d,) = got
+    S, S2 = towers.adapted_system_pair(SHIFT, P, N)
+    Y = cp.proof_unitaries(S, S2).Y
+    rows = set(numeric.enumerate_points(Y))
+    cols = set(numeric.enumerate_points(space.apply_h(Y, -1)))
+    assert rows and cols
+    rep = numeric.represent(d)
+    residue = max(
+        (abs(c) for (i, j), c in rep.matrix.entries.items()
+         if rep.points[i] in rows and rep.points[j] in cols),
+        default=0.0,
+    )
+    assert residue <= 1e-15
 
 
 @pytest.mark.parametrize("spec", LEMMA_SPECS, ids=LEMMA_IDS)
@@ -1065,10 +1158,10 @@ def _golden_berg_jobs():
 
 def _berg_z(spec, P, N):
     """The interpolating unitary z of berg_verify."""
-    Y, y_points, W = _berg_root(spec, P, N)
+    Y, y_points, V = _berg_corner(spec, P, N)
     if not y_points:
         return cp.one(spec)
-    return numeric._interpolating_unitary(Y, y_points, W, N)
+    return numeric._interpolating_unitary(Y, y_points, V, N)
 
 
 GOLDEN_BERG = _golden_berg_jobs()
@@ -1136,7 +1229,7 @@ def test_z_commutation_lemma_matches_products_on_failing_elements(spec, depth):
 def test_cell_labels_match_all_cells_labelling(spec, P, Ns):
     rng = random.Random(73)
     for N in Ns:
-        Y, _, _ = _berg_root(spec, P, N)
+        Y, _, _ = _berg_corner(spec, P, N)
         blocks = numeric._berg_blocks(Y, N)
         for side in (0, 1):
             cells = [b[side] for b in blocks]
