@@ -282,13 +282,21 @@ def to_dict(a):
 
 def _v_element(S):
     """The cyclic-shift unitary of the tower levels: it moves level j of
-    every tower to level j+1 and wraps the top back to the base."""
-    terms = {}
-    for towers in S.towers:
-        for c in towers:
-            terms.setdefault(1 - c.J, []).append((1, c.Y))
-            for j in range(c.J - 1):
-                terms.setdefault(1, []).append((1, apply_h(c.Y, j + 1)))
+    every tower to level j+1 and wraps the top back to the base.
+
+    Lemma B.  If the levels of S tile X, as proof_unitaries checks
+    before it calls this, the raised levels h^j(Y), j >= 1, are X minus
+    the slices.  So the per-level pieces, chi_(h^(j+1) Y) u for j < J-1
+    and chi_Y u^(1-J) per slice (Y, J) (tests/oracles.py keeps them as
+    v_element_by_levels), make term 1 the chi of X minus the slices and
+    term 1-J, J >= 1, the chi of the slices with return time J.  Both
+    forms put each atom under one piece with coefficient 1, and
+    canonical forms are unique, so they give the same element."""
+    slices = [c for towers in S.towers for c in towers]
+    rest = complement(union(empty_set(S.spec), *(c.Y for c in slices)))
+    terms = {1: [(1, rest)]}
+    for c in slices:
+        terms.setdefault(1 - c.J, []).append((1, c.Y))
     return cp_element(S.spec, terms)
 
 
@@ -326,20 +334,21 @@ def proof_unitaries(S, S2):
     is not built (tests/oracles.py keeps is_unitary and uhat as the
     oracles).  Return times are at least 1, as Tower requires.
 
-    Lemma 1.  _v_element(R) is unitary iff the levels of R tile X.  Its
-    pieces chi_(h^(j+1) Y) u, j < J-1, and chi_Y u^(1-J) have
-    coefficient 1.  The first is the partial isometry of h from h^j(Y)
-    onto h^(j+1)(Y), the second that of h^(1-J) from the top
-    h^(J-1)(Y) onto Y, so the ranges are the levels and so are the
-    sources, each level once.  If the levels tile X, then p q* = 0 and
-    p* q = 0 for distinct pieces p, q, as their sources and their ranges
-    are disjoint, and v v* and v* v are the sums of the p p* and the
-    p* p, the chi of the ranges and of the sources, 1.  Conversely, with
-    v = sum_n f_n u^n, f_n counts the levels of term n over each point,
-    and the degree-0 part of v v* is sum_n f_n^2, a sum of non-negative
-    terms at least sum_n f_n, the number of levels over the point, with
-    equality iff each f_n is 0 or 1: it is 1 at a point iff exactly one
-    level holds it.
+    Lemma 1.  The per-level sum v of the pieces chi_(h^(j+1) Y) u,
+    j < J-1, and chi_Y u^(1-J) over the slices (Y, J) of R is unitary
+    iff the levels of R tile X; then it is _v_element(R) (Lemma B
+    there).  Its pieces have coefficient 1.  The first is the partial
+    isometry of h from h^j(Y) onto h^(j+1)(Y), the second that of
+    h^(1-J) from the top h^(J-1)(Y) onto Y, so the ranges are the levels
+    and so are the sources, each level once.  If the levels tile X,
+    then p q* = 0 and p* q = 0 for distinct pieces p, q, as their
+    sources and their ranges are disjoint, and v v* and v* v are the
+    sums of the p p* and the p* p, the chi of the ranges and of the
+    sources, 1.  Conversely, with v = sum_n f_n u^n, f_n counts the
+    levels of term n over each point, and the degree-0 part of v v* is
+    sum_n f_n^2, a sum of non-negative terms at least sum_n f_n, the
+    number of levels over the point, with equality iff each f_n is 0 or
+    1: it is 1 at a point iff exactly one level holds it.
 
     Lemma 2.  Let v1 and v2 be unitary.  Then uhat is unitary iff
     g(T) = T for the top T = h^(J-1)(Y) of the leading tower over every

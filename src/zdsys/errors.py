@@ -56,8 +56,8 @@ class NotCompactlySupported(ZdsysError):
 
 
 class DegenerateEigenbasis(ZdsysError):
-    """A numeric root failed its verification, or its matrix couples
-    points of different fibers."""
+    """A power of the corner's root, spliced into the interpolating
+    unitary, couples points of different fibers."""
 
 
 class NoConvergence(ZdsysError):

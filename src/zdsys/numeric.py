@@ -1,7 +1,7 @@
 """Finite matrix representations of compactly supported elements,
-operator norms, unitary N-th roots, block cutdown estimates, and the
-end-to-end verification that the approximant unitary z v1 u2 z* is
-epsilon-close to the implementing unitary u.
+operator norms, block cutdown estimates, and the end-to-end
+verification that the approximant unitary z v1 u2 z* is epsilon-close
+to the implementing unitary u.
 
 An element's matrix is built once, on the points its entries sit on:
 each piece places its scalar at the entries it covers.  The block cutdowns
@@ -10,13 +10,14 @@ columns labelled by the blocks that hold their points, and no cutdown
 is formed as a symbolic element.
 
 Matrices are sparse: a shape and a dict of the stored entries, and
-everything here is computed in pure Python.  The corner unitary that
-`berg` takes a root of permutes the points of Y in cycles of at most
-two points, and the k-th power of the root is (1 + e^{i pi k/N})/2 on
-the diagonal of a transposition and (1 - e^{i pi k/N})/2 off it; no
-other unitary is accepted.  The matrices that it takes norms of split
-into independent blocks of at most two rows and two columns (Lemma 2
-of operator_norm), and each block has a closed-form norm.
+everything here is computed in pure Python.  The corner unitary V that
+`berg` interpolates permutes the points of Y in cycles of at most two
+points, and the k-th power of its principal N-th root W is
+(1 + e^{i pi k/N})/2 on the diagonal of a transposition and
+(1 - e^{i pi k/N})/2 off it; no other corner is accepted, and neither
+W nor W - 1 is formed as a matrix.  The matrices that it takes norms of
+split into independent blocks of at most two rows and two columns
+(Lemma 2 of operator_norm), and each block has a closed-form norm.
 """
 
 from __future__ import annotations
@@ -62,16 +63,6 @@ class SparseMatrix:
 
     def __repr__(self):
         return "SparseMatrix(%r, %r)" % (self.shape, self.entries)
-
-    @classmethod
-    def identity(cls, n):
-        return cls((n, n), {(i, i): 1 + 0j for i in range(n)})
-
-    def __sub__(self, other):
-        entries = dict(self.entries)
-        for ij, c in other.entries.items():
-            entries[ij] = entries.get(ij, 0j) - c
-        return SparseMatrix(self.shape, entries)
 
 
 def _point_key(p):
@@ -182,12 +173,10 @@ def _block_norm(block):
     return math.ldexp(math.sqrt(top), e)
 
 
-# Tolerances: unitary_nth_root accepts a root W when W^N - V has
-# Frobenius norm at most _ROOT_TOL; z drops entries of W^k up to
-# _DROP_TOL; berg_verify ignores coefficients of z up to _Z_TOL;
-# cutdown_check ignores pieces with |c| up to _COEFF_TOL and allows the
-# total norm _NORM_SLACK above the largest block norm.
-_ROOT_TOL = 1e-10
+# Tolerances: z drops entries of W^k up to _DROP_TOL; berg_verify
+# ignores coefficients of z up to _Z_TOL; cutdown_check ignores pieces
+# with |c| up to _COEFF_TOL and allows the total norm _NORM_SLACK above
+# the largest block norm.
 _DROP_TOL = 1e-15
 _Z_TOL = 1e-10
 _COEFF_TOL = 1e-12
@@ -221,18 +210,17 @@ def operator_norm(M):
     float.  A matrix with a NaN or infinite entry raises NoConvergence.
 
     Lemma 2: every block of the matrices whose norms berg_verify takes,
-    W - 1, d = u' - u and the cutdowns of d, has at most two rows and
-    two columns.  A fiber is the points (k, p) with one k, or inf, on a
-    quotient product, and X on the other families.  Every element here
-    is a sum of pieces c chi_E u^n, and h keeps each fiber, so no entry
-    couples two fibers.  By the adapted_bases docstrings, Y has at most
+    d = u' - u and its cutdowns, has at most two rows and two columns,
+    and the corner V permutes its points in cycles of at most two.  A
+    fiber is the points (k, p) with one k, or inf, on a quotient
+    product, and X on the other families.  Every element here is a sum
+    of pieces c chi_E u^n, and h keeps each fiber, so no entry couples
+    two fibers.  By the adapted_bases docstrings, Y has at most
     two points in each fiber, and Q = v1 v2* permutes the points of Y
     and is 1 off Y.  By postcondition d of towers.adapted_system_pair,
     the sets p_m = h^m(Y), 0 <= m <= N, are pairwise disjoint, and so
     are p_-1, ..., p_(N-1).
-    - W - 1.  V = chi_Y Q* chi_Y permutes the points of Y in each fiber,
-      so its cycles have at most two points, and W and W - 1 have no
-      entry outside the squares of the cycles.
+    - V = chi_Y Q* chi_Y permutes the points of Y in each fiber.
     - d.  u' = z (v1 u2) z* = z Q u z*, as u2 = v2* u.  Q u sends p_m
       onto p_(m+1) for -1 <= m < N, as Q permutes p_0 and is 1 on
       p_1, ..., p_N.  z sends each p_j, j < N, into itself and is 1 off
@@ -257,23 +245,24 @@ def operator_norm(M):
 
 
 # ---------------------------------------------------------------------------
-# unitary N-th root
+# the corner's root
 # ---------------------------------------------------------------------------
 
 
 def _cycles(V):
     """The cycles [s_0, s_1, ...], V e_{s_t} = e_{s_{t+1}}, of the
-    permutation matrix V, or None if V is not one: each row and each
-    column must hold exactly one nonzero entry, and it must be 1."""
+    SparseMatrix V.  Raises ValueError unless V permutes its basis in
+    cycles of at most two points, with one nonzero entry, 1, in each
+    row and each column."""
     image = {}
     for (i, j), c in V.entries.items():
         if c != 0:
             if c != 1 or j in image:
-                return None
+                raise ValueError("V must be a permutation matrix")
             image[j] = i
     n = V.shape[0]
     if len(image) != n or len(set(image.values())) != n:
-        return None
+        raise ValueError("V must be a permutation matrix")
     cycles, seen = [], set()
     for s in range(n):
         cycle = []
@@ -283,13 +272,18 @@ def _cycles(V):
             s = image[s]
         if cycle:
             cycles.append(cycle)
+    if any(len(cycle) > 2 for cycle in cycles):
+        raise ValueError("V has a cycle of three or more points")
     return cycles
 
 
 def _root_power(cycles, N, k):
-    """The entries of W^k for W = unitary_nth_root(V, N) and the cycles
-    of V: 1 on a fixed point, and on a transposition (1 + w)/2 on the
-    diagonal and (1 - w)/2 off it, w = e^{i pi k/N} (e^{i pi} at k = N)."""
+    """The entries of W^k for W the principal N-th root of the
+    permutation with these cycles (_cycles), which takes each eigenvalue
+    e^{i theta}, theta in (-pi, pi], to e^{i theta/N}: 1 on a fixed
+    point, and on a transposition, with the eigenvalues 1 and e^{i pi},
+    (1 + w)/2 on the diagonal and (1 - w)/2 off it, w = e^{i pi k/N}.
+    k/N is taken first, so that w is e^{i pi} at k = N and W^N = V."""
     w = cmath.exp(1j * math.pi * (k / N))
     same, other = (1 + w) / 2, (1 - w) / 2
     entries = {}
@@ -301,35 +295,6 @@ def _root_power(cycles, N, k):
             entries[s, s] = entries[t, t] = same
             entries[s, t] = entries[t, s] = other
     return entries
-
-
-def unitary_nth_root(V, N):
-    """The N-th root of a unitary through the principal branch: each
-    eigenvalue e^{i theta}, theta in (-pi, pi], becomes e^{i theta/N}.
-    The result is a function of V and satisfies |W - 1| <= pi/N.
-
-    V must be a SparseMatrix that permutes its basis in cycles of at
-    most two points: exactly one nonzero entry in each row and each
-    column, and that entry 1.  Any other V, a 3-cycle among them, raises
-    ValueError.  On a transposition, V has the eigenvalues 1 and
-    -1 = e^{i pi}, so W^k = (1 + V)/2 + e^{i pi k/N} (1 - V)/2 there
-    (_root_power); on a fixed point W^k = 1.  W^N, from the same closed
-    form, is checked against V in the Frobenius norm, which bounds the
-    operator norm from above; a miss over _ROOT_TOL raises
-    DegenerateEigenbasis."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if not isinstance(V, SparseMatrix) or V.shape[0] != V.shape[1]:
-        raise ValueError("V must be a square SparseMatrix")
-    cycles = _cycles(V)
-    if cycles is None:
-        raise ValueError("V must be a permutation matrix")
-    if any(len(cycle) > 2 for cycle in cycles):
-        raise ValueError("V has a cycle of three or more points")
-    W_N = SparseMatrix(V.shape, _root_power(cycles, N, N))
-    if math.hypot(*map(abs, (W_N - V).entries.values())) > _ROOT_TOL:
-        raise DegenerateEigenbasis("root verification failed")
-    return SparseMatrix(V.shape, _root_power(cycles, N, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -462,16 +427,16 @@ class BergReport(space.Record):
         }
 
 
-def _interpolating_unitary(Y, y_points, V, N):
+def _interpolating_unitary(Y, y_points, cycles, N):
     """z = sum over j < N of chi_{h^j Y} u^j W^{N-j} u^{-j} chi_{h^j Y},
-    plus 1 off those levels, for W = unitary_nth_root(V, N).
+    plus 1 off those levels, for W the N-th root of the corner with the
+    given cycles (_root_power).
 
     For x, y in Y the entry (W^{N-j})_{xy} chi_x u^{x-y} conjugates to
     (W^{N-j})_{xy} chi_{h^j x} u^{x-y}, so z is built in one step from
     the entries of _root_power, taken in row-major order.  Entries of
     modulus at most _DROP_TOL are dropped."""
     spec = Y.spec
-    cycles = _cycles(V)
     singletons = [spec.singleton(x) for x in y_points]
     terms = {}
     for j in range(N):
@@ -525,10 +490,14 @@ def berg_verify(spec, P, N, epsilon, max_steps=None):
 
     v1 and v2 are sums of matrix units with coefficient 1, so the corner
     V = chi_Y v2 v1* chi_Y permutes the points of Y, which is what
-    unitary_nth_root asks of it: its cycles have at most two points, and
-    the matrices whose norms are taken here split into blocks of at most
+    _cycles asks of it: its cycles have at most two points, and the
+    matrices whose norms are taken here split into blocks of at most
     two rows and two columns, which take the closed forms of
     operator_norm (its Lemma 2).
+
+    The norm of W - 1 is read off _root_power at k = 1: on a
+    transposition W - 1 = ((1 - w)/2) [[-1, 1], [1, -1]], of norm
+    |1 - w|, w = e^{i pi/N}, and on a fixed point it is 0.
 
     z_commutes_ok asks whether z chi_U - chi_U z has no coefficient
     above _Z_TOL for any cell U of P.  It is read off the pieces of z,
@@ -545,9 +514,9 @@ def berg_verify(spec, P, N, epsilon, max_steps=None):
     The coefficients of z are finite: they are 1, (1 + w)/2 and
     (1 - w)/2 for w = e^{i pi k/N} (_root_power).
 
-    An empty Y takes the same path: V and W are 0 x 0, _cycles gives
-    [], the root's miss is hypot() = 0.0, the norm of W - 1 is 0.0, and
-    _interpolating_unitary returns cp_element({0: [(1, X)]}) = cp.one."""
+    An empty Y takes the same path: V is 0 x 0, _cycles gives [], the
+    norm of W - 1 is 0.0, and _interpolating_unitary returns
+    cp_element({0: [(1, X)]}) = cp.one."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if not epsilon > math.pi / N:
@@ -562,10 +531,11 @@ def berg_verify(spec, P, N, epsilon, max_steps=None):
         cp.multiply(cp.char(Y), cp.multiply(pe.v2, cp.adjoint(pe.v1))),
         cp.char(Y),
     )
-    V = represent(v_el, points=y_points).matrix
-    W = unitary_nth_root(V, N)
-    norm_w = operator_norm(W - SparseMatrix.identity(len(y_points)))
-    z = _interpolating_unitary(Y, y_points, V, N)
+    cycles = _cycles(represent(v_el, points=y_points).matrix)
+    norm_w = 0.0
+    if any(len(cycle) == 2 for cycle in cycles):
+        norm_w = abs(1 - cmath.exp(1j * math.pi * (1 / N)))
+    z = _interpolating_unitary(Y, y_points, cycles, N)
 
     zs, one = cp.adjoint(z), cp.one(spec)
     z_unitary_ok = (cp.equals_approx(cp.multiply(z, zs), one, _Z_TOL)

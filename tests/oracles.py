@@ -12,9 +12,9 @@ The last section is the exception: the checkers and round trips of
 return systems and crossed-product elements that only the tests call
 (validate_system, finer_system_criterion, refine_system,
 meets_minimal_sets, adapted_pair_failures, system_from_dict, from_dict,
-zero, unit, matrix_units, uhat, fiber_restrict, has_exact_scalars and
-is_unitary).  They are built on the package's set operations, so they
-check structure, not the set algebra.
+zero, unit, matrix_units, v_element_by_levels, uhat, fiber_restrict,
+has_exact_scalars and is_unitary).  They are built on the package's
+set operations, so they check structure, not the set algebra.
 """
 
 from __future__ import annotations
@@ -1084,6 +1084,21 @@ def matrix_units(S):
         for i in range(c.J)
         for j in range(c.J)
     }
+
+
+def v_element_by_levels(S):
+    """The cyclic-shift unitary of the tower levels, one piece per
+    level: chi_(h^(j+1) Y) u for each level j < J-1 of each slice
+    (Y, J), and chi_Y u^(1-J) for its top.  cpalgebra._v_element reads
+    the same element off the slices, by its Lemma B, where the levels
+    tile X."""
+    terms = {}
+    for tws in S.towers:
+        for c in tws:
+            terms.setdefault(1 - c.J, []).append((1, c.Y))
+            for j in range(c.J - 1):
+                terms.setdefault(1, []).append((1, space.apply_h(c.Y, j + 1)))
+    return cp.cp_element(S.spec, terms)
 
 
 def uhat(S, u2):

@@ -150,8 +150,8 @@ def test_root_interpolation_random_unitaries():
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             v = v / np.linalg.norm(v)
             V = (np.eye(n) - 2 * np.outer(v, v.conj())) @ V
-        # numeric takes roots of transpositions and fixed points only;
-        # this is the eigenbasis oracle that its roots are checked against
+        # numeric reads roots of transpositions and fixed points off a
+        # closed form; this is the eigenbasis oracle it is checked against
         W = oracles.eigenbasis_root(V, N)
         assert np.linalg.norm(np.linalg.matrix_power(W, N) - V, 2) <= 1e-10
         assert np.linalg.norm(W - np.eye(n), 2) <= math.pi / N + 1e-9

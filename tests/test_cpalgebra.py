@@ -535,7 +535,8 @@ def test_unit_relations_match_all_pairs_oracle():
         spec = S.spec
         if related is False:
             failed += 1
-            assert pe is None and not oracles.is_unitary(cp._v_element(S))
+            assert pe is None
+            assert not oracles.is_unitary(oracles.v_element_by_levels(S))
         if pe is None:
             continue
         returned += 1
@@ -659,8 +660,8 @@ def test_identity_suite_products_do_not_grow_with_height(monkeypatch):
 
 def _first_not_unitary(S, S2):
     """The first of v1, v2 and uhat that is_unitary rejects, or None."""
-    v2 = cp._v_element(S2)
-    if not oracles.is_unitary(cp._v_element(S)):
+    v2 = oracles.v_element_by_levels(S2)
+    if not oracles.is_unitary(oracles.v_element_by_levels(S)):
         return "v1"
     if not oracles.is_unitary(v2):
         return "v2"
@@ -674,7 +675,7 @@ def test_proof_unitaries_lemmas_match_oracle():
     """Lemmas 1 and 2 of proof_unitaries against is_unitary, on both
     systems of every pair of _lemma_cases, which holds the valid systems
     of genutil.system_specs() and their mutants, and of each valid
-    system with every mutant of its _second_system: _v_element is
+    system with every mutant of its _second_system: the per-level v is
     unitary iff the levels tile X, and on a pair that passes check_pair
     proof_unitaries returns iff v1, v2 and uhat are unitary, else names
     the first that is not.  Every outcome occurs."""
@@ -691,7 +692,8 @@ def test_proof_unitaries_lemmas_match_oracle():
                 L for L in towers.tower_levels(R) if not space.is_empty(L)
             ]
             tiled = space.is_partition(levels)
-            assert oracles.is_unitary(cp._v_element(R)) == tiled
+            v = oracles.v_element_by_levels(R)
+            assert oracles.is_unitary(v) == tiled
             tiles.add(tiled)
         try:
             cp.check_pair(S, S2)
@@ -707,6 +709,68 @@ def test_proof_unitaries_lemmas_match_oracle():
             assert str(e.value) == "element %s is not unitary" % first
     assert tiles == {True, False}
     assert outcomes == {None, "v1", "v2", "uhat"}
+
+
+def _tiling_systems():
+    """Systems whose levels tile X: the valid systems of
+    genutil.system_specs(), both systems of the adapted pair of every
+    family at depths 1 to 3 and of the base-2 odometer at depths 4 to 9,
+    and both systems of the pairs of _lemma_cases whose levels tile."""
+    systems = [genutil.valid_system(spec) for spec in genutil.system_specs()]
+    pairs = [
+        towers.adapted_system_pair(
+            spec, list(space.generating_partition(spec, depth)), 3
+        )
+        for spec in genutil.system_specs()
+        for depth in (1, 2, 3)
+    ]
+    pairs += [
+        towers.adapted_system_pair(
+            ODO, list(space.generating_partition(ODO, depth)), 3
+        )
+        for depth in range(4, 10)
+    ]
+    pairs += [(S, S2) for S, S2, *_ in _lemma_cases()]
+    systems += [R for pair in pairs for R in pair]
+    return [
+        R for R in systems
+        if space.is_partition(
+            [L for L in towers.tower_levels(R) if not space.is_empty(L)]
+        )
+    ]
+
+
+def test_v_element_matches_per_level_oracle():
+    """Lemma B of _v_element: where the levels tile X, the element read
+    off the slices is the per-level element of the oracle, as the same
+    canonical object."""
+    systems = _tiling_systems()
+    for R in systems:
+        assert cp._v_element(R) == oracles.v_element_by_levels(R)
+    assert len(systems) >= 50
+    assert max(c.J for R in systems for ts in R.towers for c in ts) == 512
+
+
+def test_v_element_pieces_do_not_grow_with_height(monkeypatch):
+    """On the base-2 odometer's adapted pair at depth 9, one tower of
+    height 512, _v_element hands cp_element at most 1 + (number of
+    towers) pieces; one piece per level would be 512."""
+    S, S2 = towers.adapted_system_pair(
+        ODO, list(space.generating_partition(ODO, 9)), 3
+    )
+    pieces = []
+
+    def counted(spec, terms, f=cp.cp_element):
+        pieces.append(sum(map(len, terms.values())))
+        return f(spec, terms)
+
+    monkeypatch.setattr(cp, "cp_element", counted)
+    for R in (S, S2):
+        pieces.clear()
+        cp._v_element(R)
+        count = sum(map(len, R.towers))
+        assert [c.J for ts in R.towers for c in ts] == [512]
+        assert len(pieces) == 1 and pieces[0] <= 1 + count
 
 
 def test_proof_unitaries_forms_one_product_and_one_adjoint(monkeypatch):
@@ -788,7 +852,8 @@ def test_u1_and_u2_are_unitary_when_v1_and_v2_are():
     names = set()
     for i, (S, S2) in enumerate(pairs):
         u = cp.shift_unitary(S.spec)
-        v1, v2 = cp._v_element(S), cp._v_element(S2)
+        v1 = oracles.v_element_by_levels(S)
+        v2 = oracles.v_element_by_levels(S2)
         u2 = cp.multiply(cp.adjoint(v2), u)
         elements = {
             "v1": v1,

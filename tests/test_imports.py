@@ -179,9 +179,10 @@ def test_cli_start_path_is_lean():
     ids=["shift", "quotient-shift"],
 )
 def test_berg_jobs_load_neither_numpy_nor_scipy(tmp_path, spec, depth):
-    # a berg job runs the unitary root, the operator norms and the
-    # cutdown check; its corner unitary is a permutation and its norm
-    # blocks have at most two rows, so it needs neither
+    # a berg job reads the corner's root off its closed form and runs
+    # the operator norms and the cutdown check; its corner unitary is a
+    # permutation and its norm blocks have at most two rows, so it needs
+    # neither
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     script = (

@@ -312,7 +312,7 @@ def test_operator_norm_raises_on_three_by_three_block():
 # made to fail: the package needs no numpy for either, on blocks of one
 # or two lines, where a wider block raises ValueError, and permutations
 # with cycles of one or two points, where a longer cycle raises
-# ValueError.
+# ValueError in _cycles.
 _NORMS_AND_ROOTS_BLOCKED = """
 import json, sys
 sys.modules["numpy"] = None
@@ -330,11 +330,11 @@ for shape, entries in norms:
 for n, entries, N in perms:
     V = numeric.SparseMatrix((n, n), {(i, j): 1 + 0j for i, j in entries})
     try:
-        W = numeric.unitary_nth_root(V, N)
+        W = numeric._root_power(numeric._cycles(V), N, 1)
     except ValueError:
         out[1].append(None)
         continue
-    out[1].append([[i, j, c.real, c.imag] for (i, j), c in W.entries.items()])
+    out[1].append([[i, j, c.real, c.imag] for (i, j), c in W.items()])
 print(json.dumps(out))
 """
 
@@ -387,32 +387,53 @@ def test_norms_and_permutation_roots_run_with_numpy_blocked():
         assert np.max(np.abs(W - oracles.eigenbasis_root(V, N))) < 1e-12
 
 
+def _root(V, N):
+    """The N-th root of the permutation V as a SparseMatrix, read off
+    the closed form of numeric._root_power."""
+    cycles = numeric._cycles(V)
+    return numeric.SparseMatrix(V.shape, numeric._root_power(cycles, N, 1))
+
+
+def _longest_cycle(V):
+    """The length of the longest cycle of the 0/1 permutation ndarray V,
+    followed column by column."""
+    image = np.argmax(np.abs(V), axis=0).tolist()
+    longest, seen = 0, set()
+    for s in range(len(image)):
+        length = 0
+        while s not in seen:
+            seen.add(s)
+            s, length = image[s], length + 1
+        longest = max(longest, length)
+    return longest
+
+
 def test_unitary_root_swap_matches_oracle():
     V = sparse([[0, 1], [1, 0]])
     for N in (2, 3, 5, 8):
-        W = numeric.unitary_nth_root(V, N)
+        W = _root(V, N)
         expected = np.array(oracles.swap_root(N))
         assert np.max(np.abs(oracles.dense(W) - expected)) < 1e-12
         W_N = np.linalg.matrix_power(oracles.dense(W), N)
         assert np.linalg.norm(W_N - oracles.dense(V), 2) < 1e-10
         assert (
-            numeric.operator_norm(W - numeric.SparseMatrix.identity(2))
+            numeric.operator_norm(sparse(oracles.dense(W) - np.eye(2)))
             <= math.pi / N + 1e-9
         )
 
 
 def test_unitary_root_identity_and_phase():
-    W = numeric.unitary_nth_root(numeric.SparseMatrix.identity(3), 7)
+    W = _root(sparse(np.eye(3)), 7)
     assert np.allclose(oracles.dense(W), np.eye(3))
     # the corner over an empty Y
     for N in (1, 7):
-        W = numeric.unitary_nth_root(numeric.SparseMatrix((0, 0), {}), N)
+        W = _root(numeric.SparseMatrix((0, 0), {}), N)
         assert W.shape == (0, 0) and W.entries == {}
     # -1 goes through the upper branch: angle pi, root e^{i pi / 3}; the
     # swap has the eigenvalues 1 and -1
     W = oracles.eigenbasis_root(np.array([[-1.0 + 0j]]), 3)
     assert abs(W[0, 0] - cmath.exp(1j * math.pi / 3)) < 1e-10
-    W = numeric.unitary_nth_root(sparse([[0, 1], [1, 0]]), 3)
+    W = _root(sparse([[0, 1], [1, 0]]), 3)
     eigenvalues = np.sort_complex(np.linalg.eigvals(oracles.dense(W)))
     expected = np.sort_complex(np.array([1, cmath.exp(1j * math.pi / 3)]))
     assert np.max(np.abs(eigenvalues - expected)) < 1e-12
@@ -426,15 +447,13 @@ def test_unitary_root_takes_pi_at_minus_one():
     expected = cmath.exp(1j * math.pi / 3) * np.eye(2)
     assert np.max(np.abs(W - expected)) < 1e-12
     V = sparse(np.eye(6, dtype=complex)[[3, 2, 1, 0, 4, 5]])
-    W = oracles.dense(numeric.unitary_nth_root(V, 4))
+    W = oracles.dense(_root(V, 4))
     eigenvalues = np.linalg.eigvals(W)
     assert np.angle(eigenvalues).min() > -math.pi / 4 + 1e-9
     at_pi = np.abs(eigenvalues - cmath.exp(1j * math.pi / 4)) < 1e-12
     assert at_pi.sum() == 2
     with pytest.raises(ValueError, match="three or more"):
-        numeric.unitary_nth_root(
-            sparse(np.eye(6, dtype=complex)[[3, 2, 4, 1, 5, 0]]), 4
-        )
+        numeric._cycles(sparse(np.eye(6, dtype=complex)[[3, 2, 4, 1, 5, 0]]))
     # every eigenvalue of the root of a permutation in transpositions and
     # fixed points, and of the oracle's root of a signed permutation,
     # lies on the arc (-pi/N, pi/N]
@@ -445,7 +464,7 @@ def test_unitary_root_takes_pi_at_minus_one():
             rng, rng.integers(1, 3, size=int(rng.integers(1, 6))).tolist()
         )
         n = V.shape[0]
-        W = oracles.dense(numeric.unitary_nth_root(V, N))
+        W = oracles.dense(_root(V, N))
         assert np.angle(np.linalg.eigvals(W)).min() > -math.pi / N + 1e-9
         V = np.eye(n)[rng.permutation(n)]
         W = oracles.eigenbasis_root(V * rng.choice([-1, 1], size=n), N)
@@ -454,7 +473,7 @@ def test_unitary_root_takes_pi_at_minus_one():
 
 def _schur_root(V, N, tol=1e-10):
     """The root through a complex Schur form V = Q T Q*, with the branch
-    rule of unitary_nth_root: angle(T_jj) in (-pi, pi], and pi within
+    rule of numeric._root_power: angle(T_jj) in (-pi, pi], and pi within
     tol of -pi."""
     scipy_linalg = pytest.importorskip("scipy.linalg")
     T, Q = scipy_linalg.schur(V, output="complex")
@@ -501,24 +520,21 @@ def test_unitary_root_matches_schur_oracle():
         assert np.max(np.abs(oracles.eigenbasis_root(V, N) - expected)) < 1e-12
         if not np.isin(V, (0, 1)).all():
             continue
-        if max(map(len, numeric._cycles(sparse(V)))) > 2:
+        if _longest_cycle(V) > 2:
             with pytest.raises(ValueError, match="three or more"):
-                numeric.unitary_nth_root(sparse(V), N)
+                numeric._cycles(sparse(V))
             longer += 1
         else:
-            W = oracles.dense(numeric.unitary_nth_root(sparse(V), N))
+            W = oracles.dense(_root(sparse(V), N))
             assert np.max(np.abs(W - expected)) < 1e-12
             permutations += 1
     assert permutations >= 150 and longer >= 50
 
 
 def test_unitary_root_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        numeric.unitary_nth_root(sparse([[2.0, 0], [0, 1.0]]), 2)
-    with pytest.raises(ValueError):
-        numeric.unitary_nth_root(numeric.SparseMatrix.identity(2), 0)
-    with pytest.raises(ValueError):
-        numeric.unitary_nth_root(numeric.SparseMatrix((2, 3), {}), 2)
+    for V in (sparse([[2.0, 0], [0, 1.0]]), numeric.SparseMatrix((2, 3), {})):
+        with pytest.raises(ValueError, match="V must be a permutation"):
+            numeric._cycles(V)
 
 
 def _random_permutation_matrix(rng, lengths):
@@ -537,7 +553,8 @@ def _random_permutation_matrix(rng, lengths):
 def test_permutation_root_matches_eigenbasis_root():
     # fixed points and transpositions, where the eigenvalue -1 must take
     # theta = pi; every power W^m, m <= N, of the closed form matches
-    # numpy's; a cycle of 3 to 7 points raises
+    # numpy's, and W^N is V up to the rounding of e^{i pi}; a cycle of 3
+    # to 7 points raises
     rng = np.random.default_rng(84)
     for L in range(1, 8):
         for N in range(1, 10):
@@ -545,10 +562,9 @@ def test_permutation_root_matches_eigenbasis_root():
             V = _random_permutation_matrix(rng, [L] + extra.tolist())
             if L > 2:
                 with pytest.raises(ValueError, match="three or more"):
-                    numeric.unitary_nth_root(V, N)
+                    numeric._cycles(V)
                 continue
-            W = numeric.unitary_nth_root(V, N)
-            assert isinstance(W, numeric.SparseMatrix)
+            W = _root(V, N)
             expected = oracles.eigenbasis_root(oracles.dense(V), N)
             assert np.max(np.abs(oracles.dense(W) - expected)) < 1e-12
             cycles = numeric._cycles(V)
@@ -558,14 +574,16 @@ def test_permutation_root_matches_eigenbasis_root():
                 )
                 expected = np.linalg.matrix_power(oracles.dense(W), m)
                 assert np.max(np.abs(oracles.dense(power) - expected)) < 1e-12
+            gap = oracles.dense(power) - oracles.dense(V)
+            assert np.max(np.abs(gap)) < 1e-15
 
 
 def test_unitary_root_rejects_other_unitaries():
-    # only permutations are taken, as SparseMatrix; a unitary that is
-    # not one, and a dense array, raise ValueError
+    # only permutations are taken; a unitary that is not one raises
+    # ValueError
     rng = np.random.default_rng(85)
     P = np.eye(4)[[1, 0, 3, 2]]
-    assert numeric.unitary_nth_root(sparse(P), 3).shape == (4, 4)
+    assert numeric._cycles(sparse(P)) == [[0, 1], [2, 3]]
     cases = [
         P * np.array([1, 1, -1, 1]),  # a signed permutation
         P * np.array([1, 1j, 1, 1]),  # a phase on one entry
@@ -573,15 +591,13 @@ def test_unitary_root_rejects_other_unitaries():
         np.array([[0.6, -0.8], [0.8, 0.6]]),
     ]
     for V in cases:
-        with pytest.raises(ValueError):
-            numeric.unitary_nth_root(sparse(V), 3)
-    with pytest.raises(ValueError):
-        numeric.unitary_nth_root(P, 3)
+        with pytest.raises(ValueError, match="V must be a permutation"):
+            numeric._cycles(sparse(V))
 
 
 def test_unitary_root_rejects_near_permutations():
     P = np.eye(4, dtype=complex)[[1, 0, 3, 2]]
-    assert numeric.unitary_nth_root(sparse(P), 2).shape == (4, 4)
+    assert numeric._cycles(sparse(P)) == [[0, 1], [2, 3]]
     bad = []
     for value in (2, 0.5, 1 + 1e-6):  # an entry of 2, and scaled ones
         V = P.copy()
@@ -591,8 +607,8 @@ def test_unitary_root_rejects_near_permutations():
     V[:, 2] = 0  # a missing column
     bad.append(V)
     for V in bad:
-        with pytest.raises(ValueError):
-            numeric.unitary_nth_root(sparse(V), 2)
+        with pytest.raises(ValueError, match="V must be a permutation"):
+            numeric._cycles(sparse(V))
 
 
 def test_unitary_root_random_unitaries():
@@ -920,7 +936,9 @@ def test_interpolating_unitary_matches_products(spec, P):
     for N in range(1, 7):
         Y, y_points, V = _berg_corner(spec, P, N)
         assert y_points
-        z = numeric._interpolating_unitary(Y, y_points, V, N)
+        z = numeric._interpolating_unitary(
+            Y, y_points, numeric._cycles(V), N
+        )
         assert z == product_z(Y, y_points, V, N)
 
 
@@ -937,7 +955,9 @@ def test_interpolating_unitary_matches_products_for_random_involutions():
             rng.choice(spread, V.shape[0], replace=False).tolist()
         )
         Y = space.shift_set(SHIFT, y_points)
-        z = numeric._interpolating_unitary(Y, y_points, V, N)
+        z = numeric._interpolating_unitary(
+            Y, y_points, numeric._cycles(V), N
+        )
         assert z == product_z(Y, y_points, V, N)
 
 
@@ -987,15 +1007,17 @@ def test_berg_trivial_when_towers_agree():
 @pytest.mark.parametrize("spec", genutil.system_specs())
 def test_interpolating_unitary_over_empty_y_is_one(spec):
     Y = space.empty_set(spec)
-    V = numeric.SparseMatrix((0, 0), {})
+    cycles = numeric._cycles(numeric.SparseMatrix((0, 0), {}))
     for N in (1, 4):
-        z = numeric._interpolating_unitary(Y, [], V, N)
+        z = numeric._interpolating_unitary(Y, [], cycles, N)
         assert z == cp.one(spec)
 
 
 def test_interpolating_unitary_rejects_coupled_fibers():
     # Y has one point in each of two quotient slices; the root of a V
     # that swaps them has no element, and a V that keeps them has z = 1
+    swap = numeric._cycles(sparse([[0, 1], [1, 0]]))
+    identity = numeric._cycles(sparse(np.eye(2)))
     Y = space.quotient_set(
         QSHIFT, {k: space.shift_set(SHIFT, [0]) for k in (0, 1)}
     )
@@ -1003,10 +1025,7 @@ def test_interpolating_unitary_rejects_coupled_fibers():
     assert y_points == [(0, 0), (1, 0)]
     for N in (1, 3):
         with pytest.raises(DegenerateEigenbasis, match="different fibers"):
-            numeric._interpolating_unitary(
-                Y, y_points, sparse([[0, 1], [1, 0]]), N
-            )
-        identity = numeric.SparseMatrix.identity(2)
+            numeric._interpolating_unitary(Y, y_points, swap, N)
         z = numeric._interpolating_unitary(Y, y_points, identity, N)
         assert z == cp.one(QSHIFT)
 
@@ -1027,7 +1046,7 @@ def _two_by_two_blocks_only(monkeypatch):
     """Make every block that operator_norm reads assert Lemma 2's bound
     of two rows and two columns, and every cycle of a corner V that
     _cycles reads assert its bound of two points.  Returns the list of
-    the corners' cycle lists."""
+    the corners' (V, cycles)."""
     block_norm, cycles_of = numeric._block_norm, numeric._cycles
     seen = []
 
@@ -1039,7 +1058,7 @@ def _two_by_two_blocks_only(monkeypatch):
     def checked_cycles(V):
         cycles = cycles_of(V)
         assert all(len(cycle) <= 2 for cycle in cycles)
-        seen.append(cycles)
+        seen.append((V, cycles))
         return cycles
 
     monkeypatch.setattr(numeric, "_block_norm", checked)
@@ -1047,23 +1066,61 @@ def _two_by_two_blocks_only(monkeypatch):
     return seen
 
 
+def _assert_norm_w_matches_lapack(rep, corner, N):
+    """berg's norm_w_minus_1 against LAPACK's norm of W - 1, with W made
+    dense from numeric._root_power, within a relative 1e-12; exactly 0.0
+    where the corner V has no transposition.  Returns whether it has
+    one."""
+    V, cycles = corner
+    if all(len(cycle) == 1 for cycle in cycles):
+        assert rep.norm_w_minus_1 == 0.0
+        return False
+    W = oracles.dense(
+        numeric.SparseMatrix(V.shape, numeric._root_power(cycles, N, 1))
+    )
+    expected = np.linalg.norm(W - np.eye(V.shape[0]), 2)
+    assert abs(rep.norm_w_minus_1 - expected) <= 1e-12 * expected
+    return True
+
+
 @pytest.mark.parametrize("spec", LEMMA_SPECS, ids=LEMMA_IDS)
 def test_berg_norm_blocks_have_at_most_two_lines(spec, monkeypatch):
-    # Lemma 2 of operator_norm over depths 1-3 and a range of N
+    # Lemma 2 of operator_norm over depths 1-3 and a range of N, and the
+    # closed-form norm of W - 1 on each corner; at N 1, W = V and the
+    # norm is 2 where V has a transposition
     seen = _two_by_two_blocks_only(monkeypatch)
     for depth in (1, 2, 3):
         P = space.generating_partition(spec, depth)
         for N in (1, 2, 3, 5, 8):
-            assert numeric.berg_verify(spec, P, N, math.pi / N + 0.01).passed
-    assert len(seen) >= 15
+            runs = len(seen)
+            rep = numeric.berg_verify(spec, P, N, math.pi / N + 0.01)
+            assert rep.passed and len(seen) == runs + 1
+            if _assert_norm_w_matches_lapack(rep, seen[-1], N) and N == 1:
+                assert abs(rep.norm_w_minus_1 - 2) <= 2e-12
+    assert len(seen) == 15
+
+
+def test_berg_norm_w_covers_transpositions_and_fixed_points(monkeypatch):
+    # the runs of the test above at depth 1 see corners with a
+    # transposition and corners without one, at N 1 and at N 2
+    seen = _two_by_two_blocks_only(monkeypatch)
+    kinds = set()
+    for spec in LEMMA_SPECS:
+        P = space.generating_partition(spec, 1)
+        for N in (1, 2):
+            numeric.berg_verify(spec, P, N, math.pi / N + 0.01)
+            kinds.add((N, any(len(c) == 2 for c in seen[-1][1])))
+    assert kinds == {(1, True), (1, False), (2, True), (2, False)}
 
 
 def test_berg_norm_blocks_have_at_most_two_lines_at_large_n(monkeypatch):
     # the most two-line blocks of any job in CI
     seen = _two_by_two_blocks_only(monkeypatch)
     P = space.generating_partition(QSHIFT, 3)
-    assert numeric.berg_verify(QSHIFT, P, 256, math.pi / 256 + 0.01).passed
-    assert any(len(cycle) == 2 for cycle in seen[0])
+    rep = numeric.berg_verify(QSHIFT, P, 256, math.pi / 256 + 0.01)
+    assert rep.passed and len(seen) == 1
+    assert any(len(cycle) == 2 for cycle in seen[0][1])
+    assert _assert_norm_w_matches_lapack(rep, seen[0], 256)
 
 
 @pytest.mark.parametrize("N", [8, 1024])
@@ -1161,7 +1218,7 @@ def _berg_z(spec, P, N):
     Y, y_points, V = _berg_corner(spec, P, N)
     if not y_points:
         return cp.one(spec)
-    return numeric._interpolating_unitary(Y, y_points, V, N)
+    return numeric._interpolating_unitary(Y, y_points, numeric._cycles(V), N)
 
 
 GOLDEN_BERG = _golden_berg_jobs()
