@@ -28,30 +28,20 @@ def _load_spec(path):
             raise ValueError("spec is nested too deeply") from None
 
 
-def _jsonable(x):
-    if isinstance(x, tuple):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, list):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    return x
-
-
 def _render_text(obj, indent=0):
     pad = "  " * indent
     lines = []
     if isinstance(obj, dict):
         for k in sorted(obj):
             v = obj[k]
-            if isinstance(v, (dict, list)):
+            if isinstance(v, (dict, list, tuple)):
                 lines.append("%s%s:" % (pad, k))
                 lines.append(_render_text(v, indent + 1))
             else:
                 lines.append("%s%s: %s" % (pad, k, v))
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         for v in obj:
-            if isinstance(v, (dict, list)):
+            if isinstance(v, (dict, list, tuple)):
                 lines.append("%s-" % pad)
                 lines.append(_render_text(v, indent + 1))
             else:
@@ -65,9 +55,9 @@ def _emit(report, args):
     report = dict(report)
     report["schema_version"] = SCHEMA_VERSION
     if args.format == "json":
-        text = json.dumps(_jsonable(report), sort_keys=True, indent=2)
+        text = json.dumps(report, sort_keys=True, indent=2)
     else:
-        text = _render_text(_jsonable(report))
+        text = _render_text(report)
     if args.out:
         with open(args.out, "w") as f:
             f.write(text + "\n")
@@ -119,7 +109,7 @@ def cmd_fiberwise(args):
     body = {
         "verdict": rep.verdict,
         "depth": rep.depth,
-        "z_witnesses": [_jsonable(w) for w in rep.z_witnesses],
+        "z_witnesses": rep.z_witnesses,
         "failure": None
         if rep.failure_witness is None
         else {
@@ -267,7 +257,7 @@ def main(argv=None):
             "message": message,
             "schema_version": SCHEMA_VERSION,
         }
-        print(json.dumps(_jsonable(body), sort_keys=True, indent=2),
+        print(json.dumps(body, sort_keys=True, indent=2),
               file=sys.stderr)
         return 2
 

@@ -40,6 +40,7 @@ from .space import (
     empty_set,
     intersect,
     is_empty,
+    is_subset,
     partition_witness,
     sort_key,
     union,
@@ -128,10 +129,6 @@ def cp_element(spec, terms):
             out.append((int(n), sf))
     out.sort(key=lambda t: t[0])
     return CPElement(spec, tuple(out))
-
-
-def one(spec):
-    return char(whole_space(spec))
 
 
 def char(E):
@@ -248,14 +245,6 @@ def adjoint(a):
     return cp_element(a.spec, terms)
 
 
-def max_coefficient(a):
-    return max((abs(c) for _, sf in a.terms for c, _ in sf), default=0.0)
-
-
-def equals_approx(a, b, tol=1e-12):
-    return max_coefficient(a - b) <= tol
-
-
 def to_dict(a):
     return {
         "terms": [
@@ -326,13 +315,18 @@ def proof_unitaries(S, S2):
     """The intertwining unitaries v1 and v2 of an adapted pair, u2 = v2* u
     and the union Y of the hat bases.
 
-    Raises InvalidSystem at the first of v1, v2 and uhat that is not
-    unitary.  uhat is the sum of e_(j,J-1) u2 e_(J-1,j) over the levels
-    j of the leading tower (Y, J) over each base of S, and 1 off those
-    levels, where e_ij = chi_(h^i Y) u^(i-j) is a matrix unit of the
-    tower.  Two set checks stand in for forming v v* and v* v, and uhat
-    is not built (tests/oracles.py keeps is_unitary and uhat as the
-    oracles).  Return times are at least 1, as Tower requires.
+    Raises InvalidSystem unless the towers of S2 sit over its bases, in
+    O(towers) set operations: each base is the union of its slices and
+    holds the top image h^J(Y) of each tower (Y, J) over it, as in
+    build_from_bases (conditions d and e of its lemma).  Then raises
+    InvalidSystem at the first of v1 and v2 that is not unitary.  uhat
+    is the sum of e_(j,J-1) u2 e_(J-1,j) over the levels j of the
+    leading tower (Y, J) over each base of S, and 1 off those levels,
+    where e_ij = chi_(h^i Y) u^(i-j) is a matrix unit of the tower; it
+    is unitary by Lemmas 2 and 3 and is not built.  Two set checks
+    stand in for forming v v* and v* v (tests/oracles.py keeps
+    is_unitary and uhat as the oracles).  Return times are at least 1,
+    as Tower requires.
 
     Lemma 1.  The per-level sum v of the pieces chi_(h^(j+1) Y) u,
     j < J-1, and chi_Y u^(1-J) over the slices (Y, J) of R is unitary
@@ -362,21 +356,32 @@ def proof_unitaries(S, S2):
     to the level.  So uhat is unitary iff every chi_T u2 chi_T is
     unitary in the corner of chi_T.  It is the partial isometry of g
     from T & g^-1(T) onto T & g(T), so that holds iff both are T, that
-    is iff g(T) = T."""
+    is iff g(T) = T.
+
+    Lemma 3.  Let v1 and v2 be unitary and the towers of S2 sit over its
+    bases, and let Tops be the union of the tops T_t of the leading
+    towers of S.  By check_pair, the base of S2 over t is h(T_t), the
+    union of the slices over t.  So h(x) is on a raised level of S2 iff
+    x is off Tops, and there v2* moves it back down: g(x) = x.  For x in
+    T_t, h(x) lies in a slice Y2 over t, of return time J2, which v2*
+    sends to its top: g(x) = h^(J2)(x), in T_t, as h^(J2)(h x) lies in
+    the base h(T_t).  g is a bijection that fixes X - Tops, so it maps
+    Tops onto Tops, and the T_t are disjoint by Lemma 1 for v1, so
+    g(T_t) = T_t, and uhat is unitary by Lemma 2."""
     check_pair(S, S2)
     spec = S.spec
+    for B, towers in zip(S2.bases, S2.towers):
+        if union(empty_set(spec), *(c.Y for c in towers)) != B or not all(
+            is_subset(apply_h(c.Y, c.J), B) for c in towers
+        ):
+            raise InvalidSystem(
+                "second system's towers do not sit over its bases"
+            )
     for name, R in (("v1", S), ("v2", S2)):
         if not is_empty(partition_witness(spec, tower_levels(R))):
             raise InvalidSystem("element %s is not unitary" % name)
     v2 = _v_element(S2)
     u2 = multiply(adjoint(v2), shift_unitary(spec))
-    for towers in S.towers:
-        T = apply_h(towers[0].Y, towers[0].J - 1)
-        image = union(empty_set(spec), *(
-            intersect(apply_h(T, n), E) for n, sf in u2.terms for _, E in sf
-        ))
-        if image != T:
-            raise InvalidSystem("element uhat is not unitary")
     Y = union(empty_set(spec), *(hat_base(S, t) for t in range(S.T)))
     return ProofElements(_v_element(S), v2, u2, Y)
 
@@ -422,13 +427,13 @@ def _entry(name, pairs):
 def identity_suite(S, S2):
     """Exact symbolic checks of the defining identities of the pair.
 
-    matrix_unit_relations, diagonal_units_sum_to_one, v1_moves, v1_wrap,
-    uhat_unitary and uhat_commutes_with_units are facts that
-    proof_unitaries has established: they pass with no witness and form
-    no product.
+    Only v2v1_conjugates_base and v2v1_fixes_core are computed, five
+    products on a pair with one base.  The other nine are facts that
+    proof_unitaries has established, by the two lemmas below: they pass
+    with no witness and form no product.
 
     Lemma.  proof_unitaries returns only when v1 and uhat are unitary
-    (its Lemmas 1 and 2).  v1 has a piece chi_E u^n per level E = h^j(Y)
+    (its Lemmas 1 to 3).  v1 has a piece chi_E u^n per level E = h^j(Y)
     of each slice (Y, J) of S, n = 1 for j >= 1 and n = 1-J for j = 0,
     so f_n(x), with v1 = sum_n f_n u^n, counts the levels of term n that
     hold x.
@@ -450,45 +455,35 @@ def identity_suite(S, S2):
     e_(k,J-1) u2 e_(J-1,k) of uhat and uhat e_ik only
     e_(i,J-1) u2 e_(J-1,i), so both are e_(i,J-1) u2 e_(J-1,k), whatever
     u2 is.  By (i) too, p_t, the sum of the diagonal units of the
-    leading tower over base t, is chi of the union of its levels.
+    leading tower over base t, is chi of L_t, the union of its levels.
 
-    The two entries that read uhat reduce to u2, so uhat is not built.
-    Let T_t = h^(J-1)(Y) be the top of the leading tower (Y, J) over
-    base t, and Tops the union of the T_t.
-    - pt_commutes.  By (i), p_t e_(j,J-1) = e_(j,J-1) and
-      e_(J-1,j) p_t = e_(J-1,j) for the units of the leading tower over
-      t, both products are 0 for the units of any other leading tower,
-      and p_t chi(X - leading levels) = 0.  So p_t uhat = uhat p_t for
-      every u2, and as _entry keeps the last unequal pair, the
-      (p_t u2, u2 p_t) pairs alone give the same pass value and witness.
+    Lemma (S2).  Let Tops be the union of the tops T_t of the leading
+    towers of S.  By Lemma 3 of proof_unitaries, u2 chi_E u2* =
+    chi_(g(E)) for a bijection g that fixes X - Tops pointwise and maps
+    each T_t onto itself.
     - u2_recovery.  The recovered element is left uhat right + chi of
-      X - Tops, with left the sum of the e_(J-1,0) and right the sum of
-      the e_(0,J-1) of the leading towers.  By (i), left uhat right is
-      the sum of the chi_(T_t) u2 chi_(T_t).  By Lemma 2 of
-      proof_unitaries g(T_t) = T_t, so u2 chi_(T_t) = chi_(T_t) u2, and
-      as the tops are disjoint by (i), the sum is chi_Tops u2, one
-      product."""
-    spec = S.spec
+      X - Tops, with left and right the sums of the e_(J-1,0) and of the
+      e_(0,J-1) of the leading towers.  By (i), left uhat right is the
+      sum of the chi_(T_t) u2 chi_(T_t), that is chi_Tops u2, and
+      chi(X - Tops) u2 = chi(X - Tops), so the sum is u2.
+    - pt_commutes.  p_t commutes with uhat: p_t e_(j,J-1) = e_(j,J-1)
+      and e_(J-1,j) p_t = e_(J-1,j) for the units of the leading tower
+      over t, and both are 0 for the other leading towers and for
+      chi(X - leading levels).  L_t meets Tops in T_t alone, by (i), so
+      g(L_t) = L_t, and p_t commutes with u2.
+    - rt_central.  Let r_t be the union of the levels of S2 over base t.
+      h moves each level up one and each top into the base, the union of
+      the slices, so h(r_t) lies in r_t.  The r_t tile X and h is a
+      bijection, so h(r_t) = r_t and chi(r_t) commutes with u.
+    tests/test_cpalgebra.py keeps the product forms as oracles."""
     pe = proof_unitaries(S, S2)
-    u = shift_unitary(spec)
     w = multiply(pe.v2, adjoint(pe.v1))
     w_star = adjoint(w)
     leads = [towers[0] for towers in S.towers]
-
-    def saturation(towers):
-        return char(union(empty_set(spec), *(
-            apply_h(c.Y, j) for c in towers for j in range(c.J)
-        )))
-
     cores = [char(intersect(c.Y, apply_h(c.Y, c.J))) for c in leads]
-    top_levels = union(empty_set(spec),
-                       *(apply_h(c.Y, c.J - 1) for c in leads))
-    recovered = add(multiply(char(top_levels), pe.u2),
-                    char(complement(top_levels)))
-    projections = [saturation([c]) for c in leads]
 
     # proof_unitaries has raised InvalidSystem unless v1 and uhat are
-    # unitary, and the lemma reads the five entries of S off the tiling
+    # unitary and the towers of S2 sit over its bases
     return SuiteReport((
         ("matrix_unit_relations", True, None),
         ("diagonal_units_sum_to_one", True, None),
@@ -501,14 +496,9 @@ def identity_suite(S, S2):
         _entry("v2v1_fixes_core", ((multiply(w, x), x) for x in cores)),
         ("uhat_unitary", True, None),
         ("uhat_commutes_with_units", True, None),
-        _entry("u2_recovery", [(recovered, pe.u2)]),
-        _entry("pt_commutes", (
-            (multiply(p, pe.u2), multiply(pe.u2, p)) for p in projections
-        )),
-        _entry("rt_central", (
-            (multiply(r, u), multiply(u, r))
-            for r in map(saturation, S2.towers)
-        )),
+        ("u2_recovery", True, None),
+        ("pt_commutes", True, None),
+        ("rt_central", True, None),
     ))
 
 

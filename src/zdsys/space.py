@@ -1174,14 +1174,13 @@ def disjoint_union(spec, sets, nonempty=False):
     return ClopenSet(spec, spec.from_atoms(covered, s)), None
 
 
-def is_partition(sets, target=None):
-    """True iff the sets are nonempty, pairwise disjoint and cover the
-    target set, which is all of X when not given."""
-    if target is None:
-        if not sets:
-            return False
-        target = whole_space(sets[0].spec)
-    return disjoint_union(target.spec, sets, nonempty=True)[0] == target
+def is_partition(sets):
+    """True iff there are sets, and they are nonempty, pairwise disjoint
+    and cover X."""
+    if not sets:
+        return False
+    spec = sets[0].spec
+    return disjoint_union(spec, sets, nonempty=True)[0] == whole_space(spec)
 
 
 def partition_witness(spec, sets):

@@ -10,10 +10,11 @@ that this module imports without it.
 
 The last section is the exception: the checkers and round trips of
 return systems and crossed-product elements that only the tests call
-(validate_system, finer_system_criterion, refine_system,
+(tiles, validate_system, finer_system_criterion, refine_system,
 meets_minimal_sets, adapted_pair_failures, system_from_dict, from_dict,
-zero, unit, matrix_units, v_element_by_levels, uhat, fiber_restrict,
-has_exact_scalars and is_unitary).  They are built on the package's
+zero, one, max_coefficient, equals_approx, unit, matrix_units,
+v_element_by_levels, uhat, fiber_restrict, has_exact_scalars and
+is_unitary).  They are built on the package's
 set operations, so they check structure, not the set algebra.
 """
 
@@ -564,10 +565,10 @@ def cell_labels(cells, points, contains_point):
 
 def commutes_by_products(z, P, ops, tol=1e-10):
     """True iff z chi_U - chi_U z has no coefficient above tol for any
-    cell U of P, with both products formed.  `ops` gives multiply, char
-    and max_coefficient, and the elements subtract."""
+    cell U of P, with both products formed.  `ops` gives multiply and
+    char, and the elements subtract."""
     return all(
-        ops.max_coefficient(
+        max_coefficient(
             ops.multiply(z, ops.char(U)) - ops.multiply(ops.char(U), z)
         )
         <= tol
@@ -900,6 +901,17 @@ class InvalidFiberPoint(errors.ZdsysError):
     """The requested point is not in the quotient base space."""
 
 
+def tiles(sets, target):
+    """True iff the sets are nonempty, pairwise disjoint and their union
+    is the target set, pair by pair."""
+    if any(space.is_empty(a) for a in sets):
+        return False
+    if any(not space.is_empty(space.intersect(a, b))
+           for a, b in combinations(sets, 2)):
+        return False
+    return space.union(space.empty_set(target.spec), *sets) == target
+
+
 def validate_system(S, P):
     """Check the defining conditions of a return system; per-condition
     pass/fail entries with a witness set for each failure.  A system
@@ -922,7 +934,7 @@ def validate_system(S, P):
                     if not space.is_empty(meet):
                         yield meet
             tops = [space.apply_h(c.Y, c.J) for c in tws]
-            if not space.is_partition(tops, X_t):
+            if not tiles(tops, X_t):
                 yield X_t
 
     def cover_failures():
@@ -937,7 +949,7 @@ def validate_system(S, P):
                     if space.common_refinement((X,), P) != (X,))),
         entry("c", (X for X, tws in pairs if not tws)),
         entry("d", (X for X, tws in pairs
-                    if not space.is_partition([c.Y for c in tws], X))),
+                    if not tiles([c.Y for c in tws], X))),
         entry("e", return_failures()),
         entry("f", cover_failures()),
     ))
@@ -1066,6 +1078,18 @@ def zero(spec):
     return cp.CPElement(spec, ())
 
 
+def one(spec):
+    return cp.char(space.whole_space(spec))
+
+
+def max_coefficient(a):
+    return max((abs(c) for _, sf in a.terms for c, _ in sf), default=0.0)
+
+
+def equals_approx(a, b, tol=1e-12):
+    return max_coefficient(a - b) <= tol
+
+
 def unit(spec, c, i, j):
     """The matrix unit e_ij of the tower c: chi_{h^i(Y)} u^(i-j)
     restricted to land on chi_{h^j(Y)}, which collapses to
@@ -1153,8 +1177,8 @@ def is_unitary(a):
     scalars of a are exact, else to 1e-12.  proof_unitaries checks its
     unitaries by the set tests of its lemmas instead."""
     star = cp.adjoint(a)
-    e = cp.one(a.spec)
+    e = one(a.spec)
     products = (cp.multiply(a, star), cp.multiply(star, a))
     if has_exact_scalars(a):
         return all(p == e for p in products)
-    return all(cp.equals_approx(p, e) for p in products)
+    return all(equals_approx(p, e) for p in products)

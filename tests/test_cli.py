@@ -172,6 +172,22 @@ def test_text_format(spec_file, capsys):
     assert "verdict: True" in out
 
 
+with open(os.path.join(os.path.dirname(__file__), "text_reports.json")) as _f:
+    TEXT_REPORTS = json.load(_f)
+
+
+@pytest.mark.parametrize("job", TEXT_REPORTS, ids=[j["name"] for j in TEXT_REPORTS])
+def test_text_report_snapshot(job, tmp_path, capsys):
+    """--format text output, byte for byte, of jobs whose reports nest
+    tuples: the z_witnesses of fiberwise on the base-2 odometer and on
+    the quotient over it, and one tower and one berg report."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(job["spec"]))
+    args = job["args"]
+    code, out, err = run(capsys, args[0], "--spec", str(path), *args[1:])
+    assert (code, out, err) == (job["exit"], job["stdout"], "")
+
+
 def test_missing_file_is_usage_error(capsys):
     code, out, err = run(capsys, "tower", "--spec", "/nonexistent.json")
     assert code == 2

@@ -23,6 +23,9 @@ SHIFT = space.compactified_shift()
 ODO = space.odometer(2)
 
 FAILING_SUITES = os.path.join(os.path.dirname(__file__), "failing_suites.json")
+FIRST_RETURN_SUITES = os.path.join(
+    os.path.dirname(__file__), "first_return_suites.json"
+)
 
 
 def random_element(spec, rng, max_terms=3, max_shift=3):
@@ -88,7 +91,7 @@ def test_sum_of_many_elements_is_the_fold_of_sums(spec):
     another spec raises MixedSystems wherever it stands."""
     rng = random.Random(101)
     zero = oracles.zero(spec)
-    other = cp.one(space.finite_cycle(5))
+    other = oracles.one(space.finite_cycle(5))
     for _ in range(20):
         els = [random_element(spec, rng) for _ in range(rng.randint(1, 4))]
         els.append(cp.cp_element(spec, random_float_terms(spec, rng)))
@@ -229,15 +232,15 @@ def test_diagonal_subalgebra_commutes():
 
 
 def test_mixed_specs_rejected():
-    a = cp.one(space.finite_cycle(3))
-    b = cp.one(space.finite_cycle(4))
+    a = oracles.one(space.finite_cycle(3))
+    b = oracles.one(space.finite_cycle(4))
     with pytest.raises(MixedSystems):
         cp.add(a, b)
 
 
 def test_unitaries():
     assert oracles.is_unitary(cp.shift_unitary(SHIFT))
-    assert oracles.is_unitary(cp.one(ODO))
+    assert oracles.is_unitary(oracles.one(ODO))
     assert not oracles.is_unitary(cp.char(space.shift_set(SHIFT, [0])))
 
 
@@ -262,7 +265,7 @@ def test_matrix_units_diagonal_sums_to_one():
         for (t, k, i, j), el in e.items():
             if i == j:
                 diag = cp.add(diag, el)
-        assert diag == cp.one(spec)
+        assert diag == oracles.one(spec)
 
 
 def _unit_relations_hold(units):
@@ -328,25 +331,30 @@ def random_cycle_pair(rng):
     return S, _random_cycle_system(rng, spec, bases2)
 
 
-def search_failing_suites(seed=5, trials=20000, keep=10, per_kind=3):
-    """Random cycle pairs whose identity suite completes with failures,
-    at most per_kind of each set of failing entries; the data of
-    failing_suites.json."""
+def search_first_return_suites(seed=5, trials=20000, keep=6, per_period=3):
+    """Random cycle systems S whose identity suite with _second_system(S),
+    the first-return system over the images of the leading slices of S,
+    completes with failures, at most per_period of each period; the
+    data of first_return_suites.json.  failing_suites.json holds pairs
+    that the same search found with the random second systems of
+    random_cycle_pair, before proof_unitaries checked that the towers
+    of S2 sit over its bases."""
     rng = random.Random(seed)
-    kinds = {}
+    periods = {}
     out = []
     for _ in range(trials):
-        S, S2 = random_cycle_pair(rng)
+        S, _ = random_cycle_pair(rng)
+        S2 = _second_system(S)
         try:
             rep = cp.identity_suite(S, S2)
         except InvalidSystem:
             continue
-        kind = tuple(n for n, p, _ in rep.entries if not p)
-        if not kind or kinds.get(kind, 0) >= per_kind:
+        p = S.spec.period
+        if rep.ok or periods.get(p, 0) >= per_period:
             continue
-        kinds[kind] = kinds.get(kind, 0) + 1
+        periods[p] = periods.get(p, 0) + 1
         out.append({
-            "period": S.spec.period,
+            "period": p,
             "S": towers.system_to_dict(S),
             "S2": towers.system_to_dict(S2),
             "report": rep.to_dict(),
@@ -356,18 +364,52 @@ def search_failing_suites(seed=5, trials=20000, keep=10, per_kind=3):
     return out
 
 
-def test_failing_suite_reports():
-    # whole reports, witnesses included, of suites that complete with
-    # failures; every golden identities report passes
-    with open(FAILING_SUITES) as f:
+def _recorded_pairs(path):
+    """The (S, S2, case) of each case of a recorded suite file."""
+    with open(path) as f:
         cases = json.load(f)
-    assert len(cases) >= 10
+    out = []
     for case in cases:
         spec = space.finite_cycle(case["period"])
-        S = oracles.system_from_dict(spec, case["S"])
-        S2 = oracles.system_from_dict(spec, case["S2"])
+        S, S2 = (oracles.system_from_dict(spec, case[k]) for k in ("S", "S2"))
+        out.append((S, S2, case))
+    return out
+
+
+OFF_BASES = "second system's towers do not sit over its bases"
+
+
+def _sits_over_bases(S2):
+    """Conditions d and e of validate_system on S2: where the levels of
+    S2 tile X, these hold iff its towers sit over its bases, as
+    proof_unitaries checks."""
+    rep = oracles.validate_system(S2, [space.whole_space(S2.spec)])
+    return all(p for c, p, _ in rep.entries if c in "de")
+
+
+def test_failing_suite_reports():
+    # the pairs of failing_suites.json are rejected: the towers of their
+    # second systems do not sit over their bases; the pairs of
+    # first_return_suites.json, whose second systems are first-return
+    # systems, complete with failures, whole reports, witnesses
+    # included; every golden identities report passes
+    recorded = _recorded_pairs(FAILING_SUITES)
+    assert len(recorded) >= 10
+    for S, S2, _ in recorded:
+        assert not _sits_over_bases(S2)
+        with pytest.raises(InvalidSystem) as e:
+            cp.identity_suite(S, S2)
+        assert str(e.value) == OFF_BASES
+    recorded = _recorded_pairs(FIRST_RETURN_SUITES)
+    assert len(recorded) >= 5
+    for S, S2, case in recorded:
+        X = space.whole_space(S.spec)
+        assert S2 == _second_system(S)
+        assert S2 == towers.build_from_bases(list(S2.bases), [X])
         rep = cp.identity_suite(S, S2)
-        assert not rep.ok
+        assert [n for n, p, _ in rep.entries if not p] == [
+            "v2v1_conjugates_base"
+        ]
         assert rep.to_dict() == case["report"]
 
 
@@ -401,7 +443,9 @@ def uhat_only_pair():
     """A pair on finite_cycle(5) that passes check_pair, whose levels
     tile X in both systems, and on which uhat alone is not unitary: the
     first tower of S2 sends its top image {4} into the other base, so u2
-    moves the leading top {4} of S to {3}."""
+    moves the leading top {4} of S to {3}.  Each base of S2 is its
+    slice, so its towers fail only the second half of sitting over
+    their bases."""
     spec = space.finite_cycle(5)
     a, b = (space.finite_cycle_set(spec, [p]) for p in (4, 0))
     S = towers.ReturnSystem(
@@ -414,11 +458,12 @@ def uhat_only_pair():
 
 
 def crossed_pair():
-    """A pair on finite_cycle(4) on which proof_unitaries returns and the
-    suite fails pt_commutes and rt_central: S has the towers ({0}, 2)
-    and ({2}, 2), and S2, based on their top images {2} and {0}, the
-    towers ({1}, 2) and ({3}, 2), so u2 = v2* u swaps the leading towers
-    of S."""
+    """A pair on finite_cycle(4) on which v1, v2 and uhat are unitary and
+    the product forms of u2_recovery, pt_commutes and rt_central fail:
+    S has the towers ({0}, 2) and ({2}, 2), and S2, based on their top
+    images {2} and {0}, the towers ({1}, 2) and ({3}, 2), so u2 = v2* u
+    swaps the leading towers of S.  The towers of S2 sit over neither
+    base, so proof_unitaries rejects the pair."""
     spec = space.finite_cycle(4)
     p = [space.finite_cycle_set(spec, [i]) for i in range(4)]
     S = towers.ReturnSystem(spec, (p[0], p[2]), (
@@ -430,38 +475,19 @@ def crossed_pair():
     return S, S2
 
 
-# the report of crossed_pair, as json.dumps(..., sort_keys=True) writes it
-CROSSED_REPORT = (
-    '{"entries": [{"name": "matrix_unit_relations", "pass": true, '
-    '"witness": null}, {"name": "diagonal_units_sum_to_one", "pass": true, '
-    '"witness": null}, {"name": "v1_moves", "pass": true, "witness": null}, '
-    '{"name": "v1_wrap", "pass": true, "witness": null}, '
-    '{"name": "v2v1_conjugates_base", "pass": false, "witness": {"terms": '
-    '[{"coeff": [{"im": 0.0, "re": 1.0, "set": {"points": [0]}}, '
-    '{"im": 0.0, "re": -1.0, "set": {"points": [2]}}], "n": 0}]}}, '
-    '{"name": "v2v1_fixes_core", "pass": true, "witness": null}, '
-    '{"name": "uhat_unitary", "pass": true, "witness": null}, '
-    '{"name": "uhat_commutes_with_units", "pass": true, "witness": null}, '
-    '{"name": "u2_recovery", "pass": false, "witness": {"terms": '
-    '[{"coeff": [{"im": 0.0, "re": 1.0, "set": {"points": [0, 2]}}], '
-    '"n": 0}, {"coeff": [{"im": 0.0, "re": -1.0, "set": {"points": '
-    '[0, 2]}}], "n": 2}]}}, {"name": "pt_commutes", "pass": false, '
-    '"witness": {"terms": [{"coeff": [{"im": 0.0, "re": -1.0, "set": '
-    '{"points": [0]}}, {"im": 0.0, "re": 1.0, "set": {"points": [2]}}], '
-    '"n": 2}]}}, {"name": "rt_central", "pass": false, "witness": '
-    '{"terms": [{"coeff": [{"im": 0.0, "re": -1.0, "set": {"points": '
-    '[1]}}, {"im": 0.0, "re": 1.0, "set": {"points": [3]}}], "n": 1}]}}], '
-    '"ok": false}'
-)
-
-
-def test_crossed_pair_report():
-    S, S2 = crossed_pair()
-    rep = cp.identity_suite(S, S2)
-    assert [n for n, p, _ in rep.entries if not p] == [
-        "v2v1_conjugates_base", "u2_recovery", "pt_commutes", "rt_central"
-    ]
-    assert json.dumps(rep.to_dict(), sort_keys=True) == CROSSED_REPORT
+def thin_slice_pair():
+    """A pair on finite_cycle(4) that passes check_pair, whose levels
+    tile X in both systems, and whose second system has the base {0, 2}
+    but the one slice {0}: S has the tower ({0, 2}, 2) over {0, 2}, and
+    S2 the tower ({0}, 4), whose top image {0} lies in the base.  So the
+    towers of S2 fail only the first half of sitting over their
+    bases."""
+    spec = space.finite_cycle(4)
+    B = space.finite_cycle_set(spec, [0, 2])
+    S = towers.ReturnSystem(spec, (B,), ((towers.Tower(B, 2),),))
+    Y2 = space.finite_cycle_set(spec, [0])
+    S2 = towers.ReturnSystem(spec, (B,), ((towers.Tower(Y2, 4),),))
+    return S, S2
 
 
 def _second_system(S):
@@ -490,8 +516,9 @@ def _lemma_cases():
     and the proof_unitaries of the pair (None where it raises
     InvalidSystem).  The pairs: valid systems and their single-field
     mutants, each with _second_system, adapted pairs from random
-    partitions, random cycle pairs, the pairs of failing_suites.json,
-    uhat_only_pair and crossed_pair.  The all-pairs oracle is
+    partitions, random cycle pairs, the pairs of failing_suites.json
+    and first_return_suites.json, uhat_only_pair, crossed_pair and
+    thin_slice_pair.  The all-pairs oracle is
     quadratic in the units, so past the valid systems it runs on those
     of at most 50 units."""
     rng = random.Random(83)
@@ -503,13 +530,9 @@ def _lemma_cases():
     ]
     pairs += _random_pairs(rng)
     pairs += [random_cycle_pair(rng) for _ in range(40)]
-    with open(FAILING_SUITES) as f:
-        for case in json.load(f):
-            spec = space.finite_cycle(case["period"])
-            pairs.append(tuple(
-                oracles.system_from_dict(spec, case[k]) for k in ("S", "S2")
-            ))
-    pairs += [uhat_only_pair(), crossed_pair()]
+    for path in (FAILING_SUITES, FIRST_RETURN_SUITES):
+        pairs += [(S, S2) for S, S2, _ in _recorded_pairs(path)]
+    pairs += [uhat_only_pair(), crossed_pair(), thin_slice_pair()]
     cases = []
     for S, S2 in pairs:
         units = oracles.matrix_units(S)
@@ -543,7 +566,7 @@ def test_unit_relations_match_all_pairs_oracle():
         diag = cp.add(oracles.zero(spec), *(
             e for (_, _, i, j), e in units.items() if i == j
         ))
-        assert diag == cp.one(spec)
+        assert diag == oracles.one(spec)
         v1_star = cp.adjoint(pe.v1)
         for c in (c for ts in S.towers for c in ts):
             for j in range(c.J):
@@ -571,15 +594,18 @@ def test_uhat_generators_match_all_units():
     assert returned >= 10
 
 
-def _uhat_entries(S, u2):
-    """u2_recovery and pt_commutes formed through oracles.uhat: the
-    recovered element is left uhat right plus chi of X minus the
-    leading tops, with left and right the sums of the e_(J-1,0) and of
-    the e_(0,J-1) of the leading towers, and pt_commutes runs over both
-    u2 and uhat.  identity_suite's lemma reads both off u2 alone."""
+def _s2_entries(S, S2, u2):
+    """u2_recovery, pt_commutes and rt_central formed by products, the
+    first two through oracles.uhat: the recovered element is left uhat
+    right plus chi of X minus the leading tops, with left and right the
+    sums of the e_(J-1,0) and of the e_(0,J-1) of the leading towers,
+    pt_commutes runs over both u2 and uhat, and rt_central over the
+    unions r_t of the levels of S2 over each base.  identity_suite reads
+    all three off the towers of S2."""
     spec = S.spec
     leads = [ts[0] for ts in S.towers]
     uhat = oracles.uhat(S, u2)
+    u = cp.shift_unitary(spec)
     left = cp.add(oracles.zero(spec), *(
         oracles.unit(spec, c, c.J - 1, 0) for c in leads
     ))
@@ -591,51 +617,55 @@ def _uhat_entries(S, u2):
     ))
     recovered = cp.add(cp.multiply(cp.multiply(left, uhat), right),
                        cp.char(space.complement(tops)))
-    projections = [
-        cp.char(space.union(space.empty_set(spec), *(
-            space.apply_h(c.Y, j) for j in range(c.J)
+
+    def saturation(tws):
+        return cp.char(space.union(space.empty_set(spec), *(
+            space.apply_h(c.Y, j) for c in tws for j in range(c.J)
         )))
-        for c in leads
-    ]
+
     return [
         cp._entry("u2_recovery", [(recovered, u2)]),
         cp._entry("pt_commutes", (
             (cp.multiply(p, x), cp.multiply(x, p))
-            for p in projections
+            for p in (saturation([c]) for c in leads)
             for x in (u2, uhat)
+        )),
+        cp._entry("rt_central", (
+            (cp.multiply(r, u), cp.multiply(u, r))
+            for r in map(saturation, S2.towers)
         )),
     ]
 
 
 def test_uhat_entries_match_oracle():
-    """On every pair of _lemma_cases where proof_unitaries returns, the
-    suite's u2_recovery and pt_commutes, read off u2, have the JSON text
-    of the entries formed through uhat (JSON, unlike ==, tells 1-0j from
-    1+0j in a witness).  Both entries fail on some pair."""
-    failed = set()
+    """The second lemma of identity_suite: on every pair of _lemma_cases
+    that proof_unitaries accepts, the product forms of u2_recovery,
+    pt_commutes and rt_central pass, as the suite reports them.  All
+    three fail on crossed_pair, which proof_unitaries rejects."""
     returned = 0
     for S, S2, _, _, pe in _lemma_cases():
         if pe is None:
             continue
         returned += 1
-        entries = {e[0]: e for e in cp.identity_suite(S, S2).entries}
-        for want in _uhat_entries(S, pe.u2):
-            got = entries[want[0]]
-            assert json.dumps(cp.SuiteReport((got,)).to_dict()) == json.dumps(
-                cp.SuiteReport((want,)).to_dict()
-            )
-            if not got[1]:
-                failed.add(got[0])
-    assert failed == {"u2_recovery", "pt_commutes"}
+        entries = cp.identity_suite(S, S2).entries
+        for want in _s2_entries(S, S2, pe.u2):
+            assert want == (want[0], True, None)
+            assert want in entries
     assert returned >= 10
+    S, S2 = crossed_pair()
+    u2 = cp.multiply(
+        cp.adjoint(oracles.v_element_by_levels(S2)), cp.shift_unitary(S.spec)
+    )
+    assert not any(p for _, p, _ in _s2_entries(S, S2, u2))
+    with pytest.raises(InvalidSystem, match=OFF_BASES):
+        cp.proof_unitaries(S, S2)
 
 
 def test_identity_suite_products_do_not_grow_with_height(monkeypatch):
     """identity_suite forms as many products on the base-2 odometer's
     adapted pair at depth 9, N 3, as at depth 6: one base whose leading
-    tower has height 512 and 64.  The 10 are u2 in proof_unitaries,
-    w = v2 v1*, two for the base, one for the core, one for the
-    recovery, two for p_t and two for r_t."""
+    tower has height 512 and 64.  The 5 are u2 in proof_unitaries,
+    w = v2 v1*, two for the base and one for the core."""
     pairs = [
         towers.adapted_system_pair(
             ODO, list(space.generating_partition(ODO, depth)), 3
@@ -655,7 +685,31 @@ def test_identity_suite_products_do_not_grow_with_height(monkeypatch):
         calls.clear()
         assert cp.identity_suite(S, S2).ok
         counts.append(len(calls))
-    assert counts == [10, 10]
+    assert counts == [5, 5]
+
+
+def test_identity_suite_level_sets_do_not_grow_with_height(monkeypatch):
+    """Outside proof_unitaries, identity_suite calls apply_h as often on
+    the base-2 odometer's adapted pair at depth 9, N 3, as at depth 6:
+    it forms no set per tower level."""
+    counts = []
+    for depth in (6, 9):
+        S, S2 = towers.adapted_system_pair(
+            ODO, list(space.generating_partition(ODO, depth)), 3
+        )
+        pe = cp.proof_unitaries(S, S2)
+        calls = []
+
+        def counted(*args, f=space.apply_h):
+            calls.append(args)
+            return f(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(cp, "proof_unitaries", lambda *_: pe)
+            m.setattr(cp, "apply_h", counted)
+            assert cp.identity_suite(S, S2).ok
+        counts.append(len(calls))
+    assert counts[0] == counts[1] < 64
 
 
 def _first_not_unitary(S, S2):
@@ -671,14 +725,23 @@ def _first_not_unitary(S, S2):
     return None
 
 
+def _levels_tile(R):
+    """Whether the nonempty levels of R tile X."""
+    levels = [L for L in towers.tower_levels(R) if not space.is_empty(L)]
+    return space.is_partition(levels)
+
+
 def test_proof_unitaries_lemmas_match_oracle():
-    """Lemmas 1 and 2 of proof_unitaries against is_unitary, on both
+    """Lemmas 1 to 3 of proof_unitaries against is_unitary, on both
     systems of every pair of _lemma_cases, which holds the valid systems
     of genutil.system_specs() and their mutants, and of each valid
     system with every mutant of its _second_system: the per-level v is
-    unitary iff the levels tile X, and on a pair that passes check_pair
-    proof_unitaries returns iff v1, v2 and uhat are unitary, else names
-    the first that is not.  Every outcome occurs."""
+    unitary iff the levels tile X.  On a pair that passes check_pair,
+    proof_unitaries rejects the second system iff its towers do not sit
+    over its bases, where its levels tile; else it names the first of
+    v1 and v2 that is not unitary, or returns, and then uhat is
+    unitary.  Every outcome occurs, and uhat_only_pair is rejected by
+    the towers of S2 where the oracle finds uhat not unitary."""
     valid = [genutil.valid_system(spec) for spec in genutil.system_specs()]
     pairs = [(S, S2) for S, S2, *_ in _lemma_cases()]
     pairs += [
@@ -688,10 +751,7 @@ def test_proof_unitaries_lemmas_match_oracle():
     outcomes = set()
     for S, S2 in pairs:
         for R in (S, S2):
-            levels = [
-                L for L in towers.tower_levels(R) if not space.is_empty(L)
-            ]
-            tiled = space.is_partition(levels)
+            tiled = _levels_tile(R)
             v = oracles.v_element_by_levels(R)
             assert oracles.is_unitary(v) == tiled
             tiles.add(tiled)
@@ -700,15 +760,58 @@ def test_proof_unitaries_lemmas_match_oracle():
         except (InvalidSystem, IncompatiblePair):
             continue
         first = _first_not_unitary(S, S2)
-        outcomes.add(first)
-        if first is None:
+        try:
             cp.proof_unitaries(S, S2)
-        else:
-            with pytest.raises(InvalidSystem) as e:
-                cp.proof_unitaries(S, S2)
-            assert str(e.value) == "element %s is not unitary" % first
+            got = None
+        except InvalidSystem as e:
+            got = str(e)
+        if _levels_tile(S2):
+            assert (got == OFF_BASES) == (not _sits_over_bases(S2))
+        if got == OFF_BASES:
+            outcomes.add("off bases")
+            continue
+        assert first != "uhat"
+        assert got == (None if first is None else
+                       "element %s is not unitary" % first)
+        outcomes.add(first)
     assert tiles == {True, False}
-    assert outcomes == {None, "v1", "v2", "uhat"}
+    assert outcomes == {None, "v1", "v2", "off bases"}
+    S, S2 = uhat_only_pair()
+    assert _first_not_unitary(S, S2) == "uhat"
+    with pytest.raises(InvalidSystem, match=OFF_BASES):
+        cp.proof_unitaries(S, S2)
+
+
+@pytest.mark.parametrize(
+    "pair, halves",
+    [
+        (thin_slice_pair, (False, True)),
+        (uhat_only_pair, (True, False)),
+        (crossed_pair, (False, False)),
+    ],
+    ids=["base-not-slices", "top-off-base", "both"],
+)
+def test_second_system_must_sit_over_its_bases(pair, halves):
+    """proof_unitaries and identity_suite reject a second system whose
+    base is not the union of its slices, or whose tower has its top
+    image outside its base, though the levels of both systems tile X;
+    approximant, which asks only check_pair, accepts the pair.  halves
+    says whether each base is the union of its slices, and whether each
+    top image lies in its base."""
+    S, S2 = pair()
+    assert _levels_tile(S) and _levels_tile(S2)
+    empty = space.empty_set(S.spec)
+    assert halves == (
+        all(space.union(empty, *(c.Y for c in ts)) == B
+            for B, ts in zip(S2.bases, S2.towers)),
+        all(space.is_subset(space.apply_h(c.Y, c.J), B)
+            for B, ts in zip(S2.bases, S2.towers) for c in ts),
+    )
+    for f in (cp.proof_unitaries, cp.identity_suite):
+        with pytest.raises(InvalidSystem) as e:
+            f(S, S2)
+        assert str(e.value) == OFF_BASES
+    assert cp.approximant(S, S2).blocks
 
 
 def _tiling_systems():
@@ -732,12 +835,7 @@ def _tiling_systems():
     ]
     pairs += [(S, S2) for S, S2, *_ in _lemma_cases()]
     systems += [R for pair in pairs for R in pair]
-    return [
-        R for R in systems
-        if space.is_partition(
-            [L for L in towers.tower_levels(R) if not space.is_empty(L)]
-        )
-    ]
+    return [R for R in systems if _levels_tile(R)]
 
 
 def test_v_element_matches_per_level_oracle():
@@ -836,11 +934,14 @@ def test_proof_unitaries_shift():
 
 
 def test_u1_and_u2_are_unitary_when_v1_and_v2_are():
-    """proof_unitaries checks v1, v2 and uhat (see its docstring).
-    is_unitary on u1, u2 and uhat stays on as the oracle: on the adapted
-    pair of every family with one, on random pairs and on
-    uhat_only_pair, it passes, or the first of v1, u1, v2, u2 and uhat
-    that it fails is the element that proof_unitaries names."""
+    """proof_unitaries checks the towers of S2, v1 and v2 (see its
+    docstring).  is_unitary on u1, u2 and uhat stays on as the oracle:
+    on the adapted pair of every family with one, on random pairs and
+    on uhat_only_pair, proof_unitaries returns and all five are
+    unitary, or it rejects the towers of S2, or the first of v1, u1,
+    v2, u2 and uhat that is_unitary fails is the element that it names,
+    and that is never uhat.  uhat_only_pair is rejected by the towers
+    of S2, and its uhat is not unitary."""
     pairs = [
         towers.adapted_system_pair(spec, space.generating_partition(spec, 2), 2)
         for spec in genutil.system_specs()
@@ -862,29 +963,33 @@ def test_u1_and_u2_are_unitary_when_v1_and_v2_are():
             "u2": u2,
             "uhat": oracles.uhat(S, u2),
         }
+        first = next(
+            (k for k, el in elements.items() if not oracles.is_unitary(el)),
+            None,
+        )
         try:
             pe = cp.proof_unitaries(S, S2)
         except InvalidSystem as e:
             assert i >= adapted
             raised += 1
-            first = next(
-                k for k, el in elements.items() if not oracles.is_unitary(el)
-            )
-            assert str(e) == "element %s is not unitary" % first
-            names.add(first)
+            if str(e) == OFF_BASES:
+                names.add((OFF_BASES, first))
+            else:
+                assert str(e) == "element %s is not unitary" % first
+                names.add(first)
         else:
             u1 = cp.multiply(cp.adjoint(pe.v1), u)
             assert (u1, pe.u2) == (elements["u1"], elements["u2"])
-            assert all(map(oracles.is_unitary, (u1, pe.u2, elements["uhat"])))
+            assert first is None
     assert 0 < raised < len(pairs) - adapted
-    assert "uhat" in names
+    assert "uhat" not in names and (OFF_BASES, "uhat") in names
 
 
 def test_proof_unitaries_odometer_trivial():
     S, S2 = odo_pair()
     pe = cp.proof_unitaries(S, S2)
     assert pe.v1 == pe.v2
-    assert cp.multiply(pe.v2, cp.adjoint(pe.v1)) == cp.one(ODO)
+    assert cp.multiply(pe.v2, cp.adjoint(pe.v1)) == oracles.one(ODO)
     assert space.is_empty(pe.Y)
 
 
@@ -941,7 +1046,7 @@ def test_corrupted_v1_fails_unitarity():
     c0, E0 = sf0[0]
     corrupted = pe.v1 - cp.cp_element(SHIFT, {n0: [(c0, E0)]})
     assert not oracles.is_unitary(corrupted)
-    d = cp.multiply(corrupted, cp.adjoint(corrupted)) - cp.one(SHIFT)
+    d = cp.multiply(corrupted, cp.adjoint(corrupted)) - oracles.one(SHIFT)
     assert d.terms
 
 
@@ -976,18 +1081,18 @@ def test_approximant_descriptors():
 def test_fiber_restrict():
     fiber = space.compactified_shift()
     spec = space.quotient_product(fiber)
-    one = cp.one(spec)
-    assert oracles.fiber_restrict(one, 5) == cp.one(fiber)
+    one = oracles.one(spec)
+    assert oracles.fiber_restrict(one, 5) == oracles.one(fiber)
     blk = cp.char(
         space.quotient_set(spec, {2: space.whole_space(fiber)})
     )
-    assert oracles.fiber_restrict(blk, 2) == cp.one(fiber)
+    assert oracles.fiber_restrict(blk, 2) == oracles.one(fiber)
     assert oracles.fiber_restrict(blk, 3).terms == ()
     # restriction at the collapsed point
     at_inf = oracles.fiber_restrict(one, space.INF)
-    assert at_inf == cp.one(space.finite_cycle(1))
+    assert at_inf == oracles.one(space.finite_cycle(1))
     with pytest.raises(oracles.InvalidFiberPoint):
-        oracles.fiber_restrict(cp.one(ODO), 1)
+        oracles.fiber_restrict(oracles.one(ODO), 1)
 
 
 def test_fiber_restrict_is_homomorphism():

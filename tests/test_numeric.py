@@ -54,7 +54,7 @@ def test_represent_examples():
 
 def test_represent_rejects_infinite_supports():
     with pytest.raises(NotCompactlySupported):
-        numeric.represent(cp.one(SHIFT))
+        numeric.represent(oracles.one(SHIFT))
     odo = space.odometer(2)
     with pytest.raises(NotCompactlySupported):
         numeric.represent(cp.char(genutil.cylinder(odo, (0,))))
@@ -683,7 +683,7 @@ def cutdown_check_oracle(a, blocks, tol=1e-9, coeff_tol=1e-12):
 
     for i, (p, _) in enumerate(blocks):
         for j, (_, q) in enumerate(blocks):
-            if i != j and cp.max_coefficient(cut(p, q)) > coeff_tol:
+            if i != j and oracles.max_coefficient(cut(p, q)) > coeff_tol:
                 return {
                     "block_diagonal": False,
                     "offending_pair": (i, j),
@@ -1010,7 +1010,7 @@ def test_interpolating_unitary_over_empty_y_is_one(spec):
     cycles = numeric._cycles(numeric.SparseMatrix((0, 0), {}))
     for N in (1, 4):
         z = numeric._interpolating_unitary(Y, [], cycles, N)
-        assert z == cp.one(spec)
+        assert z == oracles.one(spec)
 
 
 def test_interpolating_unitary_rejects_coupled_fibers():
@@ -1027,7 +1027,7 @@ def test_interpolating_unitary_rejects_coupled_fibers():
         with pytest.raises(DegenerateEigenbasis, match="different fibers"):
             numeric._interpolating_unitary(Y, y_points, swap, N)
         z = numeric._interpolating_unitary(Y, y_points, identity, N)
-        assert z == cp.one(QSHIFT)
+        assert z == oracles.one(QSHIFT)
 
 
 LEMMA_SPECS = [
@@ -1066,6 +1066,27 @@ def _two_by_two_blocks_only(monkeypatch):
     return seen
 
 
+def _capture_z(monkeypatch):
+    """Record every z that berg_verify interpolates; returns the list."""
+    interpolate, seen = numeric._interpolating_unitary, []
+
+    def captured(*args):
+        seen.append(interpolate(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(numeric, "_interpolating_unitary", captured)
+    return seen
+
+
+def _assert_z_unitary(z):
+    """The brute-force form of berg_verify's z_unitary_ok, which reads it
+    off the closed form of _root_power: z z* - 1 and z* z - 1, formed as
+    products, have no coefficient above 1e-14."""
+    zs, one = cp.adjoint(z), oracles.one(z.spec)
+    for p in (z * zs, zs * z):
+        assert oracles.max_coefficient(p - one) <= 1e-14
+
+
 def _assert_norm_w_matches_lapack(rep, corner, N):
     """berg's norm_w_minus_1 against LAPACK's norm of W - 1, with W made
     dense from numeric._root_power, within a relative 1e-12; exactly 0.0
@@ -1087,14 +1108,18 @@ def _assert_norm_w_matches_lapack(rep, corner, N):
 def test_berg_norm_blocks_have_at_most_two_lines(spec, monkeypatch):
     # Lemma 2 of operator_norm over depths 1-3 and a range of N, and the
     # closed-form norm of W - 1 on each corner; at N 1, W = V and the
-    # norm is 2 where V has a transposition
+    # norm is 2 where V has a transposition; and z is unitary, as
+    # z_unitary_ok reports
     seen = _two_by_two_blocks_only(monkeypatch)
+    zs = _capture_z(monkeypatch)
     for depth in (1, 2, 3):
         P = space.generating_partition(spec, depth)
         for N in (1, 2, 3, 5, 8):
             runs = len(seen)
             rep = numeric.berg_verify(spec, P, N, math.pi / N + 0.01)
-            assert rep.passed and len(seen) == runs + 1
+            assert rep.passed and rep.z_unitary_ok
+            assert len(seen) == len(zs) == runs + 1
+            _assert_z_unitary(zs[-1])
             if _assert_norm_w_matches_lapack(rep, seen[-1], N) and N == 1:
                 assert abs(rep.norm_w_minus_1 - 2) <= 2e-12
     assert len(seen) == 15
@@ -1114,13 +1139,33 @@ def test_berg_norm_w_covers_transpositions_and_fixed_points(monkeypatch):
 
 
 def test_berg_norm_blocks_have_at_most_two_lines_at_large_n(monkeypatch):
-    # the most two-line blocks of any job in CI
+    # the most two-line blocks of any job in CI, and a z with a piece
+    # for each of its 256 levels
     seen = _two_by_two_blocks_only(monkeypatch)
+    zs = _capture_z(monkeypatch)
     P = space.generating_partition(QSHIFT, 3)
     rep = numeric.berg_verify(QSHIFT, P, 256, math.pi / 256 + 0.01)
-    assert rep.passed and len(seen) == 1
+    assert rep.passed and len(seen) == len(zs) == 1
     assert any(len(cycle) == 2 for cycle in seen[0][1])
     assert _assert_norm_w_matches_lapack(rep, seen[0], 256)
+    _assert_z_unitary(zs[0])
+
+
+def test_berg_forms_seven_products(monkeypatch):
+    # u2 in proof_unitaries, three for the corner and three for u'; z's
+    # unitarity is read off the closed form of _root_power
+    calls = []
+
+    def counted(*args, f=cp.multiply):
+        calls.append(args)
+        return f(*args)
+
+    monkeypatch.setattr(cp, "multiply", counted)
+    for P, N in ((space.generating_partition(SHIFT, 3), 16),
+                 (shift_partition(0, 8), 4)):
+        calls.clear()
+        assert numeric.berg_verify(SHIFT, P, N, math.pi / N + 0.01).passed
+        assert len(calls) == 7
 
 
 @pytest.mark.parametrize("N", [8, 1024])
@@ -1164,7 +1209,7 @@ def test_berg_difference_lies_in_level_rectangles(spec):
             S, S2 = towers.adapted_system_pair(spec, P, N)
             pe = cp.proof_unitaries(S, S2)
             ys = set(numeric.enumerate_points(pe.Y))
-            off_y = cp.multiply(pe.v1, cp.adjoint(pe.v2)) - cp.one(spec)
+            off_y = cp.multiply(pe.v1, cp.adjoint(pe.v2)) - oracles.one(spec)
             assert all(
                 set(numeric.enumerate_points(E)) <= ys
                 for _, sf in off_y.terms for _, E in sf
@@ -1217,7 +1262,7 @@ def _berg_z(spec, P, N):
     """The interpolating unitary z of berg_verify."""
     Y, y_points, V = _berg_corner(spec, P, N)
     if not y_points:
-        return cp.one(spec)
+        return oracles.one(spec)
     return numeric._interpolating_unitary(Y, y_points, numeric._cycles(V), N)
 
 
@@ -1258,7 +1303,7 @@ def test_z_commutation_lemma_matches_products_on_failing_elements(spec, depth):
     elements = [u]
     for c in (1e-11, 3e-11, 1e-9, 0.5):
         for e in rng.sample(units, min(4, len(units))):
-            elements += [u + cp.scale(e, c), cp.one(spec) + cp.scale(e, c)]
+            elements += [u + cp.scale(e, c), oracles.one(spec) + cp.scale(e, c)]
     elements += [_random_cp_element(spec, rng) for _ in range(30)]
     verdicts = []
     for z in elements:

@@ -65,7 +65,7 @@ def sample_values():
         out += [cp.identity_suite(S, S2), cp.approximant(S, S2)]
         out += list(oracles.matrix_units(S).values())[:3]
     element = cp.cp_element(SHIFT, {1: [(2, space.shift_set(SHIFT, [0, 1]))]})
-    out += [element, cp.one(SHIFT), oracles.zero(ODO)]
+    out += [element, oracles.one(SHIFT), oracles.zero(ODO)]
     # a NaN field equals itself only as the same object, as in a tuple
     nan = math.nan
     for norm in (nan, nan, float("nan")):
@@ -118,7 +118,7 @@ def test_matrix_rep_repr_matches_the_dataclass_twin():
 
 @pytest.mark.parametrize("v", [VALUES[0], ODO, space.empty_set(ODO),
                                towers.Tower(space.empty_set(ODO), 1),
-                               cp.one(SHIFT)], ids=repr)
+                               oracles.one(SHIFT)], ids=repr)
 def test_values_are_immutable(v):
     names = [f.name for f in dataclasses.fields(oracles.value_twin(v))]
     name = names[0] if names else "x"

@@ -442,18 +442,15 @@ def test_generating_partitions(spec):
 
 @pytest.mark.parametrize("spec", genutil.all_specs())
 def test_partition_of_a_target_set(spec):
+    # the target is X
     cells = list(space.generating_partition(spec, 2))
-    target = space.union(cells[0], cells[1])
-    assert space.is_partition(cells[:2], target)
-    assert space.is_partition(cells[1::-1], target)
-    assert not space.is_partition(cells[:1], target)
-    assert not space.is_partition(cells[:3], target)
-    assert not space.is_partition([cells[0], target], target)
-    assert not space.is_partition(cells[:2] + [space.empty_set(spec)], target)
-    assert space.is_partition([], space.empty_set(spec))
-    assert not space.is_partition([], target)
+    assert space.is_partition(cells)
+    assert space.is_partition(cells[::-1])
+    assert not space.is_partition(cells[:-1])
+    assert not space.is_partition(cells + [cells[0]])
+    assert not space.is_partition(cells + [space.empty_set(spec)])
+    assert not space.is_partition([space.union(cells[0], cells[1])] + cells[1:])
     assert not space.is_partition([])
-    assert space.is_partition(cells, space.whole_space(spec))
 
 
 @pytest.mark.parametrize("spec", genutil.all_specs())
